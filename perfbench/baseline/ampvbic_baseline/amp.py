@@ -1,0 +1,143 @@
+"""Message-passing decoupling of the linear mixing observation.
+
+One pass turns the received matrix Y (N x J) into per-element pseudo
+observations r = x + n with n ~ CN(0, tau), given the current posterior
+mean/variance of the target X.  The J columns are independent, so the
+six per-column update lines are evaluated matrix-wise:
+
+    Tp  = |A|^2 @ That
+    P   = A @ Xhat - Tp * S            (Onsager-corrected prediction)
+    Ts  = 1 / (Tp + noise_var)
+    S   = Ts * (Y - P)
+    Tau = 1 / (|A|^2.T @ Ts)
+    R   = Xhat + Tau * (A^H @ S)
+
+S persists across outer iterations; everything else is recomputed.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .errors import DimensionMismatch, NonPositiveNoise
+
+# Incoming posterior variances are floored here so Tp + noise_var can never
+# underflow the division that forms Ts.
+VARIANCE_FLOOR = 1e-12
+
+
+@dataclass
+class AmpState:
+    """Per-column working matrices of the decoupling pass (all N x J except
+    Tau, which is M x J).  Only S_mat carries information between outer
+    iterations."""
+
+    S_mat: np.ndarray
+    P_mat: np.ndarray
+    Tp: np.ndarray
+    Ts: np.ndarray
+    Tau: np.ndarray
+
+
+@dataclass
+class Posterior:
+    """Elementwise posterior mean Xhat and variance That of the M x J target."""
+
+    Xhat: np.ndarray
+    That: np.ndarray
+
+
+@dataclass
+class PseudoObservations:
+    """Decoupled scalar observations R with effective noise variances Tau.
+
+    Flattened indexing follows s = j + (m-1)*J (1-based), i.e. row-major
+    order: user m's observations occupy the contiguous block
+    [(m-1)*J, m*J).
+    """
+
+    R: np.ndarray
+    Tau: np.ndarray
+
+    @property
+    def r_flat(self) -> np.ndarray:
+        return self.R.reshape(-1)
+
+    @property
+    def tau_flat(self) -> np.ndarray:
+        return self.Tau.reshape(-1)
+
+
+def flatten_obs(mat: np.ndarray) -> np.ndarray:
+    """(M, J) matrix -> length M*J vector under s = j + (m-1)*J."""
+    return np.ascontiguousarray(mat).reshape(-1)
+
+
+def unflatten_obs(vec: np.ndarray, m: int, j: int) -> np.ndarray:
+    """Inverse of flatten_obs."""
+    if vec.size != m * j:
+        raise DimensionMismatch(f"cannot reshape {vec.size} observations to {m}x{j}")
+    return vec.reshape(m, j)
+
+
+def obs_slice(m: int, j: int) -> slice:
+    """Flat-index range of user m's J observations (0-based user index)."""
+    return slice(m * j, (m + 1) * j)
+
+
+def amp_init(m: int, n: int, j: int, e_sym: float) -> tuple[AmpState, Posterior]:
+    """Zero state and the flat prior posterior (mean 0, variance E_sym)."""
+    if m < 1 or n < 1 or j < 1:
+        raise DimensionMismatch(f"dimensions must be positive, got M={m}, N={n}, J={j}")
+    state = AmpState(
+        S_mat=np.zeros((n, j), dtype=complex),
+        P_mat=np.zeros((n, j), dtype=complex),
+        Tp=np.zeros((n, j)),
+        Ts=np.zeros((n, j)),
+        Tau=np.zeros((m, j)),
+    )
+    posterior = Posterior(
+        Xhat=np.zeros((m, j), dtype=complex),
+        That=np.full((m, j), float(e_sym)),
+    )
+    return state, posterior
+
+
+def amp_decouple(a_mat: np.ndarray, y: np.ndarray, posterior: Posterior,
+                 state: AmpState, noise_var: float,
+                 damping: float = 1.0) -> tuple[PseudoObservations, AmpState]:
+    """One decoupling pass over all J columns.
+
+    Returns the pseudo observations and the refreshed state; the caller
+    carries the state into the next outer iteration.  damping < 1 blends
+    the new scaled residual S with the previous one (stability
+    experiments only; 1.0 reproduces the plain update).
+    """
+    if noise_var <= 0:
+        raise NonPositiveNoise(f"noise_var must be > 0, got {noise_var}")
+    if a_mat.ndim != 2 or y.ndim != 2:
+        raise DimensionMismatch("A and Y must be 2-d arrays")
+    n, m = a_mat.shape
+    if y.shape[0] != n:
+        raise DimensionMismatch(f"Y has {y.shape[0]} rows, expected N={n}")
+    j = y.shape[1]
+    if posterior.Xhat.shape != (m, j) or posterior.That.shape != (m, j):
+        raise DimensionMismatch(
+            f"posterior shape {posterior.Xhat.shape} does not match (M, J)=({m}, {j})")
+
+    abs_a2 = np.abs(a_mat) ** 2
+    that = np.maximum(posterior.That, VARIANCE_FLOOR)
+
+    tp = abs_a2 @ that
+    p = a_mat @ posterior.Xhat - tp * state.S_mat
+    ts = 1.0 / (tp + noise_var)
+    s = ts * (y - p)
+    if damping != 1.0:
+        s = damping * s + (1.0 - damping) * state.S_mat
+    tau = 1.0 / (abs_a2.T @ ts)
+    r = posterior.Xhat + tau * (a_mat.conj().T @ s)
+
+    new_state = AmpState(S_mat=s, P_mat=p, Tp=tp, Ts=ts, Tau=tau)
+    return PseudoObservations(R=r, Tau=tau), new_state

@@ -1,0 +1,279 @@
+"""Monte Carlo experiment runner: trials, sweeps, baselines, CSV output.
+
+Each trial draws an independent frame from a substream derived from
+(master seed, trial index), so trials are reproducible, order-independent
+and embarrassingly parallel.  The same substream serves every detector
+and every swept axis value, which pairs the comparisons (common random
+numbers).
+"""
+
+from __future__ import annotations
+
+import concurrent.futures
+import csv
+import dataclasses
+import time
+from dataclasses import dataclass
+
+import numpy as np
+
+from .amp import Posterior
+from .decide import DetectionResult
+from .detector import _finalize, run_detector_internals
+from .errors import ConfigError, InvalidAxis, TrialFailure
+from .metrics import compute_aer, compute_ce_mse, compute_ser
+from .model import ExtendedAlphabet, ScenarioConfig, ScenarioInstance, \
+    build_alphabet, generate_frame
+
+DETECTOR_NAMES = ("amp_vbic", "amp_vbic_no_offset", "genie")
+SWEEP_AXES = ("snr_db", "N", "p_a", "n_it")
+
+CSV_FIELDS = ["detector", "trial", "M", "N", "J", "p_a", "snr_db", "n_it",
+              "aer", "ser", "ce_mse", "runtime_ms"]
+CSV_STDERR_FIELDS = ["aer_stderr", "ser_stderr", "ce_mse_stderr"]
+
+
+@dataclass
+class MetricsRecord:
+    """One trial (or one aggregated cell, trial == -1) of one detector."""
+
+    detector: str
+    trial: int
+    M: int
+    N: int
+    J: int
+    p_a: float
+    snr_db: float
+    n_it: int
+    aer: float
+    ser: float
+    ce_mse: float
+    runtime_ms: float
+    aer_stderr: float | None = None
+    ser_stderr: float | None = None
+    ce_mse_stderr: float | None = None
+
+
+def trial_rng(seed: int, trial: int) -> np.random.Generator:
+    """Independent substream for one trial index."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(trial,)))
+
+
+def genie_detect(r_final: np.ndarray, truth_support: np.ndarray,
+                 truth_mu: np.ndarray, alphabet: ExtendedAlphabet) -> DetectionResult:
+    """Nearest-symbol detection with known support and channels.
+
+    Serves as a performance lower bound: activity is the true support and
+    each active symbol is the constellation point closest to
+    r / channel-gain distance (ties resolve to the lowest symbol index).
+    """
+    r_final = np.asarray(r_final)
+    m, j = r_final.shape
+    active = np.asarray(truth_support).astype(bool)
+    d_act = alphabet.active_symbols
+    dist = np.abs(r_final[:, :, None] - truth_mu[:, None, None] * d_act[None, None, :])
+    d_hat = d_act[dist.argmin(axis=2)]
+    d_hat = np.where(active[:, None], d_hat, 0.0 + 0.0j)
+    sign = np.where(active, 1.0, -1.0)
+    return DetectionResult(
+        activity_hat=active.astype(np.int8),
+        D_hat=d_hat,
+        channel_hat=np.asarray(truth_mu).copy(),
+        llr_dec=sign,
+        llr_vbi=np.zeros(m),
+        llr_offset=np.zeros(m),
+    )
+
+
+def _score(record_base: dict, detector: str, result: DetectionResult,
+           frame: ScenarioInstance, include_rs_in_ser: bool,
+           runtime_ms: float) -> MetricsRecord:
+    return MetricsRecord(
+        detector=detector,
+        aer=compute_aer(frame.activity, result.activity_hat),
+        ser=compute_ser(frame.D, result.D_hat, include_rs=include_rs_in_ser),
+        ce_mse=compute_ce_mse(frame.mu, result.channel_hat),
+        runtime_ms=runtime_ms,
+        **record_base,
+    )
+
+
+def _run_one_trial(config: ScenarioConfig, alphabet: ExtendedAlphabet,
+                   trial: int, detectors: tuple[str, ...],
+                   include_rs_in_ser: bool,
+                   n_active: int | None) -> list[MetricsRecord]:
+    rng = trial_rng(config.seed, trial)
+    frame = generate_frame(config, alphabet, rng, n_active=n_active)
+
+    # One iteration loop serves all detector variants: the offset ablation
+    # only changes the final decision, and the genie reuses the final
+    # pseudo observations.
+    t0 = time.perf_counter()
+    _, _, internals = run_detector_internals(frame.A, frame.Y, config, alphabet)
+    loop_ms = (time.perf_counter() - t0) * 1e3
+
+    base = dict(trial=trial, M=config.M, N=config.N, J=config.J,
+                p_a=config.p_a, snr_db=config.snr_db, n_it=config.n_it)
+    records = []
+    for name in detectors:
+        t1 = time.perf_counter()
+        if name == "amp_vbic":
+            result = _finalize(internals.vbic_state, internals.posterior,
+                               alphabet, config.p_a, include_offset=True)
+            runtime = loop_ms + (time.perf_counter() - t1) * 1e3
+        elif name == "amp_vbic_no_offset":
+            result = _finalize(internals.vbic_state, internals.posterior,
+                               alphabet, config.p_a, include_offset=False)
+            runtime = loop_ms + (time.perf_counter() - t1) * 1e3
+        elif name == "genie":
+            result = genie_detect(internals.pseudo.R, frame.activity,
+                                  frame.mu, alphabet)
+            runtime = (time.perf_counter() - t1) * 1e3
+        else:
+            raise ConfigError(f"unknown detector {name!r}; "
+                              f"choose from {DETECTOR_NAMES}")
+        records.append(_score(base, name, result, frame, include_rs_in_ser, runtime))
+    return records
+
+
+def run_trials(config: ScenarioConfig, n_trials: int,
+               detectors: tuple[str, ...] = ("amp_vbic",), *,
+               include_rs_in_ser: bool = False, n_workers: int = 1,
+               trial_start: int = 0,
+               n_active: int | None = None) -> list[MetricsRecord]:
+    """Run n_trials independent frames through the requested detectors.
+
+    Returns one record per (trial, detector), ordered by trial.  Failures
+    raise TrialFailure with the trial index in the message and the
+    original error chained.
+    """
+    if n_trials < 1:
+        raise ConfigError(f"n_trials must be >= 1, got {n_trials}")
+    for name in detectors:
+        if name not in DETECTOR_NAMES:
+            raise ConfigError(f"unknown detector {name!r}; "
+                              f"choose from {DETECTOR_NAMES}")
+    alphabet = build_alphabet(config.modulation)
+    trials = range(trial_start, trial_start + n_trials)
+
+    def one(t):
+        try:
+            return _run_one_trial(config, alphabet, t, tuple(detectors),
+                                  include_rs_in_ser, n_active)
+        except Exception as exc:
+            raise TrialFailure(f"trial {t} failed: {exc}") from exc
+
+    if n_workers <= 1:
+        batches = [one(t) for t in trials]
+    else:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=n_workers) as pool:
+            futures = {pool.submit(_trial_worker, config, t, tuple(detectors),
+                                   include_rs_in_ser, n_active): t
+                       for t in trials}
+            results = {}
+            for fut in concurrent.futures.as_completed(futures):
+                t = futures[fut]
+                try:
+                    results[t] = fut.result()
+                except TrialFailure:
+                    raise
+                except Exception as exc:
+                    raise TrialFailure(f"trial {t} failed: {exc}") from exc
+        batches = [results[t] for t in trials]
+    return [rec for batch in batches for rec in batch]
+
+
+def _trial_worker(config, trial, detectors, include_rs_in_ser, n_active):
+    alphabet = build_alphabet(config.modulation)
+    try:
+        return _run_one_trial(config, alphabet, trial, detectors,
+                              include_rs_in_ser, n_active)
+    except Exception as exc:
+        raise TrialFailure(f"trial {trial} failed: {exc}") from exc
+
+
+def _stderr(values: np.ndarray) -> float:
+    if values.size < 2:
+        return 0.0
+    return float(values.std(ddof=1) / np.sqrt(values.size))
+
+
+def aggregate(records: list[MetricsRecord]) -> list[MetricsRecord]:
+    """Collapse per-trial records to one row per (detector, config cell):
+    mean metrics plus standard errors, trial index -1."""
+    cells: dict[tuple, list[MetricsRecord]] = {}
+    for rec in records:
+        key = (rec.detector, rec.M, rec.N, rec.J, rec.p_a, rec.snr_db, rec.n_it)
+        cells.setdefault(key, []).append(rec)
+    out = []
+    for key, group in cells.items():
+        aer = np.array([r.aer for r in group])
+        ser = np.array([r.ser for r in group])
+        mse = np.array([r.ce_mse for r in group])
+        detector, m, n, j, p_a, snr_db, n_it = key
+        out.append(MetricsRecord(
+            detector=detector, trial=-1, M=m, N=n, J=j, p_a=p_a,
+            snr_db=snr_db, n_it=n_it,
+            aer=float(aer.mean()), ser=float(ser.mean()),
+            ce_mse=float(mse.mean()),
+            runtime_ms=float(np.mean([r.runtime_ms for r in group])),
+            aer_stderr=_stderr(aer), ser_stderr=_stderr(ser),
+            ce_mse_stderr=_stderr(mse),
+        ))
+    return out
+
+
+def sweep(base_config: ScenarioConfig, axis: str, values, n_trials: int,
+          detectors: tuple[str, ...] = ("amp_vbic",), *,
+          include_rs_in_ser: bool = False, n_workers: int = 1,
+          bernoulli_activity: bool = False) -> list[MetricsRecord]:
+    """Aggregated records along one swept axis.
+
+    Swept axes: snr_db, N, p_a, n_it.  A p_a sweep pins the active-user
+    count to round(p_a * M) per frame so the axis means "number of active
+    users"; bernoulli_activity=True restores per-user coin flips.
+    """
+    if axis not in SWEEP_AXES:
+        raise InvalidAxis(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
+    values = list(values)
+    if not values:
+        raise ConfigError("sweep needs at least one axis value")
+    out = []
+    for value in values:
+        if axis in ("N", "n_it"):
+            value = int(value)
+        config = dataclasses.replace(base_config, **{axis: value})
+        n_active = None
+        if axis == "p_a" and not bernoulli_activity:
+            n_active = int(round(config.p_a * config.M))
+        records = run_trials(config, n_trials, detectors,
+                             include_rs_in_ser=include_rs_in_ser,
+                             n_workers=n_workers, n_active=n_active)
+        out.extend(aggregate(records))
+    return out
+
+
+def write_csv(records: list[MetricsRecord], path, aggregated: bool = False) -> None:
+    """Write records in the fixed CSV schema (aggregated files append the
+    standard-error columns and use trial = -1)."""
+    fields = CSV_FIELDS + (CSV_STDERR_FIELDS if aggregated else [])
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(fields)
+        for rec in records:
+            row = [getattr(rec, f) for f in fields]
+            for x in row:
+                if isinstance(x, float) and not np.isfinite(x):
+                    raise ValueError(f"non-finite metric in record: {rec}")
+            writer.writerow(row)
+
+
+def summarize(records: list[MetricsRecord]) -> str:
+    """Human-readable aggregate table for CLI output."""
+    rows = aggregate(records) if any(r.trial >= 0 for r in records) else records
+    lines = [f"{'detector':22s} {'aer':>10s} {'ser':>10s} "
+             f"{'ce_mse':>10s} {'runtime_ms':>11s}"]
+    for rec in rows:
+        lines.append(f"{rec.detector:22s} {rec.aer:10.5f} {rec.ser:10.5f} "
+                     f"{rec.ce_mse:10.6f} {rec.runtime_ms:11.2f}")
+    return "\n".join(lines)

@@ -1,0 +1,177 @@
+"""System model: symbol alphabets, scenario configuration, frame synthesis.
+
+A frame is one block transmission of M users over a length-N spreading
+code and J symbol slots: Y = A @ X + W with X = diag(mu) @ D.  Each user
+is active with probability p_a; inactive users contribute all-zero rows
+to D and X (joint sparsity).  Active users send a fixed reference symbol
+in slot 1 and uniform random constellation symbols in slots 2..J.
+"""
+
+from __future__ import annotations
+
+import enum
+from dataclasses import dataclass
+
+import numpy as np
+
+from .errors import ConfigError
+
+
+class Modulation(str, enum.Enum):
+    QPSK = "qpsk"
+    QAM16 = "qam16"
+
+
+@dataclass(frozen=True)
+class ExtendedAlphabet:
+    """Modulation alphabet extended with the null symbol at index 0.
+
+    symbols[0] == 0 represents "inactive user"; symbols[1:] is the active
+    constellation, sorted by (real, imag) so the alphabet order (and hence
+    the reference symbol) is deterministic.  E_sym is the mean energy of
+    the active symbols.
+    """
+
+    symbols: np.ndarray
+    K: int
+    E_sym: float
+
+    def __post_init__(self):
+        self.symbols.setflags(write=False)
+
+    @property
+    def active_symbols(self) -> np.ndarray:
+        return self.symbols[1:]
+
+    @property
+    def reference_symbol(self) -> complex:
+        """First active symbol; transmitted in slot 1 by every active user."""
+        return complex(self.symbols[1])
+
+
+def build_alphabet(modulation: Modulation | str) -> ExtendedAlphabet:
+    """Construct the extended (null + active) symbol alphabet.
+
+    QPSK: the four unit-energy symbols (+-1 +-1j)/sqrt(2).
+    QAM16: the square grid {+-1, +-3} x {+-1, +-3} scaled by 1/sqrt(10),
+    which normalizes the constellation to unit average energy.
+    """
+    modulation = Modulation(modulation)
+    if modulation is Modulation.QPSK:
+        pts = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2.0)
+    else:
+        levels = np.array([-3.0, -1.0, 1.0, 3.0])
+        pts = (levels[:, None] + 1j * levels[None, :]).ravel() / np.sqrt(10.0)
+    order = np.lexsort((pts.imag, pts.real))
+    active = pts[order]
+    symbols = np.concatenate(([0.0 + 0.0j], active))
+    e_sym = float(np.mean(np.abs(active) ** 2))
+    return ExtendedAlphabet(symbols=symbols, K=symbols.size, E_sym=e_sym)
+
+
+def noise_variance_from_snr(snr_db: float, e_sym: float) -> float:
+    """Noise variance sigma_n^2 = E_sym * 10**(-snr_db/10)."""
+    if e_sym <= 0:
+        raise ConfigError(f"E_sym must be positive, got {e_sym}")
+    return float(e_sym * 10.0 ** (-snr_db / 10.0))
+
+
+@dataclass(frozen=True)
+class ScenarioConfig:
+    """Parameters of one simulated grant-free access scenario.
+
+    J counts the reference-symbol slot plus J-1 data slots.  p_a may sit at
+    the closed-interval endpoints for frame synthesis (all-inactive /
+    all-active frames); the detector itself requires 0 < p_a < 1 so the
+    activity prior log-odds stay finite.
+    """
+
+    M: int
+    N: int
+    J: int
+    p_a: float
+    snr_db: float
+    modulation: Modulation = Modulation.QAM16
+    n_it: int = 20
+    seed: int = 0
+
+    def __post_init__(self):
+        object.__setattr__(self, "modulation", Modulation(self.modulation))
+        if self.M < 1 or self.N < 1:
+            raise ConfigError(f"M and N must be >= 1, got M={self.M}, N={self.N}")
+        if self.J < 2:
+            raise ConfigError(f"J must be >= 2 (reference symbol + data), got {self.J}")
+        if not 0.0 <= self.p_a <= 1.0:
+            raise ConfigError(f"p_a must lie in [0, 1], got {self.p_a}")
+        if self.n_it < 1:
+            raise ConfigError(f"n_it must be >= 1, got {self.n_it}")
+
+
+@dataclass(frozen=True)
+class ScenarioInstance:
+    """One synthesized frame plus the ground truth behind it.
+
+    mu holds the Rayleigh gains of active users and exact zeros for
+    inactive users (the convention under which channel-estimation MSE is
+    scored).  Y = A @ X + W with the drawn noise W of variance noise_var.
+    """
+
+    A: np.ndarray          # (N, M) complex spreading matrix
+    activity: np.ndarray   # (M,) 0/1
+    mu: np.ndarray         # (M,) complex channel gains, 0 for inactive
+    D: np.ndarray          # (M, J) transmitted symbols
+    X: np.ndarray          # (M, J) = diag(mu) @ D
+    Y: np.ndarray          # (N, J) received
+    noise_var: float
+
+    def __post_init__(self):
+        for arr in (self.A, self.activity, self.mu, self.D, self.X, self.Y):
+            arr.setflags(write=False)
+
+
+def draw_spreading_matrix(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
+    """i.i.d. circularly-symmetric complex Gaussian entries, unit variance."""
+    return (rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))) / np.sqrt(2.0)
+
+
+def _draw_activity(config: ScenarioConfig, rng: np.random.Generator,
+                   n_active: int | None) -> np.ndarray:
+    if n_active is None:
+        return (rng.random(config.M) < config.p_a).astype(np.int8)
+    if not 0 <= n_active <= config.M:
+        raise ConfigError(f"n_active must lie in [0, M], got {n_active}")
+    activity = np.zeros(config.M, dtype=np.int8)
+    activity[rng.choice(config.M, size=n_active, replace=False)] = 1
+    return activity
+
+
+def generate_frame(config: ScenarioConfig, alphabet: ExtendedAlphabet,
+                   rng: np.random.Generator,
+                   n_active: int | None = None) -> ScenarioInstance:
+    """Draw one random frame.
+
+    Activity is Bernoulli(p_a) per user unless n_active pins the exact
+    number of active users (used by sweeps whose axis is the active-user
+    count).  Channel gains are CN(0,1); data symbols are uniform over the
+    active constellation; slot 1 carries the reference symbol.
+    """
+    m, n, j = config.M, config.N, config.J
+    activity = _draw_activity(config, rng, n_active)
+    mu_all = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) / np.sqrt(2.0)
+    mu = mu_all * activity
+
+    # Symbols are drawn for every user, then inactive rows are zeroed, so the
+    # RNG stream consumed does not depend on the activity draw.
+    data = alphabet.active_symbols[rng.integers(0, alphabet.K - 1, size=(m, j - 1))]
+    d_mat = np.concatenate(
+        [np.full((m, 1), alphabet.reference_symbol, dtype=complex), data], axis=1)
+    d_mat[activity == 0, :] = 0.0
+
+    a_mat = draw_spreading_matrix(n, m, rng)
+    x_mat = mu[:, None] * d_mat
+    noise_var = noise_variance_from_snr(config.snr_db, alphabet.E_sym)
+    w = (rng.standard_normal((n, j)) + 1j * rng.standard_normal((n, j))) \
+        * np.sqrt(noise_var / 2.0)
+    y = a_mat @ x_mat + w
+    return ScenarioInstance(A=a_mat, activity=activity, mu=mu, D=d_mat,
+                            X=x_mat, Y=y, noise_var=noise_var)

@@ -1,0 +1,285 @@
+"""Variational Bayesian clustering of pseudo observations.
+
+Each flat observation r_s (s = j + (m-1)*J) is modeled as a Gaussian
+mixture over the extended alphabet: component k has mean mu_m * d_k and a
+precision tau shared by all observations.  Conjugate priors -- Dirichlet
+on the per-observation mixing weights, complex Gaussian on the channel
+gains mu_m, Gamma on tau -- give closed-form coordinate updates:
+
+    alpha[s,k] += e[s,k]                               (Dirichlet counts)
+    lam_m  = lam_m + sum_{s in m} sum_k e[s,k] |d_k|^2
+    mu_m   = (lam_m_old * mu_m_old + sum_{s in m} sum_k e[s,k] conj(d_k) r_s) / lam_m
+    a      = a + S
+    b      = b + sum_m lam_old |mu_old|^2 + sum_{s,k} e |r_s|^2 - sum_m lam |mu|^2
+    e[s,k] ~ softmax_k( E[ln tau] - ln(pi) + E[ln pi_sk] - E[tau |r_s - mu_m d_k|^2] )
+
+followed by the posterior moments of x_s = mu_m * d that are handed back
+to the decoupling module.  Updated parameters become the next iteration's
+priors, so counts accumulate across outer iterations.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+import numpy as np
+from scipy.special import digamma
+
+from .errors import DimensionMismatch, NonPositiveScale, PrecisionDegenerate
+from .amp import Posterior, VARIANCE_FLOOR
+from .model import ExtendedAlphabet
+
+ALPHA_0 = 0.1
+A_0 = 1e-4
+B_0 = 1.0
+LAMBDA_0 = 1.0
+
+
+@dataclass
+class VbicState:
+    """All variational parameters, updated in place.
+
+    alpha is S x K (per-observation Dirichlet), lam/mu are per-user
+    Gaussian channel-posterior parameters, (a, b) the shared Gamma
+    precision posterior, resp the S x K responsibilities.  lam_prior and
+    mu_prior hold the pre-refresh channel parameters that the Gamma rate
+    update needs.
+    """
+
+    alpha: np.ndarray
+    lam: np.ndarray
+    mu: np.ndarray
+    a: float
+    b: float
+    resp: np.ndarray
+    M: int
+    J: int
+    K: int
+    lam_prior: np.ndarray | None = field(default=None, repr=False)
+    mu_prior: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def S(self) -> int:
+        return self.M * self.J
+
+    @property
+    def user_index(self) -> np.ndarray:
+        """Flat observation s -> user m (0-based)."""
+        return np.repeat(np.arange(self.M), self.J)
+
+
+def vbic_init(s: int, k: int, m: int) -> VbicState:
+    """Fresh state: alpha=0.1, a=1e-4, b=1, uniform responsibilities,
+    unit-precision zero-mean channel prior."""
+    if s < 1 or k < 2 or m < 1:
+        raise DimensionMismatch(f"bad dimensions S={s}, K={k}, M={m}")
+    if s % m != 0:
+        raise DimensionMismatch(f"S={s} is not a multiple of M={m}")
+    return VbicState(
+        alpha=np.full((s, k), ALPHA_0),
+        lam=np.full(m, LAMBDA_0),
+        mu=np.zeros(m, dtype=complex),
+        a=A_0,
+        b=B_0,
+        resp=np.full((s, k), 1.0 / k),
+        M=m,
+        J=s // m,
+        K=k,
+    )
+
+
+def warm_start_channel(state: VbicState, r_flat: np.ndarray,
+                       alphabet: ExtendedAlphabet) -> VbicState:
+    """Seed the channel prior means from the reference-symbol observations.
+
+    With exactly uniform responsibilities and a zero-mean channel prior,
+    the channel update is a fixed point at zero for any symmetric
+    constellation (the symbol-weighted sums cancel), so nothing would
+    ever be detected.  Slot 1 of every user carries a known symbol; its
+    pseudo observation gives the one-shot estimate mu_m = r_{m,1} / d_ref
+    that breaks the symmetry deterministically.
+    """
+    r_rs = r_flat.reshape(state.M, state.J)[:, 0]
+    state.mu = r_rs / alphabet.reference_symbol
+    return state
+
+
+def update_dirichlet(state: VbicState) -> VbicState:
+    """Accumulate responsibilities into the Dirichlet parameters."""
+    state.alpha = state.alpha + state.resp
+    return state
+
+
+def update_channel(state: VbicState, r_flat: np.ndarray,
+                   alphabet: ExtendedAlphabet) -> VbicState:
+    """Refresh the per-user channel posterior (lam, mu).
+
+    Only user m's J observations contribute to its parameters; the null
+    symbol contributes nothing (|d_0|^2 = 0).  The pre-update values are
+    stashed for the Gamma rate update.
+    """
+    if r_flat.size != state.S:
+        raise DimensionMismatch(
+            f"expected {state.S} observations, got {r_flat.size}")
+    d = alphabet.symbols
+    abs_d2 = np.abs(d) ** 2
+
+    state.lam_prior = state.lam.copy()
+    state.mu_prior = state.mu.copy()
+
+    weight = (state.resp @ abs_d2).reshape(state.M, state.J).sum(axis=1)
+    cross = ((state.resp @ d.conj()) * r_flat).reshape(state.M, state.J).sum(axis=1)
+    lam_new = state.lam + weight
+    state.mu = (state.lam * state.mu + cross) / lam_new
+    state.lam = lam_new
+    return state
+
+
+def update_gamma(state: VbicState, r_flat: np.ndarray) -> VbicState:
+    """Refresh the shared precision posterior (a, b).
+
+    Must run after update_channel in the same iteration: the rate update
+    combines the pre-refresh channel parameters with the refreshed ones.
+    """
+    if state.lam_prior is None or state.mu_prior is None:
+        raise RuntimeError("update_gamma requires update_channel to run first")
+    if r_flat.size != state.S:
+        raise DimensionMismatch(
+            f"expected {state.S} observations, got {r_flat.size}")
+    b_new = (state.b
+             + np.sum(state.lam_prior * np.abs(state.mu_prior) ** 2)
+             + np.sum(state.resp.sum(axis=1) * np.abs(r_flat) ** 2)
+             - np.sum(state.lam * np.abs(state.mu) ** 2))
+    if b_new <= 0:
+        raise NonPositiveScale(f"Gamma rate went non-positive: {b_new}")
+    state.a = state.a + state.S
+    state.b = float(b_new)
+    return state
+
+
+def expected_log_pi(state: VbicState, s: int) -> np.ndarray:
+    """E[ln pi_sk] for one observation: digamma(alpha_sk) - digamma(sum_k alpha_sk)."""
+    row = state.alpha[s]
+    return digamma(row) - digamma(row.sum())
+
+
+def _expected_log_pi_all(state: VbicState) -> np.ndarray:
+    return digamma(state.alpha) - digamma(state.alpha.sum(axis=1))[:, None]
+
+
+def expected_log_tau(state: VbicState) -> float:
+    """E[ln tau] = digamma(a) - ln(b)."""
+    return float(digamma(state.a) - np.log(state.b))
+
+
+def expected_sq_err(state: VbicState, s: int, k: int, r_s: complex,
+                    alphabet: ExtendedAlphabet) -> float:
+    """E[tau |r_s - mu_m d_k|^2] under the current channel/precision posterior."""
+    m = s // state.J
+    d_k = alphabet.symbols[k]
+    quad = (np.abs(r_s) ** 2
+            + np.abs(d_k) ** 2 * np.abs(state.mu[m]) ** 2
+            - 2.0 * np.real(np.conj(r_s) * state.mu[m] * d_k))
+    return float((state.a / state.b) * quad + np.abs(d_k) ** 2 / state.lam[m])
+
+
+def _expected_sq_err_all(state: VbicState, r_flat: np.ndarray,
+                         alphabet: ExtendedAlphabet) -> np.ndarray:
+    """S x K matrix of expected scaled squared errors."""
+    d = alphabet.symbols
+    abs_d2 = np.abs(d) ** 2
+    idx = state.user_index
+    mu_s = state.mu[idx]
+    lam_s = state.lam[idx]
+    quad = (np.abs(r_flat)[:, None] ** 2
+            + abs_d2[None, :] * (np.abs(mu_s) ** 2)[:, None]
+            - 2.0 * np.real((np.conj(r_flat) * mu_s)[:, None] * d[None, :]))
+    return (state.a / state.b) * quad + abs_d2[None, :] / lam_s[:, None]
+
+
+def update_responsibilities(state: VbicState, r_flat: np.ndarray,
+                            alphabet: ExtendedAlphabet) -> VbicState:
+    """Softmax over ln rho_sk, computed in the log domain with
+    max-subtraction so large quadratic terms cannot overflow."""
+    ln_rho = (expected_log_tau(state) - np.log(np.pi)
+              + _expected_log_pi_all(state)
+              - _expected_sq_err_all(state, r_flat, alphabet))
+    ln_rho -= ln_rho.max(axis=1, keepdims=True)
+    rho = np.exp(ln_rho)
+    state.resp = rho / rho.sum(axis=1, keepdims=True)
+    return state
+
+
+def posterior_moments(state: VbicState, r_flat: np.ndarray,
+                      alphabet: ExtendedAlphabet) -> Posterior:
+    """Posterior mean/variance of every target element x_s = mu_m * d.
+
+    Mean: mu_m * sum_k e_sk d_k.  Variance: E[1/(lam_m tau)] times the
+    responsibility-weighted symbol spread; the inverse-precision mean
+    b/(a-1) requires a > 1.
+    """
+    if state.a <= 1.0:
+        raise PrecisionDegenerate(f"Gamma shape must exceed 1, got {state.a}")
+    d = alphabet.symbols
+    mean_d = state.resp @ d
+    spread = (state.resp @ (np.abs(d) ** 2)) - np.abs(mean_d) ** 2
+    # The spread is a variance of a discrete distribution, so only
+    # floating-point cancellation can push it below zero.
+    assert spread.min() > -1e-12, f"symbol spread went negative: {spread.min()}"
+    idx = state.user_index
+    xhat = state.mu[idx] * mean_d
+    that = state.b / (state.lam[idx] * (state.a - 1.0)) * np.maximum(spread, 0.0)
+    that = np.maximum(that, VARIANCE_FLOOR)
+    return Posterior(Xhat=xhat.reshape(state.M, state.J),
+                     That=that.reshape(state.M, state.J))
+
+
+def posterior_variance_full(state: VbicState,
+                            alphabet: ExtendedAlphabet) -> np.ndarray:
+    """Exact posterior variance of x_s = mu_m * d under q (flat, length S).
+
+    Var[x] = E|mu|^2 E|d|^2 - |E mu|^2 |E d|^2
+           = E[(lam tau)^-1] * sum_k e_sk |d_k|^2  +  |mu_m|^2 * spread.
+
+    The factored variance fed back to the decoupling module keeps only the
+    first-term spread component, which understates the uncertainty of x
+    whenever the channel estimate or the mean symbol is nonzero.  Activity
+    decisions compare |x|^2 against this variance, so they use the exact
+    form: with the factored one, the inactive-user variance collapses as
+    parameters accumulate and false alarms grow without bound.
+    """
+    if state.a <= 1.0:
+        raise PrecisionDegenerate(f"Gamma shape must exceed 1, got {state.a}")
+    d = alphabet.symbols
+    mean_d = state.resp @ d
+    e_abs_d2 = state.resp @ (np.abs(d) ** 2)
+    spread = np.maximum(e_abs_d2 - np.abs(mean_d) ** 2, 0.0)
+    idx = state.user_index
+    v = state.b / (state.lam[idx] * (state.a - 1.0))
+    return np.maximum(v * e_abs_d2 + np.abs(state.mu[idx]) ** 2 * spread,
+                      VARIANCE_FLOOR)
+
+
+def vbic_step(state: VbicState, r_flat: np.ndarray,
+              alphabet: ExtendedAlphabet) -> tuple[VbicState, Posterior]:
+    """One full clustering iteration in update order: Dirichlet counts,
+    channel refresh, precision refresh, responsibilities, moments."""
+    update_dirichlet(state)
+    update_channel(state, r_flat, alphabet)
+    update_gamma(state, r_flat)
+    update_responsibilities(state, r_flat, alphabet)
+    posterior = posterior_moments(state, r_flat, alphabet)
+    return state, posterior
+
+
+def reset_to_priors(state: VbicState, mu_start: np.ndarray | None = None) -> VbicState:
+    """Drop accumulated counts back to the initial priors (responsibilities
+    are kept).  Experimental alternative to the accumulating schedule."""
+    state.alpha = np.full((state.S, state.K), ALPHA_0)
+    state.lam = np.full(state.M, LAMBDA_0)
+    state.mu = np.zeros(state.M, dtype=complex) if mu_start is None else mu_start.copy()
+    state.a = A_0
+    state.b = B_0
+    state.lam_prior = None
+    state.mu_prior = None
+    return state
