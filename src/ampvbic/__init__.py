@@ -16,7 +16,8 @@ from .decide import DetectionResult, correct_phase, decision_llr, detect, \
 from .detector import IterationTrace, run_detector, run_detector_internals
 from .errors import AmpVbicError, ConfigError, DimensionMismatch, \
     InvalidAxis, LengthMismatch, NonPositiveNoise, NonPositiveScale, \
-    PrecisionDegenerate, ShapeMismatch, TrialFailure, ZeroReferenceSymbol
+    NumericalBreakdown, PrecisionDegenerate, ShapeMismatch, TrialFailure, \
+    ZeroReferenceSymbol
 from .harness import DETECTOR_NAMES, MetricsRecord, aggregate, genie_detect, \
     run_trials, sweep, trial_rng, write_csv
 from .metrics import compute_aer, compute_ce_mse, compute_ser
@@ -38,8 +39,8 @@ __all__ = [
     "IterationTrace", "run_detector", "run_detector_internals",
     "AmpVbicError", "ConfigError", "DimensionMismatch", "InvalidAxis",
     "LengthMismatch", "NonPositiveNoise", "NonPositiveScale",
-    "PrecisionDegenerate", "ShapeMismatch", "TrialFailure",
-    "ZeroReferenceSymbol",
+    "NumericalBreakdown", "PrecisionDegenerate", "ShapeMismatch",
+    "TrialFailure", "ZeroReferenceSymbol",
     "DETECTOR_NAMES", "MetricsRecord", "aggregate", "genie_detect",
     "run_trials", "sweep", "trial_rng", "write_csv",
     "compute_aer", "compute_ce_mse", "compute_ser",

@@ -12,7 +12,10 @@ six per-column update lines are evaluated matrix-wise:
     Tau = 1 / (|A|^2.T @ Ts)
     R   = Xhat + Tau * (A^H @ S)
 
-S persists across outer iterations; everything else is recomputed.
+|A|^2 is a per-frame constant: amp_init computes it once from A and keeps
+it on the state.  S persists across outer iterations; everything else is
+recomputed.  A^H @ S is formed as conj(A^T @ conj(S)), so no conjugated
+copy of A is made.
 """
 
 from __future__ import annotations
@@ -30,15 +33,15 @@ VARIANCE_FLOOR = 1e-12
 
 @dataclass
 class AmpState:
-    """Per-column working matrices of the decoupling pass (all N x J except
-    Tau, which is M x J).  Only S_mat carries information between outer
-    iterations."""
+    """What one decoupling pass hands to the next within a frame.
 
+    abs_a2 is |A|^2 (N x M), fixed for the frame.  S_mat (N x J) is the
+    scaled residual, the only quantity that carries information between
+    outer iterations.
+    """
+
+    abs_a2: np.ndarray
     S_mat: np.ndarray
-    P_mat: np.ndarray
-    Tp: np.ndarray
-    Ts: np.ndarray
-    Tau: np.ndarray
 
 
 @dataclass
@@ -87,17 +90,17 @@ def obs_slice(m: int, j: int) -> slice:
     return slice(m * j, (m + 1) * j)
 
 
-def amp_init(m: int, n: int, j: int, e_sym: float) -> tuple[AmpState, Posterior]:
-    """Zero state and the flat prior posterior (mean 0, variance E_sym)."""
+def amp_init(a_mat: np.ndarray, j: int,
+             e_sym: float) -> tuple[AmpState, Posterior]:
+    """State for one frame with mixing matrix A (N x M) and J slots: |A|^2,
+    a zero residual, and the flat prior posterior (mean 0, variance E_sym)."""
+    if a_mat.ndim != 2:
+        raise DimensionMismatch("A must be a 2-d array")
+    n, m = a_mat.shape
     if m < 1 or n < 1 or j < 1:
         raise DimensionMismatch(f"dimensions must be positive, got M={m}, N={n}, J={j}")
-    state = AmpState(
-        S_mat=np.zeros((n, j), dtype=complex),
-        P_mat=np.zeros((n, j), dtype=complex),
-        Tp=np.zeros((n, j)),
-        Ts=np.zeros((n, j)),
-        Tau=np.zeros((m, j)),
-    )
+    state = AmpState(abs_a2=np.abs(a_mat) ** 2,
+                     S_mat=np.zeros((n, j), dtype=complex))
     posterior = Posterior(
         Xhat=np.zeros((m, j), dtype=complex),
         That=np.full((m, j), float(e_sym)),
@@ -110,10 +113,12 @@ def amp_decouple(a_mat: np.ndarray, y: np.ndarray, posterior: Posterior,
                  damping: float = 1.0) -> tuple[PseudoObservations, AmpState]:
     """One decoupling pass over all J columns.
 
-    Returns the pseudo observations and the refreshed state; the caller
-    carries the state into the next outer iteration.  damping < 1 blends
-    the new scaled residual S with the previous one (stability
-    experiments only; 1.0 reproduces the plain update).
+    state must come from amp_init(a_mat, ...) or an earlier pass on the
+    same frame: |A|^2 is read from it, not recomputed.  Returns the pseudo
+    observations and the refreshed state; the caller carries the state
+    into the next outer iteration.  damping < 1 blends the new scaled
+    residual S with the previous one (stability experiments only; 1.0
+    reproduces the plain update).
     """
     if noise_var <= 0:
         raise NonPositiveNoise(f"noise_var must be > 0, got {noise_var}")
@@ -126,8 +131,12 @@ def amp_decouple(a_mat: np.ndarray, y: np.ndarray, posterior: Posterior,
     if posterior.Xhat.shape != (m, j) or posterior.That.shape != (m, j):
         raise DimensionMismatch(
             f"posterior shape {posterior.Xhat.shape} does not match (M, J)=({m}, {j})")
+    if state.abs_a2.shape != (n, m) or state.S_mat.shape != (n, j):
+        raise DimensionMismatch(
+            f"AMP state was built for a different frame shape than A {a_mat.shape}, "
+            f"Y {y.shape}")
 
-    abs_a2 = np.abs(a_mat) ** 2
+    abs_a2 = state.abs_a2
     that = np.maximum(posterior.That, VARIANCE_FLOOR)
 
     tp = abs_a2 @ that
@@ -137,7 +146,7 @@ def amp_decouple(a_mat: np.ndarray, y: np.ndarray, posterior: Posterior,
     if damping != 1.0:
         s = damping * s + (1.0 - damping) * state.S_mat
     tau = 1.0 / (abs_a2.T @ ts)
-    r = posterior.Xhat + tau * (a_mat.conj().T @ s)
+    r = posterior.Xhat + tau * (a_mat.T @ s.conj()).conj()
 
-    new_state = AmpState(S_mat=s, P_mat=p, Tp=tp, Ts=ts, Tau=tau)
+    new_state = AmpState(abs_a2=abs_a2, S_mat=s)
     return PseudoObservations(R=r, Tau=tau), new_state

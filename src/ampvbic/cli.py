@@ -18,8 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import ConfigError, NonPositiveScale, PrecisionDegenerate, \
-    TrialFailure
+from .errors import ConfigError, NumericalBreakdown, TrialFailure
 from .harness import DETECTOR_NAMES, aggregate, run_trials, summarize, \
     sweep, write_csv
 from .model import ScenarioConfig
@@ -180,12 +179,12 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (NonPositiveScale, PrecisionDegenerate) as exc:
+    except NumericalBreakdown as exc:
         print(f"numerical breakdown: {exc}", file=sys.stderr)
         return 3
     except TrialFailure as exc:
         cause = exc.__cause__
-        if isinstance(cause, (NonPositiveScale, PrecisionDegenerate)):
+        if isinstance(cause, NumericalBreakdown):
             print(f"numerical breakdown: {exc}", file=sys.stderr)
             return 3
         raise

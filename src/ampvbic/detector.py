@@ -113,7 +113,7 @@ def run_detector_internals(a_mat: np.ndarray, y: np.ndarray,
         raise ConfigError(f"detection needs 0 < p_a < 1, got {config.p_a}")
 
     noise_var = noise_variance_from_snr(config.snr_db, alphabet.E_sym)
-    amp_state, posterior = amp.amp_init(m, n, j, alphabet.E_sym)
+    amp_state, posterior = amp.amp_init(a_mat, j, alphabet.E_sym)
     state = vbic.vbic_init(m * j, alphabet.K, m)
 
     trace = IterationTrace()

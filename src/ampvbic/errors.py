@@ -25,11 +25,16 @@ class NonPositiveNoise(AmpVbicError):
     """Noise variance must be strictly positive."""
 
 
-class NonPositiveScale(AmpVbicError):
-    """The Gamma rate parameter went non-positive (numerical breakdown)."""
+class NumericalBreakdown(AmpVbicError):
+    """The iteration produced a value it cannot continue from (the CLI
+    reports this family with exit code 3)."""
 
 
-class PrecisionDegenerate(AmpVbicError):
+class NonPositiveScale(NumericalBreakdown):
+    """The Gamma rate parameter went non-positive or non-finite."""
+
+
+class PrecisionDegenerate(NumericalBreakdown):
     """Gamma shape <= 1: the inverse-precision mean does not exist."""
 
 

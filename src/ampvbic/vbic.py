@@ -13,9 +13,18 @@ gains mu_m, Gamma on tau -- give closed-form coordinate updates:
     b      = b + sum_m lam_old |mu_old|^2 + sum_{s,k} e |r_s|^2 - sum_m lam |mu|^2
     e[s,k] ~ softmax_k( E[ln tau] - ln(pi) + E[ln pi_sk] - E[tau |r_s - mu_m d_k|^2] )
 
-followed by the posterior moments of x_s = mu_m * d that are handed back
-to the decoupling module.  Updated parameters become the next iteration's
-priors, so counts accumulate across outer iterations.
+The responsibilities are computed up to per-row constants: E[ln tau],
+-ln(pi), -digamma(sum_k alpha_sk) and E[tau] |r_s|^2 are the same for
+every k of row s, so the softmax cancels them and they are never formed.
+What is left is digamma(alpha_sk) plus
+
+    2 E[tau] Re(conj(r_s) mu_m d_k) - (E[tau] |mu_m|^2 + 1/lam_m) |d_k|^2,
+
+one real (S x 3) @ (3 x K) product.
+
+Each iteration ends with the posterior moments of x_s = mu_m * d that are
+handed back to the decoupling module.  Updated parameters become the next
+iteration's priors, so counts accumulate across outer iterations.
 """
 
 from __future__ import annotations
@@ -25,7 +34,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import digamma
 
-from .errors import DimensionMismatch, NonPositiveScale, PrecisionDegenerate
+from .errors import DimensionMismatch, NonPositiveScale, NumericalBreakdown, \
+    PrecisionDegenerate
 from .amp import Posterior, VARIANCE_FLOOR
 from .model import ExtendedAlphabet
 
@@ -150,8 +160,8 @@ def update_gamma(state: VbicState, r_flat: np.ndarray) -> VbicState:
              + np.sum(state.lam_prior * np.abs(state.mu_prior) ** 2)
              + np.sum(state.resp.sum(axis=1) * np.abs(r_flat) ** 2)
              - np.sum(state.lam * np.abs(state.mu) ** 2))
-    if b_new <= 0:
-        raise NonPositiveScale(f"Gamma rate went non-positive: {b_new}")
+    if not np.isfinite(b_new) or b_new <= 0:
+        raise NonPositiveScale(f"Gamma rate went non-positive or non-finite: {b_new}")
     state.a = state.a + state.S
     state.b = float(b_new)
     return state
@@ -161,10 +171,6 @@ def expected_log_pi(state: VbicState, s: int) -> np.ndarray:
     """E[ln pi_sk] for one observation: digamma(alpha_sk) - digamma(sum_k alpha_sk)."""
     row = state.alpha[s]
     return digamma(row) - digamma(row.sum())
-
-
-def _expected_log_pi_all(state: VbicState) -> np.ndarray:
-    return digamma(state.alpha) - digamma(state.alpha.sum(axis=1))[:, None]
 
 
 def expected_log_tau(state: VbicState) -> float:
@@ -183,30 +189,26 @@ def expected_sq_err(state: VbicState, s: int, k: int, r_s: complex,
     return float((state.a / state.b) * quad + np.abs(d_k) ** 2 / state.lam[m])
 
 
-def _expected_sq_err_all(state: VbicState, r_flat: np.ndarray,
-                         alphabet: ExtendedAlphabet) -> np.ndarray:
-    """S x K matrix of expected scaled squared errors."""
-    d = alphabet.symbols
-    abs_d2 = np.abs(d) ** 2
-    idx = state.user_index
-    mu_s = state.mu[idx]
-    lam_s = state.lam[idx]
-    quad = (np.abs(r_flat)[:, None] ** 2
-            + abs_d2[None, :] * (np.abs(mu_s) ** 2)[:, None]
-            - 2.0 * np.real((np.conj(r_flat) * mu_s)[:, None] * d[None, :]))
-    return (state.a / state.b) * quad + abs_d2[None, :] / lam_s[:, None]
-
-
 def update_responsibilities(state: VbicState, r_flat: np.ndarray,
                             alphabet: ExtendedAlphabet) -> VbicState:
-    """Softmax over ln rho_sk, computed in the log domain with
-    max-subtraction so large quadratic terms cannot overflow."""
-    ln_rho = (expected_log_tau(state) - np.log(np.pi)
-              + _expected_log_pi_all(state)
-              - _expected_sq_err_all(state, r_flat, alphabet))
+    """Softmax over ln rho_sk, formed up to per-row constants (see the
+    module docstring) and computed in the log domain with max-subtraction
+    so large quadratic terms cannot overflow."""
+    e_tau = state.a / state.b
+    d = alphabet.symbols
+    z = np.conj(r_flat).reshape(state.M, state.J) * state.mu[:, None]
+    coef = np.empty((state.M, state.J, 3))
+    coef[..., 0] = 2.0 * e_tau * z.real
+    coef[..., 1] = -2.0 * e_tau * z.imag
+    coef[..., 2] = -(e_tau * np.abs(state.mu) ** 2 + 1.0 / state.lam)[:, None]
+    # Re(z d) = Re(z) Re(d) - Im(z) Im(d), so one real product gives every term.
+    basis = np.stack((d.real, d.imag, np.abs(d) ** 2))
+    ln_rho = coef.reshape(state.S, 3) @ basis
+    ln_rho += digamma(state.alpha)
     ln_rho -= ln_rho.max(axis=1, keepdims=True)
-    rho = np.exp(ln_rho)
-    state.resp = rho / rho.sum(axis=1, keepdims=True)
+    np.exp(ln_rho, out=ln_rho)
+    ln_rho /= ln_rho.sum(axis=1, keepdims=True)
+    state.resp = ln_rho
     return state
 
 
@@ -224,8 +226,11 @@ def posterior_moments(state: VbicState, r_flat: np.ndarray,
     mean_d = state.resp @ d
     spread = (state.resp @ (np.abs(d) ** 2)) - np.abs(mean_d) ** 2
     # The spread is a variance of a discrete distribution, so only
-    # floating-point cancellation can push it below zero.
-    assert spread.min() > -1e-12, f"symbol spread went negative: {spread.min()}"
+    # floating-point cancellation can push it below zero; anything further
+    # below, or NaN, means the responsibilities have broken down.
+    if not spread.min() > -1e-12:
+        raise NumericalBreakdown(
+            f"symbol spread went negative or non-finite: {spread.min()}")
     idx = state.user_index
     xhat = state.mu[idx] * mean_d
     that = state.b / (state.lam[idx] * (state.a - 1.0)) * np.maximum(spread, 0.0)

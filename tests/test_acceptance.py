@@ -155,7 +155,7 @@ def test_criterion_2_amp_identity_sanity():
     gains = rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1))
     x = alph.active_symbols[rng.integers(0, alph.K - 1, (n, j))] * gains
     a = np.eye(n, dtype=complex)
-    state, post = amp_init(n, n, j, alph.E_sym)
+    state, post = amp_init(a, j, alph.E_sym)
     post = Posterior(Xhat=x.copy(), That=post.That)
     worst = np.inf
     for _ in range(10):

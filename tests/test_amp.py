@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ampvbic.amp import (AmpState, Posterior, amp_decouple, amp_init,
+from ampvbic.amp import (VARIANCE_FLOOR, Posterior, amp_decouple, amp_init,
                          flatten_obs, obs_slice, unflatten_obs)
 from ampvbic.errors import DimensionMismatch, NonPositiveNoise
 from ampvbic.model import build_alphabet
@@ -10,19 +10,25 @@ from ampvbic.model import build_alphabet
 class TestInit:
 
     def test_flat_prior(self):
-        state, post = amp_init(2, 2, 1, 1.0)
+        a = np.array([[1.0, 2.0j], [-3.0, 1.0 - 1.0j]])
+        state, post = amp_init(a, 1, 1.0)
         assert np.array_equal(post.That, [[1.0], [1.0]])
         assert not post.Xhat.any()
-        for arr in (state.S_mat, state.P_mat, state.Tp, state.Ts, state.Tau):
-            assert not arr.any()
+        assert not state.S_mat.any()
+        assert state.S_mat.shape == (2, 1)
+        assert np.allclose(state.abs_a2, [[1.0, 4.0], [9.0, 2.0]], rtol=1e-12)
 
     def test_zero_energy(self):
-        _, post = amp_init(3, 2, 4, 0.0)
+        _, post = amp_init(np.ones((2, 3), dtype=complex), 4, 0.0)
         assert not post.That.any()
 
     def test_bad_dims(self):
         with pytest.raises(DimensionMismatch):
-            amp_init(0, 2, 1, 1.0)
+            amp_init(np.zeros((2, 0), dtype=complex), 1, 1.0)
+        with pytest.raises(DimensionMismatch):
+            amp_init(np.ones((2, 2), dtype=complex), 0, 1.0)
+        with pytest.raises(DimensionMismatch):
+            amp_init(np.ones(2, dtype=complex), 1, 1.0)
 
 
 class TestDecouple:
@@ -33,22 +39,20 @@ class TestDecouple:
         # tp=1, p=0, ts=0.5, s=1, tau=2, r=2.
         a = np.array([[1.0 + 0.0j]])
         y = np.array([[2.0 + 0.0j]])
-        state, post = amp_init(1, 1, 1, 1.0)
+        state, post = amp_init(a, 1, 1.0)
         pseudo, new_state = amp_decouple(a, y, post, state, 1.0)
-        assert new_state.Tp[0, 0] == pytest.approx(1.0, rel=1e-9)
-        assert new_state.P_mat[0, 0] == pytest.approx(0.0, abs=1e-12)
-        assert new_state.Ts[0, 0] == pytest.approx(0.5, rel=1e-9)
         assert new_state.S_mat[0, 0] == pytest.approx(1.0, rel=1e-9)
         assert pseudo.Tau[0, 0] == pytest.approx(2.0, rel=1e-9)
         assert pseudo.R[0, 0] == pytest.approx(2.0, rel=1e-9)
 
     def test_variance_sum(self):
-        # |A|^2 of a row of ones sums the incoming variances.
+        # |A|^2 of a row of ones sums the incoming variances: tp = 2, so
+        # ts = 1/(tp + 1) and each user's tau = 1/ts = 3.
         a = np.array([[1.0, 1.0]], dtype=complex)
         y = np.zeros((1, 1), dtype=complex)
-        state, post = amp_init(2, 1, 1, 1.0)
-        _, new_state = amp_decouple(a, y, post, state, 1.0)
-        assert new_state.Tp[0, 0] == pytest.approx(2.0, rel=1e-9)
+        state, post = amp_init(a, 1, 1.0)
+        pseudo, _ = amp_decouple(a, y, post, state, 1.0)
+        assert pseudo.Tau == pytest.approx(np.full((2, 1), 3.0), rel=1e-9)
 
     def test_noiseless_identity_fixed_point(self):
         # Square identity mixing, vanishing noise, correct posterior means:
@@ -61,7 +65,7 @@ class TestDecouple:
         x = (alph.active_symbols[rng.integers(0, 4, (n, j))]
              * (rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1))))
         a = np.eye(n, dtype=complex)
-        state, post = amp_init(n, n, j, alph.E_sym)
+        state, post = amp_init(a, j, alph.E_sym)
         post = Posterior(Xhat=x.copy(), That=post.That)
         for _ in range(10):
             pseudo, state = amp_decouple(a, x.copy(), post, state, 1e-12)
@@ -73,7 +77,7 @@ class TestDecouple:
         a[rng.random((6, 9)) < 0.3] = 0.0  # sparse but no all-zero column
         assert np.all(np.abs(a).sum(axis=0) > 0)
         y = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
-        state, post = amp_init(9, 6, 3, 1.0)
+        state, post = amp_init(a, 3, 1.0)
         pseudo, _ = amp_decouple(a, y, post, state, 0.5)
         assert np.all(pseudo.Tau > 0)
         assert np.all(np.isfinite(pseudo.Tau))
@@ -84,7 +88,7 @@ class TestDecouple:
         y = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
         out = []
         for _ in range(2):
-            state, post = amp_init(8, 5, 2, 1.0)
+            state, post = amp_init(a, 2, 1.0)
             pseudo, state = amp_decouple(a, y, post, state, 0.3)
             pseudo, state = amp_decouple(a, y, post, state, 0.3)
             out.append(pseudo)
@@ -95,20 +99,52 @@ class TestDecouple:
         rng = np.random.default_rng(14)
         a = rng.standard_normal((4, 4)) + 0j
         y = rng.standard_normal((4, 2)) + 0j
-        state, post = amp_init(4, 4, 2, 1.0)
+        state, post = amp_init(a, 2, 1.0)
         _, s_full = amp_decouple(a, y, post, state, 1.0, damping=1.0)
         _, s_half = amp_decouple(a, y, post, state, 1.0, damping=0.5)
         assert np.allclose(s_half.S_mat, 0.5 * s_full.S_mat)
 
     def test_shape_errors(self):
-        state, post = amp_init(3, 2, 2, 1.0)
         a = np.zeros((2, 3), dtype=complex)
+        state, post = amp_init(a, 2, 1.0)
         with pytest.raises(DimensionMismatch):
             amp_decouple(a, np.zeros((4, 2), dtype=complex), post, state, 1.0)
         with pytest.raises(DimensionMismatch):
             amp_decouple(a, np.zeros((2, 5), dtype=complex), post, state, 1.0)
         with pytest.raises(NonPositiveNoise):
             amp_decouple(a, np.zeros((2, 2), dtype=complex), post, state, 0.0)
+        # A state built for another frame shape is refused, not reused.
+        other, _ = amp_init(np.zeros((3, 3), dtype=complex), 2, 1.0)
+        with pytest.raises(DimensionMismatch):
+            amp_decouple(a, np.zeros((2, 2), dtype=complex), post, other, 1.0)
+
+    def test_matches_plain_update(self):
+        # The production pass (|A|^2 kept on the state, A^H s formed without
+        # a conjugated copy of A) against the six update lines written out
+        # plainly, carried over several passes at the reference size.
+        rng = np.random.default_rng(16)
+        m, n, j, noise_var = 200, 100, 10, 0.3
+        a = (rng.standard_normal((n, m))
+             + 1j * rng.standard_normal((n, m))) / np.sqrt(2 * n)
+        y = rng.standard_normal((n, j)) + 1j * rng.standard_normal((n, j))
+        state, post = amp_init(a, j, 1.0)
+        s_ref = np.zeros((n, j), dtype=complex)
+        for it in range(5):
+            pseudo, state = amp_decouple(a, y, post, state, noise_var)
+
+            abs_a2 = np.abs(a) ** 2
+            tp = abs_a2 @ np.maximum(post.That, VARIANCE_FLOOR)
+            p = a @ post.Xhat - tp * s_ref
+            ts = 1.0 / (tp + noise_var)
+            s_ref = ts * (y - p)
+            tau = 1.0 / (abs_a2.T @ ts)
+            r = post.Xhat + tau * (a.conj().T @ s_ref)
+
+            np.testing.assert_allclose(pseudo.R, r, rtol=1e-12)
+            np.testing.assert_allclose(pseudo.Tau, tau, rtol=1e-12)
+            np.testing.assert_allclose(state.S_mat, s_ref, rtol=1e-12)
+            post = Posterior(Xhat=0.5 * pseudo.R,
+                             That=rng.uniform(0.1, 0.3 + 0.1 * it, (m, j)))
 
 
 class TestFlattening:

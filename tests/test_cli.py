@@ -4,7 +4,8 @@ import sys
 import pytest
 
 from ampvbic import cli
-from ampvbic.errors import ConfigError, NonPositiveScale
+from ampvbic.errors import ConfigError, NonPositiveScale, NumericalBreakdown, \
+    TrialFailure
 
 
 BASE_CONFIG = """
@@ -107,6 +108,16 @@ class TestRunCommand:
     def test_numerical_breakdown_exits_3(self, config_file, monkeypatch):
         def boom(*args, **kwargs):
             raise NonPositiveScale("synthetic breakdown")
+        monkeypatch.setattr(cli, "run_trials", boom)
+        rc = cli.main(["run", "--config", str(config_file)])
+        assert rc == 3
+
+    def test_breakdown_inside_trial_exits_3(self, config_file, monkeypatch):
+        # The whole NumericalBreakdown family maps to exit 3, also when a
+        # trial wraps it.
+        def boom(*args, **kwargs):
+            raise TrialFailure("trial 0 failed") from NumericalBreakdown(
+                "symbol spread went non-finite")
         monkeypatch.setattr(cli, "run_trials", boom)
         rc = cli.main(["run", "--config", str(config_file)])
         assert rc == 3

@@ -4,10 +4,11 @@ from scipy import stats
 
 from ampvbic.errors import ConfigError, InvalidAxis, LengthMismatch, \
     ShapeMismatch
+from ampvbic.detector import run_detector
 from ampvbic.harness import (MetricsRecord, aggregate, genie_detect,
-                             run_trials, sweep, write_csv)
+                             run_trials, sweep, trial_rng, write_csv)
 from ampvbic.metrics import compute_aer, compute_ce_mse, compute_ser
-from ampvbic.model import ScenarioConfig, build_alphabet
+from ampvbic.model import ScenarioConfig, build_alphabet, generate_frame
 
 
 class TestAer:
@@ -250,3 +251,61 @@ class TestCsv:
                             ce_mse=0.0, runtime_ms=1.0)
         with pytest.raises(ValueError):
             write_csv([rec], tmp_path / "bad.csv")
+
+
+# amp_vbic aer, ser, ce_mse and genie ser per trial of the reference cell
+# (seed 2026, trials 0..19), recorded with every term of ln rho formed and
+# |A|^2 recomputed on each AMP pass.  Leaving out the terms the softmax
+# cancels and keeping |A|^2 for the frame changes rounding only, so the
+# decisions must not move and ce_mse only in its last digits.
+REFERENCE_CELL = ScenarioConfig(M=200, N=100, J=10, p_a=0.1, snr_db=5.0,
+                                modulation="qam16", n_it=20, seed=2026)
+PINNED = [  # (trial, aer, ser, ce_mse, genie ser)
+    (0, 0.01, 0.025555555555555557, 0.0035545185279668113, 0.0022222222222222222),
+    (1, 0.0, 0.016666666666666666, 0.003311866395854954, 0.0033333333333333335),
+    (2, 0.01, 0.034444444444444444, 0.00726053145359777, 0.013888888888888888),
+    (3, 0.0, 0.010555555555555556, 0.010460978989334704, 0.0),
+    (4, 0.005, 0.010555555555555556, 0.0012562955089798111, 0.005),
+    (5, 0.01, 0.027777777777777776, 0.004340107988302084, 0.0038888888888888888),
+    (6, 0.0, 0.017222222222222222, 0.0033676411944945474, 0.0005555555555555556),
+    (7, 0.0, 0.01611111111111111, 0.005600964276437273, 0.0016666666666666668),
+    (8, 0.01, 0.02277777777777778, 0.0073832658350941735, 0.002777777777777778),
+    (9, 0.01, 0.03722222222222222, 0.007294350758629117, 0.007222222222222222),
+    (10, 0.02, 0.04111111111111111, 0.00788975987687995, 0.0033333333333333335),
+    (11, 0.01, 0.020555555555555556, 0.0034874569952003153, 0.0022222222222222222),
+    (12, 0.01, 0.025, 0.012377534650679563, 0.0011111111111111111),
+    (13, 0.005, 0.028888888888888888, 0.005008359154004741, 0.005),
+    (14, 0.015, 0.05611111111111111, 0.019857867818156603, 0.009444444444444445),
+    (15, 0.01, 0.019444444444444445, 0.005353505963569654, 0.005),
+    (16, 0.0, 0.018333333333333333, 0.0024043257739182118, 0.0005555555555555556),
+    (17, 0.015, 0.04777777777777778, 0.027139885600645383, 0.002777777777777778),
+    (18, 0.01, 0.022222222222222223, 0.0058098771870512475, 0.0038888888888888888),
+    (19, 0.02, 0.03, 0.004352812300251272, 0.011666666666666667),
+]
+
+
+class TestPinnedDecisions:
+
+    def test_reference_cell_matches_recorded_values(self):
+        records = run_trials(REFERENCE_CELL, len(PINNED), ("amp_vbic", "genie"))
+        by_key = {(r.detector, r.trial): r for r in records}
+        assert len(by_key) == 2 * len(PINNED)
+        for trial, aer, ser, ce_mse, genie_ser in PINNED:
+            rec = by_key["amp_vbic", trial]
+            assert (rec.aer, rec.ser) == (aer, ser), trial
+            assert rec.ce_mse == pytest.approx(ce_mse, rel=1e-12, abs=0.0), trial
+            genie = by_key["genie", trial]
+            assert (genie.aer, genie.ser, genie.ce_mse) == (0.0, genie_ser, 0.0)
+
+    def test_record_scores_run_detector_result(self):
+        # run_trials reuses the result the detector loop already finalized;
+        # it must score exactly what run_detector returns on that frame.
+        alph = build_alphabet(REFERENCE_CELL.modulation)
+        records = run_trials(REFERENCE_CELL, 3, ("amp_vbic",), trial_start=17)
+        for rec in records:
+            frame = generate_frame(REFERENCE_CELL, alph,
+                                   trial_rng(REFERENCE_CELL.seed, rec.trial))
+            result, _ = run_detector(frame.A, frame.Y, REFERENCE_CELL, alph)
+            assert rec.aer == compute_aer(frame.activity, result.activity_hat)
+            assert rec.ser == compute_ser(frame.D, result.D_hat)
+            assert rec.ce_mse == compute_ce_mse(frame.mu, result.channel_hat)

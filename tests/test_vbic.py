@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.special import digamma
 
 from ampvbic.errors import (DimensionMismatch, NonPositiveScale,
-                            PrecisionDegenerate)
+                            NumericalBreakdown, PrecisionDegenerate)
 from ampvbic.model import ExtendedAlphabet, ScenarioConfig, build_alphabet, \
     generate_frame
 from ampvbic.vbic import (VbicState, expected_log_pi, expected_log_tau,
@@ -168,6 +168,15 @@ class TestGamma:
         with pytest.raises(NonPositiveScale):
             update_gamma(state, np.zeros(2, dtype=complex))
 
+    def test_nan_observation(self):
+        # A NaN pseudo observation makes the rate NaN, which `b <= 0` alone
+        # would let through.
+        state = vbic_init(2, 2, 1)
+        r = np.array([np.nan + 0.0j, 1.0 + 0.0j])
+        update_channel(state, r, unit_alphabet())
+        with pytest.raises(NonPositiveScale):
+            update_gamma(state, r)
+
 
 class TestExpectations:
 
@@ -279,6 +288,39 @@ class TestResponsibilities:
         assert state.resp[0] == pytest.approx([0.25, 0.75], rel=1e-9)
 
     @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**31 - 1),
+           m=st.integers(min_value=2, max_value=4),
+           j=st.integers(min_value=2, max_value=5),
+           modulation=st.sampled_from(["qpsk", "qam16"]),
+           a=st.floats(min_value=1.01, max_value=1e3),
+           b=st.floats(min_value=1.0, max_value=1e3),
+           scale=st.floats(min_value=0.01, max_value=3.0))
+    def test_matches_scalar_oracle_softmax(self, seed, m, j, modulation,
+                                           a, b, scale):
+        # The production update drops every term that is constant along a
+        # row; the oracle keeps them all, one scalar call per (s, k).  The
+        # ranges keep ln rho small enough that the oracle's own rounding
+        # stays far below the tolerance.
+        rng = np.random.default_rng(seed)
+        alph = build_alphabet(modulation)
+        state = vbic_init(m * j, alph.K, m)
+        state.mu = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        state.lam = rng.uniform(0.3, 50.0, m)
+        state.a, state.b = a, b
+        state.alpha = rng.uniform(0.05, 20.0, (m * j, alph.K))
+        r = scale * (rng.standard_normal(m * j) + 1j * rng.standard_normal(m * j))
+        ln_rho = np.array([
+            [expected_log_tau(state) - math.log(math.pi)
+             + expected_log_pi(state, s)[k]
+             - expected_sq_err(state, s, k, r[s], alph)
+             for k in range(alph.K)]
+            for s in range(m * j)])
+        want = np.exp(ln_rho - ln_rho.max(axis=1, keepdims=True))
+        want /= want.sum(axis=1, keepdims=True)
+        update_responsibilities(state, r, alph)
+        np.testing.assert_allclose(state.resp, want, rtol=0, atol=1e-12)
+
+    @settings(max_examples=100, deadline=None)
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     def test_rows_normalized_and_variance_nonnegative(self, seed):
         rng = np.random.default_rng(seed)
@@ -338,6 +380,14 @@ class TestMoments:
         with pytest.raises(PrecisionDegenerate):
             posterior_moments(state, np.zeros(2, dtype=complex), unit_alphabet())
 
+    def test_non_finite_responsibilities(self):
+        # A typed error, not an assert that `python -O` strips.
+        state = vbic_init(2, 2, 1)
+        state.a = 2.0
+        state.resp = np.array([[0.5, 0.5], [np.nan, np.nan]])
+        with pytest.raises(NumericalBreakdown):
+            posterior_moments(state, np.zeros(2, dtype=complex), unit_alphabet())
+
     def test_full_variance_adds_mean_terms(self):
         # Same hand case: exact Var[mu d] = v E|d|^2 + |mu|^2 spread
         #                = 1*0.5 + 1*0.25 = 0.75.
@@ -370,6 +420,15 @@ class TestStep:
         _, post = vbic_step(state, np.zeros(12, dtype=complex), alph)
         assert post.Xhat.shape == (3, 4)
         assert post.That.shape == (3, 4)
+
+    def test_nan_pseudo_observation_is_typed_breakdown(self):
+        alph = build_alphabet("qpsk")
+        state = vbic_init(8, alph.K, 2)
+        r = np.ones(8, dtype=complex)
+        warm_start_channel(state, r, alph)
+        r[5] = complex(np.nan, 0.0)
+        with pytest.raises(NumericalBreakdown):
+            vbic_step(state, r, alph)
 
     def test_all_zero_observations_zero_channel(self):
         alph = build_alphabet("qpsk")
