@@ -68,27 +68,6 @@ class PseudoObservations:
     def r_flat(self) -> np.ndarray:
         return self.R.reshape(-1)
 
-    @property
-    def tau_flat(self) -> np.ndarray:
-        return self.Tau.reshape(-1)
-
-
-def flatten_obs(mat: np.ndarray) -> np.ndarray:
-    """(M, J) matrix -> length M*J vector under s = j + (m-1)*J."""
-    return np.ascontiguousarray(mat).reshape(-1)
-
-
-def unflatten_obs(vec: np.ndarray, m: int, j: int) -> np.ndarray:
-    """Inverse of flatten_obs."""
-    if vec.size != m * j:
-        raise DimensionMismatch(f"cannot reshape {vec.size} observations to {m}x{j}")
-    return vec.reshape(m, j)
-
-
-def obs_slice(m: int, j: int) -> slice:
-    """Flat-index range of user m's J observations (0-based user index)."""
-    return slice(m * j, (m + 1) * j)
-
 
 def amp_init(a_mat: np.ndarray, j: int,
              e_sym: float) -> tuple[AmpState, Posterior]:
@@ -109,16 +88,14 @@ def amp_init(a_mat: np.ndarray, j: int,
 
 
 def amp_decouple(a_mat: np.ndarray, y: np.ndarray, posterior: Posterior,
-                 state: AmpState, noise_var: float,
-                 damping: float = 1.0) -> tuple[PseudoObservations, AmpState]:
+                 state: AmpState,
+                 noise_var: float) -> tuple[PseudoObservations, AmpState]:
     """One decoupling pass over all J columns.
 
     state must come from amp_init(a_mat, ...) or an earlier pass on the
     same frame: |A|^2 is read from it, not recomputed.  Returns the pseudo
     observations and the refreshed state; the caller carries the state
-    into the next outer iteration.  damping < 1 blends the new scaled
-    residual S with the previous one (stability experiments only; 1.0
-    reproduces the plain update).
+    into the next outer iteration.
     """
     if noise_var <= 0:
         raise NonPositiveNoise(f"noise_var must be > 0, got {noise_var}")
@@ -143,8 +120,6 @@ def amp_decouple(a_mat: np.ndarray, y: np.ndarray, posterior: Posterior,
     p = a_mat @ posterior.Xhat - tp * state.S_mat
     ts = 1.0 / (tp + noise_var)
     s = ts * (y - p)
-    if damping != 1.0:
-        s = damping * s + (1.0 - damping) * state.S_mat
     tau = 1.0 / (abs_a2.T @ ts)
     r = posterior.Xhat + tau * (a_mat.T @ s.conj()).conj()
 

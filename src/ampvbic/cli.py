@@ -19,8 +19,8 @@ import argparse
 import sys
 
 from .errors import ConfigError, NumericalBreakdown, TrialFailure
-from .harness import DETECTOR_NAMES, aggregate, run_trials, summarize, \
-    sweep, write_csv
+from .harness import DETECTOR_NAMES, run_trials, summarize, sweep, \
+    write_csv
 from .model import ScenarioConfig
 
 SCENARIO_KEYS = {"M", "N", "J", "p_a", "snr_db", "modulation", "n_it", "seed"}
@@ -131,11 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_run(args) -> int:
-    values = parse_config_file(args.config)
-    config = _build_scenario(values, args.seed)
-    detectors = _resolve_detectors(values, args.no_offset_llr)
-    n_trials = values.get("trials", 10)
+def _cmd_run(args, values: dict, config: ScenarioConfig,
+             detectors: tuple[str, ...], n_trials: int) -> int:
     records = run_trials(config, n_trials, detectors,
                          include_rs_in_ser=args.include_rs_in_ser,
                          n_workers=args.threads)
@@ -149,17 +146,14 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _cmd_sweep(args) -> int:
-    values = parse_config_file(args.config)
-    config = _build_scenario(values, args.seed)
-    detectors = _resolve_detectors(values, args.no_offset_llr)
+def _cmd_sweep(args, values: dict, config: ScenarioConfig,
+               detectors: tuple[str, ...], n_trials: int) -> int:
     if "axis" not in values or "values" not in values:
         raise ConfigError("sweep needs 'axis' and 'values' keys in the config")
-    n_trials = values.get("trials", 10)
     records = sweep(config, values["axis"], values["values"], n_trials,
                     detectors, include_rs_in_ser=args.include_rs_in_ser,
                     n_workers=args.threads,
-                    bernoulli_activity=getattr(args, "bernoulli_activity", False))
+                    bernoulli_activity=args.bernoulli_activity)
     for rec in records:
         print(f"{values['axis']}={getattr(rec, values['axis'])}  "
               f"{rec.detector:22s} aer={rec.aer:.5f} ser={rec.ser:.5f} "
@@ -172,10 +166,12 @@ def _cmd_sweep(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    command = _cmd_run if args.command == "run" else _cmd_sweep
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        return _cmd_sweep(args)
+        values = parse_config_file(args.config)
+        return command(args, values, _build_scenario(values, args.seed),
+                       _resolve_detectors(values, args.no_offset_llr),
+                       values.get("trials", 10))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -40,30 +40,6 @@ class DetectionResult:
     llr_offset: np.ndarray     # (M,) summed offset LLR
 
 
-def vbi_activity_llr(resp: np.ndarray, m: int, j: int) -> float:
-    """Clustering-evidence LLR of user m: sum over its J observations of
-    ln(max active-component responsibility / null responsibility)."""
-    block = resp[m * j:(m + 1) * j]
-    num = np.maximum(block[:, 1:].max(axis=1), RESP_FLOOR)
-    den = np.maximum(block[:, 0], RESP_FLOOR)
-    return float(np.log(num / den).sum())
-
-
-def offset_llr(x_hat_s: complex, tau_hat_s: float, e_sym: float) -> float:
-    """Log-ratio of the posterior-mean density under the active prior
-    (variance E_sym + tau) versus the inactive prior (variance tau)."""
-    mag2 = abs(x_hat_s) ** 2
-    return float(np.log(tau_hat_s / (e_sym + tau_hat_s))
-                 + mag2 / tau_hat_s - mag2 / (e_sym + tau_hat_s))
-
-
-def decision_llr(llr_vbi_m: float, offsets_for_m: np.ndarray, p_a: float) -> float:
-    """Combined activity LLR: clustering evidence + offsets + prior log-odds."""
-    if not 0.0 < p_a < 1.0:
-        raise ConfigError(f"activity prior needs 0 < p_a < 1, got {p_a}")
-    return float(llr_vbi_m + np.sum(offsets_for_m) + np.log(p_a / (1.0 - p_a)))
-
-
 def _offset_llr_matrix(posterior: Posterior, e_sym: float) -> np.ndarray:
     mag2 = np.abs(posterior.Xhat) ** 2
     return (np.log(posterior.That / (e_sym + posterior.That))
@@ -108,20 +84,23 @@ def detect(resp: np.ndarray, posterior: Posterior, channel_hat: np.ndarray,
     )
 
 
-def correct_phase(d_hat_row: np.ndarray, rs_detected: complex, rs_true: complex,
+def correct_phase(d_hat: np.ndarray, rs_detected, rs_true: complex,
                   alphabet: ExtendedAlphabet | None = None) -> np.ndarray:
-    """Undo the constellation phase ambiguity of one active user's row.
+    """Undo the constellation phase ambiguity of active users' rows.
 
-    The whole row is multiplied by rs_true / rs_detected so the detected
-    reference symbol maps onto the true one.  When an alphabet is given,
-    each corrected symbol snaps to the nearest constellation point: for
-    non-constant-modulus constellations the ratio can also rescale
-    magnitudes, leaving values between grid points.
+    d_hat is one row (J,) with a scalar rs_detected, or a block (n, J) with
+    one detected reference symbol per row.  Each row is multiplied by
+    rs_true / rs_detected so its detected reference symbol maps onto the
+    true one.  When an alphabet is given, each corrected symbol snaps to
+    the nearest constellation point: for non-constant-modulus
+    constellations the ratio can also rescale magnitudes, leaving values
+    between grid points.
     """
-    if rs_detected == 0:
+    rs_detected = np.asarray(rs_detected)
+    if np.any(rs_detected == 0):
         raise ZeroReferenceSymbol("detected reference symbol is zero")
-    corrected = np.asarray(d_hat_row) * (rs_true / rs_detected)
+    corrected = np.asarray(d_hat) * (rs_true / rs_detected)[..., None]
     if alphabet is not None:
-        dist = np.abs(corrected[:, None] - alphabet.active_symbols[None, :])
-        corrected = alphabet.active_symbols[dist.argmin(axis=1)]
+        dist = np.abs(corrected[..., None] - alphabet.active_symbols)
+        corrected = alphabet.active_symbols[dist.argmin(axis=-1)]
     return corrected

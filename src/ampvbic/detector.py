@@ -42,8 +42,8 @@ class IterationTrace:
 
 @dataclass
 class DetectorInternals:
-    """Final-iteration quantities the harness reuses: re-deciding with a
-    different LLR combination and genie baselines need them."""
+    """Final-iteration quantities: every decision (_finalize, with or
+    without the offsets) and the genie baseline are made from them."""
 
     vbic_state: vbic.VbicState
     posterior: amp.Posterior
@@ -53,30 +53,27 @@ class DetectorInternals:
 def _finalize(state: vbic.VbicState, posterior: amp.Posterior,
               alphabet: ExtendedAlphabet, p_a: float,
               include_offset: bool) -> DetectionResult:
-    """Decide, then phase-correct every detected-active row in place.
+    """Decide, then phase-correct the detected-active rows in place.
 
     The decision stage sees the exact posterior variance of x (channel
     uncertainty included), not the factored variance that the decoupling
     feedback uses.
     """
-    that_dec = vbic.posterior_variance_full(state, alphabet)
     decision_posterior = amp.Posterior(
-        Xhat=posterior.Xhat,
-        That=that_dec.reshape(posterior.Xhat.shape))
+        Xhat=posterior.Xhat, That=vbic.posterior_variance_full(state))
     result = detect(state.resp, decision_posterior, state.mu, alphabet,
                     p_a, include_offset)
+    active = result.activity_hat.astype(bool)
     d_hat = result.D_hat
-    for m in np.flatnonzero(result.activity_hat):
-        d_hat[m] = correct_phase(d_hat[m], d_hat[m, 0],
-                                 alphabet.reference_symbol, alphabet)
+    d_hat[active] = correct_phase(d_hat[active], d_hat[active, 0],
+                                  alphabet.reference_symbol, alphabet)
     return result
 
 
 def run_detector(a_mat: np.ndarray, y: np.ndarray, config: ScenarioConfig,
                  alphabet: ExtendedAlphabet,
                  ground_truth: ScenarioInstance | None = None, *,
-                 include_offset: bool = True, damping: float = 1.0,
-                 reset_priors: bool = False,
+                 include_offset: bool = True,
                  conv_tol: float | None = None,
                  ) -> tuple[DetectionResult, IterationTrace]:
     """Run the full detector on one frame.
@@ -86,21 +83,26 @@ def run_detector(a_mat: np.ndarray, y: np.ndarray, config: ScenarioConfig,
     posterior-mean change falls below it (off by default, which keeps
     exactly n_it trace records).
     """
-    result, trace, _ = run_detector_internals(
+    trace, internals = run_detector_internals(
         a_mat, y, config, alphabet, ground_truth,
-        include_offset=include_offset, damping=damping,
-        reset_priors=reset_priors, conv_tol=conv_tol)
+        include_offset=include_offset, conv_tol=conv_tol)
+    result = _finalize(internals.vbic_state, internals.posterior, alphabet,
+                       config.p_a, include_offset)
     return result, trace
 
 
 def run_detector_internals(a_mat: np.ndarray, y: np.ndarray,
                            config: ScenarioConfig, alphabet: ExtendedAlphabet,
                            ground_truth: ScenarioInstance | None = None, *,
-                           include_offset: bool = True, damping: float = 1.0,
-                           reset_priors: bool = False,
+                           include_offset: bool = True,
                            conv_tol: float | None = None,
-                           ) -> tuple[DetectionResult, IterationTrace, DetectorInternals]:
-    """run_detector plus the final-iteration internals."""
+                           ) -> tuple[IterationTrace, DetectorInternals]:
+    """The detector's iteration loop without the final decision: the
+    per-iteration trace and the final-iteration internals.
+
+    include_offset only selects how the ground-truth trace snapshots
+    decide.
+    """
     if a_mat.ndim != 2 or y.ndim != 2:
         raise ShapeMismatch("A and Y must be 2-d arrays")
     n, m = a_mat.shape
@@ -120,17 +122,13 @@ def run_detector_internals(a_mat: np.ndarray, y: np.ndarray,
     if ground_truth is not None:
         trace.aer, trace.ser, trace.ce_mse = [], [], []
 
-    warm_mu: np.ndarray | None = None
     pseudo: amp.PseudoObservations | None = None
     for it in range(config.n_it):
-        pseudo, amp_state = amp.amp_decouple(
-            a_mat, y, posterior, amp_state, noise_var, damping=damping)
+        pseudo, amp_state = amp.amp_decouple(a_mat, y, posterior, amp_state,
+                                             noise_var)
         r_flat = pseudo.r_flat
         if it == 0:
             vbic.warm_start_channel(state, r_flat, alphabet)
-            warm_mu = state.mu.copy()
-        elif reset_priors:
-            vbic.reset_to_priors(state, mu_start=warm_mu)
         prev_xhat = posterior.Xhat
         state, posterior = vbic.vbic_step(state, r_flat, alphabet)
 
@@ -146,8 +144,5 @@ def run_detector_internals(a_mat: np.ndarray, y: np.ndarray,
         if conv_tol is not None and delta < conv_tol:
             break
 
-    result = _finalize(state, posterior, alphabet,
-                       config.p_a, include_offset)
-    internals = DetectorInternals(vbic_state=state, posterior=posterior,
-                                  pseudo=pseudo)
-    return result, trace, internals
+    return trace, DetectorInternals(vbic_state=state, posterior=posterior,
+                                    pseudo=pseudo)

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amp import Posterior
 from .decide import DetectionResult
 from .detector import _finalize, run_detector_internals
 from .errors import ConfigError, InvalidAxis, TrialFailure
@@ -102,37 +101,42 @@ def _run_one_trial(config: ScenarioConfig, alphabet: ExtendedAlphabet,
                    trial: int, detectors: tuple[str, ...],
                    include_rs_in_ser: bool,
                    n_active: int | None) -> list[MetricsRecord]:
-    rng = trial_rng(config.seed, trial)
-    frame = generate_frame(config, alphabet, rng, n_active=n_active)
+    """Records of one trial; any failure becomes a TrialFailure naming it.
 
-    # One iteration loop serves all detector variants: it already decides
-    # with the offsets (amp_vbic), the offset ablation only changes the
-    # final decision, and the genie reuses the final pseudo observations.
-    t0 = time.perf_counter()
-    full, _, internals = run_detector_internals(frame.A, frame.Y, config, alphabet)
-    loop_ms = (time.perf_counter() - t0) * 1e3
+    Module-level so that pool workers can run it too.
+    """
+    try:
+        rng = trial_rng(config.seed, trial)
+        frame = generate_frame(config, alphabet, rng, n_active=n_active)
 
-    base = dict(trial=trial, M=config.M, N=config.N, J=config.J,
-                p_a=config.p_a, snr_db=config.snr_db, n_it=config.n_it)
-    records = []
-    for name in detectors:
-        t1 = time.perf_counter()
-        if name == "amp_vbic":
-            result = full
-            runtime = loop_ms
-        elif name == "amp_vbic_no_offset":
-            result = _finalize(internals.vbic_state, internals.posterior,
-                               alphabet, config.p_a, include_offset=False)
-            runtime = loop_ms + (time.perf_counter() - t1) * 1e3
-        elif name == "genie":
-            result = genie_detect(internals.pseudo.R, frame.activity,
-                                  frame.mu, alphabet)
-            runtime = (time.perf_counter() - t1) * 1e3
-        else:
-            raise ConfigError(f"unknown detector {name!r}; "
-                              f"choose from {DETECTOR_NAMES}")
-        records.append(_score(base, name, result, frame, include_rs_in_ser, runtime))
-    return records
+        # One iteration loop serves every detector: amp_vbic and the offset
+        # ablation differ only in the final decision, and the genie reuses
+        # the final pseudo observations.  An amp_vbic-family runtime is the
+        # loop plus its own decision.
+        t0 = time.perf_counter()
+        _, internals = run_detector_internals(frame.A, frame.Y, config, alphabet)
+        loop_ms = (time.perf_counter() - t0) * 1e3
+
+        base = dict(trial=trial, M=config.M, N=config.N, J=config.J,
+                    p_a=config.p_a, snr_db=config.snr_db, n_it=config.n_it)
+        records = []
+        for name in detectors:
+            t1 = time.perf_counter()
+            if name == "genie":
+                result = genie_detect(internals.pseudo.R, frame.activity,
+                                      frame.mu, alphabet)
+                runtime = 0.0
+            else:
+                result = _finalize(internals.vbic_state, internals.posterior,
+                                   alphabet, config.p_a,
+                                   include_offset=name == "amp_vbic")
+                runtime = loop_ms
+            runtime += (time.perf_counter() - t1) * 1e3
+            records.append(_score(base, name, result, frame, include_rs_in_ser,
+                                  runtime))
+        return records
+    except Exception as exc:
+        raise TrialFailure(f"trial {trial} failed: {exc}") from exc
 
 
 def run_trials(config: ScenarioConfig, n_trials: int,
@@ -154,41 +158,23 @@ def run_trials(config: ScenarioConfig, n_trials: int,
                               f"choose from {DETECTOR_NAMES}")
     alphabet = build_alphabet(config.modulation)
     trials = range(trial_start, trial_start + n_trials)
-
-    def one(t):
-        try:
-            return _run_one_trial(config, alphabet, t, tuple(detectors),
-                                  include_rs_in_ser, n_active)
-        except Exception as exc:
-            raise TrialFailure(f"trial {t} failed: {exc}") from exc
+    args = (tuple(detectors), include_rs_in_ser, n_active)
 
     if n_workers <= 1:
-        batches = [one(t) for t in trials]
+        batches = [_run_one_trial(config, alphabet, t, *args) for t in trials]
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=n_workers) as pool:
-            futures = {pool.submit(_trial_worker, config, t, tuple(detectors),
-                                   include_rs_in_ser, n_active): t
+            futures = {t: pool.submit(_run_one_trial, config, alphabet, t, *args)
                        for t in trials}
-            results = {}
-            for fut in concurrent.futures.as_completed(futures):
-                t = futures[fut]
+            batches = []
+            for t, fut in futures.items():
                 try:
-                    results[t] = fut.result()
+                    batches.append(fut.result())
                 except TrialFailure:
                     raise
                 except Exception as exc:
                     raise TrialFailure(f"trial {t} failed: {exc}") from exc
-        batches = [results[t] for t in trials]
     return [rec for batch in batches for rec in batch]
-
-
-def _trial_worker(config, trial, detectors, include_rs_in_ser, n_active):
-    alphabet = build_alphabet(config.modulation)
-    try:
-        return _run_one_trial(config, alphabet, trial, detectors,
-                              include_rs_in_ser, n_active)
-    except Exception as exc:
-        raise TrialFailure(f"trial {trial} failed: {exc}") from exc
 
 
 def _stderr(values: np.ndarray) -> float:

@@ -53,7 +53,8 @@ class VbicState:
     Gaussian channel-posterior parameters, (a, b) the shared Gamma
     precision posterior, resp the S x K responsibilities.  lam_prior and
     mu_prior hold the pre-refresh channel parameters that the Gamma rate
-    update needs.
+    update needs; e_abs_d2 and spread (M x J) hold the symbol moments of
+    resp that posterior_moments formed, for posterior_variance_full.
     """
 
     alpha: np.ndarray
@@ -67,15 +68,12 @@ class VbicState:
     K: int
     lam_prior: np.ndarray | None = field(default=None, repr=False)
     mu_prior: np.ndarray | None = field(default=None, repr=False)
+    e_abs_d2: np.ndarray | None = field(default=None, repr=False)
+    spread: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def S(self) -> int:
         return self.M * self.J
-
-    @property
-    def user_index(self) -> np.ndarray:
-        """Flat observation s -> user m (0-based)."""
-        return np.repeat(np.arange(self.M), self.J)
 
 
 def vbic_init(s: int, k: int, m: int) -> VbicState:
@@ -167,28 +165,6 @@ def update_gamma(state: VbicState, r_flat: np.ndarray) -> VbicState:
     return state
 
 
-def expected_log_pi(state: VbicState, s: int) -> np.ndarray:
-    """E[ln pi_sk] for one observation: digamma(alpha_sk) - digamma(sum_k alpha_sk)."""
-    row = state.alpha[s]
-    return digamma(row) - digamma(row.sum())
-
-
-def expected_log_tau(state: VbicState) -> float:
-    """E[ln tau] = digamma(a) - ln(b)."""
-    return float(digamma(state.a) - np.log(state.b))
-
-
-def expected_sq_err(state: VbicState, s: int, k: int, r_s: complex,
-                    alphabet: ExtendedAlphabet) -> float:
-    """E[tau |r_s - mu_m d_k|^2] under the current channel/precision posterior."""
-    m = s // state.J
-    d_k = alphabet.symbols[k]
-    quad = (np.abs(r_s) ** 2
-            + np.abs(d_k) ** 2 * np.abs(state.mu[m]) ** 2
-            - 2.0 * np.real(np.conj(r_s) * state.mu[m] * d_k))
-    return float((state.a / state.b) * quad + np.abs(d_k) ** 2 / state.lam[m])
-
-
 def update_responsibilities(state: VbicState, r_flat: np.ndarray,
                             alphabet: ExtendedAlphabet) -> VbicState:
     """Softmax over ln rho_sk, formed up to per-row constants (see the
@@ -214,54 +190,53 @@ def update_responsibilities(state: VbicState, r_flat: np.ndarray,
 
 def posterior_moments(state: VbicState, r_flat: np.ndarray,
                       alphabet: ExtendedAlphabet) -> Posterior:
-    """Posterior mean/variance of every target element x_s = mu_m * d.
+    """Posterior mean/variance of every target element x_{m,j} = mu_m * d.
 
     Mean: mu_m * sum_k e_sk d_k.  Variance: E[1/(lam_m tau)] times the
     responsibility-weighted symbol spread; the inverse-precision mean
-    b/(a-1) requires a > 1.
+    b/(a-1) requires a > 1.  The symbol moments E|d|^2 and spread are kept
+    on the state for posterior_variance_full.
     """
     if state.a <= 1.0:
         raise PrecisionDegenerate(f"Gamma shape must exceed 1, got {state.a}")
     d = alphabet.symbols
-    mean_d = state.resp @ d
-    spread = (state.resp @ (np.abs(d) ** 2)) - np.abs(mean_d) ** 2
+    mean_d = (state.resp @ d).reshape(state.M, state.J)
+    e_abs_d2 = (state.resp @ (np.abs(d) ** 2)).reshape(state.M, state.J)
+    spread = e_abs_d2 - np.abs(mean_d) ** 2
     # The spread is a variance of a discrete distribution, so only
     # floating-point cancellation can push it below zero; anything further
     # below, or NaN, means the responsibilities have broken down.
     if not spread.min() > -1e-12:
         raise NumericalBreakdown(
             f"symbol spread went negative or non-finite: {spread.min()}")
-    idx = state.user_index
-    xhat = state.mu[idx] * mean_d
-    that = state.b / (state.lam[idx] * (state.a - 1.0)) * np.maximum(spread, 0.0)
-    that = np.maximum(that, VARIANCE_FLOOR)
-    return Posterior(Xhat=xhat.reshape(state.M, state.J),
-                     That=that.reshape(state.M, state.J))
+    state.e_abs_d2 = e_abs_d2
+    state.spread = np.maximum(spread, 0.0)
+    v = state.b / (state.lam * (state.a - 1.0))
+    return Posterior(Xhat=state.mu[:, None] * mean_d,
+                     That=np.maximum(v[:, None] * state.spread, VARIANCE_FLOOR))
 
 
-def posterior_variance_full(state: VbicState,
-                            alphabet: ExtendedAlphabet) -> np.ndarray:
-    """Exact posterior variance of x_s = mu_m * d under q (flat, length S).
+def posterior_variance_full(state: VbicState) -> np.ndarray:
+    """Exact posterior variance of x_{m,j} = mu_m * d under q, (M, J).
 
     Var[x] = E|mu|^2 E|d|^2 - |E mu|^2 |E d|^2
            = E[(lam tau)^-1] * sum_k e_sk |d_k|^2  +  |mu_m|^2 * spread.
 
-    The factored variance fed back to the decoupling module keeps only the
-    first-term spread component, which understates the uncertainty of x
-    whenever the channel estimate or the mean symbol is nonzero.  Activity
-    decisions compare |x|^2 against this variance, so they use the exact
-    form: with the factored one, the inactive-user variance collapses as
-    parameters accumulate and false alarms grow without bound.
+    Reads the symbol moments that posterior_moments kept on the state, so
+    it must follow posterior_moments.  The factored variance fed back to
+    the decoupling module keeps only the first-term spread component, which
+    understates the uncertainty of x whenever the channel estimate or the
+    mean symbol is nonzero.  Activity decisions compare |x|^2 against this
+    variance, so they use the exact form: with the factored one, the
+    inactive-user variance collapses as parameters accumulate and false
+    alarms grow without bound.
     """
-    if state.a <= 1.0:
-        raise PrecisionDegenerate(f"Gamma shape must exceed 1, got {state.a}")
-    d = alphabet.symbols
-    mean_d = state.resp @ d
-    e_abs_d2 = state.resp @ (np.abs(d) ** 2)
-    spread = np.maximum(e_abs_d2 - np.abs(mean_d) ** 2, 0.0)
-    idx = state.user_index
-    v = state.b / (state.lam[idx] * (state.a - 1.0))
-    return np.maximum(v * e_abs_d2 + np.abs(state.mu[idx]) ** 2 * spread,
+    if state.spread is None:
+        raise RuntimeError("posterior_variance_full requires posterior_moments "
+                           "to run first")
+    v = state.b / (state.lam * (state.a - 1.0))
+    return np.maximum(v[:, None] * state.e_abs_d2
+                      + (np.abs(state.mu) ** 2)[:, None] * state.spread,
                       VARIANCE_FLOOR)
 
 
@@ -275,16 +250,3 @@ def vbic_step(state: VbicState, r_flat: np.ndarray,
     update_responsibilities(state, r_flat, alphabet)
     posterior = posterior_moments(state, r_flat, alphabet)
     return state, posterior
-
-
-def reset_to_priors(state: VbicState, mu_start: np.ndarray | None = None) -> VbicState:
-    """Drop accumulated counts back to the initial priors (responsibilities
-    are kept).  Experimental alternative to the accumulating schedule."""
-    state.alpha = np.full((state.S, state.K), ALPHA_0)
-    state.lam = np.full(state.M, LAMBDA_0)
-    state.mu = np.zeros(state.M, dtype=complex) if mu_start is None else mu_start.copy()
-    state.a = A_0
-    state.b = B_0
-    state.lam_prior = None
-    state.mu_prior = None
-    return state

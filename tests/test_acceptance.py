@@ -14,14 +14,14 @@ import numpy as np
 import pytest
 
 from ampvbic.amp import Posterior, amp_decouple, amp_init
-from ampvbic.decide import decision_llr, offset_llr, vbi_activity_llr
+from ampvbic.decide import correct_phase, detect
 from ampvbic.detector import run_detector
 from ampvbic.harness import aggregate, run_trials
 from ampvbic.model import (ExtendedAlphabet, ScenarioConfig, build_alphabet,
                            generate_frame)
-from ampvbic.vbic import (expected_log_pi, expected_log_tau, expected_sq_err,
-                          posterior_moments, update_channel, update_dirichlet,
+from ampvbic.vbic import (posterior_moments, update_channel, update_dirichlet,
                           update_gamma, update_responsibilities, vbic_init)
+from oracles import expected_log_pi, expected_log_tau, expected_sq_err
 
 SEED = 2026
 REL = 1e-9
@@ -45,6 +45,15 @@ def se_diff(a, b) -> float:
 def unit_alphabet() -> ExtendedAlphabet:
     return ExtendedAlphabet(symbols=np.array([0.0 + 0.0j, 1.0 + 0.0j]),
                             K=2, E_sym=1.0)
+
+
+def detect_one_user(resp, xhat, p_a):
+    """detect() on one user whose J = len(xhat) observations have unit
+    posterior variance, over the {0, 1} alphabet (E_sym = 1)."""
+    xhat = np.array([xhat], dtype=complex)
+    posterior = Posterior(Xhat=xhat, That=np.ones(xhat.shape))
+    return detect(np.array(resp, dtype=float), posterior,
+                  np.zeros(1, dtype=complex), unit_alphabet(), p_a)
 
 
 def test_criterion_1_unit_equation_suite():
@@ -117,22 +126,24 @@ def test_criterion_1_unit_equation_suite():
     assert post.That[0, 0] == pytest.approx(0.25, rel=REL)
 
     # activity evidence: ln(0.1/0.9) summed per user block
-    assert vbi_activity_llr(np.array([[0.9, 0.1]]), 0, 1) == pytest.approx(
+    assert detect_one_user([[0.9, 0.1]], [0.0], 0.1).llr_vbi[0] == pytest.approx(
         math.log(1.0 / 9.0), rel=REL)
 
     # offset LLR: ln(1/2) and ln(1/2) + 1 - 1/2
-    assert offset_llr(0.0 + 0.0j, 1.0, 1.0) == pytest.approx(
-        math.log(0.5), rel=REL)
-    assert offset_llr(1.0 + 0.0j, 1.0, 1.0) == pytest.approx(
-        math.log(0.5) + 0.5, rel=REL)
+    assert detect_one_user([[0.5, 0.5]], [0.0], 0.1).llr_offset[0] == \
+        pytest.approx(math.log(0.5), rel=REL)
+    assert detect_one_user([[0.5, 0.5]], [1.0], 0.1).llr_offset[0] == \
+        pytest.approx(math.log(0.5) + 0.5, rel=REL)
 
-    # decision LLR: prior log-odds at p_a = 0.1; additivity
-    assert decision_llr(0.0, np.zeros(2), 0.1) == pytest.approx(
-        math.log(1.0 / 9.0), rel=REL)
-    assert decision_llr(3.0, np.array([-1.0]), 0.5) == pytest.approx(2.0, rel=REL)
+    # decision LLR: prior log-odds at p_a = 0.1 (balanced evidence, and
+    # |x|^2 = 2 ln 2 makes the offset ln(1/2) + ln 2 = 0); additivity
+    res = detect_one_user([[0.5, 0.5]], [math.sqrt(2.0 * math.log(2.0))], 0.1)
+    assert res.llr_dec[0] == pytest.approx(math.log(1.0 / 9.0), rel=REL)
+    res = detect_one_user([[0.1, 0.9], [0.5, 0.5]], [0.0, 1.0], 0.5)
+    assert res.llr_dec[0] == pytest.approx(
+        math.log(9.0) + 2.0 * math.log(0.5) + 0.5, rel=REL)
 
     # phase correction: quarter-turn undone, pi-rotation round trip
-    from ampvbic.decide import correct_phase
     alph = build_alphabet("qpsk")
     row = alph.symbols[[1, 2, 3, 4, 1]]
     assert np.allclose(correct_phase(row, 1j * row[0], row[0]), row * (-1j))

@@ -1,71 +1,99 @@
+import math
+
 import numpy as np
 import pytest
 
 from ampvbic.amp import Posterior
-from ampvbic.decide import (correct_phase, decision_llr, detect, offset_llr,
-                            vbi_activity_llr)
+from ampvbic.decide import correct_phase, detect
 from ampvbic.errors import ConfigError, ZeroReferenceSymbol
-from ampvbic.model import build_alphabet
+from ampvbic.model import ExtendedAlphabet, build_alphabet
 
 LN_ONE_NINTH = -2.1972245773362196   # ln(1/9)
 LN_HALF = -0.6931471805599453        # ln(1/2)
+
+# At unit posterior and prior variance, |x|^2 = 2 ln 2 makes the offset
+# ln(1/2) + 2 ln 2 (1 - 1/2) = 0, so the decision LLR shows the other terms.
+ZERO_OFFSET_X = math.sqrt(2.0 * math.log(2.0))
+
+
+def detect_users(resp, xhat, p_a=0.1, e_sym=1.0):
+    """detect() over the {0, 1} alphabet with prior energy e_sym, for the
+    users whose posterior means are the rows of xhat (unit variance)."""
+    xhat = np.array(xhat, dtype=complex)
+    alph = ExtendedAlphabet(symbols=np.array([0.0 + 0.0j, 1.0 + 0.0j]),
+                            K=2, E_sym=e_sym)
+    posterior = Posterior(Xhat=xhat, That=np.ones(xhat.shape))
+    return detect(np.array(resp, dtype=float), posterior,
+                  np.zeros(xhat.shape[0], dtype=complex), alph, p_a)
 
 
 class TestVbiActivityLlr:
 
     def test_balanced_is_zero(self):
         resp = np.tile([0.5, 0.5], (10, 1))
-        assert vbi_activity_llr(resp, 0, 10) == pytest.approx(0.0, abs=1e-12)
+        res = detect_users(resp, np.zeros((1, 10)))
+        assert res.llr_vbi[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_example(self):
-        resp = np.array([[0.9, 0.1]])
-        assert vbi_activity_llr(resp, 0, 1) == pytest.approx(LN_ONE_NINTH, rel=1e-9)
+        res = detect_users([[0.9, 0.1]], [[0.0]])
+        assert res.llr_vbi[0] == pytest.approx(LN_ONE_NINTH, rel=1e-9)
 
     def test_floor_keeps_llr_finite(self):
-        resp = np.array([[0.0, 1.0], [0.0, 1.0]])
-        val = vbi_activity_llr(resp, 0, 2)
-        assert np.isfinite(val)
-        assert val > 100.0
+        res = detect_users([[0.0, 1.0], [0.0, 1.0]], np.zeros((1, 2)))
+        assert np.isfinite(res.llr_vbi[0])
+        assert res.llr_vbi[0] > 100.0
 
     def test_sums_over_user_block(self):
         resp = np.array([[0.9, 0.1], [0.9, 0.1], [0.1, 0.9], [0.1, 0.9]])
-        assert vbi_activity_llr(resp, 0, 2) == pytest.approx(2 * LN_ONE_NINTH, rel=1e-9)
-        assert vbi_activity_llr(resp, 1, 2) == pytest.approx(-2 * LN_ONE_NINTH, rel=1e-9)
+        res = detect_users(resp, np.zeros((2, 2)))
+        assert res.llr_vbi[0] == pytest.approx(2 * LN_ONE_NINTH, rel=1e-9)
+        assert res.llr_vbi[1] == pytest.approx(-2 * LN_ONE_NINTH, rel=1e-9)
 
 
 class TestOffsetLlr:
 
     def test_zero_mean(self):
-        assert offset_llr(0.0 + 0.0j, 1.0, 1.0) == pytest.approx(LN_HALF, rel=1e-9)
+        res = detect_users([[0.5, 0.5]], [[0.0]])
+        assert res.llr_offset[0] == pytest.approx(LN_HALF, rel=1e-9)
 
     def test_unit_mean(self):
         # ln(1/2) + 1 - 1/2
-        assert offset_llr(1.0 + 0.0j, 1.0, 1.0) == pytest.approx(
-            LN_HALF + 0.5, rel=1e-9)
+        res = detect_users([[0.5, 0.5]], [[1.0]])
+        assert res.llr_offset[0] == pytest.approx(LN_HALF + 0.5, rel=1e-9)
 
     def test_degenerate_prior_energy(self):
         # As the active prior variance shrinks to the inactive one, the
         # hypotheses coincide and the ratio vanishes.
-        assert offset_llr(1.0 + 2.0j, 1.0, 1e-12) == pytest.approx(0.0, abs=1e-9)
+        res = detect_users([[0.5, 0.5]], [[1.0 + 2.0j]], e_sym=1e-12)
+        assert res.llr_offset[0] == pytest.approx(0.0, abs=1e-9)
 
 
 class TestDecisionLlr:
 
     def test_symmetric_prior(self):
-        assert decision_llr(0.0, np.zeros(4), 0.5) == pytest.approx(0.0, abs=1e-12)
+        res = detect_users(np.full((4, 2), 0.5), np.full((1, 4), ZERO_OFFSET_X),
+                           p_a=0.5)
+        assert res.llr_dec[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_prior_only(self):
-        assert decision_llr(0.0, np.zeros(2), 0.1) == pytest.approx(
-            LN_ONE_NINTH, rel=1e-9)
+        res = detect_users(np.full((2, 2), 0.5), np.full((1, 2), ZERO_OFFSET_X))
+        assert res.llr_dec[0] == pytest.approx(LN_ONE_NINTH, rel=1e-9)
 
     def test_additivity(self):
-        assert decision_llr(3.0, np.array([-0.5, -0.5]), 0.5) == pytest.approx(
-            2.0, rel=1e-9)
+        # ln 9 of evidence, offsets ln(1/2) and ln(1/2) + 1/2, no prior.
+        res = detect_users([[0.1, 0.9], [0.5, 0.5]], [[0.0, 1.0]], p_a=0.5)
+        assert res.llr_dec[0] == pytest.approx(
+            -LN_ONE_NINTH + 2 * LN_HALF + 0.5, rel=1e-9)
+        resp, posterior, channel = _uniformish_setup(build_alphabet("qpsk"))
+        res = detect(resp, posterior, channel, build_alphabet("qpsk"), 0.3)
+        np.testing.assert_allclose(
+            res.llr_dec, res.llr_vbi + res.llr_offset + math.log(0.3 / 0.7),
+            rtol=1e-9)
 
     @pytest.mark.parametrize("p_a", [0.0, 1.0, -0.2, 1.3])
     def test_prior_bounds(self, p_a):
         with pytest.raises(ConfigError):
-            decision_llr(0.0, np.zeros(1), p_a)
+            detect_users([[0.5, 0.5]], [[0.0]], p_a=p_a)
 
 
 def _uniformish_setup(alph, m=6, j=4, seed=31):
@@ -199,3 +227,22 @@ class TestCorrectPhase:
         row = alph.symbols[[4, 2, 8]]
         corrected = correct_phase(row, row[0], alph.reference_symbol, alph)
         assert corrected[0] == alph.reference_symbol
+
+    @pytest.mark.parametrize("modulation", ["qam16", "qpsk"])
+    def test_block_matches_per_row_calls(self, modulation):
+        # One call over a block of rows, one detected reference per row,
+        # as _finalize makes it, equals the calls row by row.
+        alph = build_alphabet(modulation)
+        rng = np.random.default_rng(37)
+        block = alph.active_symbols[rng.integers(0, alph.K - 1, (7, 5))]
+        block *= 1j ** rng.integers(0, 4, (7, 1))
+        rs = block[:, 0]
+        for snap in (None, alph):
+            want = np.array([correct_phase(row, r, alph.reference_symbol, snap)
+                             for row, r in zip(block, rs)])
+            got = correct_phase(block, rs, alph.reference_symbol, snap)
+            assert np.array_equal(got, want)
+        with_zero = rs.copy()
+        with_zero[3] = 0.0
+        with pytest.raises(ZeroReferenceSymbol):
+            correct_phase(block, with_zero, alph.reference_symbol, alph)

@@ -10,12 +10,11 @@ from ampvbic.errors import (DimensionMismatch, NonPositiveScale,
                             NumericalBreakdown, PrecisionDegenerate)
 from ampvbic.model import ExtendedAlphabet, ScenarioConfig, build_alphabet, \
     generate_frame
-from ampvbic.vbic import (VbicState, expected_log_pi, expected_log_tau,
-                          expected_sq_err, posterior_moments,
-                          posterior_variance_full, update_channel,
-                          update_dirichlet, update_gamma,
+from ampvbic.vbic import (posterior_moments, posterior_variance_full,
+                          update_channel, update_dirichlet, update_gamma,
                           update_responsibilities, vbic_init, vbic_step,
                           warm_start_channel)
+from oracles import expected_log_pi, expected_log_tau, expected_sq_err
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -395,8 +394,9 @@ class TestMoments:
         state.a = 2.0
         state.mu = np.array([1.0 + 0.0j])
         state.resp = np.array([[0.5, 0.5]])
-        var = posterior_variance_full(state, unit_alphabet())
-        assert var[0] == pytest.approx(0.75, rel=1e-9)
+        posterior_moments(state, np.zeros(1, dtype=complex), unit_alphabet())
+        var = posterior_variance_full(state)
+        assert var[0, 0] == pytest.approx(0.75, rel=1e-9)
 
     def test_full_variance_keeps_channel_term_for_point_mass(self):
         # One-hot responsibilities: factored variance floors at ~0 but the
@@ -407,8 +407,38 @@ class TestMoments:
         state.mu = np.array([5.0 + 0.0j])
         state.resp = np.array([[0.0, 1.0]])
         v = 4.0 / (2.0 * (3.0 - 1.0))
-        assert posterior_variance_full(state, unit_alphabet())[0] == \
-            pytest.approx(v, rel=1e-9)
+        posterior_moments(state, np.zeros(1, dtype=complex), unit_alphabet())
+        assert posterior_variance_full(state)[0, 0] == pytest.approx(v, rel=1e-9)
+
+
+    def test_full_variance_requires_moments(self):
+        with pytest.raises(RuntimeError):
+            posterior_variance_full(vbic_init(2, 2, 1))
+
+    def test_per_user_broadcast_matches_flat_index(self):
+        # Both moment functions broadcast mu and lam over the (M, J) view;
+        # the reference indexes them per flat observation with
+        # m = s // J (np.repeat), as the formulas are written.
+        alph = build_alphabet("qam16")
+        rng = np.random.default_rng(25)
+        m, j = 3, 4
+        state = vbic_init(m * j, alph.K, m)
+        state.a, state.b = 7.0, 3.0
+        state.mu = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        state.lam = rng.uniform(0.5, 20.0, m)
+        state.resp = rng.dirichlet(np.ones(alph.K), size=m * j)
+        post = posterior_moments(state, np.zeros(m * j, dtype=complex), alph)
+        full = posterior_variance_full(state)
+
+        idx = np.repeat(np.arange(m), j)
+        mean_d = state.resp @ alph.symbols
+        e_abs_d2 = state.resp @ (np.abs(alph.symbols) ** 2)
+        spread = np.maximum(e_abs_d2 - np.abs(mean_d) ** 2, 0.0)
+        v = state.b / (state.lam[idx] * (state.a - 1.0))
+        assert np.array_equal(post.Xhat.ravel(), state.mu[idx] * mean_d)
+        assert np.array_equal(post.That.ravel(), np.maximum(v * spread, 1e-12))
+        assert np.array_equal(full.ravel(), np.maximum(
+            v * e_abs_d2 + np.abs(state.mu[idx]) ** 2 * spread, 1e-12))
 
 
 class TestStep:
