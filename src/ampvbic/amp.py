@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonPositiveNoise
+from .errors import DimensionMismatch, NonPositiveNoise, NumericalBreakdown
 
 # Incoming posterior variances are floored here so Tp + noise_var can never
 # underflow the division that forms Ts.
@@ -95,7 +95,8 @@ def amp_decouple(a_mat: np.ndarray, y: np.ndarray, posterior: Posterior,
     state must come from amp_init(a_mat, ...) or an earlier pass on the
     same frame: |A|^2 is read from it, not recomputed.  Returns the pseudo
     observations and the refreshed state; the caller carries the state
-    into the next outer iteration.
+    into the next outer iteration.  Raises NumericalBreakdown when Tau or R
+    comes out non-finite.
     """
     if noise_var <= 0:
         raise NonPositiveNoise(f"noise_var must be > 0, got {noise_var}")
@@ -122,6 +123,11 @@ def amp_decouple(a_mat: np.ndarray, y: np.ndarray, posterior: Posterior,
     s = ts * (y - p)
     tau = 1.0 / (abs_a2.T @ ts)
     r = posterior.Xhat + tau * (a_mat.T @ s.conj()).conj()
+    # A NaN or inf in Y, A or the posterior reaches Tau or R in this pass;
+    # stop here rather than at the clustering step that would meet it next.
+    if not (np.isfinite(tau).all() and np.isfinite(r).all()):
+        raise NumericalBreakdown(
+            "decoupling produced non-finite pseudo observations or variances")
 
     new_state = AmpState(abs_a2=abs_a2, S_mat=s)
     return PseudoObservations(R=r, Tau=tau), new_state

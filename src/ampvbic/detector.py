@@ -6,7 +6,10 @@ to the next decoupling pass).  After the last iteration the
 responsibilities and moments are fused into activity/symbol decisions and
 the rows of detected-active users are phase-corrected via the reference
 symbol.  The loop is deterministic: no randomness enters after the frame
-is drawn.
+is drawn, and nothing in it depends on n_it, so a run of n iterations is
+a prefix of every longer run on the same frame.  run_detector_internals
+can therefore continue an earlier call's loop (start=) instead of
+repeating its iterations.
 """
 
 from __future__ import annotations
@@ -42,12 +45,15 @@ class IterationTrace:
 
 @dataclass
 class DetectorInternals:
-    """Final-iteration quantities: every decision (_finalize, with or
-    without the offsets) and the genie baseline are made from them."""
+    """The loop's state after n_iterations iterations: every decision
+    (_finalize, with or without the offsets) and the genie baseline are
+    made from it, and run_detector_internals(start=...) continues from it."""
 
     vbic_state: vbic.VbicState
     posterior: amp.Posterior
     pseudo: amp.PseudoObservations
+    amp_state: amp.AmpState
+    n_iterations: int
 
 
 def _finalize(state: vbic.VbicState, posterior: amp.Posterior,
@@ -96,12 +102,17 @@ def run_detector_internals(a_mat: np.ndarray, y: np.ndarray,
                            ground_truth: ScenarioInstance | None = None, *,
                            include_offset: bool = True,
                            conv_tol: float | None = None,
+                           start: DetectorInternals | None = None,
                            ) -> tuple[IterationTrace, DetectorInternals]:
     """The detector's iteration loop without the final decision: the
     per-iteration trace and the final-iteration internals.
 
     include_offset only selects how the ground-truth trace snapshots
-    decide.
+    decide.  start, the internals of an earlier call on the same frame
+    and config, continues that loop up to config.n_it iterations in total;
+    the result equals a fresh config.n_it-iteration run, and the trace
+    holds only the iterations this call ran.  start's VB state is advanced
+    in place, so decide from start before continuing it.
     """
     if a_mat.ndim != 2 or y.ndim != 2:
         raise ShapeMismatch("A and Y must be 2-d arrays")
@@ -115,15 +126,23 @@ def run_detector_internals(a_mat: np.ndarray, y: np.ndarray,
         raise ConfigError(f"detection needs 0 < p_a < 1, got {config.p_a}")
 
     noise_var = noise_variance_from_snr(config.snr_db, alphabet.E_sym)
-    amp_state, posterior = amp.amp_init(a_mat, j, alphabet.E_sym)
-    state = vbic.vbic_init(m * j, alphabet.K, m)
+    if start is None:
+        amp_state, posterior = amp.amp_init(a_mat, j, alphabet.E_sym)
+        state = vbic.vbic_init(m * j, alphabet.K, m)
+        pseudo: amp.PseudoObservations | None = None
+        done = 0
+    else:
+        if start.n_iterations > config.n_it:
+            raise ConfigError(f"start has run {start.n_iterations} iterations, "
+                              f"more than n_it={config.n_it}")
+        amp_state, posterior = start.amp_state, start.posterior
+        state, pseudo, done = start.vbic_state, start.pseudo, start.n_iterations
 
     trace = IterationTrace()
     if ground_truth is not None:
         trace.aer, trace.ser, trace.ce_mse = [], [], []
 
-    pseudo: amp.PseudoObservations | None = None
-    for it in range(config.n_it):
+    for it in range(done, config.n_it):
         pseudo, amp_state = amp.amp_decouple(a_mat, y, posterior, amp_state,
                                              noise_var)
         r_flat = pseudo.r_flat
@@ -145,4 +164,5 @@ def run_detector_internals(a_mat: np.ndarray, y: np.ndarray,
             break
 
     return trace, DetectorInternals(vbic_state=state, posterior=posterior,
-                                    pseudo=pseudo)
+                                    pseudo=pseudo, amp_state=amp_state,
+                                    n_iterations=done + trace.n_iterations)

@@ -98,27 +98,36 @@ def _score(record_base: dict, detector: str, result: DetectionResult,
 
 
 def _run_one_trial(config: ScenarioConfig, alphabet: ExtendedAlphabet,
-                   trial: int, detectors: tuple[str, ...],
-                   include_rs_in_ser: bool,
-                   n_active: int | None) -> list[MetricsRecord]:
-    """Records of one trial; any failure becomes a TrialFailure naming it.
+                   trial: int, n_its: tuple[int, ...],
+                   detectors: tuple[str, ...], include_rs_in_ser: bool,
+                   n_active: int | None) -> list[list[MetricsRecord]]:
+    """Records of one trial at each iteration count of n_its, one list per
+    entry, in the order of n_its.
 
     Module-level so that pool workers can run it too.
     """
-    try:
-        rng = trial_rng(config.seed, trial)
-        frame = generate_frame(config, alphabet, rng, n_active=n_active)
+    frame = generate_frame(config, alphabet, trial_rng(config.seed, trial),
+                           n_active=n_active)
 
-        # One iteration loop serves every detector: amp_vbic and the offset
-        # ablation differ only in the final decision, and the genie reuses
-        # the final pseudo observations.  An amp_vbic-family runtime is the
-        # loop plus its own decision.
+    # One iteration loop serves every detector and every count: it runs
+    # once up to the largest count and every detector decides at each
+    # count before it continues.  amp_vbic and the offset ablation differ
+    # only in the decision, and the genie reuses that iteration's pseudo
+    # observations.  An amp_vbic-family runtime is the loop time up to the
+    # count plus its own decision, as in a fresh run of that many
+    # iterations.
+    internals = None
+    loop_ms = 0.0
+    by_n_it = {}
+    for n_it in sorted(set(n_its)):
+        cell = dataclasses.replace(config, n_it=n_it)
         t0 = time.perf_counter()
-        _, internals = run_detector_internals(frame.A, frame.Y, config, alphabet)
-        loop_ms = (time.perf_counter() - t0) * 1e3
+        _, internals = run_detector_internals(frame.A, frame.Y, cell, alphabet,
+                                              start=internals)
+        loop_ms += (time.perf_counter() - t0) * 1e3
 
         base = dict(trial=trial, M=config.M, N=config.N, J=config.J,
-                    p_a=config.p_a, snr_db=config.snr_db, n_it=config.n_it)
+                    p_a=config.p_a, snr_db=config.snr_db, n_it=n_it)
         records = []
         for name in detectors:
             t1 = time.perf_counter()
@@ -134,9 +143,48 @@ def _run_one_trial(config: ScenarioConfig, alphabet: ExtendedAlphabet,
             runtime += (time.perf_counter() - t1) * 1e3
             records.append(_score(base, name, result, frame, include_rs_in_ser,
                                   runtime))
-        return records
+        by_n_it[n_it] = records
+    return [by_n_it[n_it] for n_it in n_its]
+
+
+def _check_request(n_trials: int, detectors: tuple[str, ...]) -> None:
+    if n_trials < 1:
+        raise ConfigError(f"n_trials must be >= 1, got {n_trials}")
+    for name in detectors:
+        if name not in DETECTOR_NAMES:
+            raise ConfigError(f"unknown detector {name!r}; "
+                              f"choose from {DETECTOR_NAMES}")
+
+
+def _named_failure(trial: int, fn, *args):
+    """fn(*args), with any failure re-raised as a TrialFailure naming the
+    trial and chaining the original error."""
+    try:
+        return fn(*args)
     except Exception as exc:
         raise TrialFailure(f"trial {trial} failed: {exc}") from exc
+
+
+def _trial_results(config: ScenarioConfig, trials: range,
+                   n_its: tuple[int, ...], detectors: tuple[str, ...],
+                   include_rs_in_ser: bool, n_active: int | None,
+                   n_workers: int) -> list[list[list[MetricsRecord]]]:
+    """_run_one_trial of every trial, serially or in a process pool, in
+    trial order.
+
+    Failures are wrapped in this process: an exception chained inside a
+    pool worker arrives with its cause replaced by the worker's traceback
+    text, so the worker raises the bare error.
+    """
+    alphabet = build_alphabet(config.modulation)
+    args = (n_its, tuple(detectors), include_rs_in_ser, n_active)
+    if n_workers <= 1:
+        return [_named_failure(t, _run_one_trial, config, alphabet, t, *args)
+                for t in trials]
+    with concurrent.futures.ProcessPoolExecutor(max_workers=n_workers) as pool:
+        futures = {t: pool.submit(_run_one_trial, config, alphabet, t, *args)
+                   for t in trials}
+        return [_named_failure(t, futures[t].result) for t in trials]
 
 
 def run_trials(config: ScenarioConfig, n_trials: int,
@@ -150,31 +198,11 @@ def run_trials(config: ScenarioConfig, n_trials: int,
     raise TrialFailure with the trial index in the message and the
     original error chained.
     """
-    if n_trials < 1:
-        raise ConfigError(f"n_trials must be >= 1, got {n_trials}")
-    for name in detectors:
-        if name not in DETECTOR_NAMES:
-            raise ConfigError(f"unknown detector {name!r}; "
-                              f"choose from {DETECTOR_NAMES}")
-    alphabet = build_alphabet(config.modulation)
-    trials = range(trial_start, trial_start + n_trials)
-    args = (tuple(detectors), include_rs_in_ser, n_active)
-
-    if n_workers <= 1:
-        batches = [_run_one_trial(config, alphabet, t, *args) for t in trials]
-    else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=n_workers) as pool:
-            futures = {t: pool.submit(_run_one_trial, config, alphabet, t, *args)
-                       for t in trials}
-            batches = []
-            for t, fut in futures.items():
-                try:
-                    batches.append(fut.result())
-                except TrialFailure:
-                    raise
-                except Exception as exc:
-                    raise TrialFailure(f"trial {t} failed: {exc}") from exc
-    return [rec for batch in batches for rec in batch]
+    _check_request(n_trials, detectors)
+    results = _trial_results(config, range(trial_start, trial_start + n_trials),
+                             (config.n_it,), detectors, include_rs_in_ser,
+                             n_active, n_workers)
+    return [rec for (batch,) in results for rec in batch]
 
 
 def _stderr(values: np.ndarray) -> float:
@@ -214,18 +242,36 @@ def sweep(base_config: ScenarioConfig, axis: str, values, n_trials: int,
           bernoulli_activity: bool = False) -> list[MetricsRecord]:
     """Aggregated records along one swept axis.
 
-    Swept axes: snr_db, N, p_a, n_it.  A p_a sweep pins the active-user
+    Swept axes: snr_db, N, p_a, n_it.  Rows come in the order of values,
+    one per detector for each value.  A p_a sweep pins the active-user
     count to round(p_a * M) per frame so the axis means "number of active
     users"; bernoulli_activity=True restores per-user coin flips.
+
+    An n_it sweep draws each trial's frame once and runs its iteration
+    loop once, up to the largest value, deciding at every value on the way
+    (the loop does not depend on n_it, so the rows equal those of separate
+    runs).  A row's runtime_ms is still that of a fresh run of that many
+    iterations: the loop time up to the value plus the detector's one
+    decision.
     """
     if axis not in SWEEP_AXES:
         raise InvalidAxis(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
     values = list(values)
     if not values:
         raise ConfigError("sweep needs at least one axis value")
+    if axis == "n_it":
+        n_its = tuple(int(v) for v in values)
+        for n_it in n_its:
+            dataclasses.replace(base_config, n_it=n_it)  # validates n_it
+        _check_request(n_trials, detectors)
+        results = _trial_results(base_config, range(n_trials), n_its,
+                                 detectors, include_rs_in_ser, None, n_workers)
+        return [row for i in range(len(n_its))
+                for row in aggregate([rec for batches in results
+                                      for rec in batches[i]])]
     out = []
     for value in values:
-        if axis in ("N", "n_it"):
+        if axis == "N":
             value = int(value)
         config = dataclasses.replace(base_config, **{axis: value})
         n_active = None

@@ -16,7 +16,7 @@ import pytest
 from ampvbic.amp import Posterior, amp_decouple, amp_init
 from ampvbic.decide import correct_phase, detect
 from ampvbic.detector import run_detector
-from ampvbic.harness import aggregate, run_trials
+from ampvbic.harness import aggregate, run_trials, sweep
 from ampvbic.model import (ExtendedAlphabet, ScenarioConfig, build_alphabet,
                            generate_frame)
 from ampvbic.vbic import (posterior_moments, update_channel, update_dirichlet,
@@ -217,8 +217,9 @@ def test_criterion_4_iteration_trend():
     """More iterations improve detection at the reference configuration."""
     base = ScenarioConfig(M=200, N=100, J=10, p_a=0.1, snr_db=5.0,
                           modulation="qam16", n_it=5, seed=SEED)
-    cells = {n_it: cells_for(dataclasses.replace(base, n_it=n_it))["amp_vbic"]
-             for n_it in (5, 20, 50)}
+    # One sweep runs each trial's loop once and decides at 5, 20 and 50
+    # iterations; its rows equal three separate 200-trial cells.
+    cells = {row.n_it: row for row in sweep(base, "n_it", (5, 20, 50), 200)}
     aer_ok = cells[20].aer < cells[5].aer
     ser_ok = cells[20].ser < cells[5].ser
     mse_ok = all(

@@ -3,7 +3,8 @@ import pytest
 
 from ampvbic.amp import (VARIANCE_FLOOR, Posterior, PseudoObservations,
                          amp_decouple, amp_init)
-from ampvbic.errors import DimensionMismatch, NonPositiveNoise
+from ampvbic.errors import DimensionMismatch, NonPositiveNoise, \
+    NumericalBreakdown
 from ampvbic.model import build_alphabet
 from ampvbic.vbic import vbic_init, warm_start_channel
 
@@ -109,6 +110,24 @@ class TestDecouple:
         other, _ = amp_init(np.zeros((3, 3), dtype=complex), 2, 1.0)
         with pytest.raises(DimensionMismatch):
             amp_decouple(a, np.zeros((2, 2), dtype=complex), post, other, 1.0)
+
+    @pytest.mark.parametrize("where", ["nan_in_y", "inf_in_posterior_mean"])
+    def test_non_finite_pass_is_typed_breakdown(self, where):
+        # The pass that meets the bad value fails, not the clustering step
+        # that would read its pseudo observations next.
+        rng = np.random.default_rng(17)
+        m, n, j = 6, 4, 3
+        a = (rng.standard_normal((n, m))
+             + 1j * rng.standard_normal((n, m))) / np.sqrt(2 * n)
+        y = rng.standard_normal((n, j)) + 1j * rng.standard_normal((n, j))
+        state, post = amp_init(a, j, 1.0)
+        amp_decouple(a, y, post, state, 0.5)
+        if where == "nan_in_y":
+            y[1, 2] = np.nan
+        else:
+            post.Xhat[3, 0] = np.inf
+        with np.errstate(invalid="ignore"), pytest.raises(NumericalBreakdown):
+            amp_decouple(a, y, post, state, 0.5)
 
     def test_matches_plain_update(self):
         # The production pass (|A|^2 kept on the state, A^H s formed without

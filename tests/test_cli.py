@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from ampvbic import cli
+from ampvbic import cli, harness
 from ampvbic.errors import ConfigError, NonPositiveScale, NumericalBreakdown, \
     TrialFailure
 
@@ -21,6 +21,10 @@ seed = 9
 trials = 3
 detectors = amp_vbic, genie
 """
+
+
+def breakdown(*args, **kwargs):
+    raise NumericalBreakdown("synthetic breakdown")
 
 
 @pytest.fixture
@@ -122,8 +126,22 @@ class TestRunCommand:
         rc = cli.main(["run", "--config", str(config_file)])
         assert rc == 3
 
+    def test_breakdown_in_pool_worker_exits_3(self, config_file, monkeypatch):
+        # Workers are forked, so they run the patched loop.
+        monkeypatch.setattr(harness, "run_detector_internals", breakdown)
+        rc = cli.main(["run", "--config", str(config_file), "--threads", "2"])
+        assert rc == 3
+
 
 class TestSweepCommand:
+
+    def test_breakdown_in_pooled_nit_sweep_exits_3(self, tmp_path,
+                                                   monkeypatch):
+        path = tmp_path / "cfg.txt"
+        path.write_text(BASE_CONFIG + "axis = n_it\nvalues = 2, 4\n")
+        monkeypatch.setattr(harness, "run_detector_internals", breakdown)
+        rc = cli.main(["sweep", "--config", str(path), "--threads", "2"])
+        assert rc == 3
 
     def test_aggregated_csv(self, tmp_path):
         path = tmp_path / "cfg.txt"

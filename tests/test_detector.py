@@ -129,3 +129,24 @@ def test_empty_frame_detected_empty_at_reference_cell():
         result, _ = run_detector(frame.A, frame.Y, cfg, alph)
         assert not result.activity_hat.any(), (
             f"trial {trial}: {result.activity_hat.sum()} false alarms")
+
+
+def test_resumed_loop_matches_fresh_run():
+    # The loop does not depend on n_it: continuing a 5-iteration run to 20
+    # gives exactly the state of a fresh 20-iteration run.
+    cfg, alph, fr = make_frame(M=50, N=40, J=10, p_a=0.1, n_it=20, seed=7)
+    _, fresh = run_detector_internals(fr.A, fr.Y, cfg, alph)
+    _, prefix = run_detector_internals(fr.A, fr.Y,
+                                       dataclasses.replace(cfg, n_it=5), alph)
+    assert prefix.n_iterations == 5
+    trace, resumed = run_detector_internals(fr.A, fr.Y, cfg, alph,
+                                            start=prefix)
+    assert trace.n_iterations == 15
+    assert resumed.n_iterations == fresh.n_iterations == 20
+    assert np.array_equal(resumed.vbic_state.resp, fresh.vbic_state.resp)
+    assert np.array_equal(resumed.vbic_state.mu, fresh.vbic_state.mu)
+    assert np.array_equal(resumed.posterior.Xhat, fresh.posterior.Xhat)
+    assert np.array_equal(resumed.pseudo.R, fresh.pseudo.R)
+    with pytest.raises(ConfigError):
+        run_detector_internals(fr.A, fr.Y, dataclasses.replace(cfg, n_it=19),
+                               alph, start=resumed)

@@ -1,9 +1,13 @@
+import dataclasses
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy import stats
 
+from ampvbic import harness
 from ampvbic.errors import ConfigError, InvalidAxis, LengthMismatch, \
-    ShapeMismatch
+    NumericalBreakdown, ShapeMismatch, TrialFailure
 from ampvbic.detector import run_detector
 from ampvbic.harness import (MetricsRecord, aggregate, genie_detect,
                              run_trials, sweep, trial_rng, write_csv)
@@ -220,6 +224,93 @@ class TestSweep:
         assert len(rows) == 1
         rows_b = sweep(tiny_config(), "p_a", [0.25], 3, bernoulli_activity=True)
         assert rows[0].aer != rows_b[0].aer or rows[0].ser != rows_b[0].ser
+
+
+def without_runtime(rows):
+    return [[(f.name, repr(getattr(r, f.name)))
+             for f in dataclasses.fields(r) if f.name != "runtime_ms"]
+            for r in rows]
+
+
+def per_value_rows(cfg, values, n_trials, detectors):
+    return [row for v in values
+            for row in aggregate(run_trials(dataclasses.replace(cfg, n_it=v),
+                                            n_trials, detectors))]
+
+
+def breakdown(*args, **kwargs):
+    raise NumericalBreakdown("synthetic breakdown")
+
+
+class TestNitSweep:
+    """An n_it sweep runs one loop per trial and decides at each value."""
+
+    DETECTORS = ("amp_vbic", "amp_vbic_no_offset", "genie")
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    @pytest.mark.parametrize("seed", [7, 11])
+    def test_matches_per_value_runs(self, seed, n_workers):
+        cfg = tiny_config(seed=seed)
+        rows = sweep(cfg, "n_it", [5, 20, 50], 3, self.DETECTORS,
+                     n_workers=n_workers)
+        assert [(r.n_it, r.detector) for r in rows] == \
+            [(v, d) for v in (5, 20, 50) for d in self.DETECTORS]
+        assert without_runtime(rows) == without_runtime(
+            per_value_rows(cfg, [5, 20, 50], 3, self.DETECTORS))
+
+    @pytest.mark.parametrize("values", [[20, 5], [5, 5]])
+    def test_unsorted_and_duplicate_values(self, values):
+        cfg = tiny_config()
+        rows = sweep(cfg, "n_it", values, 2, self.DETECTORS)
+        assert without_runtime(rows) == without_runtime(
+            per_value_rows(cfg, values, 2, self.DETECTORS))
+
+    def test_invalid_value_rejected_before_any_trial(self, monkeypatch):
+        monkeypatch.setattr(harness, "generate_frame", breakdown)
+        with pytest.raises(ConfigError):
+            sweep(tiny_config(), "n_it", [5, 0], 2)
+
+    def test_runtime_is_loop_to_the_value_plus_one_decision(self, monkeypatch):
+        # On a fake clock every loop iteration takes 1 s and every decision
+        # 1 ms: the row at value v reads v s of loop plus one decision, as a
+        # fresh v-iteration run would, and no decision at a smaller value.
+        clock = [0.0]
+        real_loop, real_finalize = harness.run_detector_internals, \
+            harness._finalize
+
+        def loop(a, y, config, alphabet, *, start=None):
+            clock[0] += config.n_it - (start.n_iterations if start else 0)
+            return real_loop(a, y, config, alphabet, start=start)
+
+        def finalize(*args, **kwargs):
+            clock[0] += 1e-3
+            return real_finalize(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "time",
+                            SimpleNamespace(perf_counter=lambda: clock[0]))
+        monkeypatch.setattr(harness, "run_detector_internals", loop)
+        monkeypatch.setattr(harness, "_finalize", finalize)
+        rows = sweep(tiny_config(), "n_it", [20, 5], 2, self.DETECTORS)
+        assert [(r.n_it, r.detector, r.runtime_ms) for r in rows] == [
+            (n_it, d, pytest.approx(0.0 if d == "genie" else n_it * 1e3 + 1.0))
+            for n_it in (20, 5) for d in self.DETECTORS]
+
+
+class TestPoolFailures:
+    """A breakdown inside a pool worker keeps its type as the cause."""
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_run_trials_chains_the_cause(self, monkeypatch, n_workers):
+        monkeypatch.setattr(harness, "run_detector_internals", breakdown)
+        with pytest.raises(TrialFailure, match="trial 0") as info:
+            run_trials(tiny_config(), 2, n_workers=n_workers)
+        assert isinstance(info.value.__cause__, NumericalBreakdown)
+
+    def test_nit_sweep_chains_the_cause(self, monkeypatch):
+        monkeypatch.setattr(harness, "run_detector_internals", breakdown)
+        with pytest.raises(TrialFailure) as info:
+            sweep(tiny_config(), "n_it", [2, 4], 2, n_workers=2)
+        assert isinstance(info.value.__cause__, NumericalBreakdown)
 
 
 class TestCsv:
