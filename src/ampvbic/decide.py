@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .amp import Posterior
-from .errors import ConfigError, ZeroReferenceSymbol
+from .errors import ConfigError, DimensionMismatch, ZeroReferenceSymbol
 from .model import ExtendedAlphabet
 
 # Responsibilities can underflow to exact zero after log-domain softmax;
@@ -51,6 +51,7 @@ def detect(resp: np.ndarray, posterior: Posterior, channel_hat: np.ndarray,
            include_offset: bool = True) -> DetectionResult:
     """Fuse responsibilities and posterior moments into final decisions.
 
+    resp is symbol-major, (K, M, J), as the clustering state keeps it.
     Symbols of users decided active are the argmax over active components
     (ties resolve to the lowest symbol index); rows of users decided
     inactive are zeroed.  include_offset=False decides activity from the
@@ -60,10 +61,13 @@ def detect(resp: np.ndarray, posterior: Posterior, channel_hat: np.ndarray,
     if not 0.0 < p_a < 1.0:
         raise ConfigError(f"activity prior needs 0 < p_a < 1, got {p_a}")
     m, j = posterior.Xhat.shape
-    resp3 = resp.reshape(m, j, -1)
+    if resp.shape != (alphabet.K, m, j):
+        raise DimensionMismatch(
+            f"responsibilities {resp.shape} are not (K, M, J) = "
+            f"{(alphabet.K, m, j)}")
 
-    num = np.maximum(resp3[:, :, 1:].max(axis=2), RESP_FLOOR)
-    den = np.maximum(resp3[:, :, 0], RESP_FLOOR)
+    num = np.maximum(resp[1:].max(axis=0), RESP_FLOOR)
+    den = np.maximum(resp[0], RESP_FLOOR)
     llr_vbi = np.log(num / den).sum(axis=1)
     llr_off = _offset_llr_matrix(posterior, alphabet.E_sym).sum(axis=1)
     if include_offset:
@@ -72,7 +76,7 @@ def detect(resp: np.ndarray, posterior: Posterior, channel_hat: np.ndarray,
         llr_dec = llr_vbi.copy()
 
     active = llr_dec > 0.0
-    best_k = resp3[:, :, 1:].argmax(axis=2) + 1
+    best_k = resp[1:].argmax(axis=0) + 1
     d_hat = np.where(active[:, None], alphabet.symbols[best_k], 0.0 + 0.0j)
     return DetectionResult(
         activity_hat=active.astype(np.int8),

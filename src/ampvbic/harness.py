@@ -60,11 +60,16 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
 
 def genie_detect(r_final: np.ndarray, truth_support: np.ndarray,
                  truth_mu: np.ndarray, alphabet: ExtendedAlphabet) -> DetectionResult:
-    """Nearest-symbol detection with known support and channels.
+    """Nearest-symbol detection with known support and channels on the
+    detector's own final pseudo observations.
 
-    Serves as a performance lower bound: activity is the true support and
-    each active symbol is the constellation point closest to
-    r / channel-gain distance (ties resolve to the lowest symbol index).
+    Activity is the true support and each active symbol is the
+    constellation point d minimizing |r - mu d| with the true channel gain
+    mu (ties resolve to the lowest symbol index).  r is the decoupling
+    output of the detector's last iteration, so the genie inherits the
+    residual interference left in it.  It is therefore not a bound on
+    what known support allows: a least-squares fit on the true support
+    scores SER 0.0000 at 40 dB where the genie scores 0.0124.
     """
     r_final = np.asarray(r_final)
     m, j = r_final.shape

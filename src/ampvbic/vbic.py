@@ -6,21 +6,32 @@ precision tau shared by all observations.  Conjugate priors -- Dirichlet
 on the per-observation mixing weights, complex Gaussian on the channel
 gains mu_m, Gamma on tau -- give closed-form coordinate updates:
 
-    alpha[s,k] += e[s,k]                               (Dirichlet counts)
-    lam_m  = lam_m + sum_{s in m} sum_k e[s,k] |d_k|^2
-    mu_m   = (lam_m_old * mu_m_old + sum_{s in m} sum_k e[s,k] conj(d_k) r_s) / lam_m
+    alpha[k,s] += e[k,s]                               (Dirichlet counts)
+    lam_m  = lam_m + sum_{s in m} sum_k e[k,s] |d_k|^2
+    mu_m   = (lam_m_old * mu_m_old + sum_{s in m} sum_k e[k,s] conj(d_k) r_s) / lam_m
     a      = a + S
-    b      = b + sum_m lam_old |mu_old|^2 + sum_{s,k} e |r_s|^2 - sum_m lam |mu|^2
-    e[s,k] ~ softmax_k( E[ln tau] - ln(pi) + E[ln pi_sk] - E[tau |r_s - mu_m d_k|^2] )
+    b      = b + sum_m lam_old |mu_old|^2 + sum_{k,s} e |r_s|^2 - sum_m lam |mu|^2
+    e[k,s] ~ softmax_k( E[ln tau] - ln(pi) + E[ln pi_ks] - E[tau |r_s - mu_m d_k|^2] )
 
-The responsibilities are computed up to per-row constants: E[ln tau],
--ln(pi), -digamma(sum_k alpha_sk) and E[tau] |r_s|^2 are the same for
-every k of row s, so the softmax cancels them and they are never formed.
-What is left is digamma(alpha_sk) plus
+The per-observation arrays alpha and resp are symbol-major, (K, M, J):
+every update reduces over the K components of each observation, and with
+K on the leading axis those reductions combine whole contiguous (M, J)
+planes instead of running along short rows of K elements.  The same
+arrays are (K, S) matrices for the products below and expose each
+user's J observations on their trailing axes, so per-user sums need no
+reshape of the flat s index.
+
+The responsibilities are computed up to per-observation constants:
+E[ln tau], -ln(pi), -digamma(sum_k alpha_ks) and E[tau] |r_s|^2 are the
+same for every k of observation s, so the softmax cancels them and they
+are never formed.  What is left is digamma(alpha_ks) plus
 
     2 E[tau] Re(conj(r_s) mu_m d_k) - (E[tau] |mu_m|^2 + 1/lam_m) |d_k|^2,
 
-one real (S x 3) @ (3 x K) product.
+one real (K x 3) @ (3 x S) product against the symbol basis
+[Re d; Im d; |d|^2].  The symbol moments the channel update and the
+posterior moments need -- Re E[d], Im E[d] and E|d|^2 under e -- are the
+transposed product, (3 x K) @ (K x S).
 
 Each iteration ends with the posterior moments of x_s = mu_m * d that are
 handed back to the decoupling module.  Updated parameters become the next
@@ -49,12 +60,15 @@ LAMBDA_0 = 1.0
 class VbicState:
     """All variational parameters, updated in place.
 
-    alpha is S x K (per-observation Dirichlet), lam/mu are per-user
+    alpha (per-observation Dirichlet) and resp (responsibilities) are
+    C-contiguous K x M x J arrays: component k of observation (m, j) is
+    [k, m, j], so reductions over the symbol axis run over axis 0 on
+    contiguous planes (see the module docstring).  lam/mu are per-user
     Gaussian channel-posterior parameters, (a, b) the shared Gamma
-    precision posterior, resp the S x K responsibilities.  lam_prior and
-    mu_prior hold the pre-refresh channel parameters that the Gamma rate
-    update needs; e_abs_d2 and spread (M x J) hold the symbol moments of
-    resp that posterior_moments formed, for posterior_variance_full.
+    precision posterior.  lam_prior and mu_prior hold the pre-refresh
+    channel parameters that the Gamma rate update needs; e_abs_d2 and
+    spread (M x J) hold the symbol moments of resp that posterior_moments
+    formed, for posterior_variance_full.
     """
 
     alpha: np.ndarray
@@ -83,17 +97,31 @@ def vbic_init(s: int, k: int, m: int) -> VbicState:
         raise DimensionMismatch(f"bad dimensions S={s}, K={k}, M={m}")
     if s % m != 0:
         raise DimensionMismatch(f"S={s} is not a multiple of M={m}")
+    j = s // m
     return VbicState(
-        alpha=np.full((s, k), ALPHA_0),
+        alpha=np.full((k, m, j), ALPHA_0),
         lam=np.full(m, LAMBDA_0),
         mu=np.zeros(m, dtype=complex),
         a=A_0,
         b=B_0,
-        resp=np.full((s, k), 1.0 / k),
+        resp=np.full((k, m, j), 1.0 / k),
         M=m,
-        J=s // m,
+        J=j,
         K=k,
     )
+
+
+def _symbol_basis(alphabet: ExtendedAlphabet) -> np.ndarray:
+    """[Re d; Im d; |d|^2], 3 x K."""
+    d = alphabet.symbols
+    return np.stack((d.real, d.imag, np.abs(d) ** 2))
+
+
+def _symbol_moments(state: VbicState, alphabet: ExtendedAlphabet) -> np.ndarray:
+    """Re E[d], Im E[d] and E|d|^2 of every observation under resp,
+    3 x M x J, from one real product."""
+    moments = _symbol_basis(alphabet) @ state.resp.reshape(state.K, state.S)
+    return moments.reshape(3, state.M, state.J)
 
 
 def warm_start_channel(state: VbicState, r_flat: np.ndarray,
@@ -114,7 +142,7 @@ def warm_start_channel(state: VbicState, r_flat: np.ndarray,
 
 def update_dirichlet(state: VbicState) -> VbicState:
     """Accumulate responsibilities into the Dirichlet parameters."""
-    state.alpha = state.alpha + state.resp
+    state.alpha += state.resp
     return state
 
 
@@ -124,20 +152,19 @@ def update_channel(state: VbicState, r_flat: np.ndarray,
 
     Only user m's J observations contribute to its parameters; the null
     symbol contributes nothing (|d_0|^2 = 0).  The pre-update values are
-    stashed for the Gamma rate update.
+    stashed for the Gamma rate update; lam and mu are only ever rebound,
+    never written in place, so the stash needs no copy.
     """
     if r_flat.size != state.S:
         raise DimensionMismatch(
             f"expected {state.S} observations, got {r_flat.size}")
-    d = alphabet.symbols
-    abs_d2 = np.abs(d) ** 2
+    state.lam_prior = state.lam
+    state.mu_prior = state.mu
 
-    state.lam_prior = state.lam.copy()
-    state.mu_prior = state.mu.copy()
-
-    weight = (state.resp @ abs_d2).reshape(state.M, state.J).sum(axis=1)
-    cross = ((state.resp @ d.conj()) * r_flat).reshape(state.M, state.J).sum(axis=1)
-    lam_new = state.lam + weight
+    mean_re, mean_im, e_abs_d2 = _symbol_moments(state, alphabet)
+    # sum_k e_ks conj(d_k) r_s = conj(E[d_s]) r_s
+    cross = ((mean_re - 1j * mean_im) * r_flat.reshape(state.M, state.J)).sum(axis=1)
+    lam_new = state.lam + e_abs_d2.sum(axis=1)
     state.mu = (state.lam * state.mu + cross) / lam_new
     state.lam = lam_new
     return state
@@ -156,7 +183,8 @@ def update_gamma(state: VbicState, r_flat: np.ndarray) -> VbicState:
             f"expected {state.S} observations, got {r_flat.size}")
     b_new = (state.b
              + np.sum(state.lam_prior * np.abs(state.mu_prior) ** 2)
-             + np.sum(state.resp.sum(axis=1) * np.abs(r_flat) ** 2)
+             + np.sum(state.resp.sum(axis=0)
+                      * np.abs(r_flat.reshape(state.M, state.J)) ** 2)
              - np.sum(state.lam * np.abs(state.mu) ** 2))
     if not np.isfinite(b_new) or b_new <= 0:
         raise NonPositiveScale(f"Gamma rate went non-positive or non-finite: {b_new}")
@@ -167,23 +195,23 @@ def update_gamma(state: VbicState, r_flat: np.ndarray) -> VbicState:
 
 def update_responsibilities(state: VbicState, r_flat: np.ndarray,
                             alphabet: ExtendedAlphabet) -> VbicState:
-    """Softmax over ln rho_sk, formed up to per-row constants (see the
-    module docstring) and computed in the log domain with max-subtraction
-    so large quadratic terms cannot overflow."""
+    """Softmax over the symbol axis of ln rho_ks, formed up to
+    per-observation constants (see the module docstring) and computed in
+    the log domain with max-subtraction so large quadratic terms cannot
+    overflow."""
     e_tau = state.a / state.b
-    d = alphabet.symbols
     z = np.conj(r_flat).reshape(state.M, state.J) * state.mu[:, None]
-    coef = np.empty((state.M, state.J, 3))
-    coef[..., 0] = 2.0 * e_tau * z.real
-    coef[..., 1] = -2.0 * e_tau * z.imag
-    coef[..., 2] = -(e_tau * np.abs(state.mu) ** 2 + 1.0 / state.lam)[:, None]
+    coef = np.empty((3, state.M, state.J))
+    coef[0] = 2.0 * e_tau * z.real
+    coef[1] = -2.0 * e_tau * z.imag
+    coef[2] = -(e_tau * np.abs(state.mu) ** 2 + 1.0 / state.lam)[:, None]
     # Re(z d) = Re(z) Re(d) - Im(z) Im(d), so one real product gives every term.
-    basis = np.stack((d.real, d.imag, np.abs(d) ** 2))
-    ln_rho = coef.reshape(state.S, 3) @ basis
+    ln_rho = (_symbol_basis(alphabet).T @ coef.reshape(3, state.S)).reshape(
+        state.K, state.M, state.J)
     ln_rho += digamma(state.alpha)
-    ln_rho -= ln_rho.max(axis=1, keepdims=True)
+    ln_rho -= ln_rho.max(axis=0)
     np.exp(ln_rho, out=ln_rho)
-    ln_rho /= ln_rho.sum(axis=1, keepdims=True)
+    ln_rho /= ln_rho.sum(axis=0)
     state.resp = ln_rho
     return state
 
@@ -199,10 +227,8 @@ def posterior_moments(state: VbicState, r_flat: np.ndarray,
     """
     if state.a <= 1.0:
         raise PrecisionDegenerate(f"Gamma shape must exceed 1, got {state.a}")
-    d = alphabet.symbols
-    mean_d = (state.resp @ d).reshape(state.M, state.J)
-    e_abs_d2 = (state.resp @ (np.abs(d) ** 2)).reshape(state.M, state.J)
-    spread = e_abs_d2 - np.abs(mean_d) ** 2
+    mean_re, mean_im, e_abs_d2 = _symbol_moments(state, alphabet)
+    spread = e_abs_d2 - (mean_re ** 2 + mean_im ** 2)
     # The spread is a variance of a discrete distribution, so only
     # floating-point cancellation can push it below zero; anything further
     # below, or NaN, means the responsibilities have broken down.
@@ -212,7 +238,7 @@ def posterior_moments(state: VbicState, r_flat: np.ndarray,
     state.e_abs_d2 = e_abs_d2
     state.spread = np.maximum(spread, 0.0)
     v = state.b / (state.lam * (state.a - 1.0))
-    return Posterior(Xhat=state.mu[:, None] * mean_d,
+    return Posterior(Xhat=state.mu[:, None] * (mean_re + 1j * mean_im),
                      That=np.maximum(v[:, None] * state.spread, VARIANCE_FLOOR))
 
 

@@ -1,9 +1,16 @@
-"""Scalar reference forms of the clustering expectations.
+"""Reference forms of the clustering updates, written the long way.
 
-The detector never forms these terms one (s, k) at a time: its
-responsibility update drops the ones the softmax cancels and computes the
-rest for all rows at once.  These scalar versions keep every term, so tests
-use them as the reference the production update is checked against.
+The detector never forms the expectations one (s, k) at a time: its
+responsibility update drops the terms the softmax cancels and computes the
+rest for all observations at once.  The scalar versions below keep every
+term, so tests use them as the reference the production update is checked
+against.
+
+The detector keeps alpha and resp symbol-major, (K, M, J), and forms the
+symbol moments with one real product.  The flat forms below use the
+(S, K) layout, one row per observation s = j + m*J, and the complex
+products resp @ d and resp @ conj(d) as the equations are written; they
+are the reference for the symbol-major code.
 """
 
 import numpy as np
@@ -13,9 +20,21 @@ from ampvbic.model import ExtendedAlphabet
 from ampvbic.vbic import VbicState
 
 
+def k_major(rows_sk, m: int) -> np.ndarray:
+    """An (S, K) array of per-observation rows in the detector's
+    (K, M, J) layout, same values."""
+    rows_sk = np.asarray(rows_sk, dtype=float)
+    return np.ascontiguousarray(rows_sk.T).reshape(rows_sk.shape[1], m, -1)
+
+
+def flat_rows(arr_kmj: np.ndarray) -> np.ndarray:
+    """A (K, M, J) array as (S, K) rows, s = j + m*J."""
+    return arr_kmj.reshape(arr_kmj.shape[0], -1).T
+
+
 def expected_log_pi(state: VbicState, s: int) -> np.ndarray:
     """E[ln pi_sk] for one observation: digamma(alpha_sk) - digamma(sum_k alpha_sk)."""
-    row = state.alpha[s]
+    row = flat_rows(state.alpha)[s]
     return digamma(row) - digamma(row.sum())
 
 
@@ -33,3 +52,31 @@ def expected_sq_err(state: VbicState, s: int, k: int, r_s: complex,
             + np.abs(d_k) ** 2 * np.abs(state.mu[m]) ** 2
             - 2.0 * np.real(np.conj(r_s) * state.mu[m] * d_k))
     return float((state.a / state.b) * quad + np.abs(d_k) ** 2 / state.lam[m])
+
+
+def flat_symbol_moments(resp_sk: np.ndarray, alphabet: ExtendedAlphabet,
+                        m: int) -> tuple[np.ndarray, np.ndarray]:
+    """E[d] = resp @ d and E|d|^2 = resp @ |d|^2, each reshaped to (M, J)."""
+    d = alphabet.symbols
+    return ((resp_sk @ d).reshape(m, -1),
+            (resp_sk @ (np.abs(d) ** 2)).reshape(m, -1))
+
+
+def flat_channel_sums(resp_sk: np.ndarray, r_flat: np.ndarray,
+                      alphabet: ExtendedAlphabet,
+                      m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The channel update's per-user sums over s in m and k:
+    weight = sum e_sk |d_k|^2 and cross = sum e_sk conj(d_k) r_s."""
+    d = alphabet.symbols
+    weight = (resp_sk @ (np.abs(d) ** 2)).reshape(m, -1).sum(axis=1)
+    cross = ((resp_sk @ d.conj()) * r_flat).reshape(m, -1).sum(axis=1)
+    return weight, cross
+
+
+def flat_gamma_rate(b: float, lam_prior: np.ndarray, mu_prior: np.ndarray,
+                    lam: np.ndarray, mu: np.ndarray, resp_sk: np.ndarray,
+                    r_flat: np.ndarray) -> float:
+    """The Gamma rate update with the row sums resp.sum(axis=1)."""
+    return float(b + np.sum(lam_prior * np.abs(mu_prior) ** 2)
+                 + np.sum(resp_sk.sum(axis=1) * np.abs(r_flat) ** 2)
+                 - np.sum(lam * np.abs(mu) ** 2))

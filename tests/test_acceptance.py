@@ -21,7 +21,8 @@ from ampvbic.model import (ExtendedAlphabet, ScenarioConfig, build_alphabet,
                            generate_frame)
 from ampvbic.vbic import (posterior_moments, update_channel, update_dirichlet,
                           update_gamma, update_responsibilities, vbic_init)
-from oracles import expected_log_pi, expected_log_tau, expected_sq_err
+from oracles import (expected_log_pi, expected_log_tau, expected_sq_err,
+                     flat_rows, k_major)
 
 SEED = 2026
 REL = 1e-9
@@ -49,10 +50,11 @@ def unit_alphabet() -> ExtendedAlphabet:
 
 def detect_one_user(resp, xhat, p_a):
     """detect() on one user whose J = len(xhat) observations have unit
-    posterior variance, over the {0, 1} alphabet (E_sym = 1)."""
+    posterior variance, over the {0, 1} alphabet (E_sym = 1); resp has one
+    row per observation."""
     xhat = np.array([xhat], dtype=complex)
     posterior = Posterior(Xhat=xhat, That=np.ones(xhat.shape))
-    return detect(np.array(resp, dtype=float), posterior,
+    return detect(k_major(resp, 1), posterior,
                   np.zeros(1, dtype=complex), unit_alphabet(), p_a)
 
 
@@ -63,13 +65,13 @@ def test_criterion_1_unit_equation_suite():
 
     # Dirichlet count update: 0.1 + 0.9 = 1.0
     st = vbic_init(2, 2, 1)
-    st.resp = np.array([[0.1, 0.9], [0.0, 0.0]])
+    st.resp = k_major([[0.1, 0.9], [0.0, 0.0]], 1)
     update_dirichlet(st)
-    assert st.alpha[0, 1] == pytest.approx(1.0, rel=REL)
+    assert st.alpha[1, 0, 0] == pytest.approx(1.0, rel=REL)
 
     # channel refresh: lam_bar = 2, mu_bar = 0.25
     st = vbic_init(1, 2, 1)
-    st.resp = np.array([[0.0, 1.0]])
+    st.resp = k_major([[0.0, 1.0]], 1)
     update_channel(st, np.array([0.5 + 0.0j]), alph2)
     assert st.lam[0] == pytest.approx(2.0, rel=REL)
     assert st.mu[0] == pytest.approx(0.25, rel=REL)
@@ -80,14 +82,14 @@ def test_criterion_1_unit_equation_suite():
     update_gamma(st, np.zeros(2000, dtype=complex))
     assert st.a == pytest.approx(2000.0001, rel=1e-12)
     st = vbic_init(1, 2, 1)
-    st.resp = np.array([[1.0, 0.0]])
+    st.resp = k_major([[1.0, 0.0]], 1)
     update_channel(st, np.array([1.0 + 0.0j]), alph2)
     update_gamma(st, np.array([1.0 + 0.0j]))
     assert st.b == pytest.approx(2.0, rel=REL)
 
     # Dirichlet expectations via the digamma recurrence
     st = vbic_init(2, 2, 1)
-    st.alpha = np.array([[1.0, 1.0], [2.0, 1.0]])
+    st.alpha = k_major([[1.0, 1.0], [2.0, 1.0]], 1)
     assert expected_log_pi(st, 0) == pytest.approx([-1.0, -1.0], rel=REL)
     assert expected_log_pi(st, 1)[0] == pytest.approx(-0.5, rel=REL)
 
@@ -114,13 +116,13 @@ def test_criterion_1_unit_equation_suite():
     st.lam = np.array([1e18])
     st.mu = np.array([1.0 + 0.0j])
     update_responsibilities(st, np.array([(1.0 + math.log(3.0)) / 2.0 + 0.0j]), alph2)
-    assert st.resp[0] == pytest.approx([0.25, 0.75], rel=REL)
+    assert flat_rows(st.resp)[0] == pytest.approx([0.25, 0.75], rel=REL)
 
     # posterior moments: xhat = 0.5, that = 0.25
     st = vbic_init(1, 2, 1)
     st.a = 2.0
     st.mu = np.array([1.0 + 0.0j])
-    st.resp = np.array([[0.5, 0.5]])
+    st.resp = k_major([[0.5, 0.5]], 1)
     post = posterior_moments(st, np.zeros(1, dtype=complex), alph2)
     assert post.Xhat[0, 0] == pytest.approx(0.5, rel=REL)
     assert post.That[0, 0] == pytest.approx(0.25, rel=REL)
@@ -197,12 +199,12 @@ def test_criterion_3_normalization_and_variance_properties():
         st.lam = rng.uniform(0.2, 50.0, m)
         st.a = rng.uniform(1.01, 1e5)
         st.b = rng.uniform(0.05, 1e4)
-        st.alpha = rng.uniform(0.05, 30.0, (m * j, alph.K))
+        st.alpha = k_major(rng.uniform(0.05, 30.0, (m * j, alph.K)), m)
         r = rng.uniform(0.01, 20.0) * (rng.standard_normal(m * j)
                                        + 1j * rng.standard_normal(m * j))
         update_responsibilities(st, r, alph)
         worst_row_sum_err = max(worst_row_sum_err,
-                                float(np.abs(st.resp.sum(axis=1) - 1.0).max()))
+                                float(np.abs(st.resp.sum(axis=0) - 1.0).max()))
         post = posterior_moments(st, r, alph)
         min_variance = min(min_variance, float(post.That.min()))
     elapsed = time.perf_counter() - t0

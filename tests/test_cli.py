@@ -1,8 +1,11 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import ampvbic
 from ampvbic import cli, harness
 from ampvbic.errors import ConfigError, NonPositiveScale, NumericalBreakdown, \
     TrialFailure
@@ -167,8 +170,13 @@ class TestSweepCommand:
 def test_module_entry_point(tmp_path):
     path = tmp_path / "cfg.txt"
     path.write_text("M=12\nN=8\nJ=3\np_a=0.2\nsnr_db=6\nn_it=2\ntrials=1\n")
+    # pytest's own pythonpath setting does not reach a child process, so
+    # the child is pointed at the package this process imported.
+    package_root = str(Path(ampvbic.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (package_root, os.environ.get("PYTHONPATH")))))
     proc = subprocess.run(
         [sys.executable, "-m", "ampvbic.cli", "run", "--config", str(path)],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0
     assert "amp_vbic" in proc.stdout

@@ -5,8 +5,9 @@ import pytest
 
 from ampvbic.amp import Posterior
 from ampvbic.decide import correct_phase, detect
-from ampvbic.errors import ConfigError, ZeroReferenceSymbol
+from ampvbic.errors import ConfigError, DimensionMismatch, ZeroReferenceSymbol
 from ampvbic.model import ExtendedAlphabet, build_alphabet
+from oracles import k_major
 
 LN_ONE_NINTH = -2.1972245773362196   # ln(1/9)
 LN_HALF = -0.6931471805599453        # ln(1/2)
@@ -18,12 +19,13 @@ ZERO_OFFSET_X = math.sqrt(2.0 * math.log(2.0))
 
 def detect_users(resp, xhat, p_a=0.1, e_sym=1.0):
     """detect() over the {0, 1} alphabet with prior energy e_sym, for the
-    users whose posterior means are the rows of xhat (unit variance)."""
+    users whose posterior means are the rows of xhat (unit variance); resp
+    has one row per observation."""
     xhat = np.array(xhat, dtype=complex)
     alph = ExtendedAlphabet(symbols=np.array([0.0 + 0.0j, 1.0 + 0.0j]),
                             K=2, E_sym=e_sym)
     posterior = Posterior(Xhat=xhat, That=np.ones(xhat.shape))
-    return detect(np.array(resp, dtype=float), posterior,
+    return detect(k_major(resp, xhat.shape[0]), posterior,
                   np.zeros(xhat.shape[0], dtype=complex), alph, p_a)
 
 
@@ -99,7 +101,7 @@ class TestDecisionLlr:
 def _uniformish_setup(alph, m=6, j=4, seed=31):
     """Random responsibilities/posterior for decision-level tests."""
     rng = np.random.default_rng(seed)
-    resp = rng.dirichlet(np.ones(alph.K), size=m * j)
+    resp = k_major(rng.dirichlet(np.ones(alph.K), size=m * j), m)
     posterior = Posterior(
         Xhat=0.3 * (rng.standard_normal((m, j)) + 1j * rng.standard_normal((m, j))),
         That=rng.uniform(0.05, 0.5, (m, j)))
@@ -126,8 +128,9 @@ class TestDetect:
         # Heavy null responsibilities and tiny posterior means push the
         # decision LLR negative; the whole row must be zero.
         m, j = 2, 3
-        resp = np.tile(np.concatenate(([0.99], np.full(self.alph.K - 1, 0.0025))),
-                       (m * j, 1))
+        resp = k_major(np.tile(
+            np.concatenate(([0.99], np.full(self.alph.K - 1, 0.0025))),
+            (m * j, 1)), m)
         posterior = Posterior(Xhat=np.zeros((m, j), dtype=complex),
                               That=np.full((m, j), 0.1))
         res = detect(resp, posterior, np.zeros(m, dtype=complex), self.alph, 0.1)
@@ -139,8 +142,9 @@ class TestDetect:
         m, j = 1, 4
         rng = np.random.default_rng(32)
         sym_idx = rng.integers(1, self.alph.K, m * j)
-        resp = np.zeros((m * j, self.alph.K))
-        resp[np.arange(m * j), sym_idx] = 1.0
+        rows = np.zeros((m * j, self.alph.K))
+        rows[np.arange(m * j), sym_idx] = 1.0
+        resp = k_major(rows, m)
         posterior = Posterior(Xhat=np.full((m, j), 2.0 + 0.0j),
                               That=np.full((m, j), 0.01))
         res = detect(resp, posterior, np.ones(m, dtype=complex), self.alph, 0.1)
@@ -148,13 +152,13 @@ class TestDetect:
         assert np.array_equal(res.D_hat[0], self.alph.symbols[sym_idx])
 
     def test_tie_breaks_to_lowest_index(self):
-        resp = np.zeros((2, self.alph.K))
-        resp[:, 2] = 0.4
-        resp[:, 4] = 0.4
-        resp[:, 0] = 0.2
+        rows = np.zeros((2, self.alph.K))
+        rows[:, 2] = 0.4
+        rows[:, 4] = 0.4
+        rows[:, 0] = 0.2
         posterior = Posterior(Xhat=np.full((1, 2), 3.0 + 0.0j),
                               That=np.full((1, 2), 0.01))
-        res = detect(resp, posterior, np.ones(1, dtype=complex), self.alph, 0.5)
+        res = detect(k_major(rows, 1), posterior, np.ones(1, dtype=complex), self.alph, 0.5)
         assert np.all(res.D_hat[0] == self.alph.symbols[2])
 
     def test_scaling_invariance_of_argmax(self):
@@ -169,6 +173,16 @@ class TestDetect:
         res_lo = detect(resp, posterior, channel, self.alph, 0.05)
         res_hi = detect(resp, posterior, channel, self.alph, 0.4)
         assert np.all(res_hi.llr_dec > res_lo.llr_dec)
+
+    def test_rejects_observation_major_responsibilities(self):
+        # (S, K) rows, the layout the clustering state no longer uses, and
+        # a (K, M, J) array of another frame are both refused.
+        resp, posterior, channel = _uniformish_setup(self.alph)
+        with pytest.raises(DimensionMismatch):
+            detect(resp.reshape(self.alph.K, -1).T, posterior, channel,
+                   self.alph, 0.1)
+        with pytest.raises(DimensionMismatch):
+            detect(resp[:, :, :2], posterior, channel, self.alph, 0.1)
 
     def test_ablation_uses_clustering_evidence_only(self):
         resp, posterior, channel = _uniformish_setup(self.alph, seed=35)

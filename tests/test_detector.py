@@ -110,7 +110,7 @@ class TestRunDetector:
         result, _ = run_detector(fr.A, fr.Y, cfg, alph)
         assert trace.n_iterations == cfg.n_it
         assert internals.pseudo.R.shape == (cfg.M, cfg.J)
-        assert internals.vbic_state.resp.shape == (cfg.M * cfg.J, alph.K)
+        assert internals.vbic_state.resp.shape == (alph.K, cfg.M, cfg.J)
         assert np.array_equal(internals.vbic_state.mu, result.channel_hat)
 
 

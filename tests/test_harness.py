@@ -374,6 +374,24 @@ PINNED = [  # (trial, aer, ser, ce_mse, genie ser)
     (19, 0.02, 0.03, 0.004352812300251272, 0.011666666666666667),
 ]
 
+# The same for QPSK (K = 5, seed 2026, trials 0..9), recorded with the
+# observation-major (S, K) clustering state: numpy reduces short rows of 5
+# in another order than rows of 17, so the symbol-major state must leave
+# these decisions unmoved too.
+QPSK_CELL = dataclasses.replace(REFERENCE_CELL, modulation="qpsk")
+QPSK_PINNED = [  # (trial, aer, ser, ce_mse, genie ser)
+    (0, 0.01, 0.01, 0.0007040341983564025, 0.0),
+    (1, 0.0, 0.0, 0.0010335561467907511, 0.0),
+    (2, 0.015, 0.015, 0.0058006430986456015, 0.0011111111111111111),
+    (3, 0.0, 0.0, 0.011586765809577609, 0.0),
+    (4, 0.005, 0.005, 0.0003224922967266117, 0.0011111111111111111),
+    (5, 0.005, 0.005, 0.0021709382098474943, 0.0),
+    (6, 0.0, 0.0, 0.0006385589649663379, 0.0),
+    (7, 0.0, 0.0, 0.0018490163454728825, 0.0),
+    (8, 0.005, 0.005, 0.0033502829900128994, 0.0),
+    (9, 0.01, 0.01, 0.012977602359492997, 0.0011111111111111111),
+]
+
 
 class TestPinnedDecisions:
 
@@ -382,6 +400,17 @@ class TestPinnedDecisions:
         by_key = {(r.detector, r.trial): r for r in records}
         assert len(by_key) == 2 * len(PINNED)
         for trial, aer, ser, ce_mse, genie_ser in PINNED:
+            rec = by_key["amp_vbic", trial]
+            assert (rec.aer, rec.ser) == (aer, ser), trial
+            assert rec.ce_mse == pytest.approx(ce_mse, rel=1e-12, abs=0.0), trial
+            genie = by_key["genie", trial]
+            assert (genie.aer, genie.ser, genie.ce_mse) == (0.0, genie_ser, 0.0)
+
+    def test_qpsk_reference_cell_matches_recorded_values(self):
+        records = run_trials(QPSK_CELL, len(QPSK_PINNED), ("amp_vbic", "genie"))
+        by_key = {(r.detector, r.trial): r for r in records}
+        assert len(by_key) == 2 * len(QPSK_PINNED)
+        for trial, aer, ser, ce_mse, genie_ser in QPSK_PINNED:
             rec = by_key["amp_vbic", trial]
             assert (rec.aer, rec.ser) == (aer, ser), trial
             assert rec.ce_mse == pytest.approx(ce_mse, rel=1e-12, abs=0.0), trial

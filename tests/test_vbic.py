@@ -14,7 +14,9 @@ from ampvbic.vbic import (posterior_moments, posterior_variance_full,
                           update_channel, update_dirichlet, update_gamma,
                           update_responsibilities, vbic_init, vbic_step,
                           warm_start_channel)
-from oracles import expected_log_pi, expected_log_tau, expected_sq_err
+from oracles import (expected_log_pi, expected_log_tau, expected_sq_err,
+                     flat_channel_sums, flat_gamma_rate, flat_rows,
+                     flat_symbol_moments, k_major)
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -39,12 +41,39 @@ def unit_alphabet() -> ExtendedAlphabet:
                             K=2, E_sym=1.0)
 
 
+# Random states for the oracle comparisons.  The ranges keep every term
+# small enough that the references' own rounding stays far below 1e-12.
+STATE_RANGES = dict(seed=st.integers(min_value=0, max_value=2**31 - 1),
+                    m=st.integers(min_value=2, max_value=4),
+                    j=st.integers(min_value=2, max_value=5),
+                    modulation=st.sampled_from(["qpsk", "qam16"]),
+                    a=st.floats(min_value=1.01, max_value=1e3),
+                    b=st.floats(min_value=1.0, max_value=1e3),
+                    scale=st.floats(min_value=0.01, max_value=3.0))
+
+
+def random_state(seed, m, j, modulation, a, b, scale):
+    """A symbol-major state with random channel, precision and
+    responsibilities, its observations and its alphabet."""
+    rng = np.random.default_rng(seed)
+    alph = build_alphabet(modulation)
+    state = vbic_init(m * j, alph.K, m)
+    state.mu = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    state.lam = rng.uniform(0.3, 50.0, m)
+    state.a, state.b = a, b
+    state.resp = k_major(rng.dirichlet(np.ones(alph.K), size=m * j), m)
+    r = scale * (rng.standard_normal(m * j) + 1j * rng.standard_normal(m * j))
+    return state, r, alph
+
+
 class TestInit:
 
     def test_uniform_responsibilities(self):
         state = vbic_init(10, 5, 2)
+        assert state.resp.shape == state.alpha.shape == (5, 2, 5)
+        assert state.resp.flags.c_contiguous and state.alpha.flags.c_contiguous
         assert np.allclose(state.resp, 0.2)
-        assert np.allclose(state.resp.sum(axis=1), 1.0)
+        assert np.allclose(state.resp.sum(axis=0), 1.0)
 
     def test_prior_values(self):
         state = vbic_init(6, 3, 2)
@@ -64,19 +93,19 @@ class TestDirichlet:
 
     def test_single_increment(self):
         state = vbic_init(2, 2, 1)
-        state.resp = np.array([[0.1, 0.9], [1.0, 0.0]])
+        state.resp = k_major([[0.1, 0.9], [1.0, 0.0]], 1)
         update_dirichlet(state)
-        assert state.alpha[0, 1] == pytest.approx(1.0, rel=1e-9)
+        assert state.alpha[1, 0, 0] == pytest.approx(1.0, rel=1e-9)
 
     def test_zero_increment(self):
         state = vbic_init(2, 2, 1)
-        state.resp = np.zeros((2, 2))
+        state.resp = k_major(np.zeros((2, 2)), 1)
         update_dirichlet(state)
         assert np.all(state.alpha == 0.1)
 
     def test_accumulation_two_rounds(self):
         state = vbic_init(2, 2, 1)
-        state.resp = np.full((2, 2), 0.5)
+        state.resp = k_major(np.full((2, 2), 0.5), 1)
         update_dirichlet(state)
         update_dirichlet(state)
         assert np.allclose(state.alpha, 1.1)
@@ -88,7 +117,7 @@ class TestChannel:
         # lam=1, mu=0, single observation, responsibility one-hot on d=1,
         # r=0.5: lam_bar = 1 + 1 = 2, mu_bar = (0 + 0.5)/2 = 0.25.
         state = vbic_init(1, 2, 1)
-        state.resp = np.array([[0.0, 1.0]])
+        state.resp = k_major([[0.0, 1.0]], 1)
         update_channel(state, np.array([0.5 + 0.0j]), unit_alphabet())
         assert state.lam[0] == pytest.approx(2.0, rel=1e-9)
         assert state.mu[0] == pytest.approx(0.25, rel=1e-9)
@@ -96,8 +125,9 @@ class TestChannel:
     def test_null_mass_carries_nothing(self):
         state = vbic_init(3, 2, 1)
         state.mu = np.array([0.7 - 0.2j])
-        state.resp = np.zeros((3, 2))
-        state.resp[:, 0] = 1.0  # all mass on the null symbol
+        rows = np.zeros((3, 2))
+        rows[:, 0] = 1.0  # all mass on the null symbol
+        state.resp = k_major(rows, 1)
         r = np.array([1.0, 2.0, 3.0], dtype=complex)
         update_channel(state, r, unit_alphabet())
         assert state.lam[0] == pytest.approx(1.0, rel=1e-12)
@@ -115,8 +145,9 @@ class TestChannel:
         r = mu_true * d_row
         state = vbic_init(j, alph.K, 1)
         state.lam = np.array([1e-8])
-        state.resp = np.zeros((j, alph.K))
-        state.resp[np.arange(j), sym_idx] = 1.0
+        rows = np.zeros((j, alph.K))
+        rows[np.arange(j), sym_idx] = 1.0
+        state.resp = k_major(rows, 1)
         update_channel(state, r, alph)
         ls = np.sum(np.conj(d_row) * r) / np.sum(np.abs(d_row) ** 2)
         assert state.mu[0] == pytest.approx(ls, rel=1e-6)
@@ -126,6 +157,18 @@ class TestChannel:
         state = vbic_init(4, 2, 2)
         with pytest.raises(DimensionMismatch):
             update_channel(state, np.zeros(3, dtype=complex), unit_alphabet())
+
+    @settings(max_examples=100, deadline=None)
+    @given(**STATE_RANGES)
+    def test_matches_flat_oracle(self, seed, m, j, modulation, a, b, scale):
+        state, r, alph = random_state(seed, m, j, modulation, a, b, scale)
+        lam, mu = state.lam, state.mu
+        weight, cross = flat_channel_sums(flat_rows(state.resp), r, alph, m)
+        update_channel(state, r, alph)
+        np.testing.assert_allclose(state.lam, lam + weight, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(state.mu, (lam * mu + cross) / (lam + weight),
+                                   rtol=0, atol=1e-12)
+        assert state.lam_prior is lam and state.mu_prior is mu
 
 
 class TestGamma:
@@ -147,7 +190,7 @@ class TestGamma:
         # Single observation r=1 with all mass on the null symbol: the
         # rate grows by exactly |r|^2.
         state = vbic_init(1, 2, 1)
-        state.resp = np.array([[1.0, 0.0]])
+        state.resp = k_major([[1.0, 0.0]], 1)
         r = np.array([1.0 + 0.0j])
         update_channel(state, r, unit_alphabet())
         update_gamma(state, r)
@@ -160,12 +203,22 @@ class TestGamma:
 
     def test_non_positive_scale(self):
         state = vbic_init(2, 2, 1)
-        state.resp = np.zeros((2, 2))
+        state.resp = k_major(np.zeros((2, 2)), 1)
         state.lam_prior = np.array([1.0])
         state.mu_prior = np.array([0.0 + 0.0j])
         state.mu = np.array([3.0 + 0.0j])  # fabricated inconsistent refresh
         with pytest.raises(NonPositiveScale):
             update_gamma(state, np.zeros(2, dtype=complex))
+
+    @settings(max_examples=100, deadline=None)
+    @given(**STATE_RANGES)
+    def test_matches_flat_oracle(self, seed, m, j, modulation, a, b, scale):
+        state, r, alph = random_state(seed, m, j, modulation, a, b, scale)
+        update_channel(state, r, alph)
+        want = flat_gamma_rate(state.b, state.lam_prior, state.mu_prior,
+                               state.lam, state.mu, flat_rows(state.resp), r)
+        update_gamma(state, r)
+        assert state.b == pytest.approx(want, rel=0, abs=1e-12)
 
     def test_nan_observation(self):
         # A NaN pseudo observation makes the rate NaN, which `b <= 0` alone
@@ -186,7 +239,7 @@ class TestExpectations:
 
     def test_log_pi_known_values(self):
         state = vbic_init(2, 2, 1)
-        state.alpha = np.array([[1.0, 1.0], [2.0, 1.0]])
+        state.alpha = k_major([[1.0, 1.0], [2.0, 1.0]], 1)
         # psi(1) - psi(2) = -1 by the recurrence psi(x+1) = psi(x) + 1/x
         assert expected_log_pi(state, 0) == pytest.approx([-1.0, -1.0], rel=1e-9)
         # psi(2) - psi(3) = -1/2
@@ -195,10 +248,11 @@ class TestExpectations:
     def test_log_pi_matches_oracle(self):
         state = vbic_init(3, 5, 1)
         rng = np.random.default_rng(22)
-        state.alpha = rng.uniform(0.05, 30.0, (3, 5))
+        state.alpha = k_major(rng.uniform(0.05, 30.0, (3, 5)), 1)
         for s in range(3):
-            want = np.array([digamma_oracle(a) for a in state.alpha[s]])
-            want -= digamma_oracle(state.alpha[s].sum())
+            row = flat_rows(state.alpha)[s]
+            want = np.array([digamma_oracle(a) for a in row])
+            want -= digamma_oracle(row.sum())
             assert np.allclose(expected_log_pi(state, s), want, atol=1e-10)
 
     def test_log_tau_values(self):
@@ -271,7 +325,7 @@ class TestResponsibilities:
         state.mu = np.array([math.sqrt(50.0) + 0.0j])
         r = np.array([math.sqrt(50.0) + 0.0j])  # exact fit for d=1, 50 off for d=0
         update_responsibilities(state, r, unit_alphabet())
-        assert state.resp[0, 1] >= 1.0 - 2e-22
+        assert state.resp[1, 0, 0] >= 1.0 - 2e-22
 
     def test_hand_softmax(self):
         # ln rho = [0, ln 3] (up to a common shift) -> e = [0.25, 0.75].
@@ -284,29 +338,23 @@ class TestResponsibilities:
         state.mu = np.array([1.0 + 0.0j])
         r = np.array([(1.0 + math.log(3.0)) / 2.0 + 0.0j])
         update_responsibilities(state, r, unit_alphabet())
-        assert state.resp[0] == pytest.approx([0.25, 0.75], rel=1e-9)
+        assert flat_rows(state.resp)[0] == pytest.approx([0.25, 0.75], rel=1e-9)
 
     @settings(max_examples=100, deadline=None)
-    @given(seed=st.integers(min_value=0, max_value=2**31 - 1),
-           m=st.integers(min_value=2, max_value=4),
-           j=st.integers(min_value=2, max_value=5),
-           modulation=st.sampled_from(["qpsk", "qam16"]),
-           a=st.floats(min_value=1.01, max_value=1e3),
-           b=st.floats(min_value=1.0, max_value=1e3),
-           scale=st.floats(min_value=0.01, max_value=3.0))
+    @given(**STATE_RANGES)
     def test_matches_scalar_oracle_softmax(self, seed, m, j, modulation,
                                            a, b, scale):
-        # The production update drops every term that is constant along a
-        # row; the oracle keeps them all, one scalar call per (s, k).  The
-        # ranges keep ln rho small enough that the oracle's own rounding
-        # stays far below the tolerance.
+        # The production update drops every term that is constant for an
+        # observation; the oracle keeps them all, one scalar call per
+        # (s, k).  The ranges keep ln rho small enough that the oracle's
+        # own rounding stays far below the tolerance.
         rng = np.random.default_rng(seed)
         alph = build_alphabet(modulation)
         state = vbic_init(m * j, alph.K, m)
         state.mu = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         state.lam = rng.uniform(0.3, 50.0, m)
         state.a, state.b = a, b
-        state.alpha = rng.uniform(0.05, 20.0, (m * j, alph.K))
+        state.alpha = k_major(rng.uniform(0.05, 20.0, (m * j, alph.K)), m)
         r = scale * (rng.standard_normal(m * j) + 1j * rng.standard_normal(m * j))
         ln_rho = np.array([
             [expected_log_tau(state) - math.log(math.pi)
@@ -317,7 +365,7 @@ class TestResponsibilities:
         want = np.exp(ln_rho - ln_rho.max(axis=1, keepdims=True))
         want /= want.sum(axis=1, keepdims=True)
         update_responsibilities(state, r, alph)
-        np.testing.assert_allclose(state.resp, want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(flat_rows(state.resp), want, rtol=0, atol=1e-12)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(min_value=0, max_value=2**31 - 1))
@@ -330,11 +378,11 @@ class TestResponsibilities:
         state.lam = rng.uniform(0.3, 50.0, m)
         state.a = rng.uniform(1.01, 1e4)
         state.b = rng.uniform(0.1, 1e4)
-        state.alpha = rng.uniform(0.05, 20.0, (m * j, alph.K))
+        state.alpha = k_major(rng.uniform(0.05, 20.0, (m * j, alph.K)), m)
         scale = rng.uniform(0.01, 30.0)
         r = scale * (rng.standard_normal(m * j) + 1j * rng.standard_normal(m * j))
         update_responsibilities(state, r, alph)
-        assert np.allclose(state.resp.sum(axis=1), 1.0, atol=1e-9)
+        assert np.allclose(state.resp.sum(axis=0), 1.0, atol=1e-9)
         post = posterior_moments(state, r, alph)
         assert np.all(post.That >= 0.0)
 
@@ -346,8 +394,9 @@ class TestMoments:
         state = vbic_init(4, alph.K, 1)
         state.a, state.b = 2.0, 1.0
         state.mu = np.array([0.5 - 0.5j])
-        state.resp = np.zeros((4, alph.K))
-        state.resp[:, 3] = 1.0
+        rows = np.zeros((4, alph.K))
+        rows[:, 3] = 1.0
+        state.resp = k_major(rows, 1)
         post = posterior_moments(state, np.zeros(4, dtype=complex), alph)
         assert np.allclose(post.Xhat, state.mu[0] * alph.symbols[3])
         assert np.allclose(post.That, 1e-12)  # zero spread floors out
@@ -357,8 +406,9 @@ class TestMoments:
         state = vbic_init(2, alph.K, 1)
         state.a = 2.0
         state.mu = np.array([1.0 + 0.0j])
-        state.resp = np.zeros((2, alph.K))
-        state.resp[:, 1:] = 0.25
+        rows = np.zeros((2, alph.K))
+        rows[:, 1:] = 0.25
+        state.resp = k_major(rows, 1)
         post = posterior_moments(state, np.zeros(2, dtype=complex), alph)
         assert np.allclose(post.Xhat, 0.0, atol=1e-12)
 
@@ -368,7 +418,7 @@ class TestMoments:
         state = vbic_init(1, 2, 1)
         state.a = 2.0
         state.mu = np.array([1.0 + 0.0j])
-        state.resp = np.array([[0.5, 0.5]])
+        state.resp = k_major([[0.5, 0.5]], 1)
         post = posterior_moments(state, np.zeros(1, dtype=complex), unit_alphabet())
         assert post.Xhat[0, 0] == pytest.approx(0.5, rel=1e-9)
         assert post.That[0, 0] == pytest.approx(0.25, rel=1e-9)
@@ -383,7 +433,7 @@ class TestMoments:
         # A typed error, not an assert that `python -O` strips.
         state = vbic_init(2, 2, 1)
         state.a = 2.0
-        state.resp = np.array([[0.5, 0.5], [np.nan, np.nan]])
+        state.resp = k_major([[0.5, 0.5], [np.nan, np.nan]], 1)
         with pytest.raises(NumericalBreakdown):
             posterior_moments(state, np.zeros(2, dtype=complex), unit_alphabet())
 
@@ -393,7 +443,7 @@ class TestMoments:
         state = vbic_init(1, 2, 1)
         state.a = 2.0
         state.mu = np.array([1.0 + 0.0j])
-        state.resp = np.array([[0.5, 0.5]])
+        state.resp = k_major([[0.5, 0.5]], 1)
         posterior_moments(state, np.zeros(1, dtype=complex), unit_alphabet())
         var = posterior_variance_full(state)
         assert var[0, 0] == pytest.approx(0.75, rel=1e-9)
@@ -405,11 +455,24 @@ class TestMoments:
         state.a, state.b = 3.0, 4.0
         state.lam = np.array([2.0])
         state.mu = np.array([5.0 + 0.0j])
-        state.resp = np.array([[0.0, 1.0]])
+        state.resp = k_major([[0.0, 1.0]], 1)
         v = 4.0 / (2.0 * (3.0 - 1.0))
         posterior_moments(state, np.zeros(1, dtype=complex), unit_alphabet())
         assert posterior_variance_full(state)[0, 0] == pytest.approx(v, rel=1e-9)
 
+
+    @settings(max_examples=100, deadline=None)
+    @given(**STATE_RANGES)
+    def test_matches_flat_oracle(self, seed, m, j, modulation, a, b, scale):
+        state, r, alph = random_state(seed, m, j, modulation, a, b, scale)
+        mean_d, e_abs_d2 = flat_symbol_moments(flat_rows(state.resp), alph, m)
+        post = posterior_moments(state, r, alph)
+        np.testing.assert_allclose(post.Xhat, state.mu[:, None] * mean_d,
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(state.e_abs_d2, e_abs_d2, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            state.spread, np.maximum(e_abs_d2 - np.abs(mean_d) ** 2, 0.0),
+            rtol=0, atol=1e-12)
 
     def test_full_variance_requires_moments(self):
         with pytest.raises(RuntimeError):
@@ -426,14 +489,19 @@ class TestMoments:
         state.a, state.b = 7.0, 3.0
         state.mu = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         state.lam = rng.uniform(0.5, 20.0, m)
-        state.resp = rng.dirichlet(np.ones(alph.K), size=m * j)
+        state.resp = k_major(rng.dirichlet(np.ones(alph.K), size=m * j), m)
         post = posterior_moments(state, np.zeros(m * j, dtype=complex), alph)
         full = posterior_variance_full(state)
 
         idx = np.repeat(np.arange(m), j)
-        mean_d = state.resp @ alph.symbols
-        e_abs_d2 = state.resp @ (np.abs(alph.symbols) ** 2)
-        spread = np.maximum(e_abs_d2 - np.abs(mean_d) ** 2, 0.0)
+        # The symbol moments as the detector forms them, one real product
+        # against [Re d; Im d; |d|^2], flat over s; the complex flat forms
+        # agree to 1e-12 (test_matches_flat_oracle).
+        d = alph.symbols
+        re_d, im_d, e_abs_d2 = (np.stack((d.real, d.imag, np.abs(d) ** 2))
+                                @ state.resp.reshape(alph.K, m * j))
+        mean_d = re_d + 1j * im_d
+        spread = np.maximum(e_abs_d2 - (re_d ** 2 + im_d ** 2), 0.0)
         v = state.b / (state.lam[idx] * (state.a - 1.0))
         assert np.array_equal(post.Xhat.ravel(), state.mu[idx] * mean_d)
         assert np.array_equal(post.That.ravel(), np.maximum(v * spread, 1e-12))
@@ -482,8 +550,8 @@ class TestStep:
         assert state.mu[0] == pytest.approx(mu_true, rel=1e-12)
         for _ in range(5):
             state, _ = vbic_step(state, r, alph)
-            assert np.allclose(state.resp.sum(axis=1), 1.0, atol=1e-9)
-        assert np.array_equal(state.resp.argmax(axis=1), sym_idx)
+            assert np.allclose(state.resp.sum(axis=0), 1.0, atol=1e-9)
+        assert np.array_equal(flat_rows(state.resp).argmax(axis=1), sym_idx)
 
     def test_qam16_single_user(self):
         alph = build_alphabet("qam16")
@@ -496,4 +564,4 @@ class TestStep:
         warm_start_channel(state, r, alph)
         for _ in range(5):
             state, _ = vbic_step(state, r, alph)
-        assert np.array_equal(state.resp.argmax(axis=1), sym_idx)
+        assert np.array_equal(flat_rows(state.resp).argmax(axis=1), sym_idx)
