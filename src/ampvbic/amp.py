@@ -14,8 +14,18 @@ six per-column update lines are evaluated matrix-wise:
 
 |A|^2 is a per-frame constant: amp_init computes it once from A and keeps
 it on the state.  S persists across outer iterations; everything else is
-recomputed.  A^H @ S is formed as conj(A^T @ conj(S)), so no conjugated
-copy of A is made.
+recomputed.
+
+The two sums over the N rows are formed with the small J x N factor on
+the left: |A|^2.T @ Ts as (Ts.T @ |A|^2).T and A^H @ S as
+conj(S^H @ A).T, which conjugates the small S, never A.  Written with A
+on the left, both run on OpenBLAS's transposed-operand kernel, which is
+2-3x slower at large frames: at M=2000, N=1000, J=10 (2 vCPUs, OpenBLAS
+0.3.31) the two products take 1.4 and 4.5 ms instead of 3.5 and 8.0 ms
+per pass.  At M=200, N=100 the |A|^2 product is no slower (0.013 ms) and
+the complex one is 0.03 ms slower (0.075 vs 0.046 ms), which the large
+frames repay many times over.  The |A|^2 product is bit-identical in
+either form; the complex one differs only in rounding.
 """
 
 from __future__ import annotations
@@ -121,8 +131,10 @@ def amp_decouple(a_mat: np.ndarray, y: np.ndarray, posterior: Posterior,
     p = a_mat @ posterior.Xhat - tp * state.S_mat
     ts = 1.0 / (tp + noise_var)
     s = ts * (y - p)
-    tau = 1.0 / (abs_a2.T @ ts)
-    r = posterior.Xhat + tau * (a_mat.T @ s.conj()).conj()
+    # Both sums over the N rows put the small J-row factor on the left
+    # (see the module docstring); Tau comes out F-ordered, R C-ordered.
+    tau = 1.0 / (ts.T @ abs_a2).T
+    r = posterior.Xhat + tau * (s.T.conj() @ a_mat).conj().T
     # A NaN or inf in Y, A or the posterior reaches Tau or R in this pass;
     # stop here rather than at the clustering step that would meet it next.
     if not (np.isfinite(tau).all() and np.isfinite(r).all()):

@@ -28,11 +28,9 @@ from .model import ExtendedAlphabet, ScenarioConfig, ScenarioInstance, \
 
 @dataclass
 class IterationTrace:
-    """Per-iteration diagnostics: channel-estimate snapshots, mean absolute
-    change of the posterior mean, and (when ground truth is supplied)
-    intermediate error rates."""
+    """Per-iteration diagnostics: mean absolute change of the posterior
+    mean and (when ground truth is supplied) intermediate error rates."""
 
-    channel: list[np.ndarray] = field(default_factory=list)
     delta_x: list[float] = field(default_factory=list)
     aer: list[float] | None = None
     ser: list[float] | None = None
@@ -153,7 +151,6 @@ def run_detector_internals(a_mat: np.ndarray, y: np.ndarray,
 
         delta = float(np.mean(np.abs(posterior.Xhat - prev_xhat)))
         trace.delta_x.append(delta)
-        trace.channel.append(state.mu.copy())
         if ground_truth is not None:
             snapshot = _finalize(state, posterior, alphabet,
                                  config.p_a, include_offset)

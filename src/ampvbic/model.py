@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -47,6 +48,15 @@ class ExtendedAlphabet:
     def reference_symbol(self) -> complex:
         """First active symbol; transmitted in slot 1 by every active user."""
         return complex(self.symbols[1])
+
+    @cached_property
+    def symbol_basis(self) -> np.ndarray:
+        """[Re d; Im d; |d|^2], 3 x K, read-only.  The clustering step's
+        real products run against it; it is built once per alphabet."""
+        d = self.symbols
+        basis = np.stack((d.real, d.imag, np.abs(d) ** 2))
+        basis.setflags(write=False)
+        return basis
 
 
 def build_alphabet(modulation: Modulation | str) -> ExtendedAlphabet:

@@ -31,7 +31,9 @@ are never formed.  What is left is digamma(alpha_ks) plus
 one real (K x 3) @ (3 x S) product against the symbol basis
 [Re d; Im d; |d|^2].  The symbol moments the channel update and the
 posterior moments need -- Re E[d], Im E[d] and E|d|^2 under e -- are the
-transposed product, (3 x K) @ (K x S).
+transposed product, (3 x K) @ (K x S).  The basis belongs to the
+alphabet (ExtendedAlphabet.symbol_basis): it is built once per alphabet,
+read-only, not once per update.
 
 Each iteration ends with the posterior moments of x_s = mu_m * d that are
 handed back to the decoupling module.  Updated parameters become the next
@@ -111,16 +113,10 @@ def vbic_init(s: int, k: int, m: int) -> VbicState:
     )
 
 
-def _symbol_basis(alphabet: ExtendedAlphabet) -> np.ndarray:
-    """[Re d; Im d; |d|^2], 3 x K."""
-    d = alphabet.symbols
-    return np.stack((d.real, d.imag, np.abs(d) ** 2))
-
-
 def _symbol_moments(state: VbicState, alphabet: ExtendedAlphabet) -> np.ndarray:
     """Re E[d], Im E[d] and E|d|^2 of every observation under resp,
     3 x M x J, from one real product."""
-    moments = _symbol_basis(alphabet) @ state.resp.reshape(state.K, state.S)
+    moments = alphabet.symbol_basis @ state.resp.reshape(state.K, state.S)
     return moments.reshape(3, state.M, state.J)
 
 
@@ -206,7 +202,7 @@ def update_responsibilities(state: VbicState, r_flat: np.ndarray,
     coef[1] = -2.0 * e_tau * z.imag
     coef[2] = -(e_tau * np.abs(state.mu) ** 2 + 1.0 / state.lam)[:, None]
     # Re(z d) = Re(z) Re(d) - Im(z) Im(d), so one real product gives every term.
-    ln_rho = (_symbol_basis(alphabet).T @ coef.reshape(3, state.S)).reshape(
+    ln_rho = (alphabet.symbol_basis.T @ coef.reshape(3, state.S)).reshape(
         state.K, state.M, state.J)
     ln_rho += digamma(state.alpha)
     ln_rho -= ln_rho.max(axis=0)
@@ -216,7 +212,7 @@ def update_responsibilities(state: VbicState, r_flat: np.ndarray,
     return state
 
 
-def posterior_moments(state: VbicState, r_flat: np.ndarray,
+def posterior_moments(state: VbicState,
                       alphabet: ExtendedAlphabet) -> Posterior:
     """Posterior mean/variance of every target element x_{m,j} = mu_m * d.
 
@@ -274,5 +270,5 @@ def vbic_step(state: VbicState, r_flat: np.ndarray,
     update_channel(state, r_flat, alphabet)
     update_gamma(state, r_flat)
     update_responsibilities(state, r_flat, alphabet)
-    posterior = posterior_moments(state, r_flat, alphabet)
+    posterior = posterior_moments(state, alphabet)
     return state, posterior

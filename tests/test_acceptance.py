@@ -123,7 +123,7 @@ def test_criterion_1_unit_equation_suite():
     st.a = 2.0
     st.mu = np.array([1.0 + 0.0j])
     st.resp = k_major([[0.5, 0.5]], 1)
-    post = posterior_moments(st, np.zeros(1, dtype=complex), alph2)
+    post = posterior_moments(st, alph2)
     assert post.Xhat[0, 0] == pytest.approx(0.5, rel=REL)
     assert post.That[0, 0] == pytest.approx(0.25, rel=REL)
 
@@ -205,7 +205,7 @@ def test_criterion_3_normalization_and_variance_properties():
         update_responsibilities(st, r, alph)
         worst_row_sum_err = max(worst_row_sum_err,
                                 float(np.abs(st.resp.sum(axis=0) - 1.0).max()))
-        post = posterior_moments(st, r, alph)
+        post = posterior_moments(st, alph)
         min_variance = min(min_variance, float(post.That.min()))
     elapsed = time.perf_counter() - t0
     ok = worst_row_sum_err < 1e-9 and min_variance >= 0.0 and elapsed < 30.0

@@ -130,32 +130,45 @@ class TestDecouple:
             amp_decouple(a, y, post, state, 0.5)
 
     def test_matches_plain_update(self):
-        # The production pass (|A|^2 kept on the state, A^H s formed without
-        # a conjugated copy of A) against the six update lines written out
-        # plainly, carried over several passes at the reference size.
-        rng = np.random.default_rng(16)
-        m, n, j, noise_var = 200, 100, 10, 0.3
-        a = (rng.standard_normal((n, m))
-             + 1j * rng.standard_normal((n, m))) / np.sqrt(2 * n)
-        y = rng.standard_normal((n, j)) + 1j * rng.standard_normal((n, j))
-        state, post = amp_init(a, j, 1.0)
-        s_ref = np.zeros((n, j), dtype=complex)
-        for it in range(5):
-            pseudo, state = amp_decouple(a, y, post, state, noise_var)
+        # The production pass (|A|^2 kept on the state, both row sums formed
+        # with the small J-row factor on the left) against the six update
+        # lines written out plainly, carried over several passes at the
+        # reference size.
+        _check_against_plain_update(m=200, n=100, j=10, seed=16)
 
-            abs_a2 = np.abs(a) ** 2
-            tp = abs_a2 @ np.maximum(post.That, VARIANCE_FLOOR)
-            p = a @ post.Xhat - tp * s_ref
-            ts = 1.0 / (tp + noise_var)
-            s_ref = ts * (y - p)
-            tau = 1.0 / (abs_a2.T @ ts)
-            r = post.Xhat + tau * (a.conj().T @ s_ref)
+    def test_matches_plain_update_at_large_frame(self):
+        # Past the size where OpenBLAS's kernel choice for the two forms
+        # differs, so a layout slip there cannot hide behind small sizes.
+        _check_against_plain_update(m=800, n=400, j=10, seed=18)
 
-            np.testing.assert_allclose(pseudo.R, r, rtol=1e-12)
-            np.testing.assert_allclose(pseudo.Tau, tau, rtol=1e-12)
-            np.testing.assert_allclose(state.S_mat, s_ref, rtol=1e-12)
-            post = Posterior(Xhat=0.5 * pseudo.R,
-                             That=rng.uniform(0.1, 0.3 + 0.1 * it, (m, j)))
+
+def _check_against_plain_update(m, n, j, seed, noise_var=0.3, passes=5):
+    rng = np.random.default_rng(seed)
+    a = (rng.standard_normal((n, m))
+         + 1j * rng.standard_normal((n, m))) / np.sqrt(2 * n)
+    y = rng.standard_normal((n, j)) + 1j * rng.standard_normal((n, j))
+    state, post = amp_init(a, j, 1.0)
+    s_ref = np.zeros((n, j), dtype=complex)
+    for it in range(passes):
+        pseudo, state = amp_decouple(a, y, post, state, noise_var)
+
+        abs_a2 = np.abs(a) ** 2
+        tp = abs_a2 @ np.maximum(post.That, VARIANCE_FLOOR)
+        p = a @ post.Xhat - tp * s_ref
+        ts = 1.0 / (tp + noise_var)
+        s_ref = ts * (y - p)
+        tau = 1.0 / (abs_a2.T @ ts)
+        r = post.Xhat + tau * (a.conj().T @ s_ref)
+
+        np.testing.assert_allclose(pseudo.R, r, rtol=1e-12)
+        np.testing.assert_allclose(pseudo.Tau, tau, rtol=1e-12)
+        np.testing.assert_allclose(state.S_mat, s_ref, rtol=1e-12)
+        # The clustering step views r_flat as (M, J) blocks, so R must be
+        # row-major and r_flat a view of it, not a copy.
+        assert pseudo.R.flags.c_contiguous
+        assert np.shares_memory(pseudo.r_flat, pseudo.R)
+        post = Posterior(Xhat=0.5 * pseudo.R,
+                         That=rng.uniform(0.1, 0.3 + 0.1 * it, (m, j)))
 
 
 class TestFlattening:

@@ -44,6 +44,18 @@ class TestAlphabet:
         with pytest.raises(ValueError):
             build_alphabet("bpsk")
 
+    @pytest.mark.parametrize("mod", ["qpsk", "qam16"])
+    def test_symbol_basis_built_once_and_read_only(self, mod):
+        alph = build_alphabet(mod)
+        d = alph.symbols
+        basis = alph.symbol_basis
+        assert np.array_equal(basis, [d.real, d.imag, np.abs(d) ** 2])
+        assert basis.shape == (3, alph.K)
+        assert not basis.flags.writeable
+        with pytest.raises(ValueError):
+            basis[2, 0] = 1.0
+        assert alph.symbol_basis is basis
+
 
 class TestNoiseVariance:
 
