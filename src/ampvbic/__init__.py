@@ -12,9 +12,8 @@ decisions.
 from .decide import DetectionResult
 from .detector import IterationTrace, run_detector
 from .errors import AmpVbicError, ConfigError, DimensionMismatch, \
-    InvalidAxis, LengthMismatch, NonPositiveNoise, NonPositiveScale, \
-    NumericalBreakdown, PrecisionDegenerate, ShapeMismatch, TrialFailure, \
-    ZeroReferenceSymbol
+    InvalidAxis, NonPositiveNoise, NonPositiveScale, NumericalBreakdown, \
+    PrecisionDegenerate, TrialFailure, ZeroReferenceSymbol
 from .harness import MetricsRecord, run_trials, sweep, write_csv
 from .metrics import compute_aer, compute_ce_mse, compute_ser
 from .model import ScenarioConfig, build_alphabet, generate_frame
@@ -28,7 +27,6 @@ __all__ = [
     "write_csv", "compute_aer", "compute_ce_mse", "compute_ser",
     "ScenarioConfig", "DetectionResult", "IterationTrace", "MetricsRecord",
     "AmpVbicError", "ConfigError", "DimensionMismatch", "InvalidAxis",
-    "LengthMismatch", "NonPositiveNoise", "NonPositiveScale",
-    "NumericalBreakdown", "PrecisionDegenerate", "ShapeMismatch",
-    "TrialFailure", "ZeroReferenceSymbol",
+    "NonPositiveNoise", "NonPositiveScale", "NumericalBreakdown",
+    "PrecisionDegenerate", "TrialFailure", "ZeroReferenceSymbol",
 ]

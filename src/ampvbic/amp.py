@@ -64,19 +64,12 @@ class Posterior:
 
 @dataclass
 class PseudoObservations:
-    """Decoupled scalar observations R with effective noise variances Tau.
-
-    Flattened indexing follows s = j + (m-1)*J (1-based), i.e. row-major
-    order: user m's observations occupy the contiguous block
-    [(m-1)*J, m*J).
-    """
+    """Decoupled scalar observations R[m, j] = x[m, j] + noise, one per user
+    m and slot j (M x J), with effective noise variances Tau (M x J).  The
+    clustering step reads R in this layout."""
 
     R: np.ndarray
     Tau: np.ndarray
-
-    @property
-    def r_flat(self) -> np.ndarray:
-        return self.R.reshape(-1)
 
 
 def amp_init(a_mat: np.ndarray, j: int,

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import amp, vbic
 from .decide import DetectionResult, correct_phase, detect
-from .errors import ConfigError, ShapeMismatch
+from .errors import ConfigError, DimensionMismatch
 from .metrics import compute_aer, compute_ce_mse, compute_ser
 from .model import ExtendedAlphabet, ScenarioConfig, ScenarioInstance, \
     noise_variance_from_snr
@@ -113,11 +113,11 @@ def run_detector_internals(a_mat: np.ndarray, y: np.ndarray,
     in place, so decide from start before continuing it.
     """
     if a_mat.ndim != 2 or y.ndim != 2:
-        raise ShapeMismatch("A and Y must be 2-d arrays")
+        raise DimensionMismatch("A and Y must be 2-d arrays")
     n, m = a_mat.shape
     j = y.shape[1]
     if (n, m) != (config.N, config.M) or y.shape != (config.N, config.J):
-        raise ShapeMismatch(
+        raise DimensionMismatch(
             f"A {a_mat.shape} / Y {y.shape} inconsistent with config "
             f"(M={config.M}, N={config.N}, J={config.J})")
     if not 0.0 < config.p_a < 1.0:
@@ -126,7 +126,7 @@ def run_detector_internals(a_mat: np.ndarray, y: np.ndarray,
     noise_var = noise_variance_from_snr(config.snr_db, alphabet.E_sym)
     if start is None:
         amp_state, posterior = amp.amp_init(a_mat, j, alphabet.E_sym)
-        state = vbic.vbic_init(m * j, alphabet.K, m)
+        state = vbic.vbic_init(alphabet.K, m, j)
         pseudo: amp.PseudoObservations | None = None
         done = 0
     else:
@@ -143,11 +143,10 @@ def run_detector_internals(a_mat: np.ndarray, y: np.ndarray,
     for it in range(done, config.n_it):
         pseudo, amp_state = amp.amp_decouple(a_mat, y, posterior, amp_state,
                                              noise_var)
-        r_flat = pseudo.r_flat
         if it == 0:
-            vbic.warm_start_channel(state, r_flat, alphabet)
+            vbic.warm_start_channel(state, pseudo.R, alphabet)
         prev_xhat = posterior.Xhat
-        state, posterior = vbic.vbic_step(state, r_flat, alphabet)
+        state, posterior = vbic.vbic_step(state, pseudo.R, alphabet)
 
         delta = float(np.mean(np.abs(posterior.Xhat - prev_xhat)))
         trace.delta_x.append(delta)

@@ -13,14 +13,6 @@ class DimensionMismatch(AmpVbicError):
     """Matrix/vector arguments have inconsistent shapes."""
 
 
-class ShapeMismatch(DimensionMismatch):
-    """Alias used by metric and detector entry points."""
-
-
-class LengthMismatch(DimensionMismatch):
-    """Two vectors that must have equal length do not."""
-
-
 class NonPositiveNoise(AmpVbicError):
     """Noise variance must be strictly positive."""
 

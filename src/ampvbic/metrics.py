@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import LengthMismatch, ShapeMismatch
+from .errors import DimensionMismatch
 
 SYMBOL_MATCH_TOL = 1e-9
 
@@ -14,7 +14,7 @@ def compute_aer(truth: np.ndarray, detected: np.ndarray) -> float:
     truth = np.asarray(truth)
     detected = np.asarray(detected)
     if truth.shape != detected.shape:
-        raise LengthMismatch(
+        raise DimensionMismatch(
             f"activity vectors differ in length: {truth.shape} vs {detected.shape}")
     return float(np.mean(truth.astype(bool) != detected.astype(bool)))
 
@@ -30,7 +30,7 @@ def compute_ser(d_true: np.ndarray, d_hat: np.ndarray,
     d_true = np.asarray(d_true)
     d_hat = np.asarray(d_hat)
     if d_true.shape != d_hat.shape:
-        raise ShapeMismatch(
+        raise DimensionMismatch(
             f"symbol matrices differ in shape: {d_true.shape} vs {d_hat.shape}")
     if not include_rs:
         d_true = d_true[:, 1:]
@@ -45,6 +45,6 @@ def compute_ce_mse(mu_true: np.ndarray, mu_hat: np.ndarray) -> float:
     mu_true = np.asarray(mu_true)
     mu_hat = np.asarray(mu_hat)
     if mu_true.shape != mu_hat.shape:
-        raise LengthMismatch(
+        raise DimensionMismatch(
             f"channel vectors differ in length: {mu_true.shape} vs {mu_hat.shape}")
     return float(np.mean(np.abs(mu_true - mu_hat) ** 2))

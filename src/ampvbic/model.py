@@ -40,6 +40,12 @@ class ExtendedAlphabet:
     def __post_init__(self):
         self.symbols.setflags(write=False)
 
+    def __reduce__(self):
+        # Rebuild through the constructor, so a copy sent to a pool worker
+        # is read-only too and rebuilds its symbol basis read-only; the
+        # default state copy would arrive with writeable arrays.
+        return type(self), (self.symbols, self.K, self.E_sym)
+
     @property
     def active_symbols(self) -> np.ndarray:
         return self.symbols[1:]

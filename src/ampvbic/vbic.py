@@ -1,43 +1,45 @@
 """Variational Bayesian clustering of pseudo observations.
 
-Each flat observation r_s (s = j + (m-1)*J) is modeled as a Gaussian
-mixture over the extended alphabet: component k has mean mu_m * d_k and a
-precision tau shared by all observations.  Conjugate priors -- Dirichlet
-on the per-observation mixing weights, complex Gaussian on the channel
-gains mu_m, Gamma on tau -- give closed-form coordinate updates:
+The decoupling step hands over one pseudo observation r[m, j] per user m
+and slot j, as an (M, J) array, and every update here reads it in that
+layout.  Each r[m, j] is modeled as a Gaussian mixture over the extended
+alphabet: component k has mean mu_m * d_k and a precision tau shared by
+all observations.  Conjugate priors -- Dirichlet on the per-observation
+mixing weights, complex Gaussian on the channel gains mu_m, Gamma on
+tau -- give closed-form coordinate updates:
 
-    alpha[k,s] += e[k,s]                               (Dirichlet counts)
-    lam_m  = lam_m + sum_{s in m} sum_k e[k,s] |d_k|^2
-    mu_m   = (lam_m_old * mu_m_old + sum_{s in m} sum_k e[k,s] conj(d_k) r_s) / lam_m
-    a      = a + S
-    b      = b + sum_m lam_old |mu_old|^2 + sum_{k,s} e |r_s|^2 - sum_m lam |mu|^2
-    e[k,s] ~ softmax_k( E[ln tau] - ln(pi) + E[ln pi_ks] - E[tau |r_s - mu_m d_k|^2] )
+    alpha[k,m,j] += e[k,m,j]                              (Dirichlet counts)
+    lam_m  = lam_m + sum_{j,k} e[k,m,j] |d_k|^2
+    mu_m   = (lam_m_old * mu_m_old + sum_{j,k} e[k,m,j] conj(d_k) r[m,j]) / lam_m
+    a      = a + M*J
+    b      = b + sum_m lam_old |mu_old|^2 + sum_{k,m,j} e |r[m,j]|^2 - sum_m lam |mu|^2
+    e[k,m,j] ~ softmax_k( E[ln tau] - ln(pi) + E[ln pi_kmj]
+                          - E[tau |r[m,j] - mu_m d_k|^2] )
 
 The per-observation arrays alpha and resp are symbol-major, (K, M, J):
 every update reduces over the K components of each observation, and with
 K on the leading axis those reductions combine whole contiguous (M, J)
-planes instead of running along short rows of K elements.  The same
-arrays are (K, S) matrices for the products below and expose each
-user's J observations on their trailing axes, so per-user sums need no
-reshape of the flat s index.
+planes instead of running along short rows of K elements.  Their trailing
+(M, J) axes line up with r, so per-user sums are sums over the last axis.
 
 The responsibilities are computed up to per-observation constants:
-E[ln tau], -ln(pi), -digamma(sum_k alpha_ks) and E[tau] |r_s|^2 are the
-same for every k of observation s, so the softmax cancels them and they
-are never formed.  What is left is digamma(alpha_ks) plus
+E[ln tau], -ln(pi), -digamma(sum_k alpha_kmj) and E[tau] |r[m,j]|^2 are
+the same for every k of one observation, so the softmax cancels them and
+they are never formed.  What is left is digamma(alpha_kmj) plus
 
-    2 E[tau] Re(conj(r_s) mu_m d_k) - (E[tau] |mu_m|^2 + 1/lam_m) |d_k|^2,
+    2 E[tau] Re(conj(r[m,j]) mu_m d_k) - (E[tau] |mu_m|^2 + 1/lam_m) |d_k|^2,
 
-one real (K x 3) @ (3 x S) product against the symbol basis
-[Re d; Im d; |d|^2].  The symbol moments the channel update and the
-posterior moments need -- Re E[d], Im E[d] and E|d|^2 under e -- are the
-transposed product, (3 x K) @ (K x S).  The basis belongs to the
+one real (K x 3) @ (3 x MJ) product against the symbol basis
+[Re d; Im d; |d|^2], with the (3, M, J) coefficients and the (K, M, J)
+result viewed as matrices for it.  The symbol moments the channel update
+and the posterior moments need -- Re E[d], Im E[d] and E|d|^2 under e --
+are the transposed product, (3 x K) @ (K x MJ).  The basis belongs to the
 alphabet (ExtendedAlphabet.symbol_basis): it is built once per alphabet,
 read-only, not once per update.
 
-Each iteration ends with the posterior moments of x_s = mu_m * d that are
-handed back to the decoupling module.  Updated parameters become the next
-iteration's priors, so counts accumulate across outer iterations.
+Each iteration ends with the posterior moments of x[m, j] = mu_m * d that
+are handed back to the decoupling module.  Updated parameters become the
+next iteration's priors, so counts accumulate across outer iterations.
 """
 
 from __future__ import annotations
@@ -65,12 +67,12 @@ class VbicState:
     alpha (per-observation Dirichlet) and resp (responsibilities) are
     C-contiguous K x M x J arrays: component k of observation (m, j) is
     [k, m, j], so reductions over the symbol axis run over axis 0 on
-    contiguous planes (see the module docstring).  lam/mu are per-user
-    Gaussian channel-posterior parameters, (a, b) the shared Gamma
-    precision posterior.  lam_prior and mu_prior hold the pre-refresh
-    channel parameters that the Gamma rate update needs; e_abs_d2 and
-    spread (M x J) hold the symbol moments of resp that posterior_moments
-    formed, for posterior_variance_full.
+    contiguous planes (see the module docstring), and their shape is the
+    state's dimensions.  lam/mu are per-user Gaussian channel-posterior
+    parameters, (a, b) the shared Gamma precision posterior.  lam_prior
+    and mu_prior hold the pre-refresh channel parameters that the Gamma
+    rate update needs; e_abs_d2 and spread (M x J) hold the symbol moments
+    of resp that posterior_moments formed, for posterior_variance_full.
     """
 
     alpha: np.ndarray
@@ -79,27 +81,17 @@ class VbicState:
     a: float
     b: float
     resp: np.ndarray
-    M: int
-    J: int
-    K: int
     lam_prior: np.ndarray | None = field(default=None, repr=False)
     mu_prior: np.ndarray | None = field(default=None, repr=False)
     e_abs_d2: np.ndarray | None = field(default=None, repr=False)
     spread: np.ndarray | None = field(default=None, repr=False)
 
-    @property
-    def S(self) -> int:
-        return self.M * self.J
 
-
-def vbic_init(s: int, k: int, m: int) -> VbicState:
-    """Fresh state: alpha=0.1, a=1e-4, b=1, uniform responsibilities,
-    unit-precision zero-mean channel prior."""
-    if s < 1 or k < 2 or m < 1:
-        raise DimensionMismatch(f"bad dimensions S={s}, K={k}, M={m}")
-    if s % m != 0:
-        raise DimensionMismatch(f"S={s} is not a multiple of M={m}")
-    j = s // m
+def vbic_init(k: int, m: int, j: int) -> VbicState:
+    """Fresh state for K symbols, M users and J slots: alpha=0.1, a=1e-4,
+    b=1, uniform responsibilities, unit-precision zero-mean channel prior."""
+    if k < 2 or m < 1 or j < 1:
+        raise DimensionMismatch(f"bad dimensions K={k}, M={m}, J={j}")
     return VbicState(
         alpha=np.full((k, m, j), ALPHA_0),
         lam=np.full(m, LAMBDA_0),
@@ -107,20 +99,27 @@ def vbic_init(s: int, k: int, m: int) -> VbicState:
         a=A_0,
         b=B_0,
         resp=np.full((k, m, j), 1.0 / k),
-        M=m,
-        J=j,
-        K=k,
     )
+
+
+def _check_observations(state: VbicState, r: np.ndarray) -> None:
+    """r must be the (M, J) array the state was built for: one of another
+    shape is rejected, even when its size matches."""
+    if r.shape != state.resp.shape[1:]:
+        raise DimensionMismatch(
+            f"expected (M, J) = {state.resp.shape[1:]} observations, "
+            f"got shape {r.shape}")
 
 
 def _symbol_moments(state: VbicState, alphabet: ExtendedAlphabet) -> np.ndarray:
     """Re E[d], Im E[d] and E|d|^2 of every observation under resp,
     3 x M x J, from one real product."""
-    moments = alphabet.symbol_basis @ state.resp.reshape(state.K, state.S)
-    return moments.reshape(3, state.M, state.J)
+    k, m, j = state.resp.shape
+    moments = alphabet.symbol_basis @ state.resp.reshape(k, m * j)
+    return moments.reshape(3, m, j)
 
 
-def warm_start_channel(state: VbicState, r_flat: np.ndarray,
+def warm_start_channel(state: VbicState, r: np.ndarray,
                        alphabet: ExtendedAlphabet) -> VbicState:
     """Seed the channel prior means from the reference-symbol observations.
 
@@ -128,11 +127,10 @@ def warm_start_channel(state: VbicState, r_flat: np.ndarray,
     the channel update is a fixed point at zero for any symmetric
     constellation (the symbol-weighted sums cancel), so nothing would
     ever be detected.  Slot 1 of every user carries a known symbol; its
-    pseudo observation gives the one-shot estimate mu_m = r_{m,1} / d_ref
+    pseudo observation gives the one-shot estimate mu_m = r[m, 0] / d_ref
     that breaks the symmetry deterministically.
     """
-    r_rs = r_flat.reshape(state.M, state.J)[:, 0]
-    state.mu = r_rs / alphabet.reference_symbol
+    state.mu = r[:, 0] / alphabet.reference_symbol
     return state
 
 
@@ -142,7 +140,7 @@ def update_dirichlet(state: VbicState) -> VbicState:
     return state
 
 
-def update_channel(state: VbicState, r_flat: np.ndarray,
+def update_channel(state: VbicState, r: np.ndarray,
                    alphabet: ExtendedAlphabet) -> VbicState:
     """Refresh the per-user channel posterior (lam, mu).
 
@@ -151,22 +149,20 @@ def update_channel(state: VbicState, r_flat: np.ndarray,
     stashed for the Gamma rate update; lam and mu are only ever rebound,
     never written in place, so the stash needs no copy.
     """
-    if r_flat.size != state.S:
-        raise DimensionMismatch(
-            f"expected {state.S} observations, got {r_flat.size}")
+    _check_observations(state, r)
     state.lam_prior = state.lam
     state.mu_prior = state.mu
 
     mean_re, mean_im, e_abs_d2 = _symbol_moments(state, alphabet)
-    # sum_k e_ks conj(d_k) r_s = conj(E[d_s]) r_s
-    cross = ((mean_re - 1j * mean_im) * r_flat.reshape(state.M, state.J)).sum(axis=1)
+    # sum_k e_kmj conj(d_k) r_mj = conj(E[d_mj]) r_mj
+    cross = ((mean_re - 1j * mean_im) * r).sum(axis=1)
     lam_new = state.lam + e_abs_d2.sum(axis=1)
     state.mu = (state.lam * state.mu + cross) / lam_new
     state.lam = lam_new
     return state
 
 
-def update_gamma(state: VbicState, r_flat: np.ndarray) -> VbicState:
+def update_gamma(state: VbicState, r: np.ndarray) -> VbicState:
     """Refresh the shared precision posterior (a, b).
 
     Must run after update_channel in the same iteration: the rate update
@@ -174,36 +170,33 @@ def update_gamma(state: VbicState, r_flat: np.ndarray) -> VbicState:
     """
     if state.lam_prior is None or state.mu_prior is None:
         raise RuntimeError("update_gamma requires update_channel to run first")
-    if r_flat.size != state.S:
-        raise DimensionMismatch(
-            f"expected {state.S} observations, got {r_flat.size}")
+    _check_observations(state, r)
     b_new = (state.b
              + np.sum(state.lam_prior * np.abs(state.mu_prior) ** 2)
-             + np.sum(state.resp.sum(axis=0)
-                      * np.abs(r_flat.reshape(state.M, state.J)) ** 2)
+             + np.sum(state.resp.sum(axis=0) * np.abs(r) ** 2)
              - np.sum(state.lam * np.abs(state.mu) ** 2))
     if not np.isfinite(b_new) or b_new <= 0:
         raise NonPositiveScale(f"Gamma rate went non-positive or non-finite: {b_new}")
-    state.a = state.a + state.S
+    state.a = state.a + r.size
     state.b = float(b_new)
     return state
 
 
-def update_responsibilities(state: VbicState, r_flat: np.ndarray,
+def update_responsibilities(state: VbicState, r: np.ndarray,
                             alphabet: ExtendedAlphabet) -> VbicState:
-    """Softmax over the symbol axis of ln rho_ks, formed up to
+    """Softmax over the symbol axis of ln rho_kmj, formed up to
     per-observation constants (see the module docstring) and computed in
     the log domain with max-subtraction so large quadratic terms cannot
     overflow."""
     e_tau = state.a / state.b
-    z = np.conj(r_flat).reshape(state.M, state.J) * state.mu[:, None]
-    coef = np.empty((3, state.M, state.J))
+    z = np.conj(r) * state.mu[:, None]
+    coef = np.empty((3,) + r.shape)
     coef[0] = 2.0 * e_tau * z.real
     coef[1] = -2.0 * e_tau * z.imag
     coef[2] = -(e_tau * np.abs(state.mu) ** 2 + 1.0 / state.lam)[:, None]
     # Re(z d) = Re(z) Re(d) - Im(z) Im(d), so one real product gives every term.
-    ln_rho = (alphabet.symbol_basis.T @ coef.reshape(3, state.S)).reshape(
-        state.K, state.M, state.J)
+    ln_rho = (alphabet.symbol_basis.T @ coef.reshape(3, r.size)).reshape(
+        state.resp.shape)
     ln_rho += digamma(state.alpha)
     ln_rho -= ln_rho.max(axis=0)
     np.exp(ln_rho, out=ln_rho)
@@ -216,7 +209,7 @@ def posterior_moments(state: VbicState,
                       alphabet: ExtendedAlphabet) -> Posterior:
     """Posterior mean/variance of every target element x_{m,j} = mu_m * d.
 
-    Mean: mu_m * sum_k e_sk d_k.  Variance: E[1/(lam_m tau)] times the
+    Mean: mu_m * sum_k e_kmj d_k.  Variance: E[1/(lam_m tau)] times the
     responsibility-weighted symbol spread; the inverse-precision mean
     b/(a-1) requires a > 1.  The symbol moments E|d|^2 and spread are kept
     on the state for posterior_variance_full.
@@ -242,7 +235,7 @@ def posterior_variance_full(state: VbicState) -> np.ndarray:
     """Exact posterior variance of x_{m,j} = mu_m * d under q, (M, J).
 
     Var[x] = E|mu|^2 E|d|^2 - |E mu|^2 |E d|^2
-           = E[(lam tau)^-1] * sum_k e_sk |d_k|^2  +  |mu_m|^2 * spread.
+           = E[(lam tau)^-1] * sum_k e_kmj |d_k|^2  +  |mu_m|^2 * spread.
 
     Reads the symbol moments that posterior_moments kept on the state, so
     it must follow posterior_moments.  The factored variance fed back to
@@ -262,13 +255,14 @@ def posterior_variance_full(state: VbicState) -> np.ndarray:
                       VARIANCE_FLOOR)
 
 
-def vbic_step(state: VbicState, r_flat: np.ndarray,
+def vbic_step(state: VbicState, r: np.ndarray,
               alphabet: ExtendedAlphabet) -> tuple[VbicState, Posterior]:
-    """One full clustering iteration in update order: Dirichlet counts,
-    channel refresh, precision refresh, responsibilities, moments."""
+    """One full clustering iteration on the (M, J) pseudo observations r,
+    in update order: Dirichlet counts, channel refresh, precision refresh,
+    responsibilities, moments."""
     update_dirichlet(state)
-    update_channel(state, r_flat, alphabet)
-    update_gamma(state, r_flat)
-    update_responsibilities(state, r_flat, alphabet)
+    update_channel(state, r, alphabet)
+    update_gamma(state, r)
+    update_responsibilities(state, r, alphabet)
     posterior = posterior_moments(state, alphabet)
     return state, posterior

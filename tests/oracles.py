@@ -6,11 +6,12 @@ rest for all observations at once.  The scalar versions below keep every
 term, so tests use them as the reference the production update is checked
 against.
 
-The detector keeps alpha and resp symbol-major, (K, M, J), and forms the
-symbol moments with one real product.  The flat forms below use the
-(S, K) layout, one row per observation s = j + m*J, and the complex
-products resp @ d and resp @ conj(d) as the equations are written; they
-are the reference for the symbol-major code.
+The detector keeps alpha and resp symbol-major, (K, M, J), reads the
+observations r as (M, J), and forms the symbol moments with one real
+product.  The flat forms below number the observations s = j + m*J and
+use the (S, K) layout, one row per observation, and the complex products
+resp @ d and resp @ conj(d) as the equations are written; they are the
+reference for the symbol-major code.
 """
 
 import numpy as np
@@ -46,7 +47,7 @@ def expected_log_tau(state: VbicState) -> float:
 def expected_sq_err(state: VbicState, s: int, k: int, r_s: complex,
                     alphabet: ExtendedAlphabet) -> float:
     """E[tau |r_s - mu_m d_k|^2] under the current channel/precision posterior."""
-    m = s // state.J
+    m = s // state.resp.shape[2]
     d_k = alphabet.symbols[k]
     quad = (np.abs(r_s) ** 2
             + np.abs(d_k) ** 2 * np.abs(state.mu[m]) ** 2
@@ -62,21 +63,23 @@ def flat_symbol_moments(resp_sk: np.ndarray, alphabet: ExtendedAlphabet,
             (resp_sk @ (np.abs(d) ** 2)).reshape(m, -1))
 
 
-def flat_channel_sums(resp_sk: np.ndarray, r_flat: np.ndarray,
-                      alphabet: ExtendedAlphabet,
-                      m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The channel update's per-user sums over s in m and k:
-    weight = sum e_sk |d_k|^2 and cross = sum e_sk conj(d_k) r_s."""
+def flat_channel_sums(resp_sk: np.ndarray, r: np.ndarray,
+                      alphabet: ExtendedAlphabet) -> tuple[np.ndarray, np.ndarray]:
+    """The channel update's per-user sums over s in m and k, for (M, J)
+    observations r: weight = sum e_sk |d_k|^2 and cross = sum e_sk
+    conj(d_k) r_s."""
     d = alphabet.symbols
+    m = r.shape[0]
     weight = (resp_sk @ (np.abs(d) ** 2)).reshape(m, -1).sum(axis=1)
-    cross = ((resp_sk @ d.conj()) * r_flat).reshape(m, -1).sum(axis=1)
+    cross = ((resp_sk @ d.conj()) * r.ravel()).reshape(m, -1).sum(axis=1)
     return weight, cross
 
 
 def flat_gamma_rate(b: float, lam_prior: np.ndarray, mu_prior: np.ndarray,
                     lam: np.ndarray, mu: np.ndarray, resp_sk: np.ndarray,
-                    r_flat: np.ndarray) -> float:
-    """The Gamma rate update with the row sums resp.sum(axis=1)."""
+                    r: np.ndarray) -> float:
+    """The Gamma rate update with the row sums resp.sum(axis=1), for
+    (M, J) observations r."""
     return float(b + np.sum(lam_prior * np.abs(mu_prior) ** 2)
-                 + np.sum(resp_sk.sum(axis=1) * np.abs(r_flat) ** 2)
+                 + np.sum(resp_sk.sum(axis=1) * np.abs(r.ravel()) ** 2)
                  - np.sum(lam * np.abs(mu) ** 2))

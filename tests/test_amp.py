@@ -163,32 +163,21 @@ def _check_against_plain_update(m, n, j, seed, noise_var=0.3, passes=5):
         np.testing.assert_allclose(pseudo.R, r, rtol=1e-12)
         np.testing.assert_allclose(pseudo.Tau, tau, rtol=1e-12)
         np.testing.assert_allclose(state.S_mat, s_ref, rtol=1e-12)
-        # The clustering step views r_flat as (M, J) blocks, so R must be
-        # row-major and r_flat a view of it, not a copy.
+        # The clustering step combines R elementwise with the C-ordered
+        # (M, J) planes of its own state, so R stays row-major too.
         assert pseudo.R.flags.c_contiguous
-        assert np.shares_memory(pseudo.r_flat, pseudo.R)
         post = Posterior(Xhat=0.5 * pseudo.R,
                          That=rng.uniform(0.1, 0.3 + 0.1 * it, (m, j)))
 
 
-class TestFlattening:
-
-    def test_index_rule(self):
-        # s = j + (m-1)*J in 1-based indexing: user m's block is contiguous.
-        m, j = 4, 3
-        r = np.arange(m * j).reshape(m, j) * (1.0 + 0.5j)
-        flat = PseudoObservations(R=r, Tau=np.ones((m, j))).r_flat
-        for mi in range(m):
-            for ji in range(j):
-                assert flat[mi * j + ji] == r[mi, ji]
-            assert np.array_equal(flat[mi * j:(mi + 1) * j], r[mi])
+class TestPseudoObservations:
 
     def test_warm_start_reads_reference_slot(self):
-        # The channel warm start reads slot 1 of each user's flat block.
+        # The channel warm start reads slot 1 of each user's row of R.
         alph = build_alphabet("qpsk")
         m, j = 4, 3
         r = np.arange(1, m * j + 1).reshape(m, j) * (1.0 + 0.5j)
         pseudo = PseudoObservations(R=r, Tau=np.ones((m, j)))
-        state = vbic_init(m * j, alph.K, m)
-        warm_start_channel(state, pseudo.r_flat, alph)
+        state = vbic_init(alph.K, m, j)
+        warm_start_channel(state, pseudo.R, alph)
         assert np.array_equal(state.mu, r[:, 0] / alph.reference_symbol)

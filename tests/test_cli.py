@@ -112,6 +112,14 @@ class TestRunCommand:
         rc = cli.main(["run", "--config", str(path)])
         assert rc == 2
 
+    def test_unknown_detector_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "cfg.txt"
+        path.write_text(BASE_CONFIG.replace("detectors = amp_vbic, genie",
+                                            "detectors = bogus"))
+        rc = cli.main(["run", "--config", str(path)])
+        assert rc == 2
+        assert "unknown detector 'bogus'" in capsys.readouterr().err
+
     def test_numerical_breakdown_exits_3(self, config_file, monkeypatch):
         def boom(*args, **kwargs):
             raise NonPositiveScale("synthetic breakdown")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ampvbic.detector import run_detector, run_detector_internals
-from ampvbic.errors import ConfigError, ShapeMismatch
+from ampvbic.errors import ConfigError, DimensionMismatch
 from ampvbic.harness import trial_rng
 from ampvbic.model import ScenarioConfig, build_alphabet, generate_frame
 
@@ -58,9 +58,9 @@ class TestRunDetector:
 
     def test_shape_checks(self):
         cfg, alph, fr = make_frame()
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(DimensionMismatch):
             run_detector(fr.A[:, :-1], fr.Y, cfg, alph)
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(DimensionMismatch):
             run_detector(fr.A, fr.Y[:, :-1], cfg, alph)
 
     def test_degenerate_prior_rejected(self):

@@ -6,8 +6,8 @@ import pytest
 from scipy import stats
 
 from ampvbic import harness
-from ampvbic.errors import ConfigError, InvalidAxis, LengthMismatch, \
-    NumericalBreakdown, ShapeMismatch, TrialFailure
+from ampvbic.errors import ConfigError, DimensionMismatch, InvalidAxis, \
+    NumericalBreakdown, TrialFailure
 from ampvbic.detector import run_detector
 from ampvbic.harness import (MetricsRecord, aggregate, genie_detect,
                              run_trials, sweep, trial_rng, write_csv)
@@ -29,7 +29,7 @@ class TestAer:
         assert compute_aer(np.array([1, 0]), np.array([0, 1])) == 1.0
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(DimensionMismatch):
             compute_aer(np.zeros(3), np.zeros(4))
 
 
@@ -58,7 +58,7 @@ class TestSer:
         assert compute_ser(d, d_hat, include_rs=True) == pytest.approx(0.2)
 
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(DimensionMismatch):
             compute_ser(np.zeros((2, 3)), np.zeros((3, 2)))
 
 

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,20 @@ class TestAlphabet:
         with pytest.raises(ValueError):
             basis[2, 0] = 1.0
         assert alph.symbol_basis is basis
+
+    @pytest.mark.parametrize("cached", [False, True])
+    @pytest.mark.parametrize("mod", ["qpsk", "qam16"])
+    def test_pickle_round_trip_stays_read_only(self, mod, cached):
+        # The --threads pool pickles the alphabet into every trial.
+        alph = build_alphabet(mod)
+        if cached:
+            alph.symbol_basis
+        copy = pickle.loads(pickle.dumps(alph))
+        assert np.array_equal(copy.symbols, alph.symbols)
+        assert (copy.K, copy.E_sym) == (alph.K, alph.E_sym)
+        assert np.array_equal(copy.symbol_basis, alph.symbol_basis)
+        assert not copy.symbols.flags.writeable
+        assert not copy.symbol_basis.flags.writeable
 
 
 class TestNoiseVariance:

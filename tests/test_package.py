@@ -7,9 +7,8 @@ PUBLIC = {
     "write_csv", "compute_aer", "compute_ce_mse", "compute_ser",
     "ScenarioConfig", "DetectionResult", "IterationTrace", "MetricsRecord",
     "AmpVbicError", "ConfigError", "DimensionMismatch", "InvalidAxis",
-    "LengthMismatch", "NonPositiveNoise", "NonPositiveScale",
-    "NumericalBreakdown", "PrecisionDegenerate", "ShapeMismatch",
-    "TrialFailure", "ZeroReferenceSymbol",
+    "NonPositiveNoise", "NonPositiveScale", "NumericalBreakdown",
+    "PrecisionDegenerate", "TrialFailure", "ZeroReferenceSymbol",
 }
 
 

@@ -57,54 +57,57 @@ def random_state(seed, m, j, modulation, a, b, scale):
     responsibilities, its observations and its alphabet."""
     rng = np.random.default_rng(seed)
     alph = build_alphabet(modulation)
-    state = vbic_init(m * j, alph.K, m)
+    state = vbic_init(alph.K, m, j)
     state.mu = rng.standard_normal(m) + 1j * rng.standard_normal(m)
     state.lam = rng.uniform(0.3, 50.0, m)
     state.a, state.b = a, b
     state.resp = k_major(rng.dirichlet(np.ones(alph.K), size=m * j), m)
-    r = scale * (rng.standard_normal(m * j) + 1j * rng.standard_normal(m * j))
+    r = scale * (rng.standard_normal((m, j)) + 1j * rng.standard_normal((m, j)))
     return state, r, alph
 
 
 class TestInit:
 
     def test_uniform_responsibilities(self):
-        state = vbic_init(10, 5, 2)
+        state = vbic_init(5, 2, 5)
         assert state.resp.shape == state.alpha.shape == (5, 2, 5)
         assert state.resp.flags.c_contiguous and state.alpha.flags.c_contiguous
         assert np.allclose(state.resp, 0.2)
         assert np.allclose(state.resp.sum(axis=0), 1.0)
 
     def test_prior_values(self):
-        state = vbic_init(6, 3, 2)
+        state = vbic_init(3, 2, 3)
         assert state.a == 1e-4
         assert state.b == 1.0
         assert np.all(state.alpha == 0.1)
         assert np.all(state.lam == 1.0)
         assert not state.mu.any()
-        assert (state.M, state.J, state.K, state.S) == (2, 3, 3, 6)
+        assert state.alpha.shape == state.resp.shape == (3, 2, 3)
+        assert state.lam.shape == state.mu.shape == (2,)
 
     def test_bad_dims(self):
         with pytest.raises(DimensionMismatch):
-            vbic_init(5, 4, 2)  # S not a multiple of M
+            vbic_init(1, 2, 3)  # fewer than two symbols
+        with pytest.raises(DimensionMismatch):
+            vbic_init(2, 2, 0)  # no slots
 
 
 class TestDirichlet:
 
     def test_single_increment(self):
-        state = vbic_init(2, 2, 1)
+        state = vbic_init(2, 1, 2)
         state.resp = k_major([[0.1, 0.9], [1.0, 0.0]], 1)
         update_dirichlet(state)
         assert state.alpha[1, 0, 0] == pytest.approx(1.0, rel=1e-9)
 
     def test_zero_increment(self):
-        state = vbic_init(2, 2, 1)
+        state = vbic_init(2, 1, 2)
         state.resp = k_major(np.zeros((2, 2)), 1)
         update_dirichlet(state)
         assert np.all(state.alpha == 0.1)
 
     def test_accumulation_two_rounds(self):
-        state = vbic_init(2, 2, 1)
+        state = vbic_init(2, 1, 2)
         state.resp = k_major(np.full((2, 2), 0.5), 1)
         update_dirichlet(state)
         update_dirichlet(state)
@@ -116,19 +119,19 @@ class TestChannel:
     def test_hand_example(self):
         # lam=1, mu=0, single observation, responsibility one-hot on d=1,
         # r=0.5: lam_bar = 1 + 1 = 2, mu_bar = (0 + 0.5)/2 = 0.25.
-        state = vbic_init(1, 2, 1)
+        state = vbic_init(2, 1, 1)
         state.resp = k_major([[0.0, 1.0]], 1)
-        update_channel(state, np.array([0.5 + 0.0j]), unit_alphabet())
+        update_channel(state, np.array([[0.5 + 0.0j]]), unit_alphabet())
         assert state.lam[0] == pytest.approx(2.0, rel=1e-9)
         assert state.mu[0] == pytest.approx(0.25, rel=1e-9)
 
     def test_null_mass_carries_nothing(self):
-        state = vbic_init(3, 2, 1)
+        state = vbic_init(2, 1, 3)
         state.mu = np.array([0.7 - 0.2j])
         rows = np.zeros((3, 2))
         rows[:, 0] = 1.0  # all mass on the null symbol
         state.resp = k_major(rows, 1)
-        r = np.array([1.0, 2.0, 3.0], dtype=complex)
+        r = np.array([[1.0, 2.0, 3.0]], dtype=complex)
         update_channel(state, r, unit_alphabet())
         assert state.lam[0] == pytest.approx(1.0, rel=1e-12)
         assert state.mu[0] == pytest.approx(0.7 - 0.2j, rel=1e-12)
@@ -142,8 +145,8 @@ class TestChannel:
         mu_true = 0.9 * np.exp(1j * 0.6)
         sym_idx = rng.integers(1, alph.K, j)
         d_row = alph.symbols[sym_idx]
-        r = mu_true * d_row
-        state = vbic_init(j, alph.K, 1)
+        r = mu_true * d_row[None, :]
+        state = vbic_init(alph.K, 1, j)
         state.lam = np.array([1e-8])
         rows = np.zeros((j, alph.K))
         rows[np.arange(j), sym_idx] = 1.0
@@ -154,16 +157,24 @@ class TestChannel:
         assert state.mu[0] == pytest.approx(mu_true, rel=1e-6)
 
     def test_wrong_obs_count(self):
-        state = vbic_init(4, 2, 2)
+        state = vbic_init(2, 2, 2)
         with pytest.raises(DimensionMismatch):
             update_channel(state, np.zeros(3, dtype=complex), unit_alphabet())
+
+    def test_transposed_observations_rejected(self):
+        # (J, M) has the right size but the wrong layout: rejected, not
+        # reshaped into (M, J).
+        state = vbic_init(2, 2, 3)
+        with pytest.raises(DimensionMismatch):
+            update_channel(state, np.zeros((3, 2), dtype=complex),
+                           unit_alphabet())
 
     @settings(max_examples=100, deadline=None)
     @given(**STATE_RANGES)
     def test_matches_flat_oracle(self, seed, m, j, modulation, a, b, scale):
         state, r, alph = random_state(seed, m, j, modulation, a, b, scale)
         lam, mu = state.lam, state.mu
-        weight, cross = flat_channel_sums(flat_rows(state.resp), r, alph, m)
+        weight, cross = flat_channel_sums(flat_rows(state.resp), r, alph)
         update_channel(state, r, alph)
         np.testing.assert_allclose(state.lam, lam + weight, rtol=0, atol=1e-12)
         np.testing.assert_allclose(state.mu, (lam * mu + cross) / (lam + weight),
@@ -174,14 +185,14 @@ class TestChannel:
 class TestGamma:
 
     def test_shape_increment(self):
-        state = vbic_init(2000, 2, 10)
-        update_channel(state, np.zeros(2000, dtype=complex), unit_alphabet())
-        update_gamma(state, np.zeros(2000, dtype=complex))
+        state = vbic_init(2, 10, 200)
+        update_channel(state, np.zeros((10, 200), dtype=complex), unit_alphabet())
+        update_gamma(state, np.zeros((10, 200), dtype=complex))
         assert state.a == pytest.approx(2000.0001, rel=1e-12)
 
     def test_all_zero_observations(self):
-        state = vbic_init(4, 2, 2)
-        r = np.zeros(4, dtype=complex)
+        state = vbic_init(2, 2, 2)
+        r = np.zeros((2, 2), dtype=complex)
         update_channel(state, r, unit_alphabet())
         update_gamma(state, r)
         assert state.b == pytest.approx(1.0, rel=1e-12)
@@ -189,26 +200,32 @@ class TestGamma:
     def test_hand_example(self):
         # Single observation r=1 with all mass on the null symbol: the
         # rate grows by exactly |r|^2.
-        state = vbic_init(1, 2, 1)
+        state = vbic_init(2, 1, 1)
         state.resp = k_major([[1.0, 0.0]], 1)
-        r = np.array([1.0 + 0.0j])
+        r = np.array([[1.0 + 0.0j]])
         update_channel(state, r, unit_alphabet())
         update_gamma(state, r)
         assert state.b == pytest.approx(2.0, rel=1e-9)
 
     def test_requires_channel_update(self):
-        state = vbic_init(2, 2, 1)
+        state = vbic_init(2, 1, 2)
         with pytest.raises(RuntimeError):
-            update_gamma(state, np.zeros(2, dtype=complex))
+            update_gamma(state, np.zeros((1, 2), dtype=complex))
 
     def test_non_positive_scale(self):
-        state = vbic_init(2, 2, 1)
+        state = vbic_init(2, 1, 2)
         state.resp = k_major(np.zeros((2, 2)), 1)
         state.lam_prior = np.array([1.0])
         state.mu_prior = np.array([0.0 + 0.0j])
         state.mu = np.array([3.0 + 0.0j])  # fabricated inconsistent refresh
         with pytest.raises(NonPositiveScale):
-            update_gamma(state, np.zeros(2, dtype=complex))
+            update_gamma(state, np.zeros((1, 2), dtype=complex))
+
+    def test_transposed_observations_rejected(self):
+        state = vbic_init(2, 2, 3)
+        update_channel(state, np.zeros((2, 3), dtype=complex), unit_alphabet())
+        with pytest.raises(DimensionMismatch):
+            update_gamma(state, np.zeros((3, 2), dtype=complex))
 
     @settings(max_examples=100, deadline=None)
     @given(**STATE_RANGES)
@@ -223,8 +240,8 @@ class TestGamma:
     def test_nan_observation(self):
         # A NaN pseudo observation makes the rate NaN, which `b <= 0` alone
         # would let through.
-        state = vbic_init(2, 2, 1)
-        r = np.array([np.nan + 0.0j, 1.0 + 0.0j])
+        state = vbic_init(2, 1, 2)
+        r = np.array([[np.nan + 0.0j, 1.0 + 0.0j]])
         update_channel(state, r, unit_alphabet())
         with pytest.raises(NonPositiveScale):
             update_gamma(state, r)
@@ -233,12 +250,12 @@ class TestGamma:
 class TestExpectations:
 
     def test_log_pi_uniform(self):
-        state = vbic_init(2, 4, 1)
+        state = vbic_init(4, 1, 2)
         vals = expected_log_pi(state, 0)
         assert np.allclose(vals, vals[0])
 
     def test_log_pi_known_values(self):
-        state = vbic_init(2, 2, 1)
+        state = vbic_init(2, 1, 2)
         state.alpha = k_major([[1.0, 1.0], [2.0, 1.0]], 1)
         # psi(1) - psi(2) = -1 by the recurrence psi(x+1) = psi(x) + 1/x
         assert expected_log_pi(state, 0) == pytest.approx([-1.0, -1.0], rel=1e-9)
@@ -246,7 +263,7 @@ class TestExpectations:
         assert expected_log_pi(state, 1)[0] == pytest.approx(-0.5, rel=1e-9)
 
     def test_log_pi_matches_oracle(self):
-        state = vbic_init(3, 5, 1)
+        state = vbic_init(5, 1, 3)
         rng = np.random.default_rng(22)
         state.alpha = k_major(rng.uniform(0.05, 30.0, (3, 5)), 1)
         for s in range(3):
@@ -256,7 +273,7 @@ class TestExpectations:
             assert np.allclose(expected_log_pi(state, s), want, atol=1e-10)
 
     def test_log_tau_values(self):
-        state = vbic_init(2, 2, 1)
+        state = vbic_init(2, 1, 2)
         state.a, state.b = 1.0, 1.0
         assert expected_log_tau(state) == pytest.approx(-EULER_GAMMA, rel=1e-9)
         state.a = 2.0
@@ -281,7 +298,7 @@ class TestExpectations:
 class TestSquaredError:
 
     def test_null_symbol(self):
-        state = vbic_init(2, 2, 1)
+        state = vbic_init(2, 1, 2)
         state.a, state.b = 2.0, 4.0
         r = 1.5 - 0.5j
         want = (2.0 / 4.0) * abs(r) ** 2
@@ -289,7 +306,7 @@ class TestSquaredError:
             want, rel=1e-9)
 
     def test_perfect_match_no_uncertainty(self):
-        state = vbic_init(2, 2, 1)
+        state = vbic_init(2, 1, 2)
         state.a, state.b = 1.0, 1.0
         state.mu = np.array([0.8 + 0.3j])
         state.lam = np.array([1e15])
@@ -298,7 +315,7 @@ class TestSquaredError:
             0.0, abs=1e-12)
 
     def test_hand_example(self):
-        state = vbic_init(2, 2, 1)
+        state = vbic_init(2, 1, 2)
         state.a = state.b = 1.0
         state.lam = np.array([1.0])
         state.mu = np.array([1.0 + 0.0j])
@@ -310,20 +327,21 @@ class TestSquaredError:
 class TestResponsibilities:
 
     def test_symmetric_clusters(self):
-        state = vbic_init(2, 2, 1)
+        state = vbic_init(2, 1, 2)
         state.a, state.b = 1.0, 1.0
         state.lam = np.array([1e18])  # suppress the |d|^2/lam asymmetry
         state.mu = np.array([0.0 + 0.0j])
-        update_responsibilities(state, np.array([0.3 + 0.1j, 0.0j]), unit_alphabet())
+        update_responsibilities(state, np.array([[0.3 + 0.1j, 0.0j]]),
+                                unit_alphabet())
         assert np.allclose(state.resp, 0.5, atol=1e-9)
 
     def test_softmax_saturation(self):
         # Squared-error gap of 50 puts all but ~2e-22 of the mass on one side.
-        state = vbic_init(1, 2, 1)
+        state = vbic_init(2, 1, 1)
         state.a = state.b = 1.0
         state.lam = np.array([1e18])
         state.mu = np.array([math.sqrt(50.0) + 0.0j])
-        r = np.array([math.sqrt(50.0) + 0.0j])  # exact fit for d=1, 50 off for d=0
+        r = np.array([[math.sqrt(50.0) + 0.0j]])  # exact fit for d=1, 50 off for d=0
         update_responsibilities(state, r, unit_alphabet())
         assert state.resp[1, 0, 0] >= 1.0 - 2e-22
 
@@ -332,11 +350,11 @@ class TestResponsibilities:
         # With unit precision and no channel uncertainty the gap in the
         # squared errors is |r|^2 - |r - mu|^2 = 2r - 1 for real r, mu=1;
         # choosing r = (1 + ln3)/2 makes it ln 3 exactly.
-        state = vbic_init(1, 2, 1)
+        state = vbic_init(2, 1, 1)
         state.a = state.b = 1.0
         state.lam = np.array([1e18])
         state.mu = np.array([1.0 + 0.0j])
-        r = np.array([(1.0 + math.log(3.0)) / 2.0 + 0.0j])
+        r = np.array([[(1.0 + math.log(3.0)) / 2.0 + 0.0j]])
         update_responsibilities(state, r, unit_alphabet())
         assert flat_rows(state.resp)[0] == pytest.approx([0.25, 0.75], rel=1e-9)
 
@@ -350,16 +368,16 @@ class TestResponsibilities:
         # own rounding stays far below the tolerance.
         rng = np.random.default_rng(seed)
         alph = build_alphabet(modulation)
-        state = vbic_init(m * j, alph.K, m)
+        state = vbic_init(alph.K, m, j)
         state.mu = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         state.lam = rng.uniform(0.3, 50.0, m)
         state.a, state.b = a, b
         state.alpha = k_major(rng.uniform(0.05, 20.0, (m * j, alph.K)), m)
-        r = scale * (rng.standard_normal(m * j) + 1j * rng.standard_normal(m * j))
+        r = scale * (rng.standard_normal((m, j)) + 1j * rng.standard_normal((m, j)))
         ln_rho = np.array([
             [expected_log_tau(state) - math.log(math.pi)
              + expected_log_pi(state, s)[k]
-             - expected_sq_err(state, s, k, r[s], alph)
+             - expected_sq_err(state, s, k, r.flat[s], alph)
              for k in range(alph.K)]
             for s in range(m * j)])
         want = np.exp(ln_rho - ln_rho.max(axis=1, keepdims=True))
@@ -373,14 +391,14 @@ class TestResponsibilities:
         rng = np.random.default_rng(seed)
         alph = build_alphabet("qpsk" if seed % 2 else "qam16")
         m, j = int(rng.integers(1, 4)), int(rng.integers(1, 5))
-        state = vbic_init(m * j, alph.K, m)
+        state = vbic_init(alph.K, m, j)
         state.mu = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         state.lam = rng.uniform(0.3, 50.0, m)
         state.a = rng.uniform(1.01, 1e4)
         state.b = rng.uniform(0.1, 1e4)
         state.alpha = k_major(rng.uniform(0.05, 20.0, (m * j, alph.K)), m)
         scale = rng.uniform(0.01, 30.0)
-        r = scale * (rng.standard_normal(m * j) + 1j * rng.standard_normal(m * j))
+        r = scale * (rng.standard_normal((m, j)) + 1j * rng.standard_normal((m, j)))
         update_responsibilities(state, r, alph)
         assert np.allclose(state.resp.sum(axis=0), 1.0, atol=1e-9)
         post = posterior_moments(state, alph)
@@ -391,7 +409,7 @@ class TestMoments:
 
     def test_one_hot_mass(self):
         alph = build_alphabet("qpsk")
-        state = vbic_init(4, alph.K, 1)
+        state = vbic_init(alph.K, 1, 4)
         state.a, state.b = 2.0, 1.0
         state.mu = np.array([0.5 - 0.5j])
         rows = np.zeros((4, alph.K))
@@ -403,7 +421,7 @@ class TestMoments:
 
     def test_symmetric_mean_cancels(self):
         alph = build_alphabet("qpsk")
-        state = vbic_init(2, alph.K, 1)
+        state = vbic_init(alph.K, 1, 2)
         state.a = 2.0
         state.mu = np.array([1.0 + 0.0j])
         rows = np.zeros((2, alph.K))
@@ -415,7 +433,7 @@ class TestMoments:
     def test_hand_example(self):
         # e = [0.5, 0.5] over {0, 1}, mu=1, b=lam=1, a=2:
         # xhat = 0.5, that = 1 * (0.5 - 0.25) = 0.25.
-        state = vbic_init(1, 2, 1)
+        state = vbic_init(2, 1, 1)
         state.a = 2.0
         state.mu = np.array([1.0 + 0.0j])
         state.resp = k_major([[0.5, 0.5]], 1)
@@ -424,14 +442,14 @@ class TestMoments:
         assert post.That[0, 0] == pytest.approx(0.25, rel=1e-9)
 
     def test_precision_degenerate(self):
-        state = vbic_init(2, 2, 1)
+        state = vbic_init(2, 1, 2)
         state.a = 1.0
         with pytest.raises(PrecisionDegenerate):
             posterior_moments(state, unit_alphabet())
 
     def test_non_finite_responsibilities(self):
         # A typed error, not an assert that `python -O` strips.
-        state = vbic_init(2, 2, 1)
+        state = vbic_init(2, 1, 2)
         state.a = 2.0
         state.resp = k_major([[0.5, 0.5], [np.nan, np.nan]], 1)
         with pytest.raises(NumericalBreakdown):
@@ -440,7 +458,7 @@ class TestMoments:
     def test_full_variance_adds_mean_terms(self):
         # Same hand case: exact Var[mu d] = v E|d|^2 + |mu|^2 spread
         #                = 1*0.5 + 1*0.25 = 0.75.
-        state = vbic_init(1, 2, 1)
+        state = vbic_init(2, 1, 1)
         state.a = 2.0
         state.mu = np.array([1.0 + 0.0j])
         state.resp = k_major([[0.5, 0.5]], 1)
@@ -451,7 +469,7 @@ class TestMoments:
     def test_full_variance_keeps_channel_term_for_point_mass(self):
         # One-hot responsibilities: factored variance floors at ~0 but the
         # exact one retains the channel-estimate uncertainty v*|d|^2.
-        state = vbic_init(1, 2, 1)
+        state = vbic_init(2, 1, 1)
         state.a, state.b = 3.0, 4.0
         state.lam = np.array([2.0])
         state.mu = np.array([5.0 + 0.0j])
@@ -476,7 +494,7 @@ class TestMoments:
 
     def test_full_variance_requires_moments(self):
         with pytest.raises(RuntimeError):
-            posterior_variance_full(vbic_init(2, 2, 1))
+            posterior_variance_full(vbic_init(2, 1, 2))
 
     def test_per_user_broadcast_matches_flat_index(self):
         # Both moment functions broadcast mu and lam over the (M, J) view;
@@ -485,7 +503,7 @@ class TestMoments:
         alph = build_alphabet("qam16")
         rng = np.random.default_rng(25)
         m, j = 3, 4
-        state = vbic_init(m * j, alph.K, m)
+        state = vbic_init(alph.K, m, j)
         state.a, state.b = 7.0, 3.0
         state.mu = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         state.lam = rng.uniform(0.5, 20.0, m)
@@ -513,26 +531,26 @@ class TestStep:
 
     def test_shapes(self):
         alph = build_alphabet("qam16")
-        state = vbic_init(12, alph.K, 3)
+        state = vbic_init(alph.K, 3, 4)
         state.mu = np.ones(3, dtype=complex)
-        _, post = vbic_step(state, np.zeros(12, dtype=complex), alph)
+        _, post = vbic_step(state, np.zeros((3, 4), dtype=complex), alph)
         assert post.Xhat.shape == (3, 4)
         assert post.That.shape == (3, 4)
 
     def test_nan_pseudo_observation_is_typed_breakdown(self):
         alph = build_alphabet("qpsk")
-        state = vbic_init(8, alph.K, 2)
-        r = np.ones(8, dtype=complex)
+        state = vbic_init(alph.K, 2, 4)
+        r = np.ones((2, 4), dtype=complex)
         warm_start_channel(state, r, alph)
-        r[5] = complex(np.nan, 0.0)
+        r[1, 1] = complex(np.nan, 0.0)
         with pytest.raises(NumericalBreakdown):
             vbic_step(state, r, alph)
 
     def test_all_zero_observations_zero_channel(self):
         alph = build_alphabet("qpsk")
-        state = vbic_init(8, alph.K, 2)
+        state = vbic_init(alph.K, 2, 4)
         for _ in range(3):
-            state, _ = vbic_step(state, np.zeros(8, dtype=complex), alph)
+            state, _ = vbic_step(state, np.zeros((2, 4), dtype=complex), alph)
         assert np.allclose(np.abs(state.mu), 0.0, atol=1e-12)
 
     def test_noiseless_single_user_recovers_symbols(self):
@@ -544,8 +562,8 @@ class TestStep:
         j = 10
         mu_true = 0.8 * np.exp(1j * 0.7)
         sym_idx = np.concatenate(([1], rng.integers(1, alph.K, j - 1)))
-        r = mu_true * alph.symbols[sym_idx]
-        state = vbic_init(j, alph.K, 1)
+        r = mu_true * alph.symbols[sym_idx][None, :]
+        state = vbic_init(alph.K, 1, j)
         warm_start_channel(state, r, alph)
         assert state.mu[0] == pytest.approx(mu_true, rel=1e-12)
         for _ in range(5):
@@ -559,8 +577,8 @@ class TestStep:
         j = 12
         mu_true = 1.1 * np.exp(-1j * 0.4)
         sym_idx = np.concatenate(([1], rng.integers(1, alph.K, j - 1)))
-        r = mu_true * alph.symbols[sym_idx]
-        state = vbic_init(j, alph.K, 1)
+        r = mu_true * alph.symbols[sym_idx][None, :]
+        state = vbic_init(alph.K, 1, j)
         warm_start_channel(state, r, alph)
         for _ in range(5):
             state, _ = vbic_step(state, r, alph)
