@@ -107,7 +107,8 @@ def _add_common_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--no-offset-llr", action="store_true",
                      help="ablation: decide activity from clustering evidence only")
     sub.add_argument("--threads", type=int, default=1,
-                     help="parallel trial workers (default 1)")
+                     help="parallel trial worker processes, >= 1 (default 1); "
+                          "at most one per trial is started")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -64,7 +64,7 @@ def _finalize(state: vbic.VbicState, posterior: amp.Posterior,
     feedback uses.
     """
     decision_posterior = amp.Posterior(
-        Xhat=posterior.Xhat, That=vbic.posterior_variance_full(state))
+        Xhat=posterior.Xhat, That=vbic.posterior_variance_full(state, alphabet))
     result = detect(state.resp, decision_posterior, state.mu, alphabet,
                     p_a, include_offset)
     active = result.activity_hat.astype(bool)
@@ -77,7 +77,6 @@ def _finalize(state: vbic.VbicState, posterior: amp.Posterior,
 def run_detector(a_mat: np.ndarray, y: np.ndarray, config: ScenarioConfig,
                  alphabet: ExtendedAlphabet,
                  ground_truth: ScenarioInstance | None = None, *,
-                 include_offset: bool = True,
                  conv_tol: float | None = None,
                  ) -> tuple[DetectionResult, IterationTrace]:
     """Run the full detector on one frame.
@@ -88,25 +87,23 @@ def run_detector(a_mat: np.ndarray, y: np.ndarray, config: ScenarioConfig,
     exactly n_it trace records).
     """
     trace, internals = run_detector_internals(
-        a_mat, y, config, alphabet, ground_truth,
-        include_offset=include_offset, conv_tol=conv_tol)
+        a_mat, y, config, alphabet, ground_truth, conv_tol=conv_tol)
     result = _finalize(internals.vbic_state, internals.posterior, alphabet,
-                       config.p_a, include_offset)
+                       config.p_a, include_offset=True)
     return result, trace
 
 
 def run_detector_internals(a_mat: np.ndarray, y: np.ndarray,
                            config: ScenarioConfig, alphabet: ExtendedAlphabet,
                            ground_truth: ScenarioInstance | None = None, *,
-                           include_offset: bool = True,
                            conv_tol: float | None = None,
                            start: DetectorInternals | None = None,
                            ) -> tuple[IterationTrace, DetectorInternals]:
     """The detector's iteration loop without the final decision: the
     per-iteration trace and the final-iteration internals.
 
-    include_offset only selects how the ground-truth trace snapshots
-    decide.  start, the internals of an earlier call on the same frame
+    The ground-truth trace snapshots decide as run_detector does, with
+    the offsets.  start, the internals of an earlier call on the same frame
     and config, continues that loop up to config.n_it iterations in total;
     the result equals a fresh config.n_it-iteration run, and the trace
     holds only the iterations this call ran.  start's VB state is advanced
@@ -146,13 +143,13 @@ def run_detector_internals(a_mat: np.ndarray, y: np.ndarray,
         if it == 0:
             vbic.warm_start_channel(state, pseudo.R, alphabet)
         prev_xhat = posterior.Xhat
-        state, posterior = vbic.vbic_step(state, pseudo.R, alphabet)
+        posterior = vbic.vbic_step(state, pseudo.R, alphabet)
 
         delta = float(np.mean(np.abs(posterior.Xhat - prev_xhat)))
         trace.delta_x.append(delta)
         if ground_truth is not None:
-            snapshot = _finalize(state, posterior, alphabet,
-                                 config.p_a, include_offset)
+            snapshot = _finalize(state, posterior, alphabet, config.p_a,
+                                 include_offset=True)
             trace.aer.append(compute_aer(ground_truth.activity, snapshot.activity_hat))
             trace.ser.append(compute_ser(ground_truth.D, snapshot.D_hat))
             trace.ce_mse.append(compute_ce_mse(ground_truth.mu, snapshot.channel_hat))

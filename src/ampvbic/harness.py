@@ -22,7 +22,7 @@ from .detector import _finalize, run_detector_internals
 from .errors import ConfigError, InvalidAxis, TrialFailure
 from .metrics import compute_aer, compute_ce_mse, compute_ser
 from .model import ExtendedAlphabet, ScenarioConfig, ScenarioInstance, \
-    build_alphabet, generate_frame
+    build_alphabet, generate_frame, noise_variance_from_snr
 
 DETECTOR_NAMES = ("amp_vbic", "amp_vbic_no_offset", "genie")
 SWEEP_AXES = ("snr_db", "N", "p_a", "n_it")
@@ -152,13 +152,34 @@ def _run_one_trial(config: ScenarioConfig, alphabet: ExtendedAlphabet,
     return [by_n_it[n_it] for n_it in n_its]
 
 
-def _check_request(n_trials: int, detectors: tuple[str, ...]) -> None:
+def _check_request(cells: list[ScenarioConfig], n_trials: int,
+                   detectors: tuple[str, ...], n_workers: int) -> None:
+    """Reject, before any trial runs, a request the detector cannot run.
+
+    A ScenarioConfig may describe frames the detector cannot decide on:
+    p_a of 0 or 1 (the activity prior log-odds are infinite) or an SNR at
+    which the noise variance is zero or overflows.
+    """
     if n_trials < 1:
         raise ConfigError(f"n_trials must be >= 1, got {n_trials}")
+    if n_workers < 1:
+        raise ConfigError(f"n_workers must be >= 1, got {n_workers}")
     for name in detectors:
         if name not in DETECTOR_NAMES:
             raise ConfigError(f"unknown detector {name!r}; "
                               f"choose from {DETECTOR_NAMES}")
+    for cell in cells:
+        if not 0.0 < cell.p_a < 1.0:
+            raise ConfigError(f"detection needs 0 < p_a < 1, got {cell.p_a}")
+        try:
+            noise_var = noise_variance_from_snr(
+                cell.snr_db, build_alphabet(cell.modulation).E_sym)
+        except OverflowError:
+            noise_var = np.inf
+        if not (np.isfinite(noise_var) and noise_var > 0.0):
+            raise ConfigError(f"snr_db={cell.snr_db} gives noise variance "
+                              f"{noise_var}; detection needs a finite "
+                              f"positive one")
 
 
 def _named_failure(trial: int, fn, *args):
@@ -174,8 +195,8 @@ def _trial_results(config: ScenarioConfig, trials: range,
                    n_its: tuple[int, ...], detectors: tuple[str, ...],
                    include_rs_in_ser: bool, n_active: int | None,
                    n_workers: int) -> list[list[list[MetricsRecord]]]:
-    """_run_one_trial of every trial, serially or in a process pool, in
-    trial order.
+    """_run_one_trial of every trial, serially or in a process pool of
+    at most one worker per trial, in trial order.
 
     Failures are wrapped in this process: an exception chained inside a
     pool worker arrives with its cause replaced by the worker's traceback
@@ -183,7 +204,10 @@ def _trial_results(config: ScenarioConfig, trials: range,
     """
     alphabet = build_alphabet(config.modulation)
     args = (n_its, tuple(detectors), include_rs_in_ser, n_active)
-    if n_workers <= 1:
+    # The default fork start method forks every worker at the first
+    # submit, so workers beyond the trial count would only cost memory.
+    n_workers = min(n_workers, len(trials))
+    if n_workers == 1:
         return [_named_failure(t, _run_one_trial, config, alphabet, t, *args)
                 for t in trials]
     with concurrent.futures.ProcessPoolExecutor(max_workers=n_workers) as pool:
@@ -199,11 +223,12 @@ def run_trials(config: ScenarioConfig, n_trials: int,
                n_active: int | None = None) -> list[MetricsRecord]:
     """Run n_trials independent frames through the requested detectors.
 
-    Returns one record per (trial, detector), ordered by trial.  Failures
-    raise TrialFailure with the trial index in the message and the
-    original error chained.
+    Returns one record per (trial, detector), ordered by trial.  A request
+    the detector cannot run (see _check_request) raises ConfigError before
+    any trial starts; a failing trial raises TrialFailure with the trial
+    index in the message and the original error chained.
     """
-    _check_request(n_trials, detectors)
+    _check_request([config], n_trials, detectors, n_workers)
     results = _trial_results(config, range(trial_start, trial_start + n_trials),
                              (config.n_it,), detectors, include_rs_in_ser,
                              n_active, n_workers)
@@ -258,27 +283,25 @@ def sweep(base_config: ScenarioConfig, axis: str, values, n_trials: int,
     runs).  A row's runtime_ms is still that of a fresh run of that many
     iterations: the loop time up to the value plus the detector's one
     decision.
+
+    Every swept value is checked before the first trial runs.
     """
     if axis not in SWEEP_AXES:
         raise InvalidAxis(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
-    values = list(values)
+    values = [int(v) if axis in ("N", "n_it") else v for v in values]
     if not values:
         raise ConfigError("sweep needs at least one axis value")
+    cells = [dataclasses.replace(base_config, **{axis: v}) for v in values]
+    _check_request(cells, n_trials, detectors, n_workers)
     if axis == "n_it":
-        n_its = tuple(int(v) for v in values)
-        for n_it in n_its:
-            dataclasses.replace(base_config, n_it=n_it)  # validates n_it
-        _check_request(n_trials, detectors)
+        n_its = tuple(values)
         results = _trial_results(base_config, range(n_trials), n_its,
                                  detectors, include_rs_in_ser, None, n_workers)
         return [row for i in range(len(n_its))
                 for row in aggregate([rec for batches in results
                                       for rec in batches[i]])]
     out = []
-    for value in values:
-        if axis == "N":
-            value = int(value)
-        config = dataclasses.replace(base_config, **{axis: value})
+    for config in cells:
         n_active = None
         if axis == "p_a" and not bernoulli_activity:
             n_active = int(round(config.p_a * config.M))

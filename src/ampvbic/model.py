@@ -119,6 +119,8 @@ class ScenarioConfig:
             raise ConfigError(f"J must be >= 2 (reference symbol + data), got {self.J}")
         if not 0.0 <= self.p_a <= 1.0:
             raise ConfigError(f"p_a must lie in [0, 1], got {self.p_a}")
+        if not np.isfinite(self.snr_db):
+            raise ConfigError(f"snr_db must be finite, got {self.snr_db}")
         if self.n_it < 1:
             raise ConfigError(f"n_it must be >= 1, got {self.n_it}")
 

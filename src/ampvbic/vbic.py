@@ -37,14 +37,17 @@ are the transposed product, (3 x K) @ (K x MJ).  The basis belongs to the
 alphabet (ExtendedAlphabet.symbol_basis): it is built once per alphabet,
 read-only, not once per update.
 
-Each iteration ends with the posterior moments of x[m, j] = mu_m * d that
-are handed back to the decoupling module.  Updated parameters become the
+Every update reads only the variational parameters and its arguments:
+the Gamma rate update takes the pre-refresh channel (lam_old, mu_old) as
+an argument, kept by the caller from before update_channel.  Each
+iteration ends with the posterior moments of x[m, j] = mu_m * d that are
+handed back to the decoupling module.  Updated parameters become the
 next iteration's priors, so counts accumulate across outer iterations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import digamma
@@ -69,10 +72,9 @@ class VbicState:
     [k, m, j], so reductions over the symbol axis run over axis 0 on
     contiguous planes (see the module docstring), and their shape is the
     state's dimensions.  lam/mu are per-user Gaussian channel-posterior
-    parameters, (a, b) the shared Gamma precision posterior.  lam_prior
-    and mu_prior hold the pre-refresh channel parameters that the Gamma
-    rate update needs; e_abs_d2 and spread (M x J) hold the symbol moments
-    of resp that posterior_moments formed, for posterior_variance_full.
+    parameters, (a, b) the shared Gamma precision posterior.  lam and mu
+    are only ever rebound, never written in place, so a caller can keep
+    the pre-refresh channel that update_gamma takes without copying it.
     """
 
     alpha: np.ndarray
@@ -81,10 +83,6 @@ class VbicState:
     a: float
     b: float
     resp: np.ndarray
-    lam_prior: np.ndarray | None = field(default=None, repr=False)
-    mu_prior: np.ndarray | None = field(default=None, repr=False)
-    e_abs_d2: np.ndarray | None = field(default=None, repr=False)
-    spread: np.ndarray | None = field(default=None, repr=False)
 
 
 def vbic_init(k: int, m: int, j: int) -> VbicState:
@@ -120,7 +118,7 @@ def _symbol_moments(state: VbicState, alphabet: ExtendedAlphabet) -> np.ndarray:
 
 
 def warm_start_channel(state: VbicState, r: np.ndarray,
-                       alphabet: ExtendedAlphabet) -> VbicState:
+                       alphabet: ExtendedAlphabet) -> None:
     """Seed the channel prior means from the reference-symbol observations.
 
     With exactly uniform responsibilities and a zero-mean channel prior,
@@ -131,59 +129,52 @@ def warm_start_channel(state: VbicState, r: np.ndarray,
     that breaks the symmetry deterministically.
     """
     state.mu = r[:, 0] / alphabet.reference_symbol
-    return state
 
 
-def update_dirichlet(state: VbicState) -> VbicState:
+def update_dirichlet(state: VbicState) -> None:
     """Accumulate responsibilities into the Dirichlet parameters."""
     state.alpha += state.resp
-    return state
 
 
 def update_channel(state: VbicState, r: np.ndarray,
-                   alphabet: ExtendedAlphabet) -> VbicState:
+                   alphabet: ExtendedAlphabet) -> None:
     """Refresh the per-user channel posterior (lam, mu).
 
     Only user m's J observations contribute to its parameters; the null
-    symbol contributes nothing (|d_0|^2 = 0).  The pre-update values are
-    stashed for the Gamma rate update; lam and mu are only ever rebound,
-    never written in place, so the stash needs no copy.
+    symbol contributes nothing (|d_0|^2 = 0).  lam and mu are rebound to
+    new arrays, never written in place, so the arrays they held before
+    stay valid as the pre-refresh channel that update_gamma takes.
     """
     _check_observations(state, r)
-    state.lam_prior = state.lam
-    state.mu_prior = state.mu
-
     mean_re, mean_im, e_abs_d2 = _symbol_moments(state, alphabet)
     # sum_k e_kmj conj(d_k) r_mj = conj(E[d_mj]) r_mj
     cross = ((mean_re - 1j * mean_im) * r).sum(axis=1)
     lam_new = state.lam + e_abs_d2.sum(axis=1)
     state.mu = (state.lam * state.mu + cross) / lam_new
     state.lam = lam_new
-    return state
 
 
-def update_gamma(state: VbicState, r: np.ndarray) -> VbicState:
+def update_gamma(state: VbicState, r: np.ndarray, lam_prior: np.ndarray,
+                 mu_prior: np.ndarray) -> None:
     """Refresh the shared precision posterior (a, b).
 
-    Must run after update_channel in the same iteration: the rate update
-    combines the pre-refresh channel parameters with the refreshed ones.
+    The rate update combines the channel parameters of this iteration's
+    update_channel with lam_prior and mu_prior, the lam and mu the state
+    held before it.
     """
-    if state.lam_prior is None or state.mu_prior is None:
-        raise RuntimeError("update_gamma requires update_channel to run first")
     _check_observations(state, r)
     b_new = (state.b
-             + np.sum(state.lam_prior * np.abs(state.mu_prior) ** 2)
+             + np.sum(lam_prior * np.abs(mu_prior) ** 2)
              + np.sum(state.resp.sum(axis=0) * np.abs(r) ** 2)
              - np.sum(state.lam * np.abs(state.mu) ** 2))
     if not np.isfinite(b_new) or b_new <= 0:
         raise NonPositiveScale(f"Gamma rate went non-positive or non-finite: {b_new}")
     state.a = state.a + r.size
     state.b = float(b_new)
-    return state
 
 
 def update_responsibilities(state: VbicState, r: np.ndarray,
-                            alphabet: ExtendedAlphabet) -> VbicState:
+                            alphabet: ExtendedAlphabet) -> None:
     """Softmax over the symbol axis of ln rho_kmj, formed up to
     per-observation constants (see the module docstring) and computed in
     the log domain with max-subtraction so large quadratic terms cannot
@@ -202,18 +193,13 @@ def update_responsibilities(state: VbicState, r: np.ndarray,
     np.exp(ln_rho, out=ln_rho)
     ln_rho /= ln_rho.sum(axis=0)
     state.resp = ln_rho
-    return state
 
 
-def posterior_moments(state: VbicState,
-                      alphabet: ExtendedAlphabet) -> Posterior:
-    """Posterior mean/variance of every target element x_{m,j} = mu_m * d.
-
-    Mean: mu_m * sum_k e_kmj d_k.  Variance: E[1/(lam_m tau)] times the
-    responsibility-weighted symbol spread; the inverse-precision mean
-    b/(a-1) requires a > 1.  The symbol moments E|d|^2 and spread are kept
-    on the state for posterior_variance_full.
-    """
+def _target_moments(state: VbicState, alphabet: ExtendedAlphabet
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """E[d], E|d|^2 and the symbol spread E|d|^2 - |E[d]|^2 of every
+    observation under resp (M x J), and the inverse-precision mean
+    E[1/(lam_m tau)] = b / (lam_m (a - 1)) per user, which requires a > 1."""
     if state.a <= 1.0:
         raise PrecisionDegenerate(f"Gamma shape must exceed 1, got {state.a}")
     mean_re, mean_im, e_abs_d2 = _symbol_moments(state, alphabet)
@@ -224,21 +210,32 @@ def posterior_moments(state: VbicState,
     if not spread.min() > -1e-12:
         raise NumericalBreakdown(
             f"symbol spread went negative or non-finite: {spread.min()}")
-    state.e_abs_d2 = e_abs_d2
-    state.spread = np.maximum(spread, 0.0)
     v = state.b / (state.lam * (state.a - 1.0))
-    return Posterior(Xhat=state.mu[:, None] * (mean_re + 1j * mean_im),
-                     That=np.maximum(v[:, None] * state.spread, VARIANCE_FLOOR))
+    return mean_re + 1j * mean_im, e_abs_d2, np.maximum(spread, 0.0), v
 
 
-def posterior_variance_full(state: VbicState) -> np.ndarray:
+def posterior_moments(state: VbicState,
+                      alphabet: ExtendedAlphabet) -> Posterior:
+    """Posterior mean/variance of every target element x_{m,j} = mu_m * d.
+
+    Mean: mu_m * sum_k e_kmj d_k.  Variance: E[1/(lam_m tau)] times the
+    responsibility-weighted symbol spread; the inverse-precision mean
+    b/(a-1) requires a > 1.
+    """
+    mean_d, _, spread, v = _target_moments(state, alphabet)
+    return Posterior(Xhat=state.mu[:, None] * mean_d,
+                     That=np.maximum(v[:, None] * spread, VARIANCE_FLOOR))
+
+
+def posterior_variance_full(state: VbicState,
+                            alphabet: ExtendedAlphabet) -> np.ndarray:
     """Exact posterior variance of x_{m,j} = mu_m * d under q, (M, J).
 
     Var[x] = E|mu|^2 E|d|^2 - |E mu|^2 |E d|^2
            = E[(lam tau)^-1] * sum_k e_kmj |d_k|^2  +  |mu_m|^2 * spread.
 
-    Reads the symbol moments that posterior_moments kept on the state, so
-    it must follow posterior_moments.  The factored variance fed back to
+    Forms the symbol moments from resp itself, so it reads only the
+    state and may run at any point.  The factored variance fed back to
     the decoupling module keeps only the first-term spread component, which
     understates the uncertainty of x whenever the channel estimate or the
     mean symbol is nonzero.  Activity decisions compare |x|^2 against this
@@ -246,23 +243,20 @@ def posterior_variance_full(state: VbicState) -> np.ndarray:
     inactive-user variance collapses as parameters accumulate and false
     alarms grow without bound.
     """
-    if state.spread is None:
-        raise RuntimeError("posterior_variance_full requires posterior_moments "
-                           "to run first")
-    v = state.b / (state.lam * (state.a - 1.0))
-    return np.maximum(v[:, None] * state.e_abs_d2
-                      + (np.abs(state.mu) ** 2)[:, None] * state.spread,
+    _, e_abs_d2, spread, v = _target_moments(state, alphabet)
+    return np.maximum(v[:, None] * e_abs_d2
+                      + (np.abs(state.mu) ** 2)[:, None] * spread,
                       VARIANCE_FLOOR)
 
 
 def vbic_step(state: VbicState, r: np.ndarray,
-              alphabet: ExtendedAlphabet) -> tuple[VbicState, Posterior]:
+              alphabet: ExtendedAlphabet) -> Posterior:
     """One full clustering iteration on the (M, J) pseudo observations r,
     in update order: Dirichlet counts, channel refresh, precision refresh,
-    responsibilities, moments."""
+    responsibilities, moments.  The state is advanced in place."""
     update_dirichlet(state)
+    lam_prior, mu_prior = state.lam, state.mu
     update_channel(state, r, alphabet)
-    update_gamma(state, r)
+    update_gamma(state, r, lam_prior, mu_prior)
     update_responsibilities(state, r, alphabet)
-    posterior = posterior_moments(state, alphabet)
-    return state, posterior
+    return posterior_moments(state, alphabet)

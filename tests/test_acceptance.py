@@ -76,15 +76,17 @@ def test_criterion_1_unit_equation_suite():
     assert st.lam[0] == pytest.approx(2.0, rel=REL)
     assert st.mu[0] == pytest.approx(0.25, rel=REL)
 
-    # precision refresh: shape a + MJ; rate grows by |r|^2 under null mass
+    # precision refresh: shape a + MJ; rate grows by |r|^2 under null mass.
+    # The pre-refresh channel is the vbic_init prior, lam = 1 and mu = 0.
     st = vbic_init(2, 10, 200)
     update_channel(st, np.zeros((10, 200), dtype=complex), alph2)
-    update_gamma(st, np.zeros((10, 200), dtype=complex))
+    update_gamma(st, np.zeros((10, 200), dtype=complex), np.ones(10),
+                 np.zeros(10))
     assert st.a == pytest.approx(2000.0001, rel=1e-12)
     st = vbic_init(2, 1, 1)
     st.resp = k_major([[1.0, 0.0]], 1)
     update_channel(st, np.array([[1.0 + 0.0j]]), alph2)
-    update_gamma(st, np.array([[1.0 + 0.0j]]))
+    update_gamma(st, np.array([[1.0 + 0.0j]]), np.ones(1), np.zeros(1))
     assert st.b == pytest.approx(2.0, rel=REL)
 
     # Dirichlet expectations via the digamma recurrence

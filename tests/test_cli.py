@@ -120,6 +120,28 @@ class TestRunCommand:
         assert rc == 2
         assert "unknown detector 'bogus'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("p_a", "0", "0 < p_a < 1"), ("p_a", "1", "0 < p_a < 1"),
+        ("snr_db", "inf", "snr_db must be finite"),
+        ("snr_db", "nan", "snr_db must be finite"),
+        ("snr_db", "4000", "noise variance"),
+        ("snr_db", "-4000", "noise variance")],
+        ids=["p_a=0", "p_a=1", "snr_db=inf", "snr_db=nan", "snr_db=4000",
+             "snr_db=-4000"])
+    def test_undetectable_scenario_exits_2(self, tmp_path, capsys, key, value,
+                                           message):
+        default = {"p_a": "p_a = 0.15", "snr_db": "snr_db = 8.0"}[key]
+        path = tmp_path / "cfg.txt"
+        path.write_text(BASE_CONFIG.replace(default, f"{key} = {value}"))
+        rc = cli.main(["run", "--config", str(path)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+
+    def test_threads_below_1_exits_2(self, config_file, capsys):
+        rc = cli.main(["run", "--config", str(config_file), "--threads", "0"])
+        assert rc == 2
+        assert "n_workers must be >= 1" in capsys.readouterr().err
+
     def test_numerical_breakdown_exits_3(self, config_file, monkeypatch):
         def boom(*args, **kwargs):
             raise NonPositiveScale("synthetic breakdown")

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 from types import SimpleNamespace
 
@@ -171,6 +172,34 @@ class TestRunTrials:
             run_trials(cfg, 0)
         with pytest.raises(ConfigError):
             run_trials(cfg, 1, ("bomp",))
+        with pytest.raises(ConfigError):
+            run_trials(cfg, 1, n_workers=0)
+
+    def test_at_most_one_worker_per_trial(self, monkeypatch):
+        # The pool is replaced by one that runs each trial in this process
+        # and records its size, so no worker process is started.
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            InlinePool)
+        assert len(run_trials(tiny_config(), 2, n_workers=64)) == 2
+        run_trials(tiny_config(), 1, n_workers=64)
+        assert sizes == [2]
 
 
 class TestAggregate:
@@ -211,6 +240,16 @@ class TestSweep:
     def test_empty_values(self):
         with pytest.raises(ConfigError):
             sweep(tiny_config(), "snr_db", [], 1)
+
+    @pytest.mark.parametrize("axis, values", [
+        ("p_a", [0.1, 0.0]), ("p_a", [0.1, 1.0]), ("snr_db", [5.0, 4000.0])])
+    def test_undetectable_value_fails_before_any_trial(self, monkeypatch,
+                                                       axis, values):
+        def no_frames(*args, **kwargs):
+            raise AssertionError("a trial ran")
+        monkeypatch.setattr(harness, "generate_frame", no_frames)
+        with pytest.raises(ConfigError):
+            sweep(tiny_config(), axis, values, 2)
 
     def test_axis_value_lands_in_records(self):
         rows = sweep(tiny_config(), "N", [12, 20], 2)

@@ -123,6 +123,8 @@ class TestScenarioConfig:
         dict(M=10, N=5, J=4, p_a=-0.1, snr_db=5.0),
         dict(M=10, N=5, J=4, p_a=1.5, snr_db=5.0),
         dict(M=10, N=5, J=4, p_a=0.2, snr_db=5.0, n_it=0),
+        dict(M=10, N=5, J=4, p_a=0.2, snr_db=np.inf),
+        dict(M=10, N=5, J=4, p_a=0.2, snr_db=np.nan),
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ConfigError):

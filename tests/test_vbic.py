@@ -179,22 +179,23 @@ class TestChannel:
         np.testing.assert_allclose(state.lam, lam + weight, rtol=0, atol=1e-12)
         np.testing.assert_allclose(state.mu, (lam * mu + cross) / (lam + weight),
                                    rtol=0, atol=1e-12)
-        assert state.lam_prior is lam and state.mu_prior is mu
 
 
 class TestGamma:
 
     def test_shape_increment(self):
         state = vbic_init(2, 10, 200)
+        lam, mu = state.lam, state.mu
         update_channel(state, np.zeros((10, 200), dtype=complex), unit_alphabet())
-        update_gamma(state, np.zeros((10, 200), dtype=complex))
+        update_gamma(state, np.zeros((10, 200), dtype=complex), lam, mu)
         assert state.a == pytest.approx(2000.0001, rel=1e-12)
 
     def test_all_zero_observations(self):
         state = vbic_init(2, 2, 2)
         r = np.zeros((2, 2), dtype=complex)
+        lam, mu = state.lam, state.mu
         update_channel(state, r, unit_alphabet())
-        update_gamma(state, r)
+        update_gamma(state, r, lam, mu)
         assert state.b == pytest.approx(1.0, rel=1e-12)
 
     def test_hand_example(self):
@@ -203,38 +204,35 @@ class TestGamma:
         state = vbic_init(2, 1, 1)
         state.resp = k_major([[1.0, 0.0]], 1)
         r = np.array([[1.0 + 0.0j]])
+        lam, mu = state.lam, state.mu
         update_channel(state, r, unit_alphabet())
-        update_gamma(state, r)
+        update_gamma(state, r, lam, mu)
         assert state.b == pytest.approx(2.0, rel=1e-9)
-
-    def test_requires_channel_update(self):
-        state = vbic_init(2, 1, 2)
-        with pytest.raises(RuntimeError):
-            update_gamma(state, np.zeros((1, 2), dtype=complex))
 
     def test_non_positive_scale(self):
         state = vbic_init(2, 1, 2)
         state.resp = k_major(np.zeros((2, 2)), 1)
-        state.lam_prior = np.array([1.0])
-        state.mu_prior = np.array([0.0 + 0.0j])
         state.mu = np.array([3.0 + 0.0j])  # fabricated inconsistent refresh
         with pytest.raises(NonPositiveScale):
-            update_gamma(state, np.zeros((1, 2), dtype=complex))
+            update_gamma(state, np.zeros((1, 2), dtype=complex),
+                         np.array([1.0]), np.array([0.0 + 0.0j]))
 
     def test_transposed_observations_rejected(self):
         state = vbic_init(2, 2, 3)
+        lam, mu = state.lam, state.mu
         update_channel(state, np.zeros((2, 3), dtype=complex), unit_alphabet())
         with pytest.raises(DimensionMismatch):
-            update_gamma(state, np.zeros((3, 2), dtype=complex))
+            update_gamma(state, np.zeros((3, 2), dtype=complex), lam, mu)
 
     @settings(max_examples=100, deadline=None)
     @given(**STATE_RANGES)
     def test_matches_flat_oracle(self, seed, m, j, modulation, a, b, scale):
         state, r, alph = random_state(seed, m, j, modulation, a, b, scale)
+        lam, mu = state.lam, state.mu
         update_channel(state, r, alph)
-        want = flat_gamma_rate(state.b, state.lam_prior, state.mu_prior,
-                               state.lam, state.mu, flat_rows(state.resp), r)
-        update_gamma(state, r)
+        want = flat_gamma_rate(state.b, lam, mu, state.lam, state.mu,
+                               flat_rows(state.resp), r)
+        update_gamma(state, r, lam, mu)
         assert state.b == pytest.approx(want, rel=0, abs=1e-12)
 
     def test_nan_observation(self):
@@ -242,9 +240,10 @@ class TestGamma:
         # would let through.
         state = vbic_init(2, 1, 2)
         r = np.array([[np.nan + 0.0j, 1.0 + 0.0j]])
+        lam, mu = state.lam, state.mu
         update_channel(state, r, unit_alphabet())
         with pytest.raises(NonPositiveScale):
-            update_gamma(state, r)
+            update_gamma(state, r, lam, mu)
 
 
 class TestExpectations:
@@ -462,8 +461,7 @@ class TestMoments:
         state.a = 2.0
         state.mu = np.array([1.0 + 0.0j])
         state.resp = k_major([[0.5, 0.5]], 1)
-        posterior_moments(state, unit_alphabet())
-        var = posterior_variance_full(state)
+        var = posterior_variance_full(state, unit_alphabet())
         assert var[0, 0] == pytest.approx(0.75, rel=1e-9)
 
     def test_full_variance_keeps_channel_term_for_point_mass(self):
@@ -475,8 +473,8 @@ class TestMoments:
         state.mu = np.array([5.0 + 0.0j])
         state.resp = k_major([[0.0, 1.0]], 1)
         v = 4.0 / (2.0 * (3.0 - 1.0))
-        posterior_moments(state, unit_alphabet())
-        assert posterior_variance_full(state)[0, 0] == pytest.approx(v, rel=1e-9)
+        assert posterior_variance_full(state, unit_alphabet())[0, 0] == \
+            pytest.approx(v, rel=1e-9)
 
 
     @settings(max_examples=100, deadline=None)
@@ -487,14 +485,25 @@ class TestMoments:
         post = posterior_moments(state, alph)
         np.testing.assert_allclose(post.Xhat, state.mu[:, None] * mean_d,
                                    rtol=0, atol=1e-12)
-        np.testing.assert_allclose(state.e_abs_d2, e_abs_d2, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(
-            state.spread, np.maximum(e_abs_d2 - np.abs(mean_d) ** 2, 0.0),
-            rtol=0, atol=1e-12)
+        # v E|d|^2 + |mu|^2 spread, with the 1e-12 tolerance on E|d|^2 and
+        # on the spread carried through their factors v and |mu|^2.
+        spread = np.maximum(e_abs_d2 - np.abs(mean_d) ** 2, 0.0)
+        v = (state.b / (state.lam * (state.a - 1.0)))[:, None]
+        mu2 = (np.abs(state.mu) ** 2)[:, None]
+        want = np.maximum(v * e_abs_d2 + mu2 * spread, 1e-12)
+        assert np.all(np.abs(posterior_variance_full(state, alph) - want)
+                      <= 1e-12 * (v + mu2))
 
-    def test_full_variance_requires_moments(self):
-        with pytest.raises(RuntimeError):
-            posterior_variance_full(vbic_init(2, 1, 2))
+    def test_full_variance_needs_no_moments_call(self):
+        # posterior_variance_full reads only the state: the same array
+        # with or without a preceding posterior_moments call.
+        state, _, alph = random_state(26, 3, 4, "qam16", 5.0, 2.0, 1.0)
+        alone = posterior_variance_full(state, alph)
+        posterior_moments(state, alph)
+        assert np.array_equal(posterior_variance_full(state, alph), alone)
+        state.a = 1.0
+        with pytest.raises(PrecisionDegenerate):
+            posterior_variance_full(state, alph)
 
     def test_per_user_broadcast_matches_flat_index(self):
         # Both moment functions broadcast mu and lam over the (M, J) view;
@@ -509,7 +518,7 @@ class TestMoments:
         state.lam = rng.uniform(0.5, 20.0, m)
         state.resp = k_major(rng.dirichlet(np.ones(alph.K), size=m * j), m)
         post = posterior_moments(state, alph)
-        full = posterior_variance_full(state)
+        full = posterior_variance_full(state, alph)
 
         idx = np.repeat(np.arange(m), j)
         # The symbol moments as the detector forms them, one real product
@@ -533,7 +542,7 @@ class TestStep:
         alph = build_alphabet("qam16")
         state = vbic_init(alph.K, 3, 4)
         state.mu = np.ones(3, dtype=complex)
-        _, post = vbic_step(state, np.zeros((3, 4), dtype=complex), alph)
+        post = vbic_step(state, np.zeros((3, 4), dtype=complex), alph)
         assert post.Xhat.shape == (3, 4)
         assert post.That.shape == (3, 4)
 
@@ -550,7 +559,7 @@ class TestStep:
         alph = build_alphabet("qpsk")
         state = vbic_init(alph.K, 2, 4)
         for _ in range(3):
-            state, _ = vbic_step(state, np.zeros((2, 4), dtype=complex), alph)
+            vbic_step(state, np.zeros((2, 4), dtype=complex), alph)
         assert np.allclose(np.abs(state.mu), 0.0, atol=1e-12)
 
     def test_noiseless_single_user_recovers_symbols(self):
@@ -567,7 +576,7 @@ class TestStep:
         warm_start_channel(state, r, alph)
         assert state.mu[0] == pytest.approx(mu_true, rel=1e-12)
         for _ in range(5):
-            state, _ = vbic_step(state, r, alph)
+            vbic_step(state, r, alph)
             assert np.allclose(state.resp.sum(axis=0), 1.0, atol=1e-9)
         assert np.array_equal(flat_rows(state.resp).argmax(axis=1), sym_idx)
 
@@ -581,5 +590,5 @@ class TestStep:
         state = vbic_init(alph.K, 1, j)
         warm_start_channel(state, r, alph)
         for _ in range(5):
-            state, _ = vbic_step(state, r, alph)
+            vbic_step(state, r, alph)
         assert np.array_equal(flat_rows(state.resp).argmax(axis=1), sym_idx)
