@@ -90,25 +90,16 @@ def _build_scenario(values: dict, seed_override: int | None) -> ScenarioConfig:
     return ScenarioConfig(**kwargs)
 
 
-def _resolve_detectors(values: dict, no_offset: bool) -> tuple[str, ...]:
-    detectors = tuple(values.get("detectors", ["amp_vbic"]))
-    if no_offset:
-        detectors = tuple("amp_vbic_no_offset" if d == "amp_vbic" else d
-                          for d in detectors)
-    return detectors
-
-
 def _add_common_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", required=True, help="flat key=value config file")
     sub.add_argument("--seed", type=int, default=None, help="master RNG seed")
     sub.add_argument("--out", default=None, help="CSV output path")
     sub.add_argument("--include-rs-in-ser", action="store_true",
                      help="count the reference-symbol column in SER")
-    sub.add_argument("--no-offset-llr", action="store_true",
-                     help="ablation: decide activity from clustering evidence only")
     sub.add_argument("--threads", type=int, default=1,
                      help="parallel trial worker processes, >= 1 (default 1); "
-                          "at most one per trial is started")
+                          "one pool per command, at most one worker per "
+                          "(value, trial)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -137,7 +128,7 @@ def _cmd_run(args, values: dict, config: ScenarioConfig,
           f"seed={config.seed}")
     print(summarize(records))
     if args.out:
-        write_csv(records, args.out, aggregated=False)
+        write_csv(records, args.out)
         print(f"wrote {len(records)} records to {args.out}")
     return 0
 
@@ -155,7 +146,7 @@ def _cmd_sweep(args, values: dict, config: ScenarioConfig,
               f"{rec.detector:22s} aer={rec.aer:.5f} ser={rec.ser:.5f} "
               f"ce_mse={rec.ce_mse:.6f}")
     if args.out:
-        write_csv(records, args.out, aggregated=True)
+        write_csv(records, args.out)
         print(f"wrote {len(records)} aggregated rows to {args.out}")
     return 0
 
@@ -166,7 +157,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         values = parse_config_file(args.config)
         return command(args, values, _build_scenario(values, args.seed),
-                       _resolve_detectors(values, args.no_offset_llr),
+                       tuple(values.get("detectors", ["amp_vbic"])),
                        values.get("trials", 10))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -4,7 +4,8 @@ Each trial draws an independent frame from a substream derived from
 (master seed, trial index), so trials are reproducible, order-independent
 and embarrassingly parallel.  The same substream serves every detector
 and every swept axis value, which pairs the comparisons (common random
-numbers).
+numbers).  A request (run_trials, or a sweep along any axis) is checked
+once and runs its (cell, trial) tasks through one executor.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from .decide import DetectionResult
 from .detector import _finalize, run_detector_internals
 from .errors import ConfigError, InvalidAxis, TrialFailure
 from .metrics import compute_aer, compute_ce_mse, compute_ser
-from .model import ExtendedAlphabet, ScenarioConfig, ScenarioInstance, \
-    build_alphabet, generate_frame, noise_variance_from_snr
+from .model import ExtendedAlphabet, ScenarioConfig, build_alphabet, \
+    generate_frame, noise_variance_from_snr
 
 DETECTOR_NAMES = ("amp_vbic", "amp_vbic_no_offset", "genie")
 SWEEP_AXES = ("snr_db", "N", "p_a", "n_it")
@@ -89,28 +90,15 @@ def genie_detect(r_final: np.ndarray, truth_support: np.ndarray,
     )
 
 
-def _score(record_base: dict, detector: str, result: DetectionResult,
-           frame: ScenarioInstance, include_rs_in_ser: bool,
-           runtime_ms: float) -> MetricsRecord:
-    return MetricsRecord(
-        detector=detector,
-        aer=compute_aer(frame.activity, result.activity_hat),
-        ser=compute_ser(frame.D, result.D_hat, include_rs=include_rs_in_ser),
-        ce_mse=compute_ce_mse(frame.mu, result.channel_hat),
-        runtime_ms=runtime_ms,
-        **record_base,
-    )
-
-
-def _run_one_trial(config: ScenarioConfig, alphabet: ExtendedAlphabet,
-                   trial: int, n_its: tuple[int, ...],
-                   detectors: tuple[str, ...], include_rs_in_ser: bool,
-                   n_active: int | None) -> list[list[MetricsRecord]]:
-    """Records of one trial at each iteration count of n_its, one list per
-    entry, in the order of n_its.
+def _run_one_trial(cell: tuple, trial: int, detectors: tuple[str, ...],
+                   include_rs_in_ser: bool) -> list[list[MetricsRecord]]:
+    """Records of one trial of a cell (config, n_active, n_its) at each
+    count of n_its, in that order; n_active None draws Bernoulli activity.
 
     Module-level so that pool workers can run it too.
     """
+    config, n_active, n_its = cell
+    alphabet = build_alphabet(config.modulation)
     frame = generate_frame(config, alphabet, trial_rng(config.seed, trial),
                            n_active=n_active)
 
@@ -125,14 +113,12 @@ def _run_one_trial(config: ScenarioConfig, alphabet: ExtendedAlphabet,
     loop_ms = 0.0
     by_n_it = {}
     for n_it in sorted(set(n_its)):
-        cell = dataclasses.replace(config, n_it=n_it)
+        loop_config = dataclasses.replace(config, n_it=n_it)
         t0 = time.perf_counter()
-        _, internals = run_detector_internals(frame.A, frame.Y, cell, alphabet,
-                                              start=internals)
+        _, internals = run_detector_internals(frame.A, frame.Y, loop_config,
+                                              alphabet, start=internals)
         loop_ms += (time.perf_counter() - t0) * 1e3
 
-        base = dict(trial=trial, M=config.M, N=config.N, J=config.J,
-                    p_a=config.p_a, snr_db=config.snr_db, n_it=n_it)
         records = []
         for name in detectors:
             t1 = time.perf_counter()
@@ -146,19 +132,25 @@ def _run_one_trial(config: ScenarioConfig, alphabet: ExtendedAlphabet,
                                    include_offset=name == "amp_vbic")
                 runtime = loop_ms
             runtime += (time.perf_counter() - t1) * 1e3
-            records.append(_score(base, name, result, frame, include_rs_in_ser,
-                                  runtime))
+            records.append(MetricsRecord(
+                detector=name, trial=trial, M=config.M, N=config.N, J=config.J,
+                p_a=config.p_a, snr_db=config.snr_db, n_it=n_it,
+                aer=compute_aer(frame.activity, result.activity_hat),
+                ser=compute_ser(frame.D, result.D_hat, include_rs=include_rs_in_ser),
+                ce_mse=compute_ce_mse(frame.mu, result.channel_hat),
+                runtime_ms=runtime))
         by_n_it[n_it] = records
     return [by_n_it[n_it] for n_it in n_its]
 
 
-def _check_request(cells: list[ScenarioConfig], n_trials: int,
+def _check_request(configs: list[ScenarioConfig], n_trials: int,
                    detectors: tuple[str, ...], n_workers: int) -> None:
     """Reject, before any trial runs, a request the detector cannot run.
 
     A ScenarioConfig may describe frames the detector cannot decide on:
     p_a of 0 or 1 (the activity prior log-odds are infinite) or an SNR at
-    which the noise variance is zero or overflows.
+    which the noise variance underflows to zero or overflows (ConfigError
+    from noise_variance_from_snr).
     """
     if n_trials < 1:
         raise ConfigError(f"n_trials must be >= 1, got {n_trials}")
@@ -168,18 +160,13 @@ def _check_request(cells: list[ScenarioConfig], n_trials: int,
         if name not in DETECTOR_NAMES:
             raise ConfigError(f"unknown detector {name!r}; "
                               f"choose from {DETECTOR_NAMES}")
-    for cell in cells:
-        if not 0.0 < cell.p_a < 1.0:
-            raise ConfigError(f"detection needs 0 < p_a < 1, got {cell.p_a}")
-        try:
-            noise_var = noise_variance_from_snr(
-                cell.snr_db, build_alphabet(cell.modulation).E_sym)
-        except OverflowError:
-            noise_var = np.inf
-        if not (np.isfinite(noise_var) and noise_var > 0.0):
-            raise ConfigError(f"snr_db={cell.snr_db} gives noise variance "
-                              f"{noise_var}; detection needs a finite "
-                              f"positive one")
+    for config in configs:
+        if not 0.0 < config.p_a < 1.0:
+            raise ConfigError(f"detection needs 0 < p_a < 1, got {config.p_a}")
+        e_sym = build_alphabet(config.modulation).E_sym
+        if noise_variance_from_snr(config.snr_db, e_sym) == 0.0:
+            raise ConfigError(f"snr_db={config.snr_db} gives noise variance "
+                              f"0; detection needs a positive one")
 
 
 def _named_failure(trial: int, fn, *args):
@@ -191,29 +178,39 @@ def _named_failure(trial: int, fn, *args):
         raise TrialFailure(f"trial {trial} failed: {exc}") from exc
 
 
-def _trial_results(config: ScenarioConfig, trials: range,
-                   n_its: tuple[int, ...], detectors: tuple[str, ...],
-                   include_rs_in_ser: bool, n_active: int | None,
-                   n_workers: int) -> list[list[list[MetricsRecord]]]:
-    """_run_one_trial of every trial, serially or in a process pool of
-    at most one worker per trial, in trial order.
+def _trial_results(cells: list[tuple], trials: range,
+                   detectors: tuple[str, ...], include_rs_in_ser: bool,
+                   n_workers: int) -> list[list[MetricsRecord]]:
+    """_run_one_trial of every (cell, trial) task, serially or in one
+    process pool of at most one worker per task: one record list per cell
+    and iteration count, in the order of cells and n_its, in trial order.
 
-    Failures are wrapped in this process: an exception chained inside a
-    pool worker arrives with its cause replaced by the worker's traceback
-    text, so the worker raises the bare error.
+    A failing task cancels the tasks not yet started.  Failures are
+    wrapped in this process: an exception chained inside a pool worker
+    arrives with its cause replaced by the worker's traceback text, so the
+    worker raises the bare error.
     """
-    alphabet = build_alphabet(config.modulation)
-    args = (n_its, tuple(detectors), include_rs_in_ser, n_active)
+    tasks = [(cell, t) for cell in cells for t in trials]
+    args = (tuple(detectors), include_rs_in_ser)
     # The default fork start method forks every worker at the first
-    # submit, so workers beyond the trial count would only cost memory.
-    n_workers = min(n_workers, len(trials))
+    # submit, so workers beyond the task count would only cost memory.
+    n_workers = min(n_workers, len(tasks))
     if n_workers == 1:
-        return [_named_failure(t, _run_one_trial, config, alphabet, t, *args)
-                for t in trials]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=n_workers) as pool:
-        futures = {t: pool.submit(_run_one_trial, config, alphabet, t, *args)
-                   for t in trials}
-        return [_named_failure(t, futures[t].result) for t in trials]
+        results = [_named_failure(t, _run_one_trial, cell, t, *args)
+                   for cell, t in tasks]
+    else:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=n_workers) as pool:
+            futures = [pool.submit(_run_one_trial, cell, t, *args)
+                       for cell, t in tasks]
+            try:
+                results = [_named_failure(t, future.result)
+                           for (_, t), future in zip(tasks, futures)]
+            except BaseException:
+                pool.shutdown(cancel_futures=True)
+                raise
+    n = len(trials)
+    return [[rec for batches in results[c * n:(c + 1) * n] for rec in batches[i]]
+            for c, (_, _, n_its) in enumerate(cells) for i in range(len(n_its))]
 
 
 def run_trials(config: ScenarioConfig, n_trials: int,
@@ -229,10 +226,10 @@ def run_trials(config: ScenarioConfig, n_trials: int,
     index in the message and the original error chained.
     """
     _check_request([config], n_trials, detectors, n_workers)
-    results = _trial_results(config, range(trial_start, trial_start + n_trials),
-                             (config.n_it,), detectors, include_rs_in_ser,
-                             n_active, n_workers)
-    return [rec for (batch,) in results for rec in batch]
+    records, = _trial_results([(config, n_active, (config.n_it,))],
+                              range(trial_start, trial_start + n_trials),
+                              detectors, include_rs_in_ser, n_workers)
+    return records
 
 
 def _stderr(values: np.ndarray) -> float:
@@ -284,38 +281,36 @@ def sweep(base_config: ScenarioConfig, axis: str, values, n_trials: int,
     iterations: the loop time up to the value plus the detector's one
     decision.
 
-    Every swept value is checked before the first trial runs.
+    Every swept value is checked before the first trial runs, and all
+    values share one process pool when n_workers > 1.
     """
     if axis not in SWEEP_AXES:
         raise InvalidAxis(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
     values = [int(v) if axis in ("N", "n_it") else v for v in values]
     if not values:
         raise ConfigError("sweep needs at least one axis value")
-    cells = [dataclasses.replace(base_config, **{axis: v}) for v in values]
-    _check_request(cells, n_trials, detectors, n_workers)
+    configs = [dataclasses.replace(base_config, **{axis: v}) for v in values]
+    _check_request(configs, n_trials, detectors, n_workers)
     if axis == "n_it":
-        n_its = tuple(values)
-        results = _trial_results(base_config, range(n_trials), n_its,
-                                 detectors, include_rs_in_ser, None, n_workers)
-        return [row for i in range(len(n_its))
-                for row in aggregate([rec for batches in results
-                                      for rec in batches[i]])]
-    out = []
-    for config in cells:
-        n_active = None
-        if axis == "p_a" and not bernoulli_activity:
-            n_active = int(round(config.p_a * config.M))
-        records = run_trials(config, n_trials, detectors,
-                             include_rs_in_ser=include_rs_in_ser,
-                             n_workers=n_workers, n_active=n_active)
-        out.extend(aggregate(records))
-    return out
+        cells = [(base_config, None, tuple(values))]
+    else:
+        pinned = axis == "p_a" and not bernoulli_activity
+        cells = [(config, int(round(config.p_a * config.M)) if pinned else None,
+                  (config.n_it,)) for config in configs]
+    return [row for records in _trial_results(cells, range(n_trials), detectors,
+                                              include_rs_in_ser, n_workers)
+            for row in aggregate(records)]
 
 
-def write_csv(records: list[MetricsRecord], path, aggregated: bool = False) -> None:
-    """Write records in the fixed CSV schema (aggregated files append the
-    standard-error columns and use trial = -1)."""
-    fields = CSV_FIELDS + (CSV_STDERR_FIELDS if aggregated else [])
+def _has_trials(records: list[MetricsRecord]) -> bool:
+    """Whether records are per trial; aggregated rows all have trial -1."""
+    return any(rec.trial >= 0 for rec in records)
+
+
+def write_csv(records: list[MetricsRecord], path) -> None:
+    """Write records in the fixed CSV schema.  A file of aggregated rows
+    (no record with trial >= 0) appends the standard-error columns."""
+    fields = CSV_FIELDS + ([] if _has_trials(records) else CSV_STDERR_FIELDS)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(fields)
@@ -329,7 +324,7 @@ def write_csv(records: list[MetricsRecord], path, aggregated: bool = False) -> N
 
 def summarize(records: list[MetricsRecord]) -> str:
     """Human-readable aggregate table for CLI output."""
-    rows = aggregate(records) if any(r.trial >= 0 for r in records) else records
+    rows = aggregate(records) if _has_trials(records) else records
     lines = [f"{'detector':22s} {'aer':>10s} {'ser':>10s} "
              f"{'ce_mse':>10s} {'runtime_ms':>11s}"]
     for rec in rows:

@@ -10,8 +10,9 @@ in slot 1 and uniform random constellation symbols in slots 2..J.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -23,14 +24,14 @@ class Modulation(str, enum.Enum):
     QAM16 = "qam16"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExtendedAlphabet:
     """Modulation alphabet extended with the null symbol at index 0.
 
     symbols[0] == 0 represents "inactive user"; symbols[1:] is the active
     constellation, sorted by (real, imag) so the alphabet order (and hence
     the reference symbol) is deterministic.  E_sym is the mean energy of
-    the active symbols.
+    the active symbols.  Alphabets compare and hash by identity.
     """
 
     symbols: np.ndarray
@@ -41,7 +42,7 @@ class ExtendedAlphabet:
         self.symbols.setflags(write=False)
 
     def __reduce__(self):
-        # Rebuild through the constructor, so a copy sent to a pool worker
+        # Rebuild through the constructor, so a copy sent to another process
         # is read-only too and rebuilds its symbol basis read-only; the
         # default state copy would arrive with writeable arrays.
         return type(self), (self.symbols, self.K, self.E_sym)
@@ -66,13 +67,18 @@ class ExtendedAlphabet:
 
 
 def build_alphabet(modulation: Modulation | str) -> ExtendedAlphabet:
-    """Construct the extended (null + active) symbol alphabet.
+    """The extended (null + active) symbol alphabet of a modulation.
 
     QPSK: the four unit-energy symbols (+-1 +-1j)/sqrt(2).
     QAM16: the square grid {+-1, +-3} x {+-1, +-3} scaled by 1/sqrt(10),
-    which normalizes the constellation to unit average energy.
+    which normalizes the constellation to unit average energy.  Equal
+    modulations ('qpsk', Modulation.QPSK) share one alphabet.
     """
-    modulation = Modulation(modulation)
+    return _build_alphabet(Modulation(modulation))
+
+
+@cache
+def _build_alphabet(modulation: Modulation) -> ExtendedAlphabet:
     if modulation is Modulation.QPSK:
         pts = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2.0)
     else:
@@ -86,10 +92,17 @@ def build_alphabet(modulation: Modulation | str) -> ExtendedAlphabet:
 
 
 def noise_variance_from_snr(snr_db: float, e_sym: float) -> float:
-    """Noise variance sigma_n^2 = E_sym * 10**(-snr_db/10)."""
+    """Noise variance sigma_n^2 = E_sym * 10**(-snr_db/10); ConfigError
+    where it overflows a float (snr_db below about -3083 at unit E_sym)."""
     if e_sym <= 0:
         raise ConfigError(f"E_sym must be positive, got {e_sym}")
-    return float(e_sym * 10.0 ** (-snr_db / 10.0))
+    try:
+        noise_var = float(e_sym * 10.0 ** (-snr_db / 10.0))
+    except OverflowError:
+        noise_var = math.inf
+    if not math.isfinite(noise_var):
+        raise ConfigError(f"snr_db={snr_db} gives a non-finite noise variance")
+    return noise_var
 
 
 @dataclass(frozen=True)

@@ -93,10 +93,13 @@ class TestRunCommand:
                   "--seed", "12345"])
         assert out1.read_text() != out2.read_text()
 
-    def test_no_offset_switch_renames_detector(self, config_file, tmp_path):
+    def test_no_offset_detector_from_config(self, tmp_path):
+        path = tmp_path / "cfg.txt"
+        path.write_text(BASE_CONFIG.replace(
+            "detectors = amp_vbic, genie",
+            "detectors = amp_vbic_no_offset, genie"))
         out = tmp_path / "records.csv"
-        rc = cli.main(["run", "--config", str(config_file), "--out", str(out),
-                       "--no-offset-llr"])
+        rc = cli.main(["run", "--config", str(path), "--out", str(out)])
         assert rc == 0
         body = out.read_text()
         assert "amp_vbic_no_offset" in body

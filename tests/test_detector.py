@@ -30,6 +30,12 @@ class TestRunDetector:
         assert trace.n_iterations == 7
         assert trace.aer is None
 
+    def test_noise_variance_overflow_is_config_error(self):
+        cfg, alph, fr = make_frame()
+        with pytest.raises(ConfigError, match="noise variance"):
+            run_detector(fr.A, fr.Y, dataclasses.replace(cfg, snr_db=-4000.0),
+                         alph)
+
     def test_zero_iterations_rejected(self):
         with pytest.raises(ConfigError):
             ScenarioConfig(M=4, N=4, J=2, p_a=0.5, snr_db=5.0, n_it=0)

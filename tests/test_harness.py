@@ -1,5 +1,6 @@
 import concurrent.futures
 import dataclasses
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -123,6 +124,32 @@ class TestGenie:
         assert errors / total == pytest.approx(want, rel=0.1)
 
 
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Replace the process pool by one that runs each task in this process
+    and records its size, so no worker process is started; the fixture's
+    value is the list of pool sizes."""
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    return sizes
+
+
 def tiny_config(**overrides):
     kwargs = dict(M=24, N=16, J=4, p_a=0.15, snr_db=8.0,
                   modulation="qam16", n_it=4, seed=9)
@@ -175,31 +202,10 @@ class TestRunTrials:
         with pytest.raises(ConfigError):
             run_trials(cfg, 1, n_workers=0)
 
-    def test_at_most_one_worker_per_trial(self, monkeypatch):
-        # The pool is replaced by one that runs each trial in this process
-        # and records its size, so no worker process is started.
-        sizes = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                future = concurrent.futures.Future()
-                future.set_result(fn(*args))
-                return future
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            InlinePool)
+    def test_at_most_one_worker_per_trial(self, inline_pool):
         assert len(run_trials(tiny_config(), 2, n_workers=64)) == 2
         run_trials(tiny_config(), 1, n_workers=64)
-        assert sizes == [2]
+        assert inline_pool == [2]
 
 
 class TestAggregate:
@@ -255,6 +261,42 @@ class TestSweep:
         rows = sweep(tiny_config(), "N", [12, 20], 2)
         assert sorted(r.N for r in rows) == [12, 20]
 
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    @pytest.mark.parametrize("axis, values, bernoulli", [
+        ("snr_db", [0.0, 8.0, 4.0], False), ("N", [12, 20], False),
+        ("p_a", [0.1, 0.25], False), ("p_a", [0.1, 0.25], True)],
+        ids=["snr_db", "N", "p_a-pinned", "p_a-bernoulli"])
+    def test_matches_per_value_runs(self, axis, values, bernoulli, n_workers):
+        detectors = ("amp_vbic", "amp_vbic_no_offset", "genie")
+        rows = sweep(tiny_config(), axis, values, 3, detectors,
+                     n_workers=n_workers, bernoulli_activity=bernoulli)
+        assert [(getattr(r, axis), r.detector) for r in rows] == \
+            [(v, d) for v in values for d in detectors]
+        assert without_runtime(rows) == without_runtime(per_value_rows(
+            tiny_config(), values, 3, detectors, axis,
+            pinned=axis == "p_a" and not bernoulli))
+
+    @pytest.mark.parametrize("n_workers, pool_size", [(4, 4), (64, 6)])
+    def test_one_pool_and_one_check_per_sweep(self, monkeypatch, inline_pool,
+                                              n_workers, pool_size):
+        checks = []
+        real_check = harness._check_request
+
+        def counted_check(*args):
+            checks.append(args)
+            return real_check(*args)
+
+        def no_run_trials(*args, **kwargs):
+            raise AssertionError("sweep called run_trials")
+
+        monkeypatch.setattr(harness, "_check_request", counted_check)
+        monkeypatch.setattr(harness, "run_trials", no_run_trials)
+        rows = sweep(tiny_config(), "snr_db", [0.0, 4.0, 8.0], 2,
+                     n_workers=n_workers)
+        assert len(rows) == 3
+        assert inline_pool == [pool_size]
+        assert len(checks) == 1
+
     def test_fixed_active_count_on_pa_axis(self):
         # With the active count pinned to round(p_a * M), every frame of the
         # cell has the same number of active users; a Bernoulli draw of 24
@@ -271,10 +313,17 @@ def without_runtime(rows):
             for r in rows]
 
 
-def per_value_rows(cfg, values, n_trials, detectors):
-    return [row for v in values
-            for row in aggregate(run_trials(dataclasses.replace(cfg, n_it=v),
-                                            n_trials, detectors))]
+def per_value_rows(cfg, values, n_trials, detectors, axis="n_it",
+                   pinned=False):
+    """A sweep's rows built from one run_trials call per value; pinned
+    fixes the active-user count to round(p_a * M) as a p_a sweep does."""
+    rows = []
+    for v in values:
+        config = dataclasses.replace(cfg, **{axis: v})
+        n_active = int(round(config.p_a * config.M)) if pinned else None
+        rows += aggregate(run_trials(config, n_trials, detectors,
+                                     n_active=n_active))
+    return rows
 
 
 def breakdown(*args, **kwargs):
@@ -345,6 +394,23 @@ class TestPoolFailures:
             run_trials(tiny_config(), 2, n_workers=n_workers)
         assert isinstance(info.value.__cause__, NumericalBreakdown)
 
+    def test_failure_cancels_trials_not_started(self, monkeypatch, tmp_path):
+        # The first task fails at once; every other one marks that it
+        # started and then takes 0.5 s, so without cancellation all nine
+        # would start before the pool shuts down.
+        def slow_breakdown(a, y, config, alphabet, *, start=None):
+            if config.snr_db > 0:
+                (tmp_path / str(config.snr_db)).touch()
+                time.sleep(0.5)
+            raise NumericalBreakdown("synthetic breakdown")
+
+        monkeypatch.setattr(harness, "run_detector_internals", slow_breakdown)
+        values = [float(v) for v in range(10)]
+        with pytest.raises(TrialFailure) as info:
+            sweep(tiny_config(), "snr_db", values, 1, n_workers=2)
+        assert isinstance(info.value.__cause__, NumericalBreakdown)
+        assert len(list(tmp_path.iterdir())) < 9
+
     def test_nit_sweep_chains_the_cause(self, monkeypatch):
         monkeypatch.setattr(harness, "run_detector_internals", breakdown)
         with pytest.raises(TrialFailure) as info:
@@ -368,7 +434,7 @@ class TestCsv:
         cfg = tiny_config()
         rows = sweep(cfg, "snr_db", [0.0, 4.0], 2)
         out = tmp_path / "sweep.csv"
-        write_csv(rows, out, aggregated=True)
+        write_csv(rows, out)
         lines = out.read_text().splitlines()
         assert lines[0] == ("detector,trial,M,N,J,p_a,snr_db,n_it,"
                             "aer,ser,ce_mse,runtime_ms,"

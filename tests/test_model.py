@@ -58,10 +58,18 @@ class TestAlphabet:
             basis[2, 0] = 1.0
         assert alph.symbol_basis is basis
 
+    def test_one_alphabet_per_modulation(self):
+        qpsk = build_alphabet("qpsk")
+        assert build_alphabet(Modulation.QPSK) is qpsk
+        assert build_alphabet("qpsk") == build_alphabet(Modulation.QPSK)
+        assert qpsk != build_alphabet("qam16")
+        assert hash(qpsk) == hash(build_alphabet("qpsk"))
+        assert len({qpsk, build_alphabet("qpsk"), build_alphabet("qam16")}) == 2
+
     @pytest.mark.parametrize("cached", [False, True])
     @pytest.mark.parametrize("mod", ["qpsk", "qam16"])
     def test_pickle_round_trip_stays_read_only(self, mod, cached):
-        # The --threads pool pickles the alphabet into every trial.
+        # An alphabet sent to another process must stay read-only.
         alph = build_alphabet(mod)
         if cached:
             alph.symbol_basis
@@ -89,6 +97,12 @@ class TestNoiseVariance:
     def test_bad_esym(self):
         with pytest.raises(ConfigError):
             noise_variance_from_snr(0.0, 0.0)
+
+    @pytest.mark.parametrize("snr_db", [-4000.0, -3081.0])
+    def test_overflow_is_config_error(self, snr_db):
+        # -3081 dB overflows only in the product with E_sym = 2.
+        with pytest.raises(ConfigError, match="noise variance"):
+            noise_variance_from_snr(snr_db, 2.0)
 
 
 class TestSpreadingMatrix:
@@ -150,6 +164,17 @@ class TestGenerateFrame:
         fr = generate_frame(cfg, self.alph, np.random.default_rng(2))
         assert fr.activity.all()
         assert np.allclose(fr.Y, fr.A @ fr.X, atol=1e-12)
+
+    def test_noise_variance_overflow_is_config_error(self):
+        cfg = ScenarioConfig(M=8, N=8, J=4, p_a=0.5, snr_db=-4000.0)
+        with pytest.raises(ConfigError, match="noise variance"):
+            generate_frame(cfg, self.alph, np.random.default_rng(2))
+
+    def test_zero_noise_variance_frame(self):
+        cfg = ScenarioConfig(M=8, N=8, J=4, p_a=0.5, snr_db=4000.0)
+        fr = generate_frame(cfg, self.alph, np.random.default_rng(2))
+        assert fr.noise_var == 0.0
+        assert np.array_equal(fr.Y, fr.A @ fr.X)
 
     def test_mean_active_count(self):
         cfg = ScenarioConfig(M=200, N=1, J=2, p_a=0.1, snr_db=5.0)
