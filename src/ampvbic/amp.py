@@ -5,27 +5,36 @@ observations r = x + n with n ~ CN(0, tau), given the current posterior
 mean/variance of the target X.  The J columns are independent, so the
 six per-column update lines are evaluated matrix-wise:
 
-    Tp  = |A|^2 @ That
-    P   = A @ Xhat - Tp * S            (Onsager-corrected prediction)
-    Ts  = 1 / (Tp + noise_var)
-    S   = Ts * (Y - P)
-    Tau = 1 / (|A|^2.T @ Ts)
+    tp  = (col2 @ That) / N            (one variance per slot, J)
+    P   = A @ Xhat - tp * S            (Onsager-corrected prediction)
+    ts  = 1 / (tp + noise_var)
+    S   = ts * (Y - P)
+    Tau = 1 / (col2 (x) ts)            (outer product, M x J)
     R   = Xhat + Tau * (A^H @ S)
 
-|A|^2 is a per-frame constant: amp_init computes it once from A and keeps
-it on the state.  S persists across outer iterations; everything else is
-recomputed.
+col2[m] = sum_n |A[n, m]|^2 is the energy of column m of A, a per-frame
+constant that amp_init computes once.  S persists across outer
+iterations; everything else is recomputed.
 
-The two sums over the N rows are formed with the small J x N factor on
-the left: |A|^2.T @ Ts as (Ts.T @ |A|^2).T and A^H @ S as
-conj(S^H @ A).T, which conjugates the small S, never A.  Written with A
-on the left, both run on OpenBLAS's transposed-operand kernel, which is
-2-3x slower at large frames: at M=2000, N=1000, J=10 (2 vCPUs, OpenBLAS
-0.3.31) the two products take 1.4 and 4.5 ms instead of 3.5 and 8.0 ms
-per pass.  At M=200, N=100 the |A|^2 product is no slower (0.013 ms) and
-the complex one is 0.03 ms slower (0.075 vs 0.046 ms), which the large
-frames repay many times over.  The |A|^2 product is bit-identical in
-either form; the complex one differs only in rounding.
+The pass makes one approximation.  The exact variance of row n's
+prediction is Tp[n, j] = sum_m |A[n, m]|^2 That[m, j], an N x J matrix
+that costs a real N x M product per pass; tp replaces it by its mean over
+the N rows, which is exactly (col2 @ That) / N.  For an i.i.d. A the rows
+of Tp differ only through the sampling spread of |A|^2 along each row,
+which shrinks relative to Tp as M grows; the scalar-variance AMP of
+Donoho, Maleki and Montanari (2009) and GAMP (Rangan, 2011) make the same
+step.  Once ts is constant over the rows, |A|^2.T @ Ts is exactly
+col2 (x) ts, so Tau needs no further approximation and no N x M product
+either.  The pass therefore keeps only the two complex products and never
+holds |A|^2.
+
+The row sum A^H @ S is formed with the small J x N factor on the left,
+as conj(S^H @ A).T, which conjugates the small S, never A.  Written with
+A on the left it runs on OpenBLAS's transposed-operand kernel, which is
+about 2x slower at large frames: 8.0 instead of 4.5 ms per pass at
+M=2000, N=1000, J=10 (2 vCPUs, OpenBLAS 0.3.31).  At M=200, N=100 the
+left form is 0.03 ms slower (0.075 vs 0.046 ms), which the large frames
+repay many times over.  The two forms differ only in rounding.
 """
 
 from __future__ import annotations
@@ -45,12 +54,12 @@ VARIANCE_FLOOR = 1e-12
 class AmpState:
     """What one decoupling pass hands to the next within a frame.
 
-    abs_a2 is |A|^2 (N x M), fixed for the frame.  S_mat (N x J) is the
-    scaled residual, the only quantity that carries information between
-    outer iterations.
+    col2 (M,) holds the column energies sum_n |A[n, m]|^2, fixed for the
+    frame.  S_mat (N x J) is the scaled residual, the only quantity that
+    carries information between outer iterations.  Neither is N x M.
     """
 
-    abs_a2: np.ndarray
+    col2: np.ndarray
     S_mat: np.ndarray
 
 
@@ -74,14 +83,15 @@ class PseudoObservations:
 
 def amp_init(a_mat: np.ndarray, j: int,
              e_sym: float) -> tuple[AmpState, Posterior]:
-    """State for one frame with mixing matrix A (N x M) and J slots: |A|^2,
-    a zero residual, and the flat prior posterior (mean 0, variance E_sym)."""
+    """State for one frame with mixing matrix A (N x M) and J slots: the
+    column energies of A, a zero residual, and the flat prior posterior
+    (mean 0, variance E_sym)."""
     if a_mat.ndim != 2:
         raise DimensionMismatch("A must be a 2-d array")
     n, m = a_mat.shape
     if m < 1 or n < 1 or j < 1:
         raise DimensionMismatch(f"dimensions must be positive, got M={m}, N={n}, J={j}")
-    state = AmpState(abs_a2=np.abs(a_mat) ** 2,
+    state = AmpState(col2=(np.abs(a_mat) ** 2).sum(axis=0),
                      S_mat=np.zeros((n, j), dtype=complex))
     posterior = Posterior(
         Xhat=np.zeros((m, j), dtype=complex),
@@ -96,10 +106,10 @@ def amp_decouple(a_mat: np.ndarray, y: np.ndarray, posterior: Posterior,
     """One decoupling pass over all J columns.
 
     state must come from amp_init(a_mat, ...) or an earlier pass on the
-    same frame: |A|^2 is read from it, not recomputed.  Returns the pseudo
-    observations and the refreshed state; the caller carries the state
-    into the next outer iteration.  Raises NumericalBreakdown when Tau or R
-    comes out non-finite.
+    same frame: the column energies are read from it, not recomputed.
+    Returns the pseudo observations and the refreshed state; the caller
+    carries the state into the next outer iteration.  Raises
+    NumericalBreakdown when Tau or R comes out non-finite.
     """
     if noise_var <= 0:
         raise NonPositiveNoise(f"noise_var must be > 0, got {noise_var}")
@@ -112,21 +122,22 @@ def amp_decouple(a_mat: np.ndarray, y: np.ndarray, posterior: Posterior,
     if posterior.Xhat.shape != (m, j) or posterior.That.shape != (m, j):
         raise DimensionMismatch(
             f"posterior shape {posterior.Xhat.shape} does not match (M, J)=({m}, {j})")
-    if state.abs_a2.shape != (n, m) or state.S_mat.shape != (n, j):
+    if state.col2.shape != (m,) or state.S_mat.shape != (n, j):
         raise DimensionMismatch(
             f"AMP state was built for a different frame shape than A {a_mat.shape}, "
             f"Y {y.shape}")
 
-    abs_a2 = state.abs_a2
+    col2 = state.col2
     that = np.maximum(posterior.That, VARIANCE_FLOOR)
 
-    tp = abs_a2 @ that
+    # tp and ts are one value per slot (J,), broadcast over the N rows.
+    tp = (col2 @ that) / n
     p = a_mat @ posterior.Xhat - tp * state.S_mat
     ts = 1.0 / (tp + noise_var)
     s = ts * (y - p)
-    # Both sums over the N rows put the small J-row factor on the left
-    # (see the module docstring); Tau comes out F-ordered, R C-ordered.
-    tau = 1.0 / (ts.T @ abs_a2).T
+    tau = 1.0 / (col2[:, None] * ts)
+    # The row sum puts the small J-row factor on the left (see the module
+    # docstring); R comes out C-ordered.
     r = posterior.Xhat + tau * (s.T.conj() @ a_mat).conj().T
     # A NaN or inf in Y, A or the posterior reaches Tau or R in this pass;
     # stop here rather than at the clustering step that would meet it next.
@@ -134,5 +145,5 @@ def amp_decouple(a_mat: np.ndarray, y: np.ndarray, posterior: Posterior,
         raise NumericalBreakdown(
             "decoupling produced non-finite pseudo observations or variances")
 
-    new_state = AmpState(abs_a2=abs_a2, S_mat=s)
+    new_state = AmpState(col2=col2, S_mat=s)
     return PseudoObservations(R=r, Tau=tau), new_state

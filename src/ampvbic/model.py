@@ -97,7 +97,9 @@ def noise_variance_from_snr(snr_db: float, e_sym: float) -> float:
     if e_sym <= 0:
         raise ConfigError(f"E_sym must be positive, got {e_sym}")
     try:
-        noise_var = float(e_sym * 10.0 ** (-snr_db / 10.0))
+        # float() first: a numpy snr_db would overflow with a warning
+        # instead of the OverflowError caught here.
+        noise_var = float(e_sym * 10.0 ** (-float(snr_db) / 10.0))
     except OverflowError:
         noise_var = math.inf
     if not math.isfinite(noise_var):
@@ -161,8 +163,16 @@ class ScenarioInstance:
 
 
 def draw_spreading_matrix(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
-    """i.i.d. circularly-symmetric complex Gaussian entries, unit variance."""
-    return (rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))) / np.sqrt(2.0)
+    """i.i.d. circularly-symmetric complex Gaussian entries, unit variance.
+
+    The real and then the imaginary draw are scaled straight into the
+    parts of one complex array, so no complex temporary is formed; the
+    values are bit-identical to (z_re + 1j*z_im) / sqrt(2).
+    """
+    a_mat = np.empty((n, m), dtype=complex)
+    np.multiply(rng.standard_normal((n, m)), 1.0 / np.sqrt(2.0), out=a_mat.real)
+    np.multiply(rng.standard_normal((n, m)), 1.0 / np.sqrt(2.0), out=a_mat.imag)
+    return a_mat
 
 
 def _draw_activity(config: ScenarioConfig, rng: np.random.Generator,

@@ -1,4 +1,11 @@
-"""Reference forms of the clustering updates, written the long way.
+"""Reference forms of the decoupling pass and the clustering updates,
+written the long way.
+
+The decoupling pass never forms |A|^2: it keeps the column energies of A
+and one prediction variance per slot.  plain_amp_pass below writes the six
+update lines with the full N x M |A|^2, either exactly (one variance per
+row and slot) or with that variance averaged over the rows, which is the
+production pass's one approximation.
 
 The detector never forms the expectations one (s, k) at a time: its
 responsibility update drops the terms the softmax cancels and computes the
@@ -17,8 +24,30 @@ reference for the symbol-major code.
 import numpy as np
 from scipy.special import digamma
 
+from ampvbic.amp import VARIANCE_FLOOR, Posterior
 from ampvbic.model import ExtendedAlphabet
 from ampvbic.vbic import VbicState
+
+
+def plain_amp_pass(a: np.ndarray, y: np.ndarray, posterior: Posterior,
+                   s_prev: np.ndarray, noise_var: float, *,
+                   row_averaged: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(R, Tau, S) of one decoupling pass with |A|^2 formed in full.
+
+    row_averaged=False is the exact-variance pass, Tp = |A|^2 @ That per
+    row; row_averaged=True replaces Tp by its mean over the N rows,
+    broadcast back to every row.
+    """
+    abs_a2 = np.abs(a) ** 2
+    tp = abs_a2 @ np.maximum(posterior.That, VARIANCE_FLOOR)
+    if row_averaged:
+        tp = np.broadcast_to(tp.mean(axis=0), tp.shape)
+    p = a @ posterior.Xhat - tp * s_prev
+    ts = 1.0 / (tp + noise_var)
+    s = ts * (y - p)
+    tau = 1.0 / (abs_a2.T @ ts)
+    r = posterior.Xhat + tau * (a.conj().T @ s)
+    return r, tau, s
 
 
 def k_major(rows_sk, m: int) -> np.ndarray:

@@ -1,12 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from ampvbic.amp import (VARIANCE_FLOOR, Posterior, PseudoObservations,
-                         amp_decouple, amp_init)
+from ampvbic.amp import Posterior, PseudoObservations, amp_decouple, \
+    amp_init
 from ampvbic.errors import DimensionMismatch, NonPositiveNoise, \
     NumericalBreakdown
 from ampvbic.model import build_alphabet
 from ampvbic.vbic import vbic_init, warm_start_channel
+
+from oracles import plain_amp_pass
 
 
 class TestInit:
@@ -18,7 +22,8 @@ class TestInit:
         assert not post.Xhat.any()
         assert not state.S_mat.any()
         assert state.S_mat.shape == (2, 1)
-        assert np.allclose(state.abs_a2, [[1.0, 4.0], [9.0, 2.0]], rtol=1e-12)
+        # Column energies: |1|^2 + |-3|^2 and |2j|^2 + |1-1j|^2.
+        assert np.allclose(state.col2, [10.0, 6.0], rtol=1e-12)
 
     def test_zero_energy(self):
         _, post = amp_init(np.ones((2, 3), dtype=complex), 4, 0.0)
@@ -106,10 +111,14 @@ class TestDecouple:
             amp_decouple(a, np.zeros((2, 5), dtype=complex), post, state, 1.0)
         with pytest.raises(NonPositiveNoise):
             amp_decouple(a, np.zeros((2, 2), dtype=complex), post, state, 0.0)
-        # A state built for another frame shape is refused, not reused.
-        other, _ = amp_init(np.zeros((3, 3), dtype=complex), 2, 1.0)
-        with pytest.raises(DimensionMismatch):
-            amp_decouple(a, np.zeros((2, 2), dtype=complex), post, other, 1.0)
+        # A state built for another frame shape is refused, not reused:
+        # another N (the residual's rows) or another M (the column
+        # energies) alone is enough.
+        for shape in ((3, 3), (2, 4)):
+            other, _ = amp_init(np.zeros(shape, dtype=complex), 2, 1.0)
+            with pytest.raises(DimensionMismatch):
+                amp_decouple(a, np.zeros((2, 2), dtype=complex), post, other,
+                             1.0)
 
     @pytest.mark.parametrize("where", ["nan_in_y", "inf_in_posterior_mean"])
     def test_non_finite_pass_is_typed_breakdown(self, where):
@@ -130,10 +139,10 @@ class TestDecouple:
             amp_decouple(a, y, post, state, 0.5)
 
     def test_matches_plain_update(self):
-        # The production pass (|A|^2 kept on the state, both row sums formed
-        # with the small J-row factor on the left) against the six update
-        # lines written out plainly, carried over several passes at the
-        # reference size.
+        # The production pass (column energies kept on the state, the row
+        # sum formed with the small J-row factor on the left) against the
+        # row-averaged update lines written out with the full |A|^2,
+        # carried over several passes at the reference size.
         _check_against_plain_update(m=200, n=100, j=10, seed=16)
 
     def test_matches_plain_update_at_large_frame(self):
@@ -141,24 +150,57 @@ class TestDecouple:
         # differs, so a layout slip there cannot hide behind small sizes.
         _check_against_plain_update(m=800, n=400, j=10, seed=18)
 
+    @pytest.mark.parametrize("m, n", [(200, 100), (800, 400)])
+    def test_equals_exact_variance_pass_for_constant_modulus(self, m, n):
+        # With |A[n, m]|^2 = 1 every row of the exact Tp is the same, so
+        # averaging over the rows is no approximation and the production
+        # pass equals the exact-variance pass.
+        rng = np.random.default_rng(19)
+        a = np.exp(2j * np.pi * rng.random((n, m)))
+        _check_against_plain_update(m=m, n=n, j=10, seed=20, a=a,
+                                    row_averaged=False)
 
-def _check_against_plain_update(m, n, j, seed, noise_var=0.3, passes=5):
+    def test_tau_is_outer_product_of_column_energies_and_slot_precisions(self):
+        rng = np.random.default_rng(21)
+        m, n, j, noise_var = 30, 12, 4, 0.4
+        a = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+        y = rng.standard_normal((n, j)) + 1j * rng.standard_normal((n, j))
+        state, _ = amp_init(a, j, 1.0)
+        post = Posterior(Xhat=np.zeros((m, j), dtype=complex),
+                         That=rng.uniform(0.1, 1.0, (m, j)))
+        pseudo, new_state = amp_decouple(a, y, post, state, noise_var)
+        assert np.array_equal(state.col2, (np.abs(a) ** 2).sum(axis=0))
+        ts = 1.0 / ((state.col2 @ post.That) / n + noise_var)
+        assert ts.shape == (j,)
+        assert np.array_equal(pseudo.Tau, 1.0 / np.outer(state.col2, ts))
+        assert new_state.col2 is state.col2
+
+    def test_state_holds_no_n_by_m_array(self):
+        rng = np.random.default_rng(22)
+        m, n, j = 30, 12, 4
+        a = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+        y = rng.standard_normal((n, j)) + 1j * rng.standard_normal((n, j))
+        state, post = amp_init(a, j, 1.0)
+        _, passed = amp_decouple(a, y, post, state, 0.5)
+        for st in (state, passed):
+            shapes = {f.name: getattr(st, f.name).shape
+                      for f in dataclasses.fields(st)}
+            assert shapes == {"col2": (m,), "S_mat": (n, j)}
+
+
+def _check_against_plain_update(m, n, j, seed, noise_var=0.3, passes=5,
+                                a=None, row_averaged=True):
     rng = np.random.default_rng(seed)
-    a = (rng.standard_normal((n, m))
-         + 1j * rng.standard_normal((n, m))) / np.sqrt(2 * n)
+    if a is None:
+        a = (rng.standard_normal((n, m))
+             + 1j * rng.standard_normal((n, m))) / np.sqrt(2 * n)
     y = rng.standard_normal((n, j)) + 1j * rng.standard_normal((n, j))
     state, post = amp_init(a, j, 1.0)
     s_ref = np.zeros((n, j), dtype=complex)
     for it in range(passes):
         pseudo, state = amp_decouple(a, y, post, state, noise_var)
-
-        abs_a2 = np.abs(a) ** 2
-        tp = abs_a2 @ np.maximum(post.That, VARIANCE_FLOOR)
-        p = a @ post.Xhat - tp * s_ref
-        ts = 1.0 / (tp + noise_var)
-        s_ref = ts * (y - p)
-        tau = 1.0 / (abs_a2.T @ ts)
-        r = post.Xhat + tau * (a.conj().T @ s_ref)
+        r, tau, s_ref = plain_amp_pass(a, y, post, s_ref, noise_var,
+                                       row_averaged=row_averaged)
 
         np.testing.assert_allclose(pseudo.R, r, rtol=1e-12)
         np.testing.assert_allclose(pseudo.Tau, tau, rtol=1e-12)

@@ -1,6 +1,7 @@
 import concurrent.futures
 import dataclasses
 import time
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -257,6 +258,18 @@ class TestSweep:
         with pytest.raises(ConfigError):
             sweep(tiny_config(), axis, values, 2)
 
+    def test_numpy_snr_values_fail_before_any_trial_without_warning(
+            self, monkeypatch):
+        # Values from a numpy array reach noise_variance_from_snr as numpy
+        # scalars; the overflowing one is a ConfigError, not a warning.
+        def no_frames(*args, **kwargs):
+            raise AssertionError("a trial ran")
+        monkeypatch.setattr(harness, "generate_frame", no_frames)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="noise variance"):
+                sweep(tiny_config(), "snr_db", np.array([5.0, -4000.0]), 2)
+
     def test_axis_value_lands_in_records(self):
         rows = sweep(tiny_config(), "N", [12, 20], 2)
         assert sorted(r.N for r in rows) == [12, 20]
@@ -450,51 +463,50 @@ class TestCsv:
 
 
 # amp_vbic aer, ser, ce_mse and genie ser per trial of the reference cell
-# (seed 2026, trials 0..19), recorded with every term of ln rho formed and
-# |A|^2 recomputed on each AMP pass.  Leaving out the terms the softmax
-# cancels and keeping |A|^2 for the frame changes rounding only, so the
-# decisions must not move and ce_mse only in its last digits.
+# (seed 2026, trials 0..19).  Recorded when the decoupling pass went from
+# per-row prediction variances to their mean over the rows, a declared
+# model change; changes that only reorder floating-point work must leave
+# the decisions unmoved and ce_mse within its last digits.
 REFERENCE_CELL = ScenarioConfig(M=200, N=100, J=10, p_a=0.1, snr_db=5.0,
                                 modulation="qam16", n_it=20, seed=2026)
 PINNED = [  # (trial, aer, ser, ce_mse, genie ser)
-    (0, 0.01, 0.025555555555555557, 0.0035545185279668113, 0.0022222222222222222),
-    (1, 0.0, 0.016666666666666666, 0.003311866395854954, 0.0033333333333333335),
-    (2, 0.01, 0.034444444444444444, 0.00726053145359777, 0.013888888888888888),
-    (3, 0.0, 0.010555555555555556, 0.010460978989334704, 0.0),
-    (4, 0.005, 0.010555555555555556, 0.0012562955089798111, 0.005),
-    (5, 0.01, 0.027777777777777776, 0.004340107988302084, 0.0038888888888888888),
-    (6, 0.0, 0.017222222222222222, 0.0033676411944945474, 0.0005555555555555556),
-    (7, 0.0, 0.01611111111111111, 0.005600964276437273, 0.0016666666666666668),
-    (8, 0.01, 0.02277777777777778, 0.0073832658350941735, 0.002777777777777778),
-    (9, 0.01, 0.03722222222222222, 0.007294350758629117, 0.007222222222222222),
-    (10, 0.02, 0.04111111111111111, 0.00788975987687995, 0.0033333333333333335),
-    (11, 0.01, 0.020555555555555556, 0.0034874569952003153, 0.0022222222222222222),
-    (12, 0.01, 0.025, 0.012377534650679563, 0.0011111111111111111),
-    (13, 0.005, 0.028888888888888888, 0.005008359154004741, 0.005),
-    (14, 0.015, 0.05611111111111111, 0.019857867818156603, 0.009444444444444445),
-    (15, 0.01, 0.019444444444444445, 0.005353505963569654, 0.005),
-    (16, 0.0, 0.018333333333333333, 0.0024043257739182118, 0.0005555555555555556),
-    (17, 0.015, 0.04777777777777778, 0.027139885600645383, 0.002777777777777778),
-    (18, 0.01, 0.022222222222222223, 0.0058098771870512475, 0.0038888888888888888),
-    (19, 0.02, 0.03, 0.004352812300251272, 0.011666666666666667),
+    (0, 0.01, 0.025, 0.00359493108661618, 0.0022222222222222222),
+    (1, 0.0, 0.01611111111111111, 0.0032985956957202415, 0.002777777777777778),
+    (2, 0.01, 0.03777777777777778, 0.0074110520200999395, 0.014444444444444444),
+    (3, 0.0, 0.01, 0.010359773389809557, 0.0),
+    (4, 0.005, 0.010555555555555556, 0.0012427904340364796, 0.005),
+    (5, 0.01, 0.02666666666666667, 0.004444702600219994, 0.0038888888888888888),
+    (6, 0.0, 0.015, 0.0033973643924193235, 0.0005555555555555556),
+    (7, 0.0, 0.012777777777777779, 0.005077109564944204, 0.0016666666666666668),
+    (8, 0.01, 0.025555555555555557, 0.007133152483228284, 0.0033333333333333335),
+    (9, 0.01, 0.03833333333333333, 0.0072902922354000765, 0.007222222222222222),
+    (10, 0.015, 0.03666666666666667, 0.007969894844005117, 0.0033333333333333335),
+    (11, 0.01, 0.021111111111111112, 0.003467300027412723, 0.0022222222222222222),
+    (12, 0.01, 0.023333333333333334, 0.01230469901998092, 0.0016666666666666668),
+    (13, 0.005, 0.025555555555555557, 0.005052859410804602, 0.005555555555555556),
+    (14, 0.015, 0.059444444444444446, 0.01945086548504249, 0.009444444444444445),
+    (15, 0.01, 0.017222222222222222, 0.004990038142985779, 0.005555555555555556),
+    (16, 0.0, 0.017777777777777778, 0.0024160808433409797, 0.0005555555555555556),
+    (17, 0.015, 0.04888888888888889, 0.027095168522289416, 0.0038888888888888888),
+    (18, 0.01, 0.023333333333333334, 0.005873364082395776, 0.0038888888888888888),
+    (19, 0.02, 0.028888888888888888, 0.004099418175446067, 0.011666666666666667),
 ]
 
-# The same for QPSK (K = 5, seed 2026, trials 0..9), recorded with the
-# observation-major (S, K) clustering state: numpy reduces short rows of 5
-# in another order than rows of 17, so the symbol-major state must leave
-# these decisions unmoved too.
+# The same for QPSK (K = 5, seed 2026, trials 0..9): numpy reduces short
+# rows of 5 in another order than rows of 17, so a layout change that
+# leaves QAM16 unmoved can still move these.
 QPSK_CELL = dataclasses.replace(REFERENCE_CELL, modulation="qpsk")
 QPSK_PINNED = [  # (trial, aer, ser, ce_mse, genie ser)
-    (0, 0.01, 0.01, 0.0007040341983564025, 0.0),
-    (1, 0.0, 0.0, 0.0010335561467907511, 0.0),
-    (2, 0.015, 0.015, 0.0058006430986456015, 0.0011111111111111111),
-    (3, 0.0, 0.0, 0.011586765809577609, 0.0),
-    (4, 0.005, 0.005, 0.0003224922967266117, 0.0011111111111111111),
-    (5, 0.005, 0.005, 0.0021709382098474943, 0.0),
-    (6, 0.0, 0.0, 0.0006385589649663379, 0.0),
-    (7, 0.0, 0.0, 0.0018490163454728825, 0.0),
-    (8, 0.005, 0.005, 0.0033502829900128994, 0.0),
-    (9, 0.01, 0.01, 0.012977602359492997, 0.0011111111111111111),
+    (0, 0.01, 0.01, 0.0007342496224664375, 0.0),
+    (1, 0.0, 0.0, 0.001023451682339838, 0.0),
+    (2, 0.015, 0.015, 0.0060500972374620135, 0.0011111111111111111),
+    (3, 0.0, 0.0, 0.01155080132558876, 0.0),
+    (4, 0.005, 0.005, 0.0003144644502249567, 0.0011111111111111111),
+    (5, 0.005, 0.005, 0.0021955305907031906, 0.0),
+    (6, 0.0, 0.0, 0.0006081947208166155, 0.0),
+    (7, 0.0, 0.0, 0.0018557506560344579, 0.0),
+    (8, 0.005, 0.005, 0.003298365025751733, 0.0),
+    (9, 0.01, 0.01, 0.012951746206239083, 0.0011111111111111111),
 ]
 
 

@@ -1,4 +1,5 @@
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -104,6 +105,16 @@ class TestNoiseVariance:
         with pytest.raises(ConfigError, match="noise variance"):
             noise_variance_from_snr(snr_db, 2.0)
 
+    @pytest.mark.parametrize("snr_db", [np.float64(-4000.0), np.float32(-4000.0)],
+                             ids=["float64", "float32"])
+    def test_numpy_overflow_is_config_error_without_warning(self, snr_db):
+        # A numpy scalar (as from an array of sweep values) overflows in
+        # numpy's power, which warns instead of raising OverflowError.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="noise variance"):
+                noise_variance_from_snr(snr_db, 1.0)
+
 
 class TestSpreadingMatrix:
 
@@ -117,6 +128,20 @@ class TestSpreadingMatrix:
         assert np.mean(np.abs(a) ** 2) == pytest.approx(1.0, abs=0.01)
         # circular symmetry: real and imaginary parts carry half the energy
         assert np.mean(a.real ** 2) == pytest.approx(0.5, abs=0.01)
+
+    @pytest.mark.parametrize("shape", [(100, 200), (1000, 2000), (3, 7)])
+    def test_bit_identical_to_complex_expression(self, shape):
+        # The matrix is written part by part into one array; it must be the
+        # complex expression below bit for bit, and leave the generator in
+        # the same state.
+        for seed in range(5):
+            rng_old = np.random.default_rng(seed)
+            old = (rng_old.standard_normal(shape)
+                   + 1j * rng_old.standard_normal(shape)) / np.sqrt(2.0)
+            rng_new = np.random.default_rng(seed)
+            new = draw_spreading_matrix(*shape, rng_new)
+            assert np.array_equal(new.view(np.uint64), old.view(np.uint64))
+            assert rng_new.random() == rng_old.random()
 
     def test_seed_determinism(self):
         a1 = draw_spreading_matrix(20, 30, np.random.default_rng(42))
