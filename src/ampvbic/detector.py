@@ -7,14 +7,15 @@ responsibilities and moments are fused into activity/symbol decisions and
 the rows of detected-active users are phase-corrected via the reference
 symbol.  The loop is deterministic: no randomness enters after the frame
 is drawn, and nothing in it depends on n_it, so a run of n iterations is
-a prefix of every longer run on the same frame.  run_detector_internals
-can therefore continue an earlier call's loop (start=) instead of
-repeating its iterations.
+a prefix of every longer run on the same frame.  run_detector_internals,
+the bare loop, therefore continues an earlier call's loop (start=): the
+harness steps it once per iteration count of a trial, and run_detector
+once per iteration to record its trace.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -79,34 +80,49 @@ def run_detector(a_mat: np.ndarray, y: np.ndarray, config: ScenarioConfig,
                  ground_truth: ScenarioInstance | None = None, *,
                  conv_tol: float | None = None,
                  ) -> tuple[DetectionResult, IterationTrace]:
-    """Run the full detector on one frame.
+    """Run the full detector on one frame, stepping the loop one iteration
+    at a time and recording the trace between steps.
 
-    ground_truth only feeds the per-iteration trace metrics; it never
-    influences the decisions.  conv_tol stops early once the mean
-    posterior-mean change falls below it (off by default, which keeps
-    exactly n_it trace records).
+    ground_truth only feeds the trace's error rates, each from a decision
+    at that iteration (the last is returned); it never influences the
+    decisions.  conv_tol stops once the mean posterior-mean change falls
+    below it (off by default, which keeps exactly n_it records).
     """
-    trace, internals = run_detector_internals(
-        a_mat, y, config, alphabet, ground_truth, conv_tol=conv_tol)
-    result = _finalize(internals.vbic_state, internals.posterior, alphabet,
-                       config.p_a, include_offset=True)
+    trace = IterationTrace()
+    if ground_truth is not None:
+        trace.aer, trace.ser, trace.ce_mse = [], [], []
+    internals = result = None
+    prev_xhat = 0.0     # the loop starts from amp_init's zero prior mean
+    for n_it in range(1, config.n_it + 1):
+        internals = run_detector_internals(
+            a_mat, y, replace(config, n_it=n_it), alphabet, start=internals)
+        delta = float(np.mean(np.abs(internals.posterior.Xhat - prev_xhat)))
+        trace.delta_x.append(delta)
+        prev_xhat = internals.posterior.Xhat
+        if ground_truth is not None:
+            result = _finalize(internals.vbic_state, internals.posterior,
+                               alphabet, config.p_a, include_offset=True)
+            trace.aer.append(compute_aer(ground_truth.activity, result.activity_hat))
+            trace.ser.append(compute_ser(ground_truth.D, result.D_hat))
+            trace.ce_mse.append(compute_ce_mse(ground_truth.mu, result.channel_hat))
+        if conv_tol is not None and delta < conv_tol:
+            break
+    if result is None:
+        result = _finalize(internals.vbic_state, internals.posterior,
+                           alphabet, config.p_a, include_offset=True)
     return result, trace
 
 
 def run_detector_internals(a_mat: np.ndarray, y: np.ndarray,
                            config: ScenarioConfig, alphabet: ExtendedAlphabet,
-                           ground_truth: ScenarioInstance | None = None, *,
-                           conv_tol: float | None = None,
-                           start: DetectorInternals | None = None,
-                           ) -> tuple[IterationTrace, DetectorInternals]:
-    """The detector's iteration loop without the final decision: the
-    per-iteration trace and the final-iteration internals.
+                           *, start: DetectorInternals | None = None,
+                           ) -> DetectorInternals:
+    """The detector's bare iteration loop: the internals after config.n_it
+    iterations, with no decision and no trace.
 
-    The ground-truth trace snapshots decide as run_detector does, with
-    the offsets.  start, the internals of an earlier call on the same frame
-    and config, continues that loop up to config.n_it iterations in total;
-    the result equals a fresh config.n_it-iteration run, and the trace
-    holds only the iterations this call ran.  start's VB state is advanced
+    start, the internals of an earlier call on the same frame and config,
+    continues that loop up to config.n_it iterations in total; the result
+    equals a fresh config.n_it-iteration run.  start's VB state is advanced
     in place, so decide from start before continuing it.
     """
     if a_mat.ndim != 2 or y.ndim != 2:
@@ -133,29 +149,11 @@ def run_detector_internals(a_mat: np.ndarray, y: np.ndarray,
         amp_state, posterior = start.amp_state, start.posterior
         state, pseudo, done = start.vbic_state, start.pseudo, start.n_iterations
 
-    trace = IterationTrace()
-    if ground_truth is not None:
-        trace.aer, trace.ser, trace.ce_mse = [], [], []
-
     for it in range(done, config.n_it):
         pseudo, amp_state = amp.amp_decouple(a_mat, y, posterior, amp_state,
                                              noise_var)
         if it == 0:
             vbic.warm_start_channel(state, pseudo.R, alphabet)
-        prev_xhat = posterior.Xhat
         posterior = vbic.vbic_step(state, pseudo.R, alphabet)
 
-        delta = float(np.mean(np.abs(posterior.Xhat - prev_xhat)))
-        trace.delta_x.append(delta)
-        if ground_truth is not None:
-            snapshot = _finalize(state, posterior, alphabet, config.p_a,
-                                 include_offset=True)
-            trace.aer.append(compute_aer(ground_truth.activity, snapshot.activity_hat))
-            trace.ser.append(compute_ser(ground_truth.D, snapshot.D_hat))
-            trace.ce_mse.append(compute_ce_mse(ground_truth.mu, snapshot.channel_hat))
-        if conv_tol is not None and delta < conv_tol:
-            break
-
-    return trace, DetectorInternals(vbic_state=state, posterior=posterior,
-                                    pseudo=pseudo, amp_state=amp_state,
-                                    n_iterations=done + trace.n_iterations)
+    return DetectorInternals(state, posterior, pseudo, amp_state, config.n_it)

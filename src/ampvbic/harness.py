@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import csv
+import ctypes
 import dataclasses
 import time
 from dataclasses import dataclass
@@ -115,8 +116,8 @@ def _run_one_trial(cell: tuple, trial: int, detectors: tuple[str, ...],
     for n_it in sorted(set(n_its)):
         loop_config = dataclasses.replace(config, n_it=n_it)
         t0 = time.perf_counter()
-        _, internals = run_detector_internals(frame.A, frame.Y, loop_config,
-                                              alphabet, start=internals)
+        internals = run_detector_internals(frame.A, frame.Y, loop_config,
+                                           alphabet, start=internals)
         loop_ms += (time.perf_counter() - t0) * 1e3
 
         records = []
@@ -169,6 +170,23 @@ def _check_request(configs: list[ScenarioConfig], n_trials: int,
                               f"0; detection needs a positive one")
 
 
+def _set_blas_threads(n: int) -> int | None:
+    """Set the thread count of the OpenBLAS that numpy links (the
+    scipy-openblas build its wheels bundle) and return the previous count;
+    None, and nothing set, where numpy links no such library."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        set_threads = lib.scipy_openblas_set_num_threads64_
+        get_threads = lib.scipy_openblas_get_num_threads64_
+    except (AttributeError, OSError):
+        return None
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    previous = get_threads()
+    set_threads(n)
+    return previous
+
+
 def _named_failure(trial: int, fn, *args):
     """fn(*args), with any failure re-raised as a TrialFailure naming the
     trial and chaining the original error."""
@@ -185,10 +203,12 @@ def _trial_results(cells: list[tuple], trials: range,
     process pool of at most one worker per task: one record list per cell
     and iteration count, in the order of cells and n_its, in trial order.
 
-    A failing task cancels the tasks not yet started.  Failures are
-    wrapped in this process: an exception chained inside a pool worker
-    arrives with its cause replaced by the worker's traceback text, so the
-    worker raises the bare error.
+    Each worker runs one BLAS thread, so that n_workers workers use about
+    n_workers cores; this process keeps its own count.  A failing task
+    cancels the tasks not yet started.  Failures are wrapped in this
+    process: an exception chained inside a pool worker arrives with its
+    cause replaced by the worker's traceback text, so the worker raises
+    the bare error.
     """
     tasks = [(cell, t) for cell in cells for t in trials]
     args = (tuple(detectors), include_rs_in_ser)
@@ -199,7 +219,9 @@ def _trial_results(cells: list[tuple], trials: range,
         results = [_named_failure(t, _run_one_trial, cell, t, *args)
                    for cell, t in tasks]
     else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=n_workers) as pool:
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=n_workers, initializer=_set_blas_threads,
+                initargs=(1,)) as pool:
             futures = [pool.submit(_run_one_trial, cell, t, *args)
                        for cell, t in tasks]
             try:
@@ -281,18 +303,18 @@ def sweep(base_config: ScenarioConfig, axis: str, values, n_trials: int,
     iterations: the loop time up to the value plus the detector's one
     decision.
 
-    Every swept value is checked before the first trial runs, and all
-    values share one process pool when n_workers > 1.
+    Every swept value is checked before the first trial runs (a value
+    that is not a number, or an N or n_it that is not an integer, is a
+    ConfigError), and all values share one process pool when n_workers > 1.
     """
     if axis not in SWEEP_AXES:
         raise InvalidAxis(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
-    values = [int(v) if axis in ("N", "n_it") else v for v in values]
-    if not values:
-        raise ConfigError("sweep needs at least one axis value")
     configs = [dataclasses.replace(base_config, **{axis: v}) for v in values]
+    if not configs:
+        raise ConfigError("sweep needs at least one axis value")
     _check_request(configs, n_trials, detectors, n_workers)
     if axis == "n_it":
-        cells = [(base_config, None, tuple(values))]
+        cells = [(base_config, None, tuple(c.n_it for c in configs))]
     else:
         pinned = axis == "p_a" and not bernoulli_activity
         cells = [(config, int(round(config.p_a * config.M)) if pinned else None,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -114,7 +115,9 @@ class ScenarioConfig:
     J counts the reference-symbol slot plus J-1 data slots.  p_a may sit at
     the closed-interval endpoints for frame synthesis (all-inactive /
     all-active frames); the detector itself requires 0 < p_a < 1 so the
-    activity prior log-odds stay finite.
+    activity prior log-odds stay finite.  Every field but modulation must be
+    a real number (not a bool), and M, N, J, n_it and seed integral ones,
+    which are stored as int; anything else raises ConfigError.
     """
 
     M: int
@@ -128,6 +131,16 @@ class ScenarioConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "modulation", Modulation(self.modulation))
+        for name in ("M", "N", "J", "p_a", "snr_db", "n_it", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
+        for name in ("M", "N", "J", "n_it", "seed"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral)
+                    or float(value).is_integer()):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.M < 1 or self.N < 1:
             raise ConfigError(f"M and N must be >= 1, got M={self.M}, N={self.N}")
         if self.J < 2:

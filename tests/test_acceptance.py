@@ -16,7 +16,7 @@ import pytest
 from ampvbic.amp import Posterior, amp_decouple, amp_init
 from ampvbic.decide import correct_phase, detect
 from ampvbic.detector import run_detector
-from ampvbic.harness import aggregate, run_trials, sweep
+from ampvbic.harness import _set_blas_threads, aggregate, run_trials, sweep
 from ampvbic.model import (ExtendedAlphabet, ScenarioConfig, build_alphabet,
                            generate_frame)
 from ampvbic.vbic import (posterior_moments, update_channel, update_dirichlet,
@@ -26,6 +26,9 @@ from oracles import (expected_log_pi, expected_log_tau, expected_sq_err,
 
 SEED = 2026
 REL = 1e-9
+# Criteria 4-7 run their trials in a pool of this many workers; pooled
+# records equal serial ones, so the printed details do not depend on it.
+WORKERS = 2
 EULER_GAMMA = 0.5772156649015328606
 
 
@@ -35,7 +38,7 @@ def report(criterion: int, passed: bool, detail: str) -> None:
 
 
 def cells_for(config: ScenarioConfig, detectors=("amp_vbic",), n_trials=200):
-    records = run_trials(config, n_trials, detectors)
+    records = run_trials(config, n_trials, detectors, n_workers=WORKERS)
     return {rec.detector: rec for rec in aggregate(records)}
 
 
@@ -224,7 +227,8 @@ def test_criterion_4_iteration_trend():
                           modulation="qam16", n_it=5, seed=SEED)
     # One sweep runs each trial's loop once and decides at 5, 20 and 50
     # iterations; its rows equal three separate 200-trial cells.
-    cells = {row.n_it: row for row in sweep(base, "n_it", (5, 20, 50), 200)}
+    rows = sweep(base, "n_it", (5, 20, 50), 200, n_workers=WORKERS)
+    cells = {row.n_it: row for row in rows}
     aer_ok = cells[20].aer < cells[5].aer
     ser_ok = cells[20].ser < cells[5].ser
     mse_ok = all(
@@ -315,15 +319,10 @@ def test_criterion_8_genie_dominance(snr_cells):
 def test_criterion_9_linear_complexity():
     """Detector wall time grows linearly in the user count.
 
-    Interleaved repetitions with a min estimator and (where available) a
-    single BLAS thread keep scheduler jitter out of the fit.
+    Interleaved repetitions with a min estimator and (where numpy links
+    scipy-openblas) a single BLAS thread keep scheduler jitter out of the
+    fit.
     """
-    try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:  # pragma: no cover - depends on environment extras
-        import contextlib
-        threadpool_limits = lambda limits: contextlib.nullcontext()
-
     alph = build_alphabet("qam16")
     sizes = (100, 200, 400)
     frames = {}
@@ -333,7 +332,8 @@ def test_criterion_9_linear_complexity():
         frames[m] = (config, generate_frame(config, alph,
                                             np.random.default_rng(SEED + m)))
     best = {m: np.inf for m in sizes}
-    with threadpool_limits(limits=1):
+    threads = _set_blas_threads(1)
+    try:
         for m in sizes:  # warm-up
             config, frame = frames[m]
             run_detector(frame.A, frame.Y, config, alph)
@@ -343,6 +343,9 @@ def test_criterion_9_linear_complexity():
                 t0 = time.perf_counter()
                 run_detector(frame.A, frame.Y, config, alph)
                 best[m] = min(best[m], time.perf_counter() - t0)
+    finally:
+        if threads is not None:
+            _set_blas_threads(threads)
     x = np.array(sizes, dtype=float)
     y = np.array([best[m] for m in sizes])
     coeffs = np.polyfit(x, y, 1)

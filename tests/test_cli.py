@@ -193,6 +193,19 @@ class TestSweepCommand:
         rc = cli.main(["sweep", "--config", str(config_file)])
         assert rc == 2
 
+    @pytest.mark.parametrize("axis, values, message", [
+        ("snr_db", "5, abc", "snr_db must be a number"),
+        ("N", "12.7, 15", "N must be an integer"),
+        ("n_it", "5, 20.5", "n_it must be an integer")],
+        ids=["non-numeric-snr_db", "non-integral-N", "non-integral-n_it"])
+    def test_bad_value_type_exits_2(self, tmp_path, capsys, axis, values,
+                                    message):
+        path = tmp_path / "cfg.txt"
+        path.write_text(BASE_CONFIG + f"axis = {axis}\nvalues = {values}\n")
+        rc = cli.main(["sweep", "--config", str(path)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+
     def test_invalid_axis_exits_2(self, tmp_path):
         path = tmp_path / "cfg.txt"
         path.write_text(BASE_CONFIG + "axis = bandwidth\nvalues = 1\n")

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -93,7 +94,7 @@ class TestRunDetector:
     def test_channel_hat_is_final_snapshot(self):
         cfg, alph, fr = make_frame()
         result, _ = run_detector(fr.A, fr.Y, cfg, alph)
-        _, internals = run_detector_internals(fr.A, fr.Y, cfg, alph)
+        internals = run_detector_internals(fr.A, fr.Y, cfg, alph)
         assert np.array_equal(result.channel_hat, internals.vbic_state.mu)
 
     def test_result_invariants_end_to_end(self):
@@ -109,12 +110,12 @@ class TestRunDetector:
             assert np.all(result.D_hat[active, 0] == alph.reference_symbol)
 
     def test_internals_expose_final_state(self):
-        # The loop returns its trace and final state without deciding;
-        # run_detector decides from exactly that state.
+        # The loop returns its final state without deciding; run_detector
+        # decides from exactly that state.
         cfg, alph, fr = make_frame()
-        trace, internals = run_detector_internals(fr.A, fr.Y, cfg, alph)
+        internals = run_detector_internals(fr.A, fr.Y, cfg, alph)
         result, _ = run_detector(fr.A, fr.Y, cfg, alph)
-        assert trace.n_iterations == cfg.n_it
+        assert internals.n_iterations == cfg.n_it
         assert internals.pseudo.R.shape == (cfg.M, cfg.J)
         assert internals.vbic_state.resp.shape == (alph.K, cfg.M, cfg.J)
         assert np.array_equal(internals.vbic_state.mu, result.channel_hat)
@@ -141,13 +142,11 @@ def test_resumed_loop_matches_fresh_run():
     # The loop does not depend on n_it: continuing a 5-iteration run to 20
     # gives exactly the state of a fresh 20-iteration run.
     cfg, alph, fr = make_frame(M=50, N=40, J=10, p_a=0.1, n_it=20, seed=7)
-    _, fresh = run_detector_internals(fr.A, fr.Y, cfg, alph)
-    _, prefix = run_detector_internals(fr.A, fr.Y,
-                                       dataclasses.replace(cfg, n_it=5), alph)
+    fresh = run_detector_internals(fr.A, fr.Y, cfg, alph)
+    prefix = run_detector_internals(fr.A, fr.Y,
+                                    dataclasses.replace(cfg, n_it=5), alph)
     assert prefix.n_iterations == 5
-    trace, resumed = run_detector_internals(fr.A, fr.Y, cfg, alph,
-                                            start=prefix)
-    assert trace.n_iterations == 15
+    resumed = run_detector_internals(fr.A, fr.Y, cfg, alph, start=prefix)
     assert resumed.n_iterations == fresh.n_iterations == 20
     assert np.array_equal(resumed.vbic_state.resp, fresh.vbic_state.resp)
     assert np.array_equal(resumed.vbic_state.mu, fresh.vbic_state.mu)
@@ -156,3 +155,58 @@ def test_resumed_loop_matches_fresh_run():
     with pytest.raises(ConfigError):
         run_detector_internals(fr.A, fr.Y, dataclasses.replace(cfg, n_it=19),
                                alph, start=resumed)
+
+
+def digest(a):
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+class TestPinnedRunDetector:
+    """run_detector's outputs on make_frame(), recorded before it stepped
+    the bare loop one iteration at a time for its trace; they must not
+    move.  The arrays are pinned by the SHA-256 of their bytes."""
+
+    ACTIVE = [2, 17]
+    # Alphabet indices of the D_hat rows of the active users; every other
+    # row is all null.
+    D_ROWS = [[1, 3, 4, 4, 4], [1, 15, 2, 9, 8]]
+    CHANNEL_SHA = \
+        "f6f4b5ee5d52a818486d6d11042d0a33d8a5579ed5ef4cb3ca484e88997a191a"
+    LLR_SHA = \
+        "653c03c7350533535bae4dcac1a02889e6713cc1a02473801a5c17d4071f0dea"
+    DELTA_X = [0.0028452117601548924, 0.007025020399393351,
+               0.010449588063609837, 0.00518527855019272,
+               0.0023513725092286983, 0.0014883031180816413]
+    AER = [0.06666666666666667, 0.03333333333333333, 0.03333333333333333,
+           0.0, 0.0, 0.0]
+    SER = [0.06666666666666667, 0.05, 0.05, 0.025, 0.025,
+           0.016666666666666666]
+    CE_MSE = [0.007087163770688274, 0.004849605886146495,
+              0.0029008940353675476, 0.0022351829798366177,
+              0.0019625634027111856, 0.001822647626259371]
+    # With conv_tol=1e-3 the n_it=40 frame stops after iteration 8.
+    CONV_DELTA_X = DELTA_X + [0.0011617895183507869, 0.000989590026920301]
+
+    @pytest.mark.parametrize("with_truth", [False, True])
+    def test_outputs_match_recorded_values(self, with_truth):
+        cfg, alph, fr = make_frame()
+        result, trace = run_detector(fr.A, fr.Y, cfg, alph,
+                                     ground_truth=fr if with_truth else None)
+        assert np.flatnonzero(result.activity_hat).tolist() == self.ACTIVE
+        assert result.activity_hat.dtype == np.int8
+        want_d = np.zeros((cfg.M, cfg.J), dtype=complex)
+        want_d[self.ACTIVE] = alph.symbols[self.D_ROWS]
+        assert np.array_equal(result.D_hat, want_d)
+        assert digest(result.channel_hat) == self.CHANNEL_SHA
+        assert digest(result.llr_dec) == self.LLR_SHA
+        assert trace.delta_x == self.DELTA_X
+        if with_truth:
+            assert (trace.aer, trace.ser, trace.ce_mse) == \
+                (self.AER, self.SER, self.CE_MSE)
+        else:
+            assert (trace.aer, trace.ser, trace.ce_mse) == (None, None, None)
+
+    def test_early_stop_iteration(self):
+        cfg, alph, fr = make_frame(n_it=40)
+        _, trace = run_detector(fr.A, fr.Y, cfg, alph, conv_tol=1e-3)
+        assert trace.delta_x == self.CONV_DELTA_X

@@ -133,7 +133,8 @@ def inline_pool(monkeypatch):
     sizes = []
 
     class InlinePool:
-        def __init__(self, max_workers):
+        # The worker initializer is not run: it would act on this process.
+        def __init__(self, max_workers, initializer=None, initargs=()):
             sizes.append(max_workers)
 
         def __enter__(self):
@@ -193,6 +194,31 @@ class TestRunTrials:
         par = run_trials(cfg, 4, ("amp_vbic",), n_workers=2)
         for a, b in zip(seq, par):
             assert (a.trial, a.aer, a.ser, a.ce_mse) == (b.trial, b.aer, b.ser, b.ce_mse)
+
+    def test_pool_workers_run_one_blas_thread(self, monkeypatch):
+        # Each record's aer is the BLAS thread count its worker saw.  This
+        # process runs two meanwhile, which a forked worker would inherit
+        # if the pool did not pin it.
+        before = harness._set_blas_threads(2)
+        if before is None:
+            pytest.skip("numpy links no scipy-openblas build")
+        try:
+            monkeypatch.setattr(harness, "compute_aer", lambda *args: float(
+                harness._set_blas_threads(1)))
+            records = run_trials(tiny_config(), 2, n_workers=2)
+        finally:
+            harness._set_blas_threads(before)
+        assert [rec.aer for rec in records] == [1.0, 1.0]
+
+    def test_blas_thread_helper_returns_previous_count(self):
+        before = harness._set_blas_threads(1)
+        if before is None:
+            pytest.skip("numpy links no scipy-openblas build")
+        try:
+            assert harness._set_blas_threads(2) == 1
+            assert harness._set_blas_threads(before) == 2
+        finally:
+            harness._set_blas_threads(before)
 
     def test_bad_inputs(self):
         cfg = tiny_config()
@@ -269,6 +295,27 @@ class TestSweep:
             warnings.simplefilter("error")
             with pytest.raises(ConfigError, match="noise variance"):
                 sweep(tiny_config(), "snr_db", np.array([5.0, -4000.0]), 2)
+
+    @pytest.mark.parametrize("axis, values, message", [
+        ("snr_db", [5.0, "abc"], "snr_db must be a number"),
+        ("N", [12.7, 15], "N must be an integer"),
+        ("n_it", [5, 20.5], "n_it must be an integer")],
+        ids=["non-numeric-snr_db", "non-integral-N", "non-integral-n_it"])
+    def test_bad_value_type_fails_before_any_trial(self, monkeypatch, axis,
+                                                   values, message):
+        def no_frames(*args, **kwargs):
+            raise AssertionError("a trial ran")
+        monkeypatch.setattr(harness, "generate_frame", no_frames)
+        with pytest.raises(ConfigError, match=message):
+            sweep(tiny_config(), axis, values, 2)
+
+    @pytest.mark.parametrize("axis", ["N", "n_it"])
+    def test_integral_float_values_run_as_ints(self, axis):
+        rows = sweep(tiny_config(), axis, [12.0, np.int64(6)], 1)
+        assert [(type(v), v) for v in (getattr(r, axis) for r in rows)] == \
+            [(int, 12), (int, 6)]
+        assert without_runtime(rows) == without_runtime(
+            sweep(tiny_config(), axis, [12, 6], 1))
 
     def test_axis_value_lands_in_records(self):
         rows = sweep(tiny_config(), "N", [12, 20], 2)

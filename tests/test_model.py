@@ -151,6 +151,8 @@ class TestSpreadingMatrix:
 
 class TestScenarioConfig:
 
+    VALID = dict(M=10, N=5, J=4, p_a=0.2, snr_db=5.0)
+
     def test_valid(self):
         cfg = ScenarioConfig(M=10, N=5, J=4, p_a=0.2, snr_db=5.0)
         assert cfg.modulation is Modulation.QAM16
@@ -168,6 +170,27 @@ class TestScenarioConfig:
     def test_invalid(self, kwargs):
         with pytest.raises(ConfigError):
             ScenarioConfig(**kwargs)
+
+    @pytest.mark.parametrize("field", ["M", "N", "J", "p_a", "snr_db",
+                                       "n_it", "seed"])
+    @pytest.mark.parametrize("value", ["5", None, True])
+    def test_non_numeric_field(self, field, value):
+        kwargs = {**self.VALID, field: value}
+        with pytest.raises(ConfigError, match=f"{field} must be a number"):
+            ScenarioConfig(**kwargs)
+
+    @pytest.mark.parametrize("field", ["M", "N", "J", "n_it", "seed"])
+    @pytest.mark.parametrize("value", [12.7, np.inf, np.nan])
+    def test_non_integral_field(self, field, value):
+        kwargs = {**self.VALID, field: value}
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            ScenarioConfig(**kwargs)
+
+    def test_integral_values_stored_as_int(self):
+        cfg = ScenarioConfig(M=np.int64(10), N=5.0, J=4, p_a=0.2, snr_db=5.0,
+                             n_it=np.float64(3.0), seed=np.uint32(7))
+        assert [(type(v), v) for v in (cfg.M, cfg.N, cfg.n_it, cfg.seed)] \
+            == [(int, 10), (int, 5), (int, 3), (int, 7)]
 
 
 class TestGenerateFrame:
