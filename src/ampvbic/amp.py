@@ -12,6 +12,10 @@ six per-column update lines are evaluated matrix-wise:
     Tau = 1 / (col2 (x) ts)            (outer product, M x J)
     R   = Xhat + Tau * (A^H @ S)
 
+The pass returns R and ts; Tau = 1 / (col2 (x) ts) is formed from them
+exactly (np.outer(col2, ts) multiplies the same factors), so it is not
+stored.
+
 col2[m] = sum_n |A[n, m]|^2 is the energy of column m of A, a per-frame
 constant that amp_init computes once.  S persists across outer
 iterations; everything else is recomputed.
@@ -74,11 +78,13 @@ class Posterior:
 @dataclass
 class PseudoObservations:
     """Decoupled scalar observations R[m, j] = x[m, j] + noise, one per user
-    m and slot j (M x J), with effective noise variances Tau (M x J).  The
+    m and slot j (M x J), and the slot precisions ts (J,).  The effective
+    noise variance of R[m, j] is Tau[m, j] = 1 / (col2[m] * ts[j]), that is
+    Tau = 1 / np.outer(col2, ts) with col2 from the AmpState.  The
     clustering step reads R in this layout."""
 
     R: np.ndarray
-    Tau: np.ndarray
+    ts: np.ndarray
 
 
 def amp_init(a_mat: np.ndarray, j: int,
@@ -109,7 +115,8 @@ def amp_decouple(a_mat: np.ndarray, y: np.ndarray, posterior: Posterior,
     same frame: the column energies are read from it, not recomputed.
     Returns the pseudo observations and the refreshed state; the caller
     carries the state into the next outer iteration.  Raises
-    NumericalBreakdown when Tau or R comes out non-finite.
+    NumericalBreakdown when R comes out non-finite, which it does whenever
+    Tau does (an infinite Tau times a zero row sum gives NaN).
     """
     if noise_var <= 0:
         raise NonPositiveNoise(f"noise_var must be > 0, got {noise_var}")
@@ -139,11 +146,12 @@ def amp_decouple(a_mat: np.ndarray, y: np.ndarray, posterior: Posterior,
     # The row sum puts the small J-row factor on the left (see the module
     # docstring); R comes out C-ordered.
     r = posterior.Xhat + tau * (s.T.conj() @ a_mat).conj().T
-    # A NaN or inf in Y, A or the posterior reaches Tau or R in this pass;
-    # stop here rather than at the clustering step that would meet it next.
-    if not (np.isfinite(tau).all() and np.isfinite(r).all()):
+    # A NaN or inf in Y, A or the posterior reaches R in this pass, through
+    # tau or the row sum; stop here rather than at the clustering step that
+    # would meet it next.
+    if not np.isfinite(r).all():
         raise NumericalBreakdown(
             "decoupling produced non-finite pseudo observations or variances")
 
     new_state = AmpState(col2=col2, S_mat=s)
-    return PseudoObservations(R=r, Tau=tau), new_state
+    return PseudoObservations(R=r, ts=ts), new_state

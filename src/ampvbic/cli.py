@@ -8,7 +8,9 @@ Two subcommands:
 The config file is flat key = value text (INI/TOML style, '#' comments).
 Recognized keys: the scenario fields (M, N, J, p_a, snr_db, modulation,
 n_it, seed) plus trials, detectors, axis, values.  Lists are comma
-separated, with optional [brackets] and quotes.
+separated, with optional [brackets] and quotes.  Values are read as int,
+float or text; ScenarioConfig checks the scenario fields and the harness
+checks the rest, both before any trial runs.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical breakdown.
 """
@@ -24,8 +26,6 @@ from .model import ScenarioConfig
 
 SCENARIO_KEYS = {"M", "N", "J", "p_a", "snr_db", "modulation", "n_it", "seed"}
 EXPERIMENT_KEYS = {"trials", "detectors", "axis", "values"}
-INT_KEYS = {"M", "N", "J", "n_it", "seed", "trials"}
-FLOAT_KEYS = {"p_a", "snr_db"}
 LIST_KEYS = {"detectors", "values"}
 
 
@@ -42,7 +42,8 @@ def _parse_scalar(text: str):
 
 
 def parse_config_file(path: str) -> dict:
-    """Flat key = value parser; raises ConfigError on anything it cannot read."""
+    """Flat key = value parser; raises ConfigError on a line it cannot read
+    or an unknown key.  Values are not type-checked here."""
     values: dict = {}
     try:
         with open(path) as fh:
@@ -65,19 +66,7 @@ def parse_config_file(path: str) -> dict:
             values[key] = [_parse_scalar(v) for v in val.split(",") if v.strip()]
         else:
             values[key] = _parse_scalar(val)
-    _check_types(values, path)
     return values
-
-
-def _check_types(values: dict, path: str) -> None:
-    for key in INT_KEYS & values.keys():
-        if not isinstance(values[key], int):
-            raise ConfigError(f"{path}: key {key!r} must be an integer, "
-                              f"got {values[key]!r}")
-    for key in FLOAT_KEYS & values.keys():
-        if not isinstance(values[key], (int, float)) or isinstance(values[key], bool):
-            raise ConfigError(f"{path}: key {key!r} must be a number, "
-                              f"got {values[key]!r}")
 
 
 def _build_scenario(values: dict, seed_override: int | None) -> ScenarioConfig:

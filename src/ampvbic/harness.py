@@ -14,6 +14,7 @@ import concurrent.futures
 import csv
 import ctypes
 import dataclasses
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -144,24 +145,42 @@ def _run_one_trial(cell: tuple, trial: int, detectors: tuple[str, ...],
     return [by_n_it[n_it] for n_it in n_its]
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _check_request(configs: list[ScenarioConfig], n_trials: int,
-                   detectors: tuple[str, ...], n_workers: int) -> None:
+                   detectors: tuple[str, ...], n_workers: int,
+                   trial_start: int = 0, n_active: int | None = None) -> None:
     """Reject, before any trial runs, a request the detector cannot run.
 
-    A ScenarioConfig may describe frames the detector cannot decide on:
-    p_a of 0 or 1 (the activity prior log-odds are infinite) or an SNR at
-    which the noise variance underflows to zero or overflows (ConfigError
-    from noise_variance_from_snr).
+    n_trials, n_workers and trial_start must be ints (not bools) and
+    n_active None or one, each in range.  A ScenarioConfig may describe
+    frames the detector cannot decide on: p_a of 0 or 1 (the activity
+    prior log-odds are infinite) or an SNR at which the noise variance
+    underflows to zero or overflows (ConfigError from
+    noise_variance_from_snr).
     """
+    for name, value in (("n_trials", n_trials), ("n_workers", n_workers),
+                        ("trial_start", trial_start)):
+        if not _is_int(value):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
     if n_trials < 1:
         raise ConfigError(f"n_trials must be >= 1, got {n_trials}")
     if n_workers < 1:
         raise ConfigError(f"n_workers must be >= 1, got {n_workers}")
+    if trial_start < 0:
+        raise ConfigError(f"trial_start must be >= 0, got {trial_start}")
+    if n_active is not None and not _is_int(n_active):
+        raise ConfigError(f"n_active must be an integer, got {n_active!r}")
     for name in detectors:
         if name not in DETECTOR_NAMES:
             raise ConfigError(f"unknown detector {name!r}; "
                               f"choose from {DETECTOR_NAMES}")
     for config in configs:
+        if n_active is not None and not 0 <= n_active <= config.M:
+            raise ConfigError(f"n_active must lie in [0, M={config.M}], "
+                              f"got {n_active}")
         if not 0.0 < config.p_a < 1.0:
             raise ConfigError(f"detection needs 0 < p_a < 1, got {config.p_a}")
         e_sym = build_alphabet(config.modulation).E_sym
@@ -247,7 +266,8 @@ def run_trials(config: ScenarioConfig, n_trials: int,
     any trial starts; a failing trial raises TrialFailure with the trial
     index in the message and the original error chained.
     """
-    _check_request([config], n_trials, detectors, n_workers)
+    _check_request([config], n_trials, detectors, n_workers, trial_start,
+                   n_active)
     records, = _trial_results([(config, n_active, (config.n_it,))],
                               range(trial_start, trial_start + n_trials),
                               detectors, include_rs_in_ser, n_workers)

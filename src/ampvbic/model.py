@@ -115,9 +115,10 @@ class ScenarioConfig:
     J counts the reference-symbol slot plus J-1 data slots.  p_a may sit at
     the closed-interval endpoints for frame synthesis (all-inactive /
     all-active frames); the detector itself requires 0 < p_a < 1 so the
-    activity prior log-odds stay finite.  Every field but modulation must be
-    a real number (not a bool), and M, N, J, n_it and seed integral ones,
-    which are stored as int; anything else raises ConfigError.
+    activity prior log-odds stay finite.  modulation must name a Modulation.
+    Every other field must be a real number (not a bool), and M, N, J, n_it
+    and seed integral ones, which are stored as int; seed must be >= 0, as
+    numpy's seed sequences require.  Anything else raises ConfigError.
     """
 
     M: int
@@ -130,7 +131,13 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "modulation", Modulation(self.modulation))
+        try:
+            modulation = Modulation(self.modulation)
+        except (TypeError, ValueError):
+            raise ConfigError(
+                f"modulation must be one of {[m.value for m in Modulation]}, "
+                f"got {self.modulation!r}") from None
+        object.__setattr__(self, "modulation", modulation)
         for name in ("M", "N", "J", "p_a", "snr_db", "n_it", "seed"):
             value = getattr(self, name)
             if not isinstance(value, numbers.Real) or isinstance(value, bool):
@@ -151,6 +158,8 @@ class ScenarioConfig:
             raise ConfigError(f"snr_db must be finite, got {self.snr_db}")
         if self.n_it < 1:
             raise ConfigError(f"n_it must be >= 1, got {self.n_it}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

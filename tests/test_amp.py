@@ -49,7 +49,8 @@ class TestDecouple:
         state, post = amp_init(a, 1, 1.0)
         pseudo, new_state = amp_decouple(a, y, post, state, 1.0)
         assert new_state.S_mat[0, 0] == pytest.approx(1.0, rel=1e-9)
-        assert pseudo.Tau[0, 0] == pytest.approx(2.0, rel=1e-9)
+        tau = 1.0 / np.outer(state.col2, pseudo.ts)
+        assert tau[0, 0] == pytest.approx(2.0, rel=1e-9)
         assert pseudo.R[0, 0] == pytest.approx(2.0, rel=1e-9)
 
     def test_variance_sum(self):
@@ -59,7 +60,8 @@ class TestDecouple:
         y = np.zeros((1, 1), dtype=complex)
         state, post = amp_init(a, 1, 1.0)
         pseudo, _ = amp_decouple(a, y, post, state, 1.0)
-        assert pseudo.Tau == pytest.approx(np.full((2, 1), 3.0), rel=1e-9)
+        assert 1.0 / np.outer(state.col2, pseudo.ts) \
+            == pytest.approx(np.full((2, 1), 3.0), rel=1e-9)
 
     def test_noiseless_identity_fixed_point(self):
         # Square identity mixing, vanishing noise, correct posterior means:
@@ -86,8 +88,9 @@ class TestDecouple:
         y = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
         state, post = amp_init(a, 3, 1.0)
         pseudo, _ = amp_decouple(a, y, post, state, 0.5)
-        assert np.all(pseudo.Tau > 0)
-        assert np.all(np.isfinite(pseudo.Tau))
+        tau = 1.0 / np.outer(state.col2, pseudo.ts)
+        assert np.all(tau > 0)
+        assert np.all(np.isfinite(tau))
 
     def test_determinism(self):
         rng = np.random.default_rng(13)
@@ -100,7 +103,7 @@ class TestDecouple:
             pseudo, state = amp_decouple(a, y, post, state, 0.3)
             out.append(pseudo)
         assert np.array_equal(out[0].R, out[1].R)
-        assert np.array_equal(out[0].Tau, out[1].Tau)
+        assert np.array_equal(out[0].ts, out[1].ts)
 
     def test_shape_errors(self):
         a = np.zeros((2, 3), dtype=complex)
@@ -120,10 +123,13 @@ class TestDecouple:
                 amp_decouple(a, np.zeros((2, 2), dtype=complex), post, other,
                              1.0)
 
-    @pytest.mark.parametrize("where", ["nan_in_y", "inf_in_posterior_mean"])
+    @pytest.mark.parametrize("where", ["nan_in_y", "inf_in_posterior_mean",
+                                       "zero_column_of_a"])
     def test_non_finite_pass_is_typed_breakdown(self, where):
         # The pass that meets the bad value fails, not the clustering step
-        # that would read its pseudo observations next.
+        # that would read its pseudo observations next.  A zero column of A
+        # has zero energy, so its Tau row is infinite and its row sum zero:
+        # R = Xhat + inf * 0 is NaN, and the check on R alone catches it.
         rng = np.random.default_rng(17)
         m, n, j = 6, 4, 3
         a = (rng.standard_normal((n, m))
@@ -133,9 +139,13 @@ class TestDecouple:
         amp_decouple(a, y, post, state, 0.5)
         if where == "nan_in_y":
             y[1, 2] = np.nan
-        else:
+        elif where == "inf_in_posterior_mean":
             post.Xhat[3, 0] = np.inf
-        with np.errstate(invalid="ignore"), pytest.raises(NumericalBreakdown):
+        else:
+            a[:, 3] = 0.0
+            state.col2[3] = 0.0
+        with np.errstate(invalid="ignore", divide="ignore"), \
+                pytest.raises(NumericalBreakdown):
             amp_decouple(a, y, post, state, 0.5)
 
     def test_matches_plain_update(self):
@@ -172,7 +182,7 @@ class TestDecouple:
         assert np.array_equal(state.col2, (np.abs(a) ** 2).sum(axis=0))
         ts = 1.0 / ((state.col2 @ post.That) / n + noise_var)
         assert ts.shape == (j,)
-        assert np.array_equal(pseudo.Tau, 1.0 / np.outer(state.col2, ts))
+        assert np.array_equal(pseudo.ts, ts)
         assert new_state.col2 is state.col2
 
     def test_state_holds_no_n_by_m_array(self):
@@ -203,7 +213,8 @@ def _check_against_plain_update(m, n, j, seed, noise_var=0.3, passes=5,
                                        row_averaged=row_averaged)
 
         np.testing.assert_allclose(pseudo.R, r, rtol=1e-12)
-        np.testing.assert_allclose(pseudo.Tau, tau, rtol=1e-12)
+        np.testing.assert_allclose(1.0 / np.outer(state.col2, pseudo.ts),
+                                   tau, rtol=1e-12)
         np.testing.assert_allclose(state.S_mat, s_ref, rtol=1e-12)
         # The clustering step combines R elementwise with the C-ordered
         # (M, J) planes of its own state, so R stays row-major too.
@@ -219,7 +230,7 @@ class TestPseudoObservations:
         alph = build_alphabet("qpsk")
         m, j = 4, 3
         r = np.arange(1, m * j + 1).reshape(m, j) * (1.0 + 0.5j)
-        pseudo = PseudoObservations(R=r, Tau=np.ones((m, j)))
+        pseudo = PseudoObservations(R=r, ts=np.ones(j))
         state = vbic_init(alph.K, m, j)
         warm_start_channel(state, pseudo.R, alph)
         assert np.array_equal(state.mu, r[:, 0] / alph.reference_symbol)

@@ -60,11 +60,29 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             cli.parse_config_file(path)
 
-    def test_wrong_type(self, tmp_path):
+    def test_wrong_type(self, tmp_path, capsys):
+        # The parser reads values as they are; ScenarioConfig rejects them.
         path = tmp_path / "cfg.txt"
-        path.write_text("M = twenty\n")
-        with pytest.raises(ConfigError):
-            cli.parse_config_file(path)
+        path.write_text(BASE_CONFIG.replace("M = 24", "M = twenty"))
+        assert cli.parse_config_file(path)["M"] == "twenty"
+        rc = cli.main(["run", "--config", str(path)])
+        assert rc == 2
+        assert "config error: M must be a number, got 'twenty'" \
+            in capsys.readouterr().err
+
+    def test_integral_float_for_integer_key(self, tmp_path):
+        # M = 12.0 runs as M = 12, as ScenarioConfig(M=12.0) does.
+        outs = []
+        for m in ("12", "12.0"):
+            path = tmp_path / f"cfg{m}.txt"
+            path.write_text(BASE_CONFIG.replace("M = 24", f"M = {m}"))
+            outs.append(tmp_path / f"out{m}.csv")
+            assert cli.main(["run", "--config", str(path),
+                             "--out", str(outs[-1])]) == 0
+        rows = [[line.rsplit(",", 1)[0] for line in out.read_text().splitlines()]
+                for out in outs]
+        assert rows[0] == rows[1]
+        assert rows[0][1].startswith("amp_vbic,0,12,")
 
     def test_missing_equals(self, tmp_path):
         path = tmp_path / "cfg.txt"
@@ -139,6 +157,32 @@ class TestRunCommand:
         rc = cli.main(["run", "--config", str(path)])
         assert rc == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("modulation", "bpsk", "modulation must be one of ['qpsk', 'qam16']"),
+        ("seed", "-3", "seed must be >= 0"),
+        ("trials", "abc", "n_trials must be an integer, got 'abc'"),
+        ("trials", "2.5", "n_trials must be an integer, got 2.5"),
+        ("trials", "0", "n_trials must be >= 1")],
+        ids=["modulation=bpsk", "seed=-3", "trials=abc", "trials=2.5",
+             "trials=0"])
+    def test_bad_value_exits_2(self, tmp_path, capsys, monkeypatch, key,
+                               value, message):
+        def no_frames(*args, **kwargs):
+            raise AssertionError("a trial ran")
+        monkeypatch.setattr(harness, "generate_frame", no_frames)
+        default = {"modulation": "modulation = qam16", "seed": "seed = 9",
+                   "trials": "trials = 3"}[key]
+        path = tmp_path / "cfg.txt"
+        path.write_text(BASE_CONFIG.replace(default, f"{key} = {value}"))
+        rc = cli.main(["run", "--config", str(path)])
+        assert rc == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+
+    def test_negative_seed_override_exits_2(self, config_file, capsys):
+        rc = cli.main(["run", "--config", str(config_file), "--seed=-3"])
+        assert rc == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
 
     def test_threads_below_1_exits_2(self, config_file, capsys):
         rc = cli.main(["run", "--config", str(config_file), "--threads", "0"])

@@ -229,6 +229,36 @@ class TestRunTrials:
         with pytest.raises(ConfigError):
             run_trials(cfg, 1, n_workers=0)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(n_trials="3"), "n_trials must be an integer"),
+        (dict(n_trials=2.5), "n_trials must be an integer"),
+        (dict(n_trials=True), "n_trials must be an integer"),
+        (dict(n_workers=2.5), "n_workers must be an integer"),
+        (dict(n_workers=True), "n_workers must be an integer"),
+        (dict(trial_start=1.5), "trial_start must be an integer"),
+        (dict(trial_start=-1), "trial_start must be >= 0"),
+        (dict(n_active=2.5), "n_active must be an integer"),
+        (dict(n_active=-1), r"n_active must lie in \[0, M=24\]"),
+        (dict(n_active=25), r"n_active must lie in \[0, M=24\]")],
+        ids=["n_trials=str", "n_trials=float", "n_trials=bool",
+             "n_workers=float", "n_workers=bool", "trial_start=float",
+             "trial_start=-1", "n_active=float", "n_active=-1",
+             "n_active=M+1"])
+    def test_bad_request_fails_before_any_trial(self, monkeypatch, kwargs,
+                                                message):
+        def no_frames(*args, **kwargs):
+            raise AssertionError("a trial ran")
+        monkeypatch.setattr(harness, "generate_frame", no_frames)
+        kwargs = {"n_trials": 2, **kwargs}
+        with pytest.raises(ConfigError, match=message):
+            run_trials(tiny_config(), **kwargs)
+
+    def test_numpy_integer_request_arguments_run(self):
+        records = run_trials(tiny_config(), np.int64(2), trial_start=np.int64(3),
+                             n_workers=np.int64(1), n_active=np.int64(24))
+        assert without_runtime(records) == without_runtime(
+            run_trials(tiny_config(), 2, trial_start=3, n_active=24))
+
     def test_at_most_one_worker_per_trial(self, inline_pool):
         assert len(run_trials(tiny_config(), 2, n_workers=64)) == 2
         run_trials(tiny_config(), 1, n_workers=64)

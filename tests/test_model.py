@@ -186,6 +186,17 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError, match=f"{field} must be an integer"):
             ScenarioConfig(**kwargs)
 
+    @pytest.mark.parametrize("value", ["bpsk", 16, None])
+    def test_unknown_modulation(self, value):
+        with pytest.raises(ConfigError,
+                           match=r"modulation must be one of \['qpsk', 'qam16'\]"):
+            ScenarioConfig(**self.VALID, modulation=value)
+
+    @pytest.mark.parametrize("value", [-3, -1.0, np.int64(-1)])
+    def test_negative_seed(self, value):
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            ScenarioConfig(**self.VALID, seed=value)
+
     def test_integral_values_stored_as_int(self):
         cfg = ScenarioConfig(M=np.int64(10), N=5.0, J=4, p_a=0.2, snr_db=5.0,
                              n_it=np.float64(3.0), seed=np.uint32(7))
