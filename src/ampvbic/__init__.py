@@ -12,8 +12,7 @@ decisions.
 from .decide import DetectionResult
 from .detector import IterationTrace, run_detector
 from .errors import AmpVbicError, ConfigError, DimensionMismatch, \
-    InvalidAxis, NonPositiveNoise, NonPositiveScale, NumericalBreakdown, \
-    PrecisionDegenerate, TrialFailure, ZeroReferenceSymbol
+    NumericalBreakdown, TrialFailure
 from .harness import MetricsRecord, run_trials, sweep, write_csv
 from .metrics import compute_aer, compute_ce_mse, compute_ser
 from .model import ScenarioConfig, build_alphabet, generate_frame
@@ -26,7 +25,6 @@ __all__ = [
     "build_alphabet", "generate_frame", "run_detector", "run_trials", "sweep",
     "write_csv", "compute_aer", "compute_ce_mse", "compute_ser",
     "ScenarioConfig", "DetectionResult", "IterationTrace", "MetricsRecord",
-    "AmpVbicError", "ConfigError", "DimensionMismatch", "InvalidAxis",
-    "NonPositiveNoise", "NonPositiveScale", "NumericalBreakdown",
-    "PrecisionDegenerate", "TrialFailure", "ZeroReferenceSymbol",
+    "AmpVbicError", "ConfigError", "DimensionMismatch", "NumericalBreakdown",
+    "TrialFailure",
 ]

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonPositiveNoise, NumericalBreakdown
+from .errors import ConfigError, DimensionMismatch, NumericalBreakdown
 
 # Incoming posterior variances are floored here so Tp + noise_var can never
 # underflow the division that forms Ts.
@@ -119,7 +119,7 @@ def amp_decouple(a_mat: np.ndarray, y: np.ndarray, posterior: Posterior,
     Tau does (an infinite Tau times a zero row sum gives NaN).
     """
     if noise_var <= 0:
-        raise NonPositiveNoise(f"noise_var must be > 0, got {noise_var}")
+        raise ConfigError(f"noise_var must be > 0, got {noise_var}")
     if a_mat.ndim != 2 or y.ndim != 2:
         raise DimensionMismatch("A and Y must be 2-d arrays")
     n, m = a_mat.shape

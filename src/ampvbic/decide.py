@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .amp import Posterior
-from .errors import ConfigError, DimensionMismatch, ZeroReferenceSymbol
+from .errors import ConfigError, DimensionMismatch, NumericalBreakdown
 from .model import ExtendedAlphabet
 
 # Responsibilities can underflow to exact zero after log-domain softmax;
@@ -102,7 +102,7 @@ def correct_phase(d_hat: np.ndarray, rs_detected, rs_true: complex,
     """
     rs_detected = np.asarray(rs_detected)
     if np.any(rs_detected == 0):
-        raise ZeroReferenceSymbol("detected reference symbol is zero")
+        raise NumericalBreakdown("detected reference symbol is zero")
     corrected = np.asarray(d_hat) * (rs_true / rs_detected)[..., None]
     if alphabet is not None:
         dist = np.abs(corrected[..., None] - alphabet.active_symbols)

@@ -15,14 +15,16 @@ import csv
 import ctypes
 import dataclasses
 import numbers
+import os
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .decide import DetectionResult
 from .detector import _finalize, run_detector_internals
-from .errors import ConfigError, InvalidAxis, TrialFailure
+from .errors import ConfigError, TrialFailure
 from .metrics import compute_aer, compute_ce_mse, compute_ser
 from .model import ExtendedAlphabet, ScenarioConfig, build_alphabet, \
     generate_frame, noise_variance_from_snr
@@ -155,11 +157,12 @@ def _check_request(configs: list[ScenarioConfig], n_trials: int,
     """Reject, before any trial runs, a request the detector cannot run.
 
     n_trials, n_workers and trial_start must be ints (not bools) and
-    n_active None or one, each in range.  A ScenarioConfig may describe
-    frames the detector cannot decide on: p_a of 0 or 1 (the activity
-    prior log-odds are infinite) or an SNR at which the noise variance
-    underflows to zero or overflows (ConfigError from
-    noise_variance_from_snr).
+    n_active None or one, each in range; detectors must iterate over
+    known names.  A ScenarioConfig may describe frames the detector cannot
+    decide on: p_a of 0 or 1 (the activity prior log-odds are infinite),
+    an SNR at which the noise variance underflows to zero or overflows
+    (ConfigError from noise_variance_from_snr), or an N x M spreading
+    matrix that alone exceeds the machine's physical memory.
     """
     for name, value in (("n_trials", n_trials), ("n_workers", n_workers),
                         ("trial_start", trial_start)):
@@ -173,11 +176,20 @@ def _check_request(configs: list[ScenarioConfig], n_trials: int,
         raise ConfigError(f"trial_start must be >= 0, got {trial_start}")
     if n_active is not None and not _is_int(n_active):
         raise ConfigError(f"n_active must be an integer, got {n_active!r}")
+    if not isinstance(detectors, Iterable):
+        raise ConfigError(f"detectors must be a sequence of names, "
+                          f"got {detectors!r}")
     for name in detectors:
         if name not in DETECTOR_NAMES:
             raise ConfigError(f"unknown detector {name!r}; "
                               f"choose from {DETECTOR_NAMES}")
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     for config in configs:
+        # The complex128 spreading matrix alone takes 16 N M bytes.
+        if 16 * config.N * config.M > memory:
+            raise ConfigError(f"the N x M = {config.N} x {config.M} spreading "
+                              f"matrix needs more than the {memory} bytes of "
+                              f"memory")
         if n_active is not None and not 0 <= n_active <= config.M:
             raise ConfigError(f"n_active must lie in [0, M={config.M}], "
                               f"got {n_active}")
@@ -328,7 +340,9 @@ def sweep(base_config: ScenarioConfig, axis: str, values, n_trials: int,
     ConfigError), and all values share one process pool when n_workers > 1.
     """
     if axis not in SWEEP_AXES:
-        raise InvalidAxis(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
+        raise ConfigError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
+    if not isinstance(values, Iterable):
+        raise ConfigError(f"values must be a sequence, got {values!r}")
     configs = [dataclasses.replace(base_config, **{axis: v}) for v in values]
     if not configs:
         raise ConfigError("sweep needs at least one axis value")

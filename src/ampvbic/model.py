@@ -31,13 +31,11 @@ class ExtendedAlphabet:
 
     symbols[0] == 0 represents "inactive user"; symbols[1:] is the active
     constellation, sorted by (real, imag) so the alphabet order (and hence
-    the reference symbol) is deterministic.  E_sym is the mean energy of
-    the active symbols.  Alphabets compare and hash by identity.
+    the reference symbol) is deterministic.  K and E_sym are derived from
+    symbols.  Alphabets compare and hash by identity.
     """
 
     symbols: np.ndarray
-    K: int
-    E_sym: float
 
     def __post_init__(self):
         self.symbols.setflags(write=False)
@@ -46,7 +44,17 @@ class ExtendedAlphabet:
         # Rebuild through the constructor, so a copy sent to another process
         # is read-only too and rebuilds its symbol basis read-only; the
         # default state copy would arrive with writeable arrays.
-        return type(self), (self.symbols, self.K, self.E_sym)
+        return type(self), (self.symbols,)
+
+    @property
+    def K(self) -> int:
+        """Alphabet size, the null symbol included."""
+        return self.symbols.size
+
+    @cached_property
+    def E_sym(self) -> float:
+        """Mean energy of the active symbols."""
+        return float(np.mean(np.abs(self.active_symbols) ** 2))
 
     @property
     def active_symbols(self) -> np.ndarray:
@@ -86,10 +94,7 @@ def _build_alphabet(modulation: Modulation) -> ExtendedAlphabet:
         levels = np.array([-3.0, -1.0, 1.0, 3.0])
         pts = (levels[:, None] + 1j * levels[None, :]).ravel() / np.sqrt(10.0)
     order = np.lexsort((pts.imag, pts.real))
-    active = pts[order]
-    symbols = np.concatenate(([0.0 + 0.0j], active))
-    e_sym = float(np.mean(np.abs(active) ** 2))
-    return ExtendedAlphabet(symbols=symbols, K=symbols.size, E_sym=e_sym)
+    return ExtendedAlphabet(symbols=np.concatenate(([0.0 + 0.0j], pts[order])))
 
 
 def noise_variance_from_snr(snr_db: float, e_sym: float) -> float:

@@ -52,8 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import digamma
 
-from .errors import DimensionMismatch, NonPositiveScale, NumericalBreakdown, \
-    PrecisionDegenerate
+from .errors import DimensionMismatch, NumericalBreakdown
 from .amp import Posterior, VARIANCE_FLOOR
 from .model import ExtendedAlphabet
 
@@ -168,7 +167,7 @@ def update_gamma(state: VbicState, r: np.ndarray, lam_prior: np.ndarray,
              + np.sum(state.resp.sum(axis=0) * np.abs(r) ** 2)
              - np.sum(state.lam * np.abs(state.mu) ** 2))
     if not np.isfinite(b_new) or b_new <= 0:
-        raise NonPositiveScale(f"Gamma rate went non-positive or non-finite: {b_new}")
+        raise NumericalBreakdown(f"Gamma rate went non-positive or non-finite: {b_new}")
     state.a = state.a + r.size
     state.b = float(b_new)
 
@@ -201,7 +200,7 @@ def _target_moments(state: VbicState, alphabet: ExtendedAlphabet
     observation under resp (M x J), and the inverse-precision mean
     E[1/(lam_m tau)] = b / (lam_m (a - 1)) per user, which requires a > 1."""
     if state.a <= 1.0:
-        raise PrecisionDegenerate(f"Gamma shape must exceed 1, got {state.a}")
+        raise NumericalBreakdown(f"Gamma shape must exceed 1, got {state.a}")
     mean_re, mean_im, e_abs_d2 = _symbol_moments(state, alphabet)
     spread = e_abs_d2 - (mean_re ** 2 + mean_im ** 2)
     # The spread is a variance of a discrete distribution, so only

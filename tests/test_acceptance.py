@@ -47,8 +47,7 @@ def se_diff(a, b) -> float:
 
 
 def unit_alphabet() -> ExtendedAlphabet:
-    return ExtendedAlphabet(symbols=np.array([0.0 + 0.0j, 1.0 + 0.0j]),
-                            K=2, E_sym=1.0)
+    return ExtendedAlphabet(symbols=np.array([0.0 + 0.0j, 1.0 + 0.0j]))
 
 
 def detect_one_user(resp, xhat, p_a):

@@ -5,7 +5,7 @@ import pytest
 
 from ampvbic.amp import Posterior, PseudoObservations, amp_decouple, \
     amp_init
-from ampvbic.errors import DimensionMismatch, NonPositiveNoise, \
+from ampvbic.errors import ConfigError, DimensionMismatch, \
     NumericalBreakdown
 from ampvbic.model import build_alphabet
 from ampvbic.vbic import vbic_init, warm_start_channel
@@ -112,7 +112,7 @@ class TestDecouple:
             amp_decouple(a, np.zeros((4, 2), dtype=complex), post, state, 1.0)
         with pytest.raises(DimensionMismatch):
             amp_decouple(a, np.zeros((2, 5), dtype=complex), post, state, 1.0)
-        with pytest.raises(NonPositiveNoise):
+        with pytest.raises(ConfigError, match="noise_var must be > 0"):
             amp_decouple(a, np.zeros((2, 2), dtype=complex), post, state, 0.0)
         # A state built for another frame shape is refused, not reused:
         # another N (the residual's rows) or another M (the column

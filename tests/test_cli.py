@@ -7,8 +7,7 @@ import pytest
 
 import ampvbic
 from ampvbic import cli, harness
-from ampvbic.errors import ConfigError, NonPositiveScale, NumericalBreakdown, \
-    TrialFailure
+from ampvbic.errors import ConfigError, NumericalBreakdown, TrialFailure
 
 
 BASE_CONFIG = """
@@ -190,9 +189,7 @@ class TestRunCommand:
         assert "n_workers must be >= 1" in capsys.readouterr().err
 
     def test_numerical_breakdown_exits_3(self, config_file, monkeypatch):
-        def boom(*args, **kwargs):
-            raise NonPositiveScale("synthetic breakdown")
-        monkeypatch.setattr(cli, "run_trials", boom)
+        monkeypatch.setattr(cli, "run_trials", breakdown)
         rc = cli.main(["run", "--config", str(config_file)])
         assert rc == 3
 

@@ -5,7 +5,7 @@ import pytest
 
 from ampvbic.amp import Posterior
 from ampvbic.decide import correct_phase, detect
-from ampvbic.errors import ConfigError, DimensionMismatch, ZeroReferenceSymbol
+from ampvbic.errors import ConfigError, DimensionMismatch, NumericalBreakdown
 from ampvbic.model import ExtendedAlphabet, build_alphabet
 from oracles import k_major
 
@@ -18,12 +18,12 @@ ZERO_OFFSET_X = math.sqrt(2.0 * math.log(2.0))
 
 
 def detect_users(resp, xhat, p_a=0.1, e_sym=1.0):
-    """detect() over the {0, 1} alphabet with prior energy e_sym, for the
-    users whose posterior means are the rows of xhat (unit variance); resp
-    has one row per observation."""
+    """detect() over the alphabet {0, sqrt(e_sym)}, whose prior energy is
+    e_sym, for the users whose posterior means are the rows of xhat (unit
+    variance); resp has one row per observation."""
     xhat = np.array(xhat, dtype=complex)
-    alph = ExtendedAlphabet(symbols=np.array([0.0 + 0.0j, 1.0 + 0.0j]),
-                            K=2, E_sym=e_sym)
+    alph = ExtendedAlphabet(symbols=np.array([0.0, math.sqrt(e_sym)],
+                                             dtype=complex))
     posterior = Posterior(Xhat=xhat, That=np.ones(xhat.shape))
     return detect(k_major(resp, xhat.shape[0]), posterior,
                   np.zeros(xhat.shape[0], dtype=complex), alph, p_a)
@@ -220,7 +220,8 @@ class TestCorrectPhase:
         assert np.allclose(back, self.row, atol=1e-12)
 
     def test_zero_reference(self):
-        with pytest.raises(ZeroReferenceSymbol):
+        with pytest.raises(NumericalBreakdown,
+                           match="detected reference symbol is zero"):
             correct_phase(self.row, 0.0 + 0.0j, self.row[0])
 
     def test_snap_for_mixed_magnitudes(self):
@@ -258,5 +259,6 @@ class TestCorrectPhase:
             assert np.array_equal(got, want)
         with_zero = rs.copy()
         with_zero[3] = 0.0
-        with pytest.raises(ZeroReferenceSymbol):
+        with pytest.raises(NumericalBreakdown,
+                           match="detected reference symbol is zero"):
             correct_phase(block, with_zero, alph.reference_symbol, alph)

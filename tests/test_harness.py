@@ -9,7 +9,8 @@ import pytest
 from scipy import stats
 
 from ampvbic import harness
-from ampvbic.errors import ConfigError, DimensionMismatch, InvalidAxis, \
+from ampvbic.amp import amp_decouple, amp_init
+from ampvbic.errors import ConfigError, DimensionMismatch, \
     NumericalBreakdown, TrialFailure
 from ampvbic.detector import run_detector
 from ampvbic.harness import (MetricsRecord, aggregate, genie_detect,
@@ -239,11 +240,12 @@ class TestRunTrials:
         (dict(trial_start=-1), "trial_start must be >= 0"),
         (dict(n_active=2.5), "n_active must be an integer"),
         (dict(n_active=-1), r"n_active must lie in \[0, M=24\]"),
-        (dict(n_active=25), r"n_active must lie in \[0, M=24\]")],
+        (dict(n_active=25), r"n_active must lie in \[0, M=24\]"),
+        (dict(detectors=None), "detectors must be a sequence")],
         ids=["n_trials=str", "n_trials=float", "n_trials=bool",
              "n_workers=float", "n_workers=bool", "trial_start=float",
              "trial_start=-1", "n_active=float", "n_active=-1",
-             "n_active=M+1"])
+             "n_active=M+1", "detectors=None"])
     def test_bad_request_fails_before_any_trial(self, monkeypatch, kwargs,
                                                 message):
         def no_frames(*args, **kwargs):
@@ -252,6 +254,30 @@ class TestRunTrials:
         kwargs = {"n_trials": 2, **kwargs}
         with pytest.raises(ConfigError, match=message):
             run_trials(tiny_config(), **kwargs)
+
+    def test_spreading_matrix_beyond_memory_fails_before_any_trial(
+            self, monkeypatch):
+        # 16 N M bytes = 16 * 10**18 for this frame's A alone.
+        def no_frames(*args, **kwargs):
+            raise AssertionError("a trial ran")
+        monkeypatch.setattr(harness, "generate_frame", no_frames)
+        with pytest.raises(ConfigError, match="spreading matrix needs"):
+            run_trials(tiny_config(M=10 ** 12, N=10 ** 6), 1)
+
+    def test_zero_noise_variance_is_config_error_on_both_paths(
+            self, monkeypatch):
+        # One condition, one type: before any trial in the harness, and
+        # in a direct decoupling pass.
+        def no_frames(*args, **kwargs):
+            raise AssertionError("a trial ran")
+        monkeypatch.setattr(harness, "generate_frame", no_frames)
+        with pytest.raises(ConfigError, match="noise variance 0"):
+            run_trials(tiny_config(snr_db=4000.0), 1)
+        a_mat = np.ones((2, 3), dtype=complex)
+        state, posterior = amp_init(a_mat, 2, 1.0)
+        with pytest.raises(ConfigError, match="noise_var must be > 0"):
+            amp_decouple(a_mat, np.zeros((2, 2), dtype=complex), posterior,
+                         state, 0.0)
 
     def test_numpy_integer_request_arguments_run(self):
         records = run_trials(tiny_config(), np.int64(2), trial_start=np.int64(3),
@@ -297,8 +323,15 @@ class TestSweep:
         assert all(r.trial == -1 for r in rows)
 
     def test_invalid_axis(self):
-        with pytest.raises(InvalidAxis):
+        with pytest.raises(ConfigError, match="axis must be one of"):
             sweep(tiny_config(), "bandwidth", [1.0], 1)
+
+    def test_non_iterable_detectors_fail_before_any_trial(self, monkeypatch):
+        def no_frames(*args, **kwargs):
+            raise AssertionError("a trial ran")
+        monkeypatch.setattr(harness, "generate_frame", no_frames)
+        with pytest.raises(ConfigError, match="detectors must be a sequence"):
+            sweep(tiny_config(), "snr_db", [5.0], 1, detectors=None)
 
     def test_empty_values(self):
         with pytest.raises(ConfigError):
@@ -329,8 +362,10 @@ class TestSweep:
     @pytest.mark.parametrize("axis, values, message", [
         ("snr_db", [5.0, "abc"], "snr_db must be a number"),
         ("N", [12.7, 15], "N must be an integer"),
-        ("n_it", [5, 20.5], "n_it must be an integer")],
-        ids=["non-numeric-snr_db", "non-integral-N", "non-integral-n_it"])
+        ("n_it", [5, 20.5], "n_it must be an integer"),
+        ("snr_db", 5, "values must be a sequence")],
+        ids=["non-numeric-snr_db", "non-integral-N", "non-integral-n_it",
+             "non-iterable-values"])
     def test_bad_value_type_fails_before_any_trial(self, monkeypatch, axis,
                                                    values, message):
         def no_frames(*args, **kwargs):

@@ -6,9 +6,8 @@ PUBLIC = {
     "build_alphabet", "generate_frame", "run_detector", "run_trials", "sweep",
     "write_csv", "compute_aer", "compute_ce_mse", "compute_ser",
     "ScenarioConfig", "DetectionResult", "IterationTrace", "MetricsRecord",
-    "AmpVbicError", "ConfigError", "DimensionMismatch", "InvalidAxis",
-    "NonPositiveNoise", "NonPositiveScale", "NumericalBreakdown",
-    "PrecisionDegenerate", "TrialFailure", "ZeroReferenceSymbol",
+    "AmpVbicError", "ConfigError", "DimensionMismatch", "NumericalBreakdown",
+    "TrialFailure",
 }
 
 
