@@ -83,8 +83,6 @@ def _add_common_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", required=True, help="flat key=value config file")
     sub.add_argument("--seed", type=int, default=None, help="master RNG seed")
     sub.add_argument("--out", default=None, help="CSV output path")
-    sub.add_argument("--include-rs-in-ser", action="store_true",
-                     help="count the reference-symbol column in SER")
     sub.add_argument("--threads", type=int, default=1,
                      help="parallel trial worker processes, >= 1 (default 1); "
                           "one pool per command, at most one worker per "
@@ -109,9 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args, values: dict, config: ScenarioConfig,
              detectors: tuple[str, ...], n_trials: int) -> int:
-    records = run_trials(config, n_trials, detectors,
-                         include_rs_in_ser=args.include_rs_in_ser,
-                         n_workers=args.threads)
+    records = run_trials(config, n_trials, detectors, n_workers=args.threads)
     print(f"{n_trials} trials, M={config.M} N={config.N} J={config.J} "
           f"p_a={config.p_a} snr_db={config.snr_db} n_it={config.n_it} "
           f"seed={config.seed}")
@@ -127,8 +123,7 @@ def _cmd_sweep(args, values: dict, config: ScenarioConfig,
     if "axis" not in values or "values" not in values:
         raise ConfigError("sweep needs 'axis' and 'values' keys in the config")
     records = sweep(config, values["axis"], values["values"], n_trials,
-                    detectors, include_rs_in_ser=args.include_rs_in_ser,
-                    n_workers=args.threads,
+                    detectors, n_workers=args.threads,
                     bernoulli_activity=args.bernoulli_activity)
     for rec in records:
         print(f"{values['axis']}={getattr(rec, values['axis'])}  "

@@ -23,7 +23,7 @@ from . import amp, vbic
 from .decide import DetectionResult, correct_phase, detect
 from .errors import ConfigError, DimensionMismatch
 from .metrics import compute_aer, compute_ce_mse, compute_ser
-from .model import ExtendedAlphabet, ScenarioConfig, ScenarioInstance, \
+from .model import ScenarioConfig, ScenarioInstance, build_alphabet, \
     noise_variance_from_snr
 
 
@@ -56,18 +56,18 @@ class DetectorInternals:
 
 
 def _finalize(state: vbic.VbicState, posterior: amp.Posterior,
-              alphabet: ExtendedAlphabet, p_a: float,
-              include_offset: bool) -> DetectionResult:
+              config: ScenarioConfig, include_offset: bool) -> DetectionResult:
     """Decide, then phase-correct the detected-active rows in place.
 
     The decision stage sees the exact posterior variance of x (channel
     uncertainty included), not the factored variance that the decoupling
     feedback uses.
     """
+    alphabet = build_alphabet(config.modulation)
     decision_posterior = amp.Posterior(
         Xhat=posterior.Xhat, That=vbic.posterior_variance_full(state, alphabet))
     result = detect(state.resp, decision_posterior, state.mu, alphabet,
-                    p_a, include_offset)
+                    config.p_a, include_offset)
     active = result.activity_hat.astype(bool)
     d_hat = result.D_hat
     d_hat[active] = correct_phase(d_hat[active], d_hat[active, 0],
@@ -76,7 +76,6 @@ def _finalize(state: vbic.VbicState, posterior: amp.Posterior,
 
 
 def run_detector(a_mat: np.ndarray, y: np.ndarray, config: ScenarioConfig,
-                 alphabet: ExtendedAlphabet,
                  ground_truth: ScenarioInstance | None = None, *,
                  conv_tol: float | None = None,
                  ) -> tuple[DetectionResult, IterationTrace]:
@@ -95,13 +94,13 @@ def run_detector(a_mat: np.ndarray, y: np.ndarray, config: ScenarioConfig,
     prev_xhat = 0.0     # the loop starts from amp_init's zero prior mean
     for n_it in range(1, config.n_it + 1):
         internals = run_detector_internals(
-            a_mat, y, replace(config, n_it=n_it), alphabet, start=internals)
+            a_mat, y, replace(config, n_it=n_it), start=internals)
         delta = float(np.mean(np.abs(internals.posterior.Xhat - prev_xhat)))
         trace.delta_x.append(delta)
         prev_xhat = internals.posterior.Xhat
         if ground_truth is not None:
             result = _finalize(internals.vbic_state, internals.posterior,
-                               alphabet, config.p_a, include_offset=True)
+                               config, include_offset=True)
             trace.aer.append(compute_aer(ground_truth.activity, result.activity_hat))
             trace.ser.append(compute_ser(ground_truth.D, result.D_hat))
             trace.ce_mse.append(compute_ce_mse(ground_truth.mu, result.channel_hat))
@@ -109,13 +108,13 @@ def run_detector(a_mat: np.ndarray, y: np.ndarray, config: ScenarioConfig,
             break
     if result is None:
         result = _finalize(internals.vbic_state, internals.posterior,
-                           alphabet, config.p_a, include_offset=True)
+                           config, include_offset=True)
     return result, trace
 
 
 def run_detector_internals(a_mat: np.ndarray, y: np.ndarray,
-                           config: ScenarioConfig, alphabet: ExtendedAlphabet,
-                           *, start: DetectorInternals | None = None,
+                           config: ScenarioConfig, *,
+                           start: DetectorInternals | None = None,
                            ) -> DetectorInternals:
     """The detector's bare iteration loop: the internals after config.n_it
     iterations, with no decision and no trace.
@@ -136,6 +135,7 @@ def run_detector_internals(a_mat: np.ndarray, y: np.ndarray,
     if not 0.0 < config.p_a < 1.0:
         raise ConfigError(f"detection needs 0 < p_a < 1, got {config.p_a}")
 
+    alphabet = build_alphabet(config.modulation)
     noise_var = noise_variance_from_snr(config.snr_db, alphabet.E_sym)
     if start is None:
         amp_state, posterior = amp.amp_init(a_mat, j, alphabet.E_sym)

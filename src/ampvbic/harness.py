@@ -94,16 +94,15 @@ def genie_detect(r_final: np.ndarray, truth_support: np.ndarray,
     )
 
 
-def _run_one_trial(cell: tuple, trial: int, detectors: tuple[str, ...],
-                   include_rs_in_ser: bool) -> list[list[MetricsRecord]]:
+def _run_one_trial(cell: tuple, trial: int,
+                   detectors: tuple[str, ...]) -> list[list[MetricsRecord]]:
     """Records of one trial of a cell (config, n_active, n_its) at each
     count of n_its, in that order; n_active None draws Bernoulli activity.
 
     Module-level so that pool workers can run it too.
     """
     config, n_active, n_its = cell
-    alphabet = build_alphabet(config.modulation)
-    frame = generate_frame(config, alphabet, trial_rng(config.seed, trial),
+    frame = generate_frame(config, trial_rng(config.seed, trial),
                            n_active=n_active)
 
     # One iteration loop serves every detector and every count: it runs
@@ -120,7 +119,7 @@ def _run_one_trial(cell: tuple, trial: int, detectors: tuple[str, ...],
         loop_config = dataclasses.replace(config, n_it=n_it)
         t0 = time.perf_counter()
         internals = run_detector_internals(frame.A, frame.Y, loop_config,
-                                           alphabet, start=internals)
+                                           start=internals)
         loop_ms += (time.perf_counter() - t0) * 1e3
 
         records = []
@@ -128,19 +127,19 @@ def _run_one_trial(cell: tuple, trial: int, detectors: tuple[str, ...],
             t1 = time.perf_counter()
             if name == "genie":
                 result = genie_detect(internals.pseudo.R, frame.activity,
-                                      frame.mu, alphabet)
+                                      frame.mu,
+                                      build_alphabet(config.modulation))
                 runtime = 0.0
             else:
                 result = _finalize(internals.vbic_state, internals.posterior,
-                                   alphabet, config.p_a,
-                                   include_offset=name == "amp_vbic")
+                                   config, include_offset=name == "amp_vbic")
                 runtime = loop_ms
             runtime += (time.perf_counter() - t1) * 1e3
             records.append(MetricsRecord(
                 detector=name, trial=trial, M=config.M, N=config.N, J=config.J,
                 p_a=config.p_a, snr_db=config.snr_db, n_it=n_it,
                 aer=compute_aer(frame.activity, result.activity_hat),
-                ser=compute_ser(frame.D, result.D_hat, include_rs=include_rs_in_ser),
+                ser=compute_ser(frame.D, result.D_hat),
                 ce_mse=compute_ce_mse(frame.mu, result.channel_hat),
                 runtime_ms=runtime))
         by_n_it[n_it] = records
@@ -158,11 +157,12 @@ def _check_request(configs: list[ScenarioConfig], n_trials: int,
 
     n_trials, n_workers and trial_start must be ints (not bools) and
     n_active None or one, each in range; detectors must iterate over
-    known names.  A ScenarioConfig may describe frames the detector cannot
-    decide on: p_a of 0 or 1 (the activity prior log-odds are infinite),
-    an SNR at which the noise variance underflows to zero or overflows
-    (ConfigError from noise_variance_from_snr), or an N x M spreading
-    matrix that alone exceeds the machine's physical memory.
+    known names, at least one.  A ScenarioConfig may describe frames the
+    detector cannot decide on: p_a of 0 or 1 (the activity prior log-odds
+    are infinite), an SNR at which the noise variance underflows to zero
+    or overflows (ConfigError from noise_variance_from_snr), or an N x M
+    spreading matrix and (K, M, J) VB state that together exceed the
+    machine's physical memory.
     """
     for name, value in (("n_trials", n_trials), ("n_workers", n_workers),
                         ("trial_start", trial_start)):
@@ -179,24 +179,31 @@ def _check_request(configs: list[ScenarioConfig], n_trials: int,
     if not isinstance(detectors, Iterable):
         raise ConfigError(f"detectors must be a sequence of names, "
                           f"got {detectors!r}")
-    for name in detectors:
+    names = tuple(detectors)
+    if not names:
+        raise ConfigError(f"detectors must name at least one of "
+                          f"{DETECTOR_NAMES}")
+    for name in names:
         if name not in DETECTOR_NAMES:
             raise ConfigError(f"unknown detector {name!r}; "
                               f"choose from {DETECTOR_NAMES}")
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     for config in configs:
-        # The complex128 spreading matrix alone takes 16 N M bytes.
-        if 16 * config.N * config.M > memory:
+        alphabet = build_alphabet(config.modulation)
+        # The complex128 spreading matrix takes 16 N M bytes and each
+        # float64 (K, M, J) array of the VB state 8 K M J.
+        if 16 * config.N * config.M + 8 * alphabet.K * config.M * config.J \
+                > memory:
             raise ConfigError(f"the N x M = {config.N} x {config.M} spreading "
-                              f"matrix needs more than the {memory} bytes of "
-                              f"memory")
+                              f"matrix needs, with the (K, M, J) = "
+                              f"({alphabet.K}, {config.M}, {config.J}) VB "
+                              f"state, more than the {memory} bytes of memory")
         if n_active is not None and not 0 <= n_active <= config.M:
             raise ConfigError(f"n_active must lie in [0, M={config.M}], "
                               f"got {n_active}")
         if not 0.0 < config.p_a < 1.0:
             raise ConfigError(f"detection needs 0 < p_a < 1, got {config.p_a}")
-        e_sym = build_alphabet(config.modulation).E_sym
-        if noise_variance_from_snr(config.snr_db, e_sym) == 0.0:
+        if noise_variance_from_snr(config.snr_db, alphabet.E_sym) == 0.0:
             raise ConfigError(f"snr_db={config.snr_db} gives noise variance "
                               f"0; detection needs a positive one")
 
@@ -228,7 +235,7 @@ def _named_failure(trial: int, fn, *args):
 
 
 def _trial_results(cells: list[tuple], trials: range,
-                   detectors: tuple[str, ...], include_rs_in_ser: bool,
+                   detectors: tuple[str, ...],
                    n_workers: int) -> list[list[MetricsRecord]]:
     """_run_one_trial of every (cell, trial) task, serially or in one
     process pool of at most one worker per task: one record list per cell
@@ -242,18 +249,17 @@ def _trial_results(cells: list[tuple], trials: range,
     the bare error.
     """
     tasks = [(cell, t) for cell in cells for t in trials]
-    args = (tuple(detectors), include_rs_in_ser)
     # The default fork start method forks every worker at the first
     # submit, so workers beyond the task count would only cost memory.
     n_workers = min(n_workers, len(tasks))
     if n_workers == 1:
-        results = [_named_failure(t, _run_one_trial, cell, t, *args)
+        results = [_named_failure(t, _run_one_trial, cell, t, detectors)
                    for cell, t in tasks]
     else:
         with concurrent.futures.ProcessPoolExecutor(
                 max_workers=n_workers, initializer=_set_blas_threads,
                 initargs=(1,)) as pool:
-            futures = [pool.submit(_run_one_trial, cell, t, *args)
+            futures = [pool.submit(_run_one_trial, cell, t, detectors)
                        for cell, t in tasks]
             try:
                 results = [_named_failure(t, future.result)
@@ -268,8 +274,7 @@ def _trial_results(cells: list[tuple], trials: range,
 
 def run_trials(config: ScenarioConfig, n_trials: int,
                detectors: tuple[str, ...] = ("amp_vbic",), *,
-               include_rs_in_ser: bool = False, n_workers: int = 1,
-               trial_start: int = 0,
+               n_workers: int = 1, trial_start: int = 0,
                n_active: int | None = None) -> list[MetricsRecord]:
     """Run n_trials independent frames through the requested detectors.
 
@@ -282,7 +287,7 @@ def run_trials(config: ScenarioConfig, n_trials: int,
                    n_active)
     records, = _trial_results([(config, n_active, (config.n_it,))],
                               range(trial_start, trial_start + n_trials),
-                              detectors, include_rs_in_ser, n_workers)
+                              detectors, n_workers)
     return records
 
 
@@ -319,7 +324,7 @@ def aggregate(records: list[MetricsRecord]) -> list[MetricsRecord]:
 
 def sweep(base_config: ScenarioConfig, axis: str, values, n_trials: int,
           detectors: tuple[str, ...] = ("amp_vbic",), *,
-          include_rs_in_ser: bool = False, n_workers: int = 1,
+          n_workers: int = 1,
           bernoulli_activity: bool = False) -> list[MetricsRecord]:
     """Aggregated records along one swept axis.
 
@@ -353,8 +358,8 @@ def sweep(base_config: ScenarioConfig, axis: str, values, n_trials: int,
         pinned = axis == "p_a" and not bernoulli_activity
         cells = [(config, int(round(config.p_a * config.M)) if pinned else None,
                   (config.n_it,)) for config in configs]
-    return [row for records in _trial_results(cells, range(n_trials), detectors,
-                                              include_rs_in_ser, n_workers)
+    return [row for records in _trial_results(cells, range(n_trials),
+                                              detectors, n_workers)
             for row in aggregate(records)]
 
 

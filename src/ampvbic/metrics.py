@@ -19,23 +19,18 @@ def compute_aer(truth: np.ndarray, detected: np.ndarray) -> float:
     return float(np.mean(truth.astype(bool) != detected.astype(bool)))
 
 
-def compute_ser(d_true: np.ndarray, d_hat: np.ndarray,
-                include_rs: bool = False) -> float:
-    """Fraction of wrong symbol decisions.
+def compute_ser(d_true: np.ndarray, d_hat: np.ndarray) -> float:
+    """Fraction of wrong symbol decisions in the data slots 2..J.
 
-    By default the known reference-symbol slot (column 0) is excluded;
-    include_rs=True counts all J columns.  Complex equality is tested to
-    1e-9 absolute.
+    The known reference-symbol slot (column 0) is not scored.  Complex
+    equality is tested to 1e-9 absolute.
     """
     d_true = np.asarray(d_true)
     d_hat = np.asarray(d_hat)
     if d_true.shape != d_hat.shape:
         raise DimensionMismatch(
             f"symbol matrices differ in shape: {d_true.shape} vs {d_hat.shape}")
-    if not include_rs:
-        d_true = d_true[:, 1:]
-        d_hat = d_hat[:, 1:]
-    errors = np.abs(d_true - d_hat) > SYMBOL_MATCH_TOL
+    errors = np.abs(d_true[:, 1:] - d_hat[:, 1:]) > SYMBOL_MATCH_TOL
     return float(np.mean(errors))
 
 

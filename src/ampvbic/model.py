@@ -213,17 +213,18 @@ def _draw_activity(config: ScenarioConfig, rng: np.random.Generator,
     return activity
 
 
-def generate_frame(config: ScenarioConfig, alphabet: ExtendedAlphabet,
-                   rng: np.random.Generator,
+def generate_frame(config: ScenarioConfig, rng: np.random.Generator,
                    n_active: int | None = None) -> ScenarioInstance:
     """Draw one random frame.
 
     Activity is Bernoulli(p_a) per user unless n_active pins the exact
     number of active users (used by sweeps whose axis is the active-user
     count).  Channel gains are CN(0,1); data symbols are uniform over the
-    active constellation; slot 1 carries the reference symbol.
+    active constellation of config.modulation; slot 1 carries the
+    reference symbol.
     """
     m, n, j = config.M, config.N, config.J
+    alphabet = build_alphabet(config.modulation)
     activity = _draw_activity(config, rng, n_active)
     mu_all = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) / np.sqrt(2.0)
     mu = mu_all * activity

@@ -322,25 +322,24 @@ def test_criterion_9_linear_complexity():
     scipy-openblas) a single BLAS thread keep scheduler jitter out of the
     fit.
     """
-    alph = build_alphabet("qam16")
     sizes = (100, 200, 400)
     frames = {}
     for m in sizes:
         config = ScenarioConfig(M=m, N=120, J=10, p_a=0.1, snr_db=5.0,
                                 modulation="qam16", n_it=20, seed=SEED)
-        frames[m] = (config, generate_frame(config, alph,
-                                            np.random.default_rng(SEED + m)))
+        frames[m] = (config,
+                     generate_frame(config, np.random.default_rng(SEED + m)))
     best = {m: np.inf for m in sizes}
     threads = _set_blas_threads(1)
     try:
         for m in sizes:  # warm-up
             config, frame = frames[m]
-            run_detector(frame.A, frame.Y, config, alph)
+            run_detector(frame.A, frame.Y, config)
         for _ in range(7):
             for m in sizes:
                 config, frame = frames[m]
                 t0 = time.perf_counter()
-                run_detector(frame.A, frame.Y, config, alph)
+                run_detector(frame.A, frame.Y, config)
                 best[m] = min(best[m], time.perf_counter() - t0)
     finally:
         if threads is not None:

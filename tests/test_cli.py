@@ -162,16 +162,22 @@ class TestRunCommand:
         ("seed", "-3", "seed must be >= 0"),
         ("trials", "abc", "n_trials must be an integer, got 'abc'"),
         ("trials", "2.5", "n_trials must be an integer, got 2.5"),
-        ("trials", "0", "n_trials must be >= 1")],
+        ("trials", "0", "n_trials must be >= 1"),
+        ("detectors", "", "detectors must name at least one"),
+        ("J", "1000000000000", "the N x M = 16 x 24 spreading matrix needs, "
+                               "with the (K, M, J) = (17, 24, 1000000000000) "
+                               "VB state, more than")],
         ids=["modulation=bpsk", "seed=-3", "trials=abc", "trials=2.5",
-             "trials=0"])
+             "trials=0", "detectors=empty", "J=10**12"])
     def test_bad_value_exits_2(self, tmp_path, capsys, monkeypatch, key,
                                value, message):
         def no_frames(*args, **kwargs):
             raise AssertionError("a trial ran")
         monkeypatch.setattr(harness, "generate_frame", no_frames)
         default = {"modulation": "modulation = qam16", "seed": "seed = 9",
-                   "trials": "trials = 3"}[key]
+                   "trials": "trials = 3",
+                   "detectors": "detectors = amp_vbic, genie",
+                   "J": "J = 4"}[key]
         path = tmp_path / "cfg.txt"
         path.write_text(BASE_CONFIG.replace(default, f"{key} = {value}"))
         rc = cli.main(["run", "--config", str(path)])

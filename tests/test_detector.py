@@ -16,7 +16,7 @@ def make_frame(seed=41, **overrides):
     kwargs.update(overrides)
     cfg = ScenarioConfig(**kwargs)
     alph = build_alphabet(cfg.modulation)
-    frame = generate_frame(cfg, alph, np.random.default_rng(seed))
+    frame = generate_frame(cfg, np.random.default_rng(seed))
     return cfg, alph, frame
 
 
@@ -24,18 +24,17 @@ class TestRunDetector:
 
     def test_trace_has_one_record_per_iteration(self):
         cfg, alph, fr = make_frame(n_it=1)
-        _, trace = run_detector(fr.A, fr.Y, cfg, alph)
+        _, trace = run_detector(fr.A, fr.Y, cfg)
         assert trace.n_iterations == 1
         cfg2 = dataclasses.replace(cfg, n_it=7)
-        _, trace = run_detector(fr.A, fr.Y, cfg2, alph)
+        _, trace = run_detector(fr.A, fr.Y, cfg2)
         assert trace.n_iterations == 7
         assert trace.aer is None
 
     def test_noise_variance_overflow_is_config_error(self):
         cfg, alph, fr = make_frame()
         with pytest.raises(ConfigError, match="noise variance"):
-            run_detector(fr.A, fr.Y, dataclasses.replace(cfg, snr_db=-4000.0),
-                         alph)
+            run_detector(fr.A, fr.Y, dataclasses.replace(cfg, snr_db=-4000.0))
 
     def test_zero_iterations_rejected(self):
         with pytest.raises(ConfigError):
@@ -43,8 +42,8 @@ class TestRunDetector:
 
     def test_bit_identical_determinism(self):
         cfg, alph, fr = make_frame()
-        r1, _ = run_detector(fr.A, fr.Y, cfg, alph)
-        r2, _ = run_detector(fr.A, fr.Y, cfg, alph)
+        r1, _ = run_detector(fr.A, fr.Y, cfg)
+        r2, _ = run_detector(fr.A, fr.Y, cfg)
         assert np.array_equal(r1.activity_hat, r2.activity_hat)
         assert np.array_equal(r1.D_hat, r2.D_hat)
         assert np.array_equal(r1.channel_hat, r2.channel_hat)
@@ -53,53 +52,53 @@ class TestRunDetector:
     def test_posterior_change_shrinks(self):
         cfg, alph, fr = make_frame(M=50, N=40, J=10, p_a=0.1,
                                    snr_db=10.0, n_it=30, seed=7)
-        _, trace = run_detector(fr.A, fr.Y, cfg, alph)
+        _, trace = run_detector(fr.A, fr.Y, cfg)
         assert trace.delta_x[29] < trace.delta_x[1]
 
     def test_all_inactive_frame_detected_empty(self):
         cfg, alph, _ = make_frame()
-        frame = generate_frame(cfg, alph, np.random.default_rng(5), n_active=0)
-        result, _ = run_detector(frame.A, frame.Y, cfg, alph)
+        frame = generate_frame(cfg, np.random.default_rng(5), n_active=0)
+        result, _ = run_detector(frame.A, frame.Y, cfg)
         assert not result.activity_hat.any()
         assert not result.D_hat.any()
 
     def test_shape_checks(self):
         cfg, alph, fr = make_frame()
         with pytest.raises(DimensionMismatch):
-            run_detector(fr.A[:, :-1], fr.Y, cfg, alph)
+            run_detector(fr.A[:, :-1], fr.Y, cfg)
         with pytest.raises(DimensionMismatch):
-            run_detector(fr.A, fr.Y[:, :-1], cfg, alph)
+            run_detector(fr.A, fr.Y[:, :-1], cfg)
 
     def test_degenerate_prior_rejected(self):
         cfg, alph, fr = make_frame()
         bad = dataclasses.replace(cfg, p_a=0.0)
         with pytest.raises(ConfigError):
-            run_detector(fr.A, fr.Y, bad, alph)
+            run_detector(fr.A, fr.Y, bad)
 
     def test_ground_truth_populates_metrics(self):
         cfg, alph, fr = make_frame(n_it=4)
-        _, trace = run_detector(fr.A, fr.Y, cfg, alph, ground_truth=fr)
+        _, trace = run_detector(fr.A, fr.Y, cfg, ground_truth=fr)
         assert len(trace.aer) == len(trace.ser) == len(trace.ce_mse) == 4
         assert all(0.0 <= v <= 1.0 for v in trace.aer)
         # error metrics at the last iteration match the returned result
-        result, _ = run_detector(fr.A, fr.Y, cfg, alph)
+        result, _ = run_detector(fr.A, fr.Y, cfg)
         from ampvbic.metrics import compute_aer
         assert trace.aer[-1] == compute_aer(fr.activity, result.activity_hat)
 
     def test_early_stop_tolerance(self):
         cfg, alph, fr = make_frame(n_it=40)
-        _, trace = run_detector(fr.A, fr.Y, cfg, alph, conv_tol=1e-3)
+        _, trace = run_detector(fr.A, fr.Y, cfg, conv_tol=1e-3)
         assert trace.n_iterations < 40
 
     def test_channel_hat_is_final_snapshot(self):
         cfg, alph, fr = make_frame()
-        result, _ = run_detector(fr.A, fr.Y, cfg, alph)
-        internals = run_detector_internals(fr.A, fr.Y, cfg, alph)
+        result, _ = run_detector(fr.A, fr.Y, cfg)
+        internals = run_detector_internals(fr.A, fr.Y, cfg)
         assert np.array_equal(result.channel_hat, internals.vbic_state.mu)
 
     def test_result_invariants_end_to_end(self):
         cfg, alph, fr = make_frame(seed=43)
-        result, _ = run_detector(fr.A, fr.Y, cfg, alph)
+        result, _ = run_detector(fr.A, fr.Y, cfg)
         active = result.activity_hat.astype(bool)
         assert np.array_equal(active, result.llr_dec > 0)
         assert not result.D_hat[~active].any()
@@ -109,12 +108,26 @@ class TestRunDetector:
             # phase correction pins the reference slot of every active row
             assert np.all(result.D_hat[active, 0] == alph.reference_symbol)
 
+    def test_config_modulation_sets_the_alphabet(self):
+        # No alphabet is passed: frame and decisions both follow the
+        # config's modulation.
+        cfg, _, fr = make_frame(modulation="qpsk", p_a=0.5, snr_db=20.0,
+                                seed=44)
+        qpsk = build_alphabet("qpsk").active_symbols
+        active = fr.activity.astype(bool)
+        assert active.any()
+        assert np.all(np.isin(fr.D[active], qpsk))
+        result, _ = run_detector(fr.A, fr.Y, cfg)
+        detected = result.activity_hat.astype(bool)
+        assert detected.any()
+        assert np.all(np.isin(result.D_hat[detected], qpsk))
+
     def test_internals_expose_final_state(self):
         # The loop returns its final state without deciding; run_detector
         # decides from exactly that state.
         cfg, alph, fr = make_frame()
-        internals = run_detector_internals(fr.A, fr.Y, cfg, alph)
-        result, _ = run_detector(fr.A, fr.Y, cfg, alph)
+        internals = run_detector_internals(fr.A, fr.Y, cfg)
+        result, _ = run_detector(fr.A, fr.Y, cfg)
         assert internals.n_iterations == cfg.n_it
         assert internals.pseudo.R.shape == (cfg.M, cfg.J)
         assert internals.vbic_state.resp.shape == (alph.K, cfg.M, cfg.J)
@@ -130,10 +143,9 @@ class TestRunDetector:
 def test_empty_frame_detected_empty_at_reference_cell():
     cfg = ScenarioConfig(M=200, N=100, J=10, p_a=0.1, snr_db=5.0,
                          modulation="qam16", n_it=20, seed=1)
-    alph = build_alphabet(cfg.modulation)
     for trial in range(5):
-        frame = generate_frame(cfg, alph, trial_rng(cfg.seed, trial), n_active=0)
-        result, _ = run_detector(frame.A, frame.Y, cfg, alph)
+        frame = generate_frame(cfg, trial_rng(cfg.seed, trial), n_active=0)
+        result, _ = run_detector(frame.A, frame.Y, cfg)
         assert not result.activity_hat.any(), (
             f"trial {trial}: {result.activity_hat.sum()} false alarms")
 
@@ -142,11 +154,11 @@ def test_resumed_loop_matches_fresh_run():
     # The loop does not depend on n_it: continuing a 5-iteration run to 20
     # gives exactly the state of a fresh 20-iteration run.
     cfg, alph, fr = make_frame(M=50, N=40, J=10, p_a=0.1, n_it=20, seed=7)
-    fresh = run_detector_internals(fr.A, fr.Y, cfg, alph)
+    fresh = run_detector_internals(fr.A, fr.Y, cfg)
     prefix = run_detector_internals(fr.A, fr.Y,
-                                    dataclasses.replace(cfg, n_it=5), alph)
+                                    dataclasses.replace(cfg, n_it=5))
     assert prefix.n_iterations == 5
-    resumed = run_detector_internals(fr.A, fr.Y, cfg, alph, start=prefix)
+    resumed = run_detector_internals(fr.A, fr.Y, cfg, start=prefix)
     assert resumed.n_iterations == fresh.n_iterations == 20
     assert np.array_equal(resumed.vbic_state.resp, fresh.vbic_state.resp)
     assert np.array_equal(resumed.vbic_state.mu, fresh.vbic_state.mu)
@@ -154,7 +166,7 @@ def test_resumed_loop_matches_fresh_run():
     assert np.array_equal(resumed.pseudo.R, fresh.pseudo.R)
     with pytest.raises(ConfigError):
         run_detector_internals(fr.A, fr.Y, dataclasses.replace(cfg, n_it=19),
-                               alph, start=resumed)
+                               start=resumed)
 
 
 def digest(a):
@@ -190,7 +202,7 @@ class TestPinnedRunDetector:
     @pytest.mark.parametrize("with_truth", [False, True])
     def test_outputs_match_recorded_values(self, with_truth):
         cfg, alph, fr = make_frame()
-        result, trace = run_detector(fr.A, fr.Y, cfg, alph,
+        result, trace = run_detector(fr.A, fr.Y, cfg,
                                      ground_truth=fr if with_truth else None)
         assert np.flatnonzero(result.activity_hat).tolist() == self.ACTIVE
         assert result.activity_hat.dtype == np.int8
@@ -208,5 +220,5 @@ class TestPinnedRunDetector:
 
     def test_early_stop_iteration(self):
         cfg, alph, fr = make_frame(n_it=40)
-        _, trace = run_detector(fr.A, fr.Y, cfg, alph, conv_tol=1e-3)
+        _, trace = run_detector(fr.A, fr.Y, cfg, conv_tol=1e-3)
         assert trace.delta_x == self.CONV_DELTA_X

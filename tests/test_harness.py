@@ -41,25 +41,24 @@ class TestSer:
 
     def test_identical(self):
         d = np.ones((3, 4), dtype=complex)
-        assert compute_ser(d, d, include_rs=True) == 0.0
+        assert compute_ser(d, d) == 0.0
 
-    def test_single_error_with_rs(self):
+    def test_single_data_error(self):
         d = np.ones((2, 5), dtype=complex)
         d_hat = d.copy()
-        d_hat[0, 2] = -1.0
-        assert compute_ser(d, d_hat, include_rs=True) == pytest.approx(0.1)
+        d_hat[0, 2] = -1.0  # one of the 2 x 4 data slots
+        assert compute_ser(d, d_hat) == pytest.approx(0.125)
 
-    def test_zeroed_row_with_rs(self):
+    def test_zeroed_row(self):
         d = np.zeros((10, 10), dtype=complex)
-        d[0, :] = 1.0
-        assert compute_ser(d, np.zeros_like(d), include_rs=True) == pytest.approx(0.1)
+        d[0, :] = 1.0  # 9 of the 10 x 9 data slots go wrong
+        assert compute_ser(d, np.zeros_like(d)) == pytest.approx(0.1)
 
     def test_rs_column_excluded_by_default(self):
         d = np.ones((2, 5), dtype=complex)
         d_hat = d.copy()
         d_hat[:, 0] = -1.0  # both errors sit in the reference slot
         assert compute_ser(d, d_hat) == 0.0
-        assert compute_ser(d, d_hat, include_rs=True) == pytest.approx(0.2)
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -241,11 +240,12 @@ class TestRunTrials:
         (dict(n_active=2.5), "n_active must be an integer"),
         (dict(n_active=-1), r"n_active must lie in \[0, M=24\]"),
         (dict(n_active=25), r"n_active must lie in \[0, M=24\]"),
-        (dict(detectors=None), "detectors must be a sequence")],
+        (dict(detectors=None), "detectors must be a sequence"),
+        (dict(detectors=()), "detectors must name at least one")],
         ids=["n_trials=str", "n_trials=float", "n_trials=bool",
              "n_workers=float", "n_workers=bool", "trial_start=float",
              "trial_start=-1", "n_active=float", "n_active=-1",
-             "n_active=M+1", "detectors=None"])
+             "n_active=M+1", "detectors=None", "detectors=empty"])
     def test_bad_request_fails_before_any_trial(self, monkeypatch, kwargs,
                                                 message):
         def no_frames(*args, **kwargs):
@@ -263,6 +263,18 @@ class TestRunTrials:
         monkeypatch.setattr(harness, "generate_frame", no_frames)
         with pytest.raises(ConfigError, match="spreading matrix needs"):
             run_trials(tiny_config(M=10 ** 12, N=10 ** 6), 1)
+
+    def test_vb_state_beyond_memory_fails_before_any_trial(self, monkeypatch):
+        # A takes only 320 kB here, but one (K, M, J) float64 array of the
+        # VB state takes 8 * 17 * 200 * 10**9 bytes.
+        def no_frames(*args, **kwargs):
+            raise AssertionError("a trial ran")
+        monkeypatch.setattr(harness, "generate_frame", no_frames)
+        cfg = tiny_config(M=200, N=100, J=10 ** 9)
+        with pytest.raises(ConfigError, match=r"\(K, M, J\) = \(17, 200, "):
+            run_trials(cfg, 1)
+        with pytest.raises(ConfigError, match="VB state"):
+            sweep(cfg, "snr_db", [5.0], 1)
 
     def test_zero_noise_variance_is_config_error_on_both_paths(
             self, monkeypatch):
@@ -332,6 +344,14 @@ class TestSweep:
         monkeypatch.setattr(harness, "generate_frame", no_frames)
         with pytest.raises(ConfigError, match="detectors must be a sequence"):
             sweep(tiny_config(), "snr_db", [5.0], 1, detectors=None)
+
+    @pytest.mark.parametrize("axis", ["snr_db", "n_it"])
+    def test_empty_detectors_fail_before_any_trial(self, monkeypatch, axis):
+        def no_frames(*args, **kwargs):
+            raise AssertionError("a trial ran")
+        monkeypatch.setattr(harness, "generate_frame", no_frames)
+        with pytest.raises(ConfigError, match="at least one"):
+            sweep(tiny_config(), axis, [5, 10], 1, detectors=[])
 
     def test_empty_values(self):
         with pytest.raises(ConfigError):
@@ -491,9 +511,9 @@ class TestNitSweep:
         real_loop, real_finalize = harness.run_detector_internals, \
             harness._finalize
 
-        def loop(a, y, config, alphabet, *, start=None):
+        def loop(a, y, config, *, start=None):
             clock[0] += config.n_it - (start.n_iterations if start else 0)
-            return real_loop(a, y, config, alphabet, start=start)
+            return real_loop(a, y, config, start=start)
 
         def finalize(*args, **kwargs):
             clock[0] += 1e-3
@@ -523,7 +543,7 @@ class TestPoolFailures:
         # The first task fails at once; every other one marks that it
         # started and then takes 0.5 s, so without cancellation all nine
         # would start before the pool shuts down.
-        def slow_breakdown(a, y, config, alphabet, *, start=None):
+        def slow_breakdown(a, y, config, *, start=None):
             if config.snr_db > 0:
                 (tmp_path / str(config.snr_db)).touch()
                 time.sleep(0.5)
@@ -649,12 +669,11 @@ class TestPinnedDecisions:
     def test_record_scores_run_detector_result(self):
         # run_trials reuses the result the detector loop already finalized;
         # it must score exactly what run_detector returns on that frame.
-        alph = build_alphabet(REFERENCE_CELL.modulation)
         records = run_trials(REFERENCE_CELL, 3, ("amp_vbic",), trial_start=17)
         for rec in records:
-            frame = generate_frame(REFERENCE_CELL, alph,
+            frame = generate_frame(REFERENCE_CELL,
                                    trial_rng(REFERENCE_CELL.seed, rec.trial))
-            result, _ = run_detector(frame.A, frame.Y, REFERENCE_CELL, alph)
+            result, _ = run_detector(frame.A, frame.Y, REFERENCE_CELL)
             assert rec.aer == compute_aer(frame.activity, result.activity_hat)
             assert rec.ser == compute_ser(frame.D, result.D_hat)
             assert rec.ce_mse == compute_ce_mse(frame.mu, result.channel_hat)

@@ -211,7 +211,7 @@ class TestGenerateFrame:
 
     def test_all_inactive(self):
         cfg = ScenarioConfig(M=20, N=10, J=4, p_a=0.0, snr_db=5.0)
-        fr = generate_frame(cfg, self.alph, np.random.default_rng(1))
+        fr = generate_frame(cfg, np.random.default_rng(1))
         assert not fr.activity.any()
         assert not fr.D.any()
         assert not fr.X.any()
@@ -220,31 +220,31 @@ class TestGenerateFrame:
 
     def test_all_active_noiseless(self):
         cfg = ScenarioConfig(M=8, N=8, J=4, p_a=1.0, snr_db=300.0)
-        fr = generate_frame(cfg, self.alph, np.random.default_rng(2))
+        fr = generate_frame(cfg, np.random.default_rng(2))
         assert fr.activity.all()
         assert np.allclose(fr.Y, fr.A @ fr.X, atol=1e-12)
 
     def test_noise_variance_overflow_is_config_error(self):
         cfg = ScenarioConfig(M=8, N=8, J=4, p_a=0.5, snr_db=-4000.0)
         with pytest.raises(ConfigError, match="noise variance"):
-            generate_frame(cfg, self.alph, np.random.default_rng(2))
+            generate_frame(cfg, np.random.default_rng(2))
 
     def test_zero_noise_variance_frame(self):
         cfg = ScenarioConfig(M=8, N=8, J=4, p_a=0.5, snr_db=4000.0)
-        fr = generate_frame(cfg, self.alph, np.random.default_rng(2))
+        fr = generate_frame(cfg, np.random.default_rng(2))
         assert fr.noise_var == 0.0
         assert np.array_equal(fr.Y, fr.A @ fr.X)
 
     def test_mean_active_count(self):
         cfg = ScenarioConfig(M=200, N=1, J=2, p_a=0.1, snr_db=5.0)
         rng = np.random.default_rng(3)
-        count = sum(generate_frame(cfg, self.alph, rng).activity.sum()
+        count = sum(generate_frame(cfg, rng).activity.sum()
                     for _ in range(10_000))
         assert count / 10_000 == pytest.approx(20.0, abs=0.5)
 
     def test_joint_sparsity_and_rs(self):
         cfg = ScenarioConfig(M=50, N=20, J=6, p_a=0.3, snr_db=5.0)
-        fr = generate_frame(cfg, self.alph, np.random.default_rng(4))
+        fr = generate_frame(cfg, np.random.default_rng(4))
         active = fr.activity.astype(bool)
         assert not fr.X[~active].any()
         assert not fr.D[~active].any()
@@ -255,7 +255,7 @@ class TestGenerateFrame:
 
     def test_model_equation(self):
         cfg = ScenarioConfig(M=30, N=15, J=5, p_a=0.5, snr_db=8.0)
-        fr = generate_frame(cfg, self.alph, np.random.default_rng(5))
+        fr = generate_frame(cfg, np.random.default_rng(5))
         w = fr.Y - fr.A @ fr.X
         assert np.allclose(fr.X, fr.mu[:, None] * fr.D)
         assert np.mean(np.abs(w) ** 2) == pytest.approx(fr.noise_var, rel=0.3)
@@ -265,20 +265,20 @@ class TestGenerateFrame:
         rng = np.random.default_rng(6)
         gains = np.concatenate([
             fr.mu[fr.activity.astype(bool)]
-            for fr in (generate_frame(cfg, self.alph, rng) for _ in range(50))])
+            for fr in (generate_frame(cfg, rng) for _ in range(50))])
         assert np.mean(np.abs(gains) ** 2) == pytest.approx(1.0, abs=0.03)
         assert np.abs(np.mean(gains)) < 0.03
 
     def test_seed_reproducibility(self):
         cfg = ScenarioConfig(M=25, N=12, J=4, p_a=0.2, snr_db=5.0)
-        fr1 = generate_frame(cfg, self.alph, np.random.default_rng(9))
-        fr2 = generate_frame(cfg, self.alph, np.random.default_rng(9))
+        fr1 = generate_frame(cfg, np.random.default_rng(9))
+        fr2 = generate_frame(cfg, np.random.default_rng(9))
         for name in ("A", "activity", "mu", "D", "X", "Y"):
             assert np.array_equal(getattr(fr1, name), getattr(fr2, name))
 
     def test_fixed_active_count(self):
         cfg = ScenarioConfig(M=30, N=10, J=3, p_a=0.1, snr_db=5.0)
-        fr = generate_frame(cfg, self.alph, np.random.default_rng(10), n_active=7)
+        fr = generate_frame(cfg, np.random.default_rng(10), n_active=7)
         assert fr.activity.sum() == 7
         with pytest.raises(ConfigError):
-            generate_frame(cfg, self.alph, np.random.default_rng(10), n_active=31)
+            generate_frame(cfg, np.random.default_rng(10), n_active=31)
