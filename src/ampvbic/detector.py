@@ -132,8 +132,6 @@ def run_detector_internals(a_mat: np.ndarray, y: np.ndarray,
         raise DimensionMismatch(
             f"A {a_mat.shape} / Y {y.shape} inconsistent with config "
             f"(M={config.M}, N={config.N}, J={config.J})")
-    if not 0.0 < config.p_a < 1.0:
-        raise ConfigError(f"detection needs 0 < p_a < 1, got {config.p_a}")
 
     alphabet = build_alphabet(config.modulation)
     noise_var = noise_variance_from_snr(config.snr_db, alphabet.E_sym)

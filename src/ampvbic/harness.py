@@ -17,7 +17,7 @@ import dataclasses
 import numbers
 import os
 import time
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +27,7 @@ from .detector import _finalize, run_detector_internals
 from .errors import ConfigError, TrialFailure
 from .metrics import compute_aer, compute_ce_mse, compute_ser
 from .model import ExtendedAlphabet, ScenarioConfig, build_alphabet, \
-    generate_frame, noise_variance_from_snr
+    generate_frame
 
 DETECTOR_NAMES = ("amp_vbic", "amp_vbic_no_offset", "genie")
 SWEEP_AXES = ("snr_db", "N", "p_a", "n_it")
@@ -155,57 +155,48 @@ def _check_request(configs: list[ScenarioConfig], n_trials: int,
                    trial_start: int = 0, n_active: int | None = None) -> None:
     """Reject, before any trial runs, a request the detector cannot run.
 
-    n_trials, n_workers and trial_start must be ints (not bools) and
-    n_active None or one, each in range; detectors must iterate over
-    known names, at least one.  A ScenarioConfig may describe frames the
-    detector cannot decide on: p_a of 0 or 1 (the activity prior log-odds
-    are infinite), an SNR at which the noise variance underflows to zero
-    or overflows (ConfigError from noise_variance_from_snr), or an N x M
-    spreading matrix and (K, M, J) VB state that together exceed the
-    machine's physical memory.
+    Each ScenarioConfig is a scenario the detector can run; what is left
+    to check is the request around it.  n_trials, n_workers and
+    trial_start must be ints (not bools) and n_active None or one, each
+    in range; detectors must be a sequence (not a str) of known names, at
+    least one; and no config's N x M spreading matrix and (K, M, J) VB
+    state may together exceed the machine's physical memory.
     """
-    for name, value in (("n_trials", n_trials), ("n_workers", n_workers),
-                        ("trial_start", trial_start)):
+    for name, value, low in (("n_trials", n_trials, 1),
+                             ("n_workers", n_workers, 1),
+                             ("trial_start", trial_start, 0)):
         if not _is_int(value):
             raise ConfigError(f"{name} must be an integer, got {value!r}")
-    if n_trials < 1:
-        raise ConfigError(f"n_trials must be >= 1, got {n_trials}")
-    if n_workers < 1:
-        raise ConfigError(f"n_workers must be >= 1, got {n_workers}")
-    if trial_start < 0:
-        raise ConfigError(f"trial_start must be >= 0, got {trial_start}")
+        if value < low:
+            raise ConfigError(f"{name} must be >= {low}, got {value}")
     if n_active is not None and not _is_int(n_active):
         raise ConfigError(f"n_active must be an integer, got {n_active!r}")
-    if not isinstance(detectors, Iterable):
+    # Every trial iterates detectors afresh, so a one-shot iterable would
+    # run nothing after its first pass; a set orders the records by string
+    # hash, which varies between interpreters.
+    if not isinstance(detectors, Sequence) or isinstance(detectors, str):
         raise ConfigError(f"detectors must be a sequence of names, "
                           f"got {detectors!r}")
-    names = tuple(detectors)
-    if not names:
+    if not detectors:
         raise ConfigError(f"detectors must name at least one of "
                           f"{DETECTOR_NAMES}")
-    for name in names:
+    for name in detectors:
         if name not in DETECTOR_NAMES:
             raise ConfigError(f"unknown detector {name!r}; "
                               f"choose from {DETECTOR_NAMES}")
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     for config in configs:
-        alphabet = build_alphabet(config.modulation)
+        k = build_alphabet(config.modulation).K
         # The complex128 spreading matrix takes 16 N M bytes and each
         # float64 (K, M, J) array of the VB state 8 K M J.
-        if 16 * config.N * config.M + 8 * alphabet.K * config.M * config.J \
-                > memory:
+        if 16 * config.N * config.M + 8 * k * config.M * config.J > memory:
             raise ConfigError(f"the N x M = {config.N} x {config.M} spreading "
                               f"matrix needs, with the (K, M, J) = "
-                              f"({alphabet.K}, {config.M}, {config.J}) VB "
+                              f"({k}, {config.M}, {config.J}) VB "
                               f"state, more than the {memory} bytes of memory")
         if n_active is not None and not 0 <= n_active <= config.M:
             raise ConfigError(f"n_active must lie in [0, M={config.M}], "
                               f"got {n_active}")
-        if not 0.0 < config.p_a < 1.0:
-            raise ConfigError(f"detection needs 0 < p_a < 1, got {config.p_a}")
-        if noise_variance_from_snr(config.snr_db, alphabet.E_sym) == 0.0:
-            raise ConfigError(f"snr_db={config.snr_db} gives noise variance "
-                              f"0; detection needs a positive one")
 
 
 def _set_blas_threads(n: int) -> int | None:

@@ -117,13 +117,14 @@ def noise_variance_from_snr(snr_db: float, e_sym: float) -> float:
 class ScenarioConfig:
     """Parameters of one simulated grant-free access scenario.
 
-    J counts the reference-symbol slot plus J-1 data slots.  p_a may sit at
-    the closed-interval endpoints for frame synthesis (all-inactive /
-    all-active frames); the detector itself requires 0 < p_a < 1 so the
-    activity prior log-odds stay finite.  modulation must name a Modulation.
-    Every other field must be a real number (not a bool), and M, N, J, n_it
-    and seed integral ones, which are stored as int; seed must be >= 0, as
-    numpy's seed sequences require.  Anything else raises ConfigError.
+    J counts the reference-symbol slot plus J-1 data slots.  A config is a
+    scenario the detector can run: 0 < p_a < 1, so the activity prior
+    log-odds stay finite, and snr_db gives a positive, finite noise
+    variance (empty or all-active frames come from generate_frame's
+    n_active).  modulation must name a Modulation.  Every other field must
+    be a real number (not a bool), and M, N, J, n_it and seed integral
+    ones, which are stored as int; seed must be >= 0, as numpy's seed
+    sequences require.  Anything else raises ConfigError.
     """
 
     M: int
@@ -157,10 +158,15 @@ class ScenarioConfig:
             raise ConfigError(f"M and N must be >= 1, got M={self.M}, N={self.N}")
         if self.J < 2:
             raise ConfigError(f"J must be >= 2 (reference symbol + data), got {self.J}")
-        if not 0.0 <= self.p_a <= 1.0:
-            raise ConfigError(f"p_a must lie in [0, 1], got {self.p_a}")
-        if not np.isfinite(self.snr_db):
-            raise ConfigError(f"snr_db must be finite, got {self.snr_db}")
+        if not 0.0 < self.p_a < 1.0:
+            raise ConfigError(f"detection needs 0 < p_a < 1, got {self.p_a}")
+        # noise_variance_from_snr raises where the variance is not finite
+        # (nan, -inf, about -3083 dB and below); inf and about +3236 dB and
+        # above underflow to 0.
+        if noise_variance_from_snr(self.snr_db,
+                                   build_alphabet(modulation).E_sym) == 0.0:
+            raise ConfigError(f"snr_db={self.snr_db} gives noise variance 0; "
+                              f"detection needs a positive one")
         if self.n_it < 1:
             raise ConfigError(f"n_it must be >= 1, got {self.n_it}")
         if self.seed < 0:

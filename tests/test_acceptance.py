@@ -6,7 +6,6 @@ sweep share per-trial random substreams, so comparisons across cells are
 paired (common random numbers).
 """
 
-import dataclasses
 import math
 import time
 
@@ -40,6 +39,16 @@ def report(criterion: int, passed: bool, detail: str) -> None:
 def cells_for(config: ScenarioConfig, detectors=("amp_vbic",), n_trials=200):
     records = run_trials(config, n_trials, detectors, n_workers=WORKERS)
     return {rec.detector: rec for rec in aggregate(records)}
+
+
+def sweep_cells(base: ScenarioConfig, axis: str, values,
+                detectors=("amp_vbic",)):
+    """One sweep's rows, keyed by axis value and then by detector; they
+    equal the cells_for rows of each value."""
+    cells = {}
+    for row in sweep(base, axis, values, 200, detectors, n_workers=WORKERS):
+        cells.setdefault(getattr(row, axis), {})[row.detector] = row
+    return cells
 
 
 def se_diff(a, b) -> float:
@@ -245,8 +254,8 @@ def test_criterion_5_spreading_length_monotonicity():
     """Longer spreading lowers AER, with a diminishing gain."""
     base = ScenarioConfig(M=200, N=100, J=10, p_a=0.1, snr_db=5.0,
                           modulation="qam16", n_it=20, seed=SEED)
-    cells = {n: cells_for(dataclasses.replace(base, N=n))["amp_vbic"]
-             for n in (70, 100, 130)}
+    cells = {n: row["amp_vbic"]
+             for n, row in sweep_cells(base, "N", (70, 100, 130)).items()}
     mono_ok = all(
         cells[b].aer <= cells[a].aer
         + se_diff(cells[a].aer_stderr, cells[b].aer_stderr)
@@ -281,9 +290,8 @@ SNR_SWEEP_N_IT = 7
 def snr_sweep_cells():
     base = ScenarioConfig(M=200, N=120, J=20, p_a=0.1, snr_db=0.0,
                           modulation="qam16", n_it=SNR_SWEEP_N_IT, seed=SEED)
-    return {snr: cells_for(dataclasses.replace(base, snr_db=snr),
-                           detectors=("amp_vbic", "genie"))
-            for snr in (0.0, 4.0, 8.0)}
+    return sweep_cells(base, "snr_db", (0.0, 4.0, 8.0),
+                       detectors=("amp_vbic", "genie"))
 
 
 @pytest.fixture(scope="module")

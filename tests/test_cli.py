@@ -142,8 +142,8 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("key, value, message", [
         ("p_a", "0", "0 < p_a < 1"), ("p_a", "1", "0 < p_a < 1"),
-        ("snr_db", "inf", "snr_db must be finite"),
-        ("snr_db", "nan", "snr_db must be finite"),
+        ("snr_db", "inf", "noise variance"),
+        ("snr_db", "nan", "noise variance"),
         ("snr_db", "4000", "noise variance"),
         ("snr_db", "-4000", "noise variance")],
         ids=["p_a=0", "p_a=1", "snr_db=inf", "snr_db=nan", "snr_db=4000",

@@ -71,9 +71,8 @@ class TestRunDetector:
 
     def test_degenerate_prior_rejected(self):
         cfg, alph, fr = make_frame()
-        bad = dataclasses.replace(cfg, p_a=0.0)
-        with pytest.raises(ConfigError):
-            run_detector(fr.A, fr.Y, bad)
+        with pytest.raises(ConfigError, match="0 < p_a < 1"):
+            run_detector(fr.A, fr.Y, dataclasses.replace(cfg, p_a=0.0))
 
     def test_ground_truth_populates_metrics(self):
         cfg, alph, fr = make_frame(n_it=4)

@@ -241,11 +241,17 @@ class TestRunTrials:
         (dict(n_active=-1), r"n_active must lie in \[0, M=24\]"),
         (dict(n_active=25), r"n_active must lie in \[0, M=24\]"),
         (dict(detectors=None), "detectors must be a sequence"),
-        (dict(detectors=()), "detectors must name at least one")],
+        (dict(detectors=()), "detectors must name at least one"),
+        (dict(detectors=(d for d in ["amp_vbic"])),
+         "detectors must be a sequence of names"),
+        (dict(detectors={"amp_vbic", "genie"}),
+         "detectors must be a sequence of names"),
+        (dict(detectors="genie"), "detectors must be a sequence of names")],
         ids=["n_trials=str", "n_trials=float", "n_trials=bool",
              "n_workers=float", "n_workers=bool", "trial_start=float",
              "trial_start=-1", "n_active=float", "n_active=-1",
-             "n_active=M+1", "detectors=None", "detectors=empty"])
+             "n_active=M+1", "detectors=None", "detectors=empty",
+             "detectors=generator", "detectors=set", "detectors=str"])
     def test_bad_request_fails_before_any_trial(self, monkeypatch, kwargs,
                                                 message):
         def no_frames(*args, **kwargs):
@@ -344,6 +350,9 @@ class TestSweep:
         monkeypatch.setattr(harness, "generate_frame", no_frames)
         with pytest.raises(ConfigError, match="detectors must be a sequence"):
             sweep(tiny_config(), "snr_db", [5.0], 1, detectors=None)
+        with pytest.raises(ConfigError, match="detectors must be a sequence"):
+            sweep(tiny_config(), "snr_db", [5.0], 1,
+                  detectors=(d for d in ["amp_vbic"]))
 
     @pytest.mark.parametrize("axis", ["snr_db", "n_it"])
     def test_empty_detectors_fail_before_any_trial(self, monkeypatch, axis):

@@ -166,6 +166,10 @@ class TestScenarioConfig:
         dict(M=10, N=5, J=4, p_a=0.2, snr_db=5.0, n_it=0),
         dict(M=10, N=5, J=4, p_a=0.2, snr_db=np.inf),
         dict(M=10, N=5, J=4, p_a=0.2, snr_db=np.nan),
+        dict(M=10, N=5, J=4, p_a=0.0, snr_db=5.0),
+        dict(M=10, N=5, J=4, p_a=1.0, snr_db=5.0),
+        dict(M=10, N=5, J=4, p_a=0.2, snr_db=4000.0),
+        dict(M=10, N=5, J=4, p_a=0.2, snr_db=-4000.0),
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ConfigError):
@@ -210,8 +214,8 @@ class TestGenerateFrame:
         self.alph = build_alphabet("qam16")
 
     def test_all_inactive(self):
-        cfg = ScenarioConfig(M=20, N=10, J=4, p_a=0.0, snr_db=5.0)
-        fr = generate_frame(cfg, np.random.default_rng(1))
+        cfg = ScenarioConfig(M=20, N=10, J=4, p_a=0.2, snr_db=5.0)
+        fr = generate_frame(cfg, np.random.default_rng(1), n_active=0)
         assert not fr.activity.any()
         assert not fr.D.any()
         assert not fr.X.any()
@@ -219,21 +223,19 @@ class TestGenerateFrame:
         assert np.mean(np.abs(fr.Y) ** 2) == pytest.approx(fr.noise_var, rel=0.5)
 
     def test_all_active_noiseless(self):
-        cfg = ScenarioConfig(M=8, N=8, J=4, p_a=1.0, snr_db=300.0)
-        fr = generate_frame(cfg, np.random.default_rng(2))
+        cfg = ScenarioConfig(M=8, N=8, J=4, p_a=0.5, snr_db=300.0)
+        fr = generate_frame(cfg, np.random.default_rng(2), n_active=cfg.M)
         assert fr.activity.all()
         assert np.allclose(fr.Y, fr.A @ fr.X, atol=1e-12)
 
     def test_noise_variance_overflow_is_config_error(self):
-        cfg = ScenarioConfig(M=8, N=8, J=4, p_a=0.5, snr_db=-4000.0)
         with pytest.raises(ConfigError, match="noise variance"):
-            generate_frame(cfg, np.random.default_rng(2))
+            ScenarioConfig(M=8, N=8, J=4, p_a=0.5, snr_db=-4000.0)
 
     def test_zero_noise_variance_frame(self):
-        cfg = ScenarioConfig(M=8, N=8, J=4, p_a=0.5, snr_db=4000.0)
-        fr = generate_frame(cfg, np.random.default_rng(2))
-        assert fr.noise_var == 0.0
-        assert np.array_equal(fr.Y, fr.A @ fr.X)
+        assert noise_variance_from_snr(4000.0, 1.0) == 0.0
+        with pytest.raises(ConfigError, match="noise variance 0"):
+            ScenarioConfig(M=8, N=8, J=4, p_a=0.5, snr_db=4000.0)
 
     def test_mean_active_count(self):
         cfg = ScenarioConfig(M=200, N=1, J=2, p_a=0.1, snr_db=5.0)
