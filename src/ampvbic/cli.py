@@ -9,8 +9,8 @@ The config file is flat key = value text (INI/TOML style, '#' comments).
 Recognized keys: the scenario fields (M, N, J, p_a, snr_db, modulation,
 n_it, seed) plus trials, detectors, axis, values.  Lists are comma
 separated, with optional [brackets] and quotes.  Values are read as int,
-float or text; ScenarioConfig checks the scenario fields and the harness
-checks the rest, both before any trial runs.
+float or text; ScenarioConfig checks the scenario fields, the harness the
+request and main the --out path, all before any trial runs.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical breakdown.
 """
@@ -18,6 +18,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical breakdown.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .errors import ConfigError, NumericalBreakdown, TrialFailure
@@ -106,20 +107,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args, values: dict, config: ScenarioConfig,
-             detectors: tuple[str, ...], n_trials: int) -> int:
+             detectors: tuple[str, ...], n_trials: int) -> list:
     records = run_trials(config, n_trials, detectors, n_workers=args.threads)
     print(f"{n_trials} trials, M={config.M} N={config.N} J={config.J} "
           f"p_a={config.p_a} snr_db={config.snr_db} n_it={config.n_it} "
           f"seed={config.seed}")
     print(summarize(records))
-    if args.out:
-        write_csv(records, args.out)
-        print(f"wrote {len(records)} records to {args.out}")
-    return 0
+    return records
 
 
 def _cmd_sweep(args, values: dict, config: ScenarioConfig,
-               detectors: tuple[str, ...], n_trials: int) -> int:
+               detectors: tuple[str, ...], n_trials: int) -> list:
     if "axis" not in values or "values" not in values:
         raise ConfigError("sweep needs 'axis' and 'values' keys in the config")
     records = sweep(config, values["axis"], values["values"], n_trials,
@@ -129,10 +127,7 @@ def _cmd_sweep(args, values: dict, config: ScenarioConfig,
         print(f"{values['axis']}={getattr(rec, values['axis'])}  "
               f"{rec.detector:22s} aer={rec.aer:.5f} ser={rec.ser:.5f} "
               f"ce_mse={rec.ce_mse:.6f}")
-    if args.out:
-        write_csv(records, args.out)
-        print(f"wrote {len(records)} aggregated rows to {args.out}")
-    return 0
+    return records
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -140,9 +135,17 @@ def main(argv: list[str] | None = None) -> int:
     command = _cmd_run if args.command == "run" else _cmd_sweep
     try:
         values = parse_config_file(args.config)
-        return command(args, values, _build_scenario(values, args.seed),
-                       tuple(values.get("detectors", ["amp_vbic"])),
-                       values.get("trials", 10))
+        # --out is checked before the trials, so that they are not lost.
+        out_dir = os.path.dirname(os.path.abspath(args.out or "."))
+        if args.out and (os.path.isdir(args.out) or not os.access(out_dir, os.W_OK)):
+            raise ConfigError(f"cannot write --out {args.out} in {out_dir}")
+        records = command(args, values, _build_scenario(values, args.seed),
+                          tuple(values.get("detectors", ["amp_vbic"])),
+                          values.get("trials", 10))
+        if args.out:
+            write_csv(records, args.out)
+            print(f"wrote {len(records)} rows to {args.out}")
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

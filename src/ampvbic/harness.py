@@ -116,9 +116,8 @@ def _run_one_trial(cell: tuple, trial: int,
     loop_ms = 0.0
     by_n_it = {}
     for n_it in sorted(set(n_its)):
-        loop_config = dataclasses.replace(config, n_it=n_it)
         t0 = time.perf_counter()
-        internals = run_detector_internals(frame.A, frame.Y, loop_config,
+        internals = run_detector_internals(frame.A, frame.Y, config, n_it,
                                            start=internals)
         loop_ms += (time.perf_counter() - t0) * 1e3
 
@@ -127,12 +126,10 @@ def _run_one_trial(cell: tuple, trial: int,
             t1 = time.perf_counter()
             if name == "genie":
                 result = genie_detect(internals.pseudo.R, frame.activity,
-                                      frame.mu,
-                                      build_alphabet(config.modulation))
+                                      frame.mu, build_alphabet(config.modulation))
                 runtime = 0.0
             else:
-                result = _finalize(internals.vbic_state, internals.posterior,
-                                   config, include_offset=name == "amp_vbic")
+                result = _finalize(internals, config, include_offset=name == "amp_vbic")
                 runtime = loop_ms
             runtime += (time.perf_counter() - t1) * 1e3
             records.append(MetricsRecord(
@@ -158,9 +155,9 @@ def _check_request(configs: list[ScenarioConfig], n_trials: int,
     Each ScenarioConfig is a scenario the detector can run; what is left
     to check is the request around it.  n_trials, n_workers and
     trial_start must be ints (not bools) and n_active None or one, each
-    in range; detectors must be a sequence (not a str) of known names, at
-    least one; and no config's N x M spreading matrix and (K, M, J) VB
-    state may together exceed the machine's physical memory.
+    in range; detectors must be a sequence (not a str) of distinct known
+    names, at least one; and no config's N x M spreading matrix and
+    (K, M, J) VB state may together exceed the machine's physical memory.
     """
     for name, value, low in (("n_trials", n_trials, 1),
                              ("n_workers", n_workers, 1),
@@ -184,6 +181,8 @@ def _check_request(configs: list[ScenarioConfig], n_trials: int,
         if name not in DETECTOR_NAMES:
             raise ConfigError(f"unknown detector {name!r}; "
                               f"choose from {DETECTOR_NAMES}")
+    if len(set(detectors)) < len(detectors):
+        raise ConfigError(f"detectors must not repeat a name, got {detectors!r}")
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     for config in configs:
         k = build_alphabet(config.modulation).K

@@ -164,11 +164,12 @@ class TestRunCommand:
         ("trials", "2.5", "n_trials must be an integer, got 2.5"),
         ("trials", "0", "n_trials must be >= 1"),
         ("detectors", "", "detectors must name at least one"),
+        ("detectors", "amp_vbic, amp_vbic", "detectors must not repeat a name"),
         ("J", "1000000000000", "the N x M = 16 x 24 spreading matrix needs, "
                                "with the (K, M, J) = (17, 24, 1000000000000) "
                                "VB state, more than")],
         ids=["modulation=bpsk", "seed=-3", "trials=abc", "trials=2.5",
-             "trials=0", "detectors=empty", "J=10**12"])
+             "trials=0", "detectors=empty", "detectors=repeated", "J=10**12"])
     def test_bad_value_exits_2(self, tmp_path, capsys, monkeypatch, key,
                                value, message):
         def no_frames(*args, **kwargs):
@@ -183,6 +184,38 @@ class TestRunCommand:
         rc = cli.main(["run", "--config", str(path)])
         assert rc == 2
         assert f"config error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("out", ["missing/records.csv", "."],
+                             ids=["missing_directory", "directory"])
+    def test_unwritable_out_exits_2_before_any_trial(
+            self, tmp_path, capsys, monkeypatch, command, out):
+        # The CSV is opened only after the trials, whose results an
+        # unwritable path would lose, so the path is checked before them.
+        def no_frames(*args, **kwargs):
+            raise AssertionError("a trial ran")
+        monkeypatch.setattr(harness, "generate_frame", no_frames)
+        path = tmp_path / "cfg.txt"
+        path.write_text(BASE_CONFIG + "axis = snr_db\nvalues = 0, 8\n")
+        rc = cli.main([command, "--config", str(path),
+                       "--out", str(tmp_path / out)])
+        assert rc == 2
+        assert "config error: cannot write --out" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.txt"]
+
+    def test_out_in_read_only_directory_exits_2(self, config_file, tmp_path,
+                                                capsys, monkeypatch):
+        # Patched, since a privileged user may write to any directory.
+        def no_frames(*args, **kwargs):
+            raise AssertionError("a trial ran")
+        monkeypatch.setattr(harness, "generate_frame", no_frames)
+        monkeypatch.setattr(os, "access", lambda path, mode: False)
+        rc = cli.main(["run", "--config", str(config_file),
+                       "--out", str(tmp_path / "records.csv")])
+        assert rc == 2
+        assert f"cannot write --out {tmp_path / 'records.csv'} in {tmp_path}" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "records.csv").exists()
 
     def test_negative_seed_override_exits_2(self, config_file, capsys):
         rc = cli.main(["run", "--config", str(config_file), "--seed=-3"])

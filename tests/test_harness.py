@@ -246,12 +246,15 @@ class TestRunTrials:
          "detectors must be a sequence of names"),
         (dict(detectors={"amp_vbic", "genie"}),
          "detectors must be a sequence of names"),
-        (dict(detectors="genie"), "detectors must be a sequence of names")],
+        (dict(detectors="genie"), "detectors must be a sequence of names"),
+        (dict(detectors=("amp_vbic", "genie", "amp_vbic")),
+         "detectors must not repeat a name")],
         ids=["n_trials=str", "n_trials=float", "n_trials=bool",
              "n_workers=float", "n_workers=bool", "trial_start=float",
              "trial_start=-1", "n_active=float", "n_active=-1",
              "n_active=M+1", "detectors=None", "detectors=empty",
-             "detectors=generator", "detectors=set", "detectors=str"])
+             "detectors=generator", "detectors=set", "detectors=str",
+             "detectors=repeated"])
     def test_bad_request_fails_before_any_trial(self, monkeypatch, kwargs,
                                                 message):
         def no_frames(*args, **kwargs):
@@ -520,9 +523,9 @@ class TestNitSweep:
         real_loop, real_finalize = harness.run_detector_internals, \
             harness._finalize
 
-        def loop(a, y, config, *, start=None):
-            clock[0] += config.n_it - (start.n_iterations if start else 0)
-            return real_loop(a, y, config, start=start)
+        def loop(a, y, config, n_it, *, start=None):
+            clock[0] += n_it - (start.n_iterations if start else 0)
+            return real_loop(a, y, config, n_it, start=start)
 
         def finalize(*args, **kwargs):
             clock[0] += 1e-3
@@ -552,7 +555,7 @@ class TestPoolFailures:
         # The first task fails at once; every other one marks that it
         # started and then takes 0.5 s, so without cancellation all nine
         # would start before the pool shuts down.
-        def slow_breakdown(a, y, config, *, start=None):
+        def slow_breakdown(a, y, config, n_it, *, start=None):
             if config.snr_db > 0:
                 (tmp_path / str(config.snr_db)).touch()
                 time.sleep(0.5)
@@ -650,6 +653,25 @@ QPSK_PINNED = [  # (trial, aer, ser, ce_mse, genie ser)
     (9, 0.01, 0.01, 0.012951746206239083, 0.0011111111111111111),
 ]
 
+# Aggregated rows of an n_it sweep of the reference cell at seed 7 (values
+# 5, 20, 50; 4 trials; all three detectors), recorded before the loop
+# took its iteration count as an int, which left them unmoved.
+NIT_SWEEP_PINNED = [  # (n_it, detector, aer, ser, ce_mse)
+    (5, "amp_vbic", 0.036250000000000004, 0.09333333333333334,
+     0.022697828500537965),
+    (5, "amp_vbic_no_offset", 0.7637499999999999, 0.8383333333333334,
+     0.022697828500537965),
+    (5, "genie", 0.0, 0.04555555555555556, 0.0),
+    (20, "amp_vbic", 0.015, 0.04055555555555555, 0.013214217306978684),
+    (20, "amp_vbic_no_offset", 0.76625, 0.80125, 0.013214217306978684),
+    (20, "genie", 0.0, 0.01138888888888889, 0.0),
+    (50, "amp_vbic", 0.015000000000000001, 0.03611111111111111,
+     0.010939539111064978),
+    (50, "amp_vbic_no_offset", 0.7737499999999999, 0.8019444444444445,
+     0.010939539111064978),
+    (50, "genie", 0.0, 0.009583333333333334, 0.0),
+]
+
 
 class TestPinnedDecisions:
 
@@ -674,6 +696,18 @@ class TestPinnedDecisions:
             assert rec.ce_mse == pytest.approx(ce_mse, rel=1e-12, abs=0.0), trial
             genie = by_key["genie", trial]
             assert (genie.aer, genie.ser, genie.ce_mse) == (0.0, genie_ser, 0.0)
+
+    def test_nit_sweep_matches_recorded_values(self):
+        # The loop is continued from one count to the next here, while
+        # run_trials runs it once; a continuation fault would move these.
+        rows = sweep(dataclasses.replace(REFERENCE_CELL, seed=7), "n_it",
+                     (5, 20, 50), 4, TestNitSweep.DETECTORS)
+        assert len(rows) == len(NIT_SWEEP_PINNED)
+        for row, (n_it, name, aer, ser, ce_mse) in zip(rows, NIT_SWEEP_PINNED):
+            assert (row.n_it, row.detector) == (n_it, name)
+            assert (row.aer, row.ser) == (aer, ser), (n_it, name)
+            assert row.ce_mse == pytest.approx(ce_mse, rel=1e-12, abs=0.0), \
+                (n_it, name)
 
     def test_record_scores_run_detector_result(self):
         # run_trials reuses the result the detector loop already finalized;
