@@ -88,23 +88,17 @@ def detect(resp: np.ndarray, posterior: Posterior, channel_hat: np.ndarray,
     )
 
 
-def correct_phase(d_hat: np.ndarray, rs_detected, rs_true: complex,
-                  alphabet: ExtendedAlphabet | None = None) -> np.ndarray:
+def correct_phase(d_hat: np.ndarray, alphabet: ExtendedAlphabet) -> np.ndarray:
     """Undo the constellation phase ambiguity of active users' rows.
 
-    d_hat is one row (J,) with a scalar rs_detected, or a block (n, J) with
-    one detected reference symbol per row.  Each row is multiplied by
-    rs_true / rs_detected so its detected reference symbol maps onto the
-    true one.  When an alphabet is given, each corrected symbol snaps to
-    the nearest constellation point: for non-constant-modulus
-    constellations the ratio can also rescale magnitudes, leaving values
-    between grid points.
+    Each row of the (n, J) block d_hat is multiplied by the alphabet's
+    reference symbol over the row's detected one (slot 1), and every
+    corrected symbol snaps to the grid (alphabet.nearest at unit gain):
+    for non-constant-modulus constellations the ratio can also rescale
+    magnitudes, leaving values between grid points.
     """
-    rs_detected = np.asarray(rs_detected)
+    rs_detected = d_hat[:, 0]
     if np.any(rs_detected == 0):
         raise NumericalBreakdown("detected reference symbol is zero")
-    corrected = np.asarray(d_hat) * (rs_true / rs_detected)[..., None]
-    if alphabet is not None:
-        dist = np.abs(corrected[..., None] - alphabet.active_symbols)
-        corrected = alphabet.active_symbols[dist.argmin(axis=-1)]
-    return corrected
+    return alphabet.nearest(
+        d_hat * (alphabet.reference_symbol / rs_detected)[:, None], 1.0)

@@ -70,9 +70,7 @@ def _finalize(internals: DetectorInternals, config: ScenarioConfig,
     result = detect(state.resp, decision_posterior, state.mu, alphabet,
                     config.p_a, include_offset)
     active = result.activity_hat.astype(bool)
-    d_hat = result.D_hat
-    d_hat[active] = correct_phase(d_hat[active], d_hat[active, 0],
-                                  alphabet.reference_symbol, alphabet)
+    result.D_hat[active] = correct_phase(result.D_hat[active], alphabet)
     return result
 
 

@@ -26,15 +26,11 @@ from .decide import DetectionResult
 from .detector import _finalize, run_detector_internals
 from .errors import ConfigError, TrialFailure
 from .metrics import compute_aer, compute_ce_mse, compute_ser
-from .model import ExtendedAlphabet, ScenarioConfig, build_alphabet, \
-    generate_frame
+from .model import ExtendedAlphabet, ScenarioConfig, ScenarioInstance, \
+    build_alphabet, generate_frame
 
 DETECTOR_NAMES = ("amp_vbic", "amp_vbic_no_offset", "genie")
 SWEEP_AXES = ("snr_db", "N", "p_a", "n_it")
-
-CSV_FIELDS = ["detector", "trial", "M", "N", "J", "p_a", "snr_db", "n_it",
-              "aer", "ser", "ce_mse", "runtime_ms"]
-CSV_STDERR_FIELDS = ["aer_stderr", "ser_stderr", "ce_mse_stderr"]
 
 
 @dataclass
@@ -58,39 +54,41 @@ class MetricsRecord:
     ce_mse_stderr: float | None = None
 
 
+# MetricsRecord's field order is the CSV schema; the fields that default to
+# None, the standard errors, are columns of aggregated files only.
+CSV_FIELDS = [f.name for f in dataclasses.fields(MetricsRecord)
+              if f.default is not None]
+CSV_STDERR_FIELDS = [f.name for f in dataclasses.fields(MetricsRecord)
+                     if f.default is None]
+
+
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
     """Independent substream for one trial index."""
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(trial,)))
 
 
-def genie_detect(r_final: np.ndarray, truth_support: np.ndarray,
-                 truth_mu: np.ndarray, alphabet: ExtendedAlphabet) -> DetectionResult:
-    """Nearest-symbol detection with known support and channels on the
-    detector's own final pseudo observations.
+def genie_detect(r_final: np.ndarray, frame: ScenarioInstance,
+                 alphabet: ExtendedAlphabet) -> DetectionResult:
+    """Nearest-symbol detection with the frame's support and channels on
+    the detector's own final pseudo observations r_final.
 
-    Activity is the true support and each active symbol is the
-    constellation point d minimizing |r - mu d| with the true channel gain
-    mu (ties resolve to the lowest symbol index).  r is the decoupling
-    output of the detector's last iteration, so the genie inherits the
-    residual interference left in it.  It is therefore not a bound on
-    what known support allows: a least-squares fit on the true support
-    scores SER 0.0000 at 40 dB where the genie scores 0.0124.
+    Active rows are alphabet.nearest(r, mu) at each user's true channel
+    mu, inactive rows zero.  r_final is the decoupling output of the
+    detector's last iteration, so the genie inherits its residual
+    interference.  It is therefore not a bound on what known support
+    allows: a least-squares fit on the true support scores SER 0.0000 at
+    40 dB where the genie scores 0.0124.
     """
-    r_final = np.asarray(r_final)
-    m, j = r_final.shape
-    active = np.asarray(truth_support).astype(bool)
-    d_act = alphabet.active_symbols
-    dist = np.abs(r_final[:, :, None] - truth_mu[:, None, None] * d_act[None, None, :])
-    d_hat = d_act[dist.argmin(axis=2)]
-    d_hat = np.where(active[:, None], d_hat, 0.0 + 0.0j)
-    sign = np.where(active, 1.0, -1.0)
+    active = frame.activity.astype(bool)
+    d_hat = np.zeros(r_final.shape, dtype=complex)
+    d_hat[active] = alphabet.nearest(r_final[active], frame.mu[active, None])
     return DetectionResult(
         activity_hat=active.astype(np.int8),
         D_hat=d_hat,
-        channel_hat=np.asarray(truth_mu).copy(),
-        llr_dec=sign,
-        llr_vbi=np.zeros(m),
-        llr_offset=np.zeros(m),
+        channel_hat=frame.mu.copy(),
+        llr_dec=np.where(active, 1.0, -1.0),
+        llr_vbi=np.zeros(active.size),
+        llr_offset=np.zeros(active.size),
     )
 
 
@@ -125,8 +123,8 @@ def _run_one_trial(cell: tuple, trial: int,
         for name in detectors:
             t1 = time.perf_counter()
             if name == "genie":
-                result = genie_detect(internals.pseudo.R, frame.activity,
-                                      frame.mu, build_alphabet(config.modulation))
+                result = genie_detect(internals.pseudo.R, frame,
+                                      build_alphabet(config.modulation))
                 runtime = 0.0
             else:
                 result = _finalize(internals, config, include_offset=name == "amp_vbic")
@@ -186,9 +184,9 @@ def _check_request(configs: list[ScenarioConfig], n_trials: int,
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     for config in configs:
         k = build_alphabet(config.modulation).K
-        # The complex128 spreading matrix takes 16 N M bytes and each
-        # float64 (K, M, J) array of the VB state 8 K M J.
-        if 16 * config.N * config.M + 8 * k * config.M * config.J > memory:
+        # A (complex128) with one float64 N x M temporary beside it, and the
+        # VB step's four float64 (K, M, J) arrays (alpha, resp twice, digamma).
+        if 24 * config.N * config.M + 32 * k * config.M * config.J > memory:
             raise ConfigError(f"the N x M = {config.N} x {config.M} spreading "
                               f"matrix needs, with the (K, M, J) = "
                               f"({k}, {config.M}, {config.J}) VB "

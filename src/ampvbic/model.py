@@ -74,6 +74,14 @@ class ExtendedAlphabet:
         basis.setflags(write=False)
         return basis
 
+    def nearest(self, values, gain) -> np.ndarray:
+        """The active symbol d minimizing |values - gain d| for each element
+        of the array values, ties to the lowest index: the one
+        nearest-symbol rule.  gain broadcasts against values."""
+        d = self.active_symbols
+        dist = np.abs(values[..., None] - np.multiply.outer(gain, d))
+        return d[dist.argmin(axis=-1)]
+
 
 def build_alphabet(modulation: Modulation | str) -> ExtendedAlphabet:
     """The extended (null + active) symbol alphabet of a modulation.

@@ -194,71 +194,61 @@ class TestDetect:
 class TestCorrectPhase:
 
     def setup_method(self):
+        # One QPSK row whose slot 1 carries the reference symbol.
         self.alph = build_alphabet("qpsk")
         rng = np.random.default_rng(36)
         self.row = self.alph.active_symbols[rng.integers(0, 4, 6)]
+        self.row[0] = self.alph.reference_symbol
 
     def test_identity(self):
-        rs = self.row[0]
-        assert np.allclose(correct_phase(self.row, rs, rs), self.row)
+        assert np.array_equal(correct_phase(self.row[None], self.alph),
+                              self.row[None])
 
     def test_quarter_turn(self):
-        rs_true = self.row[0]
-        corrected = correct_phase(self.row, 1j * rs_true, rs_true)
-        assert np.allclose(corrected, self.row * (-1j))
+        corrected = correct_phase(1j * self.row[None], self.alph)
+        assert np.allclose(corrected, self.row[None])
 
     def test_pi_rotation_round_trip(self):
-        rs_true = self.row[0]
         rotated = self.row * np.exp(1j * np.pi)
-        corrected = correct_phase(rotated, rotated[0], rs_true, self.alph)
-        assert np.allclose(corrected, self.row, atol=1e-12)
-
-    def test_rotation_group_action(self):
-        theta = 0.77
-        once = correct_phase(self.row, np.exp(1j * theta), 1.0 + 0.0j)
-        back = correct_phase(once, np.exp(-1j * theta), 1.0 + 0.0j)
-        assert np.allclose(back, self.row, atol=1e-12)
+        corrected = correct_phase(rotated[None], self.alph)
+        assert np.allclose(corrected, self.row[None], atol=1e-12)
 
     def test_zero_reference(self):
+        block = self.row[None].copy()
+        block[0, 0] = 0.0
         with pytest.raises(NumericalBreakdown,
                            match="detected reference symbol is zero"):
-            correct_phase(self.row, 0.0 + 0.0j, self.row[0])
+            correct_phase(block, self.alph)
 
     def test_snap_for_mixed_magnitudes(self):
-        # A 16-point grid has three magnitude rings: correcting with a
-        # detected reference from another ring rescales the row, and the
-        # snap puts every symbol back on the grid.
+        # A 16-point grid has three magnitude rings: correcting a row whose
+        # detected reference is an inner-ring point (the true one is a
+        # corner) rescales the row, and the snap puts every symbol back on
+        # the grid.
         alph = build_alphabet("qam16")
-        row = alph.symbols[[1, 5, 9, 16]]
-        rs_true = alph.reference_symbol          # corner point
-        rs_detected = alph.symbols[6]            # inner-ring point
-        corrected = correct_phase(row, rs_detected, rs_true, alph)
+        row = alph.symbols[[6, 5, 9, 16]]
+        corrected = correct_phase(row[None], alph)
         assert np.all(np.isin(corrected, alph.active_symbols))
-        raw = row * (rs_true / rs_detected)
+        raw = row * (alph.reference_symbol / row[0])
         assert not np.all(np.isin(raw, alph.active_symbols))
 
     def test_rs_slot_maps_exactly(self):
         alph = build_alphabet("qam16")
         row = alph.symbols[[4, 2, 8]]
-        corrected = correct_phase(row, row[0], alph.reference_symbol, alph)
-        assert corrected[0] == alph.reference_symbol
+        corrected = correct_phase(row[None], alph)
+        assert corrected[0, 0] == alph.reference_symbol
 
     @pytest.mark.parametrize("modulation", ["qam16", "qpsk"])
     def test_block_matches_per_row_calls(self, modulation):
-        # One call over a block of rows, one detected reference per row,
-        # as _finalize makes it, equals the calls row by row.
+        # One call over a block of rows, as _finalize makes it, equals the
+        # calls on one-row blocks: each row reads only its own slot 1.
         alph = build_alphabet(modulation)
         rng = np.random.default_rng(37)
         block = alph.active_symbols[rng.integers(0, alph.K - 1, (7, 5))]
         block *= 1j ** rng.integers(0, 4, (7, 1))
-        rs = block[:, 0]
-        for snap in (None, alph):
-            want = np.array([correct_phase(row, r, alph.reference_symbol, snap)
-                             for row, r in zip(block, rs)])
-            got = correct_phase(block, rs, alph.reference_symbol, snap)
-            assert np.array_equal(got, want)
-        with_zero = rs.copy()
-        with_zero[3] = 0.0
+        want = np.concatenate([correct_phase(row[None], alph) for row in block])
+        assert np.array_equal(correct_phase(block, alph), want)
+        block[3, 0] = 0.0
         with pytest.raises(NumericalBreakdown,
                            match="detected reference symbol is zero"):
-            correct_phase(block, with_zero, alph.reference_symbol, alph)
+            correct_phase(block, alph)

@@ -16,7 +16,8 @@ from ampvbic.detector import run_detector
 from ampvbic.harness import (MetricsRecord, aggregate, genie_detect,
                              run_trials, sweep, trial_rng, write_csv)
 from ampvbic.metrics import compute_aer, compute_ce_mse, compute_ser
-from ampvbic.model import ScenarioConfig, build_alphabet, generate_frame
+from ampvbic.model import ScenarioConfig, ScenarioInstance, build_alphabet, \
+    generate_frame
 
 
 class TestAer:
@@ -79,6 +80,16 @@ class TestCeMse:
                               np.array([0 + 0j, 1 + 0j])) == pytest.approx(1.0)
 
 
+def truth_frame(activity, mu, d):
+    """A frame holding the truth genie_detect reads (support, channels)
+    around symbols d; A and Y are one-row placeholders."""
+    m, j = d.shape
+    return ScenarioInstance(A=np.zeros((1, m), dtype=complex),
+                            activity=np.asarray(activity), mu=mu, D=d,
+                            X=mu[:, None] * d,
+                            Y=np.zeros((1, j), dtype=complex), noise_var=0.0)
+
+
 class TestGenie:
 
     def setup_method(self):
@@ -91,17 +102,44 @@ class TestGenie:
         mu = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) * support
         d = self.alph.active_symbols[rng.integers(0, 4, (m, j))]
         d = d * support[:, None]
-        r = mu[:, None] * d
-        res = genie_detect(r, support, mu, self.alph)
+        frame = truth_frame(support, mu, d)
+        res = genie_detect(frame.X, frame, self.alph)
         assert np.array_equal(res.activity_hat, support)
         assert np.allclose(res.D_hat, d)
         assert np.array_equal(res.activity_hat, (res.llr_dec > 0).astype(np.int8))
 
     def test_tie_breaks_to_lowest_index(self):
-        # r = 0 with unit channel is equidistant from all four symbols.
-        r = np.zeros((1, 2), dtype=complex)
-        res = genie_detect(r, np.array([1]), np.array([1.0 + 0.0j]), self.alph)
-        assert np.all(res.D_hat == self.alph.active_symbols[0])
+        # r = 0 is equidistant from the four innermost symbols at any gain;
+        # the lowest-index one of them wins, in nearest and in the genie.
+        for modulation in ("qpsk", "qam16"):
+            alph = build_alphabet(modulation)
+            ring = np.abs(alph.active_symbols)
+            inner = ring == ring.min()
+            first = alph.active_symbols[np.argmax(inner)]
+            assert inner.sum() == 4
+            for gain in (1.0, 0.5j, np.array([[2.0], [-1.0 + 1.0j]])):
+                assert np.all(alph.nearest(np.zeros((2, 3)), gain) == first)
+            r = np.zeros((1, 2), dtype=complex)
+            frame = truth_frame(np.array([1]), np.array([1.0 + 0.0j]),
+                                alph.active_symbols[:2][None])
+            assert np.all(genie_detect(r, frame, alph).D_hat == first)
+
+    def test_inactive_rows_zero_active_rows_brute_force_nearest(self):
+        cfg = tiny_config(M=40, J=5)
+        alph = build_alphabet(cfg.modulation)
+        rng = trial_rng(cfg.seed, 0)
+        frame = generate_frame(cfg, rng)
+        r = frame.X + 0.3 * (rng.standard_normal(frame.X.shape)
+                             + 1j * rng.standard_normal(frame.X.shape))
+        res = genie_detect(r, frame, alph)
+        active = frame.activity.astype(bool)
+        assert active.any() and not active.all()
+        assert np.all(res.D_hat[~active] == 0)
+        for m in np.flatnonzero(active):
+            for j in range(cfg.J):
+                dists = [abs(r[m, j] - frame.mu[m] * d)
+                         for d in alph.active_symbols]
+                assert res.D_hat[m, j] == alph.active_symbols[np.argmin(dists)]
 
     def test_matches_analytic_qpsk_error_rate(self):
         # Single user, known unit channel, no interference: nearest-symbol
@@ -118,8 +156,9 @@ class TestGenie:
             d = self.alph.active_symbols[rng.integers(0, 4, (m, j))]
             noise = (rng.standard_normal((m, j)) + 1j * rng.standard_normal((m, j))) \
                 * np.sqrt(sigma2 / 2)
-            res = genie_detect(d + noise, np.ones(m, dtype=np.int8),
-                               np.ones(m, dtype=complex), self.alph)
+            frame = truth_frame(np.ones(m, dtype=np.int8),
+                                np.ones(m, dtype=complex), d)
+            res = genie_detect(d + noise, frame, self.alph)
             errors += np.sum(np.abs(res.D_hat - d) > 1e-9)
             total += m * j
         assert errors / total == pytest.approx(want, rel=0.1)
@@ -284,6 +323,23 @@ class TestRunTrials:
             run_trials(cfg, 1)
         with pytest.raises(ConfigError, match="VB state"):
             sweep(cfg, "snr_db", [5.0], 1)
+
+    def test_peak_temporaries_count_against_memory(self, monkeypatch):
+        # A large_m-sized request: A with its N x M float64 temporary
+        # (24 N M bytes) and the VB step's four (K, M, J) arrays (32 K M J)
+        # exceed 40.96 MB, though A and one VB array alone would not.
+        cfg = tiny_config(M=2000, N=1000)
+        k, m, n, j = 17, cfg.M, cfg.N, cfg.J
+        pages = 10_000
+        memory = 4096 * pages
+        assert 16 * n * m + 8 * k * m * j < memory < 24 * n * m + 32 * k * m * j
+        def no_frames(*args, **kwargs):
+            raise AssertionError("a trial ran")
+        monkeypatch.setattr(harness, "generate_frame", no_frames)
+        monkeypatch.setattr(harness.os, "sysconf", lambda name: {
+            "SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": pages}[name])
+        with pytest.raises(ConfigError, match=f"than the {memory} bytes"):
+            run_trials(cfg, 1)
 
     def test_zero_noise_variance_is_config_error_on_both_paths(
             self, monkeypatch):
