@@ -1,16 +1,17 @@
 """Command-line entry point.
 
-Two subcommands:
+Two subcommands; each sweep row is the aggregated run of its axis value,
+with every user active with probability p_a on every axis, p_a included:
 
   ampvbic run   --config cfg.txt [--seed N] [--out results.csv] ...
   ampvbic sweep --config cfg.txt [--seed N] [--out sweep.csv] ...
 
 The config file is flat key = value text (INI/TOML style, '#' comments).
-Recognized keys: the scenario fields (M, N, J, p_a, snr_db, modulation,
-n_it, seed) plus trials, detectors, axis, values.  Lists are comma
-separated, with optional [brackets] and quotes.  Values are read as int,
-float or text; ScenarioConfig checks the scenario fields, the harness the
-request and main the --out path, all before any trial runs.
+Recognized keys, each at most once: the scenario fields (M, N, J, p_a,
+snr_db, modulation, n_it, seed) plus trials, detectors, axis, values.
+Lists are comma separated, with optional [brackets] and quotes.  Values
+are read as int, float or text; ScenarioConfig checks the scenario
+fields, the harness the request and main the --out path, before any trial.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical breakdown.
 """
@@ -43,9 +44,10 @@ def _parse_scalar(text: str):
 
 
 def parse_config_file(path: str) -> dict:
-    """Flat key = value parser; raises ConfigError on a line it cannot read
-    or an unknown key.  Values are not type-checked here."""
+    """Flat key = value parser; raises ConfigError on a line it cannot read,
+    an unknown key or a key given twice.  Values are not type-checked here."""
     values: dict = {}
+    seen_at: dict[str, int] = {}
     try:
         with open(path) as fh:
             lines = fh.readlines()
@@ -62,6 +64,9 @@ def parse_config_file(path: str) -> dict:
         val = val.strip()
         if key not in SCENARIO_KEYS | EXPERIMENT_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in seen_at:
+            raise ConfigError(f"{path}:{lineno}: {key!r} repeats line {seen_at[key]}")
+        seen_at[key] = lineno
         if key in LIST_KEYS:
             val = val.strip("[]")
             values[key] = [_parse_scalar(v) for v in val.split(",") if v.strip()]
@@ -100,9 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_args(run_p)
     sweep_p = subs.add_parser("sweep", help="sweep one axis, aggregated metrics")
     _add_common_args(sweep_p)
-    sweep_p.add_argument("--bernoulli-activity", action="store_true",
-                         help="p_a sweeps draw Bernoulli activity instead of "
-                              "a fixed active-user count")
     return parser
 
 
@@ -121,8 +123,7 @@ def _cmd_sweep(args, values: dict, config: ScenarioConfig,
     if "axis" not in values or "values" not in values:
         raise ConfigError("sweep needs 'axis' and 'values' keys in the config")
     records = sweep(config, values["axis"], values["values"], n_trials,
-                    detectors, n_workers=args.threads,
-                    bernoulli_activity=args.bernoulli_activity)
+                    detectors, n_workers=args.threads)
     for rec in records:
         print(f"{values['axis']}={getattr(rec, values['axis'])}  "
               f"{rec.detector:22s} aer={rec.aer:.5f} ser={rec.ser:.5f} "

@@ -312,14 +312,14 @@ def aggregate(records: list[MetricsRecord]) -> list[MetricsRecord]:
 
 def sweep(base_config: ScenarioConfig, axis: str, values, n_trials: int,
           detectors: tuple[str, ...] = ("amp_vbic",), *,
-          n_workers: int = 1,
-          bernoulli_activity: bool = False) -> list[MetricsRecord]:
+          n_workers: int = 1) -> list[MetricsRecord]:
     """Aggregated records along one swept axis.
 
     Swept axes: snr_db, N, p_a, n_it.  Rows come in the order of values,
-    one per detector for each value.  A p_a sweep pins the active-user
-    count to round(p_a * M) per frame so the axis means "number of active
-    users"; bernoulli_activity=True restores per-user coin flips.
+    one per detector for each value, and equal those of
+    aggregate(run_trials(replace(base_config, axis=value), ...)): on every
+    axis each user is active with probability p_a.  run_trials(n_active=k)
+    fixes the active-user count instead.
 
     An n_it sweep draws each trial's frame once and runs its iteration
     loop once, up to the largest value, deciding at every value on the way
@@ -343,9 +343,7 @@ def sweep(base_config: ScenarioConfig, axis: str, values, n_trials: int,
     if axis == "n_it":
         cells = [(base_config, None, tuple(c.n_it for c in configs))]
     else:
-        pinned = axis == "p_a" and not bernoulli_activity
-        cells = [(config, int(round(config.p_a * config.M)) if pinned else None,
-                  (config.n_it,)) for config in configs]
+        cells = [(config, None, (config.n_it,)) for config in configs]
     return [row for records in _trial_results(cells, range(n_trials),
                                               detectors, n_workers)
             for row in aggregate(records)]
@@ -358,17 +356,17 @@ def _has_trials(records: list[MetricsRecord]) -> bool:
 
 def write_csv(records: list[MetricsRecord], path) -> None:
     """Write records in the fixed CSV schema.  A file of aggregated rows
-    (no record with trial >= 0) appends the standard-error columns."""
+    (no record with trial >= 0) appends the standard-error columns; a
+    non-finite metric raises ValueError before the file is touched."""
     fields = CSV_FIELDS + ([] if _has_trials(records) else CSV_STDERR_FIELDS)
+    rows = [[getattr(rec, f) for f in fields] for rec in records]
+    for rec, row in zip(records, rows):
+        if any(isinstance(x, float) and not np.isfinite(x) for x in row):
+            raise ValueError(f"non-finite metric in record: {rec}")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(fields)
-        for rec in records:
-            row = [getattr(rec, f) for f in fields]
-            for x in row:
-                if isinstance(x, float) and not np.isfinite(x):
-                    raise ValueError(f"non-finite metric in record: {rec}")
-            writer.writerow(row)
+        writer.writerows(rows)
 
 
 def summarize(records: list[MetricsRecord]) -> str:

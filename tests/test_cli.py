@@ -83,6 +83,15 @@ class TestConfigParsing:
         assert rows[0] == rows[1]
         assert rows[0][1].startswith("amp_vbic,0,12,")
 
+    def test_repeated_key(self, tmp_path, capsys):
+        path = tmp_path / "cfg.txt"
+        path.write_text("M = 200\nN = 100\nM = 12\n")
+        with pytest.raises(ConfigError, match=r"cfg.txt:3: 'M' repeats line 1"):
+            cli.parse_config_file(path)
+        path.write_text(BASE_CONFIG + "seed = 2\n")
+        assert cli.main(["run", "--config", str(path)]) == 2
+        assert "'seed' repeats line" in capsys.readouterr().err
+
     def test_missing_equals(self, tmp_path):
         path = tmp_path / "cfg.txt"
         path.write_text("M 4\n")

@@ -474,20 +474,20 @@ class TestSweep:
         rows = sweep(tiny_config(), "N", [12, 20], 2)
         assert sorted(r.N for r in rows) == [12, 20]
 
+    # At p_a=0.02, trials 0 and 2 of tiny_config() have no active user, so
+    # the p_a case also checks that empty frames aggregate as in run_trials.
     @pytest.mark.parametrize("n_workers", [1, 2])
-    @pytest.mark.parametrize("axis, values, bernoulli", [
-        ("snr_db", [0.0, 8.0, 4.0], False), ("N", [12, 20], False),
-        ("p_a", [0.1, 0.25], False), ("p_a", [0.1, 0.25], True)],
-        ids=["snr_db", "N", "p_a-pinned", "p_a-bernoulli"])
-    def test_matches_per_value_runs(self, axis, values, bernoulli, n_workers):
+    @pytest.mark.parametrize("axis, values", [
+        ("snr_db", [0.0, 8.0, 4.0]), ("N", [12, 20]), ("p_a", [0.02, 0.25])],
+        ids=["snr_db", "N", "p_a-bernoulli"])
+    def test_matches_per_value_runs(self, axis, values, n_workers):
         detectors = ("amp_vbic", "amp_vbic_no_offset", "genie")
         rows = sweep(tiny_config(), axis, values, 3, detectors,
-                     n_workers=n_workers, bernoulli_activity=bernoulli)
+                     n_workers=n_workers)
         assert [(getattr(r, axis), r.detector) for r in rows] == \
             [(v, d) for v in values for d in detectors]
         assert without_runtime(rows) == without_runtime(per_value_rows(
-            tiny_config(), values, 3, detectors, axis,
-            pinned=axis == "p_a" and not bernoulli))
+            tiny_config(), values, 3, detectors, axis))
 
     @pytest.mark.parametrize("n_workers, pool_size", [(4, 4), (64, 6)])
     def test_one_pool_and_one_check_per_sweep(self, monkeypatch, inline_pool,
@@ -510,15 +510,6 @@ class TestSweep:
         assert inline_pool == [pool_size]
         assert len(checks) == 1
 
-    def test_fixed_active_count_on_pa_axis(self):
-        # With the active count pinned to round(p_a * M), every frame of the
-        # cell has the same number of active users; a Bernoulli draw of 24
-        # users at p_a=0.25 would only rarely hit exactly 6 in all trials.
-        rows = sweep(tiny_config(), "p_a", [0.25], 3)
-        assert len(rows) == 1
-        rows_b = sweep(tiny_config(), "p_a", [0.25], 3, bernoulli_activity=True)
-        assert rows[0].aer != rows_b[0].aer or rows[0].ser != rows_b[0].ser
-
 
 def without_runtime(rows):
     return [[(f.name, repr(getattr(r, f.name)))
@@ -526,16 +517,12 @@ def without_runtime(rows):
             for r in rows]
 
 
-def per_value_rows(cfg, values, n_trials, detectors, axis="n_it",
-                   pinned=False):
-    """A sweep's rows built from one run_trials call per value; pinned
-    fixes the active-user count to round(p_a * M) as a p_a sweep does."""
+def per_value_rows(cfg, values, n_trials, detectors, axis="n_it"):
+    """A sweep's rows built from one run_trials call per value."""
     rows = []
     for v in values:
-        config = dataclasses.replace(cfg, **{axis: v})
-        n_active = int(round(config.p_a * config.M)) if pinned else None
-        rows += aggregate(run_trials(config, n_trials, detectors,
-                                     n_active=n_active))
+        rows += aggregate(run_trials(dataclasses.replace(cfg, **{axis: v}),
+                                     n_trials, detectors))
     return rows
 
 
@@ -655,11 +642,17 @@ class TestCsv:
         assert all(line.split(",")[1] == "-1" for line in lines[1:])
 
     def test_rejects_non_finite(self, tmp_path):
-        rec = MetricsRecord(detector="amp_vbic", trial=0, M=1, N=1, J=2,
-                            p_a=0.1, snr_db=0.0, n_it=1, aer=np.nan, ser=0.0,
-                            ce_mse=0.0, runtime_ms=1.0)
-        with pytest.raises(ValueError):
-            write_csv([rec], tmp_path / "bad.csv")
+        # The check runs before the file is opened: a bad record after a
+        # good one leaves the file's previous content as it was.
+        good = MetricsRecord(detector="amp_vbic", trial=0, M=1, N=1, J=2,
+                             p_a=0.1, snr_db=0.0, n_it=1, aer=0.0, ser=0.0,
+                             ce_mse=0.0, runtime_ms=1.0)
+        bad = dataclasses.replace(good, trial=1, aer=np.nan)
+        out = tmp_path / "bad.csv"
+        out.write_text("previous content\n")
+        with pytest.raises(ValueError, match="non-finite metric"):
+            write_csv([good, bad], out)
+        assert out.read_text() == "previous content\n"
 
 
 # amp_vbic aer, ser, ce_mse and genie ser per trial of the reference cell
