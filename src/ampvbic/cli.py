@@ -1,7 +1,8 @@
 """Command-line entry point.
 
-Two subcommands; each sweep row is the aggregated run of its axis value,
-with every user active with probability p_a on every axis, p_a included:
+One parser with two commands, which share every flag; each sweep row is
+the aggregated run of its axis value, with every user active with
+probability p_a on every axis, p_a included:
 
   ampvbic run   --config cfg.txt [--seed N] [--out results.csv] ...
   ampvbic sweep --config cfg.txt [--seed N] [--out sweep.csv] ...
@@ -85,64 +86,52 @@ def _build_scenario(values: dict, seed_override: int | None) -> ScenarioConfig:
     return ScenarioConfig(**kwargs)
 
 
-def _add_common_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", required=True, help="flat key=value config file")
-    sub.add_argument("--seed", type=int, default=None, help="master RNG seed")
-    sub.add_argument("--out", default=None, help="CSV output path")
-    sub.add_argument("--threads", type=int, default=1,
-                     help="parallel trial worker processes, >= 1 (default 1); "
-                          "one pool per command, at most one worker per "
-                          "(value, trial)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ampvbic",
         description="Joint user-activity and data detection simulations "
                     "for spreading-based grant-free random access.")
-    subs = parser.add_subparsers(dest="command", required=True)
-    run_p = subs.add_parser("run", help="single configuration, per-trial metrics")
-    _add_common_args(run_p)
-    sweep_p = subs.add_parser("sweep", help="sweep one axis, aggregated metrics")
-    _add_common_args(sweep_p)
+    parser.add_argument("command", choices=("run", "sweep"),
+                        help="run: single configuration, per-trial metrics; "
+                             "sweep: sweep one axis, aggregated metrics")
+    parser.add_argument("--config", required=True, help="flat key=value config file")
+    parser.add_argument("--seed", type=int, default=None, help="master RNG seed")
+    parser.add_argument("--out", default=None, help="CSV output path")
+    parser.add_argument("--threads", type=int, default=1,
+                        help="parallel trial worker processes, >= 1 (default 1); "
+                             "one pool per command, at most one worker per "
+                             "(value, trial)")
     return parser
-
-
-def _cmd_run(args, values: dict, config: ScenarioConfig,
-             detectors: tuple[str, ...], n_trials: int) -> list:
-    records = run_trials(config, n_trials, detectors, n_workers=args.threads)
-    print(f"{n_trials} trials, M={config.M} N={config.N} J={config.J} "
-          f"p_a={config.p_a} snr_db={config.snr_db} n_it={config.n_it} "
-          f"seed={config.seed}")
-    print(summarize(records))
-    return records
-
-
-def _cmd_sweep(args, values: dict, config: ScenarioConfig,
-               detectors: tuple[str, ...], n_trials: int) -> list:
-    if "axis" not in values or "values" not in values:
-        raise ConfigError("sweep needs 'axis' and 'values' keys in the config")
-    records = sweep(config, values["axis"], values["values"], n_trials,
-                    detectors, n_workers=args.threads)
-    for rec in records:
-        print(f"{values['axis']}={getattr(rec, values['axis'])}  "
-              f"{rec.detector:22s} aer={rec.aer:.5f} ser={rec.ser:.5f} "
-              f"ce_mse={rec.ce_mse:.6f}")
-    return records
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    command = _cmd_run if args.command == "run" else _cmd_sweep
     try:
         values = parse_config_file(args.config)
         # --out is checked before the trials, so that they are not lost.
         out_dir = os.path.dirname(os.path.abspath(args.out or "."))
         if args.out and (os.path.isdir(args.out) or not os.access(out_dir, os.W_OK)):
             raise ConfigError(f"cannot write --out {args.out} in {out_dir}")
-        records = command(args, values, _build_scenario(values, args.seed),
-                          tuple(values.get("detectors", ["amp_vbic"])),
-                          values.get("trials", 10))
+        config = _build_scenario(values, args.seed)
+        detectors = tuple(values.get("detectors", ["amp_vbic"]))
+        n_trials = values.get("trials", 10)
+        if args.command == "run":
+            records = run_trials(config, n_trials, detectors,
+                                 n_workers=args.threads)
+            print(f"{n_trials} trials, M={config.M} N={config.N} J={config.J} "
+                  f"p_a={config.p_a} snr_db={config.snr_db} n_it={config.n_it} "
+                  f"seed={config.seed}")
+            print(summarize(records))
+        else:
+            if "axis" not in values or "values" not in values:
+                raise ConfigError("sweep needs 'axis' and 'values' keys in the config")
+            axis = values["axis"]
+            records = sweep(config, axis, values["values"], n_trials,
+                            detectors, n_workers=args.threads)
+            for rec in records:
+                print(f"{axis}={getattr(rec, axis)}  "
+                      f"{rec.detector:22s} aer={rec.aer:.5f} ser={rec.ser:.5f} "
+                      f"ce_mse={rec.ce_mse:.6f}")
         if args.out:
             write_csv(records, args.out)
             print(f"wrote {len(records)} rows to {args.out}")
@@ -150,15 +139,12 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except NumericalBreakdown as exc:
+    except (NumericalBreakdown, TrialFailure) as exc:
+        if isinstance(exc, TrialFailure) and \
+                not isinstance(exc.__cause__, NumericalBreakdown):
+            raise
         print(f"numerical breakdown: {exc}", file=sys.stderr)
         return 3
-    except TrialFailure as exc:
-        cause = exc.__cause__
-        if isinstance(cause, NumericalBreakdown):
-            print(f"numerical breakdown: {exc}", file=sys.stderr)
-            return 3
-        raise
 
 
 if __name__ == "__main__":

@@ -107,8 +107,8 @@ def _run_one_trial(cell: tuple, trial: int,
     # once up to the largest count and every detector decides at each
     # count before it continues.  amp_vbic and the offset ablation differ
     # only in the decision, and the genie reuses that iteration's pseudo
-    # observations.  An amp_vbic-family runtime is the loop time up to the
-    # count plus its own decision, as in a fresh run of that many
+    # observations.  Every runtime is the loop time up to the count plus
+    # that detector's own decision, as in a fresh run of that many
     # iterations.
     internals = None
     loop_ms = 0.0
@@ -125,11 +125,9 @@ def _run_one_trial(cell: tuple, trial: int,
             if name == "genie":
                 result = genie_detect(internals.pseudo.R, frame,
                                       build_alphabet(config.modulation))
-                runtime = 0.0
             else:
                 result = _finalize(internals, config, include_offset=name == "amp_vbic")
-                runtime = loop_ms
-            runtime += (time.perf_counter() - t1) * 1e3
+            runtime = loop_ms + (time.perf_counter() - t1) * 1e3
             records.append(MetricsRecord(
                 detector=name, trial=trial, M=config.M, N=config.N, J=config.J,
                 p_a=config.p_a, snr_db=config.snr_db, n_it=n_it,
@@ -293,14 +291,12 @@ def aggregate(records: list[MetricsRecord]) -> list[MetricsRecord]:
         key = (rec.detector, rec.M, rec.N, rec.J, rec.p_a, rec.snr_db, rec.n_it)
         cells.setdefault(key, []).append(rec)
     out = []
-    for key, group in cells.items():
+    for group in cells.values():
         aer = np.array([r.aer for r in group])
         ser = np.array([r.ser for r in group])
         mse = np.array([r.ce_mse for r in group])
-        detector, m, n, j, p_a, snr_db, n_it = key
-        out.append(MetricsRecord(
-            detector=detector, trial=-1, M=m, N=n, J=j, p_a=p_a,
-            snr_db=snr_db, n_it=n_it,
+        out.append(dataclasses.replace(
+            group[0], trial=-1,
             aer=float(aer.mean()), ser=float(ser.mean()),
             ce_mse=float(mse.mean()),
             runtime_ms=float(np.mean([r.runtime_ms for r in group])),
@@ -349,16 +345,12 @@ def sweep(base_config: ScenarioConfig, axis: str, values, n_trials: int,
             for row in aggregate(records)]
 
 
-def _has_trials(records: list[MetricsRecord]) -> bool:
-    """Whether records are per trial; aggregated rows all have trial -1."""
-    return any(rec.trial >= 0 for rec in records)
-
-
 def write_csv(records: list[MetricsRecord], path) -> None:
     """Write records in the fixed CSV schema.  A file of aggregated rows
     (no record with trial >= 0) appends the standard-error columns; a
     non-finite metric raises ValueError before the file is touched."""
-    fields = CSV_FIELDS + ([] if _has_trials(records) else CSV_STDERR_FIELDS)
+    fields = CSV_FIELDS + ([] if any(rec.trial >= 0 for rec in records)
+                           else CSV_STDERR_FIELDS)
     rows = [[getattr(rec, f) for f in fields] for rec in records]
     for rec, row in zip(records, rows):
         if any(isinstance(x, float) and not np.isfinite(x) for x in row):
@@ -370,11 +362,11 @@ def write_csv(records: list[MetricsRecord], path) -> None:
 
 
 def summarize(records: list[MetricsRecord]) -> str:
-    """Human-readable aggregate table for CLI output."""
-    rows = aggregate(records) if _has_trials(records) else records
+    """Human-readable table of aggregate(records), one line per detector
+    and cell, for CLI output."""
     lines = [f"{'detector':22s} {'aer':>10s} {'ser':>10s} "
              f"{'ce_mse':>10s} {'runtime_ms':>11s}"]
-    for rec in rows:
+    for rec in aggregate(records):
         lines.append(f"{rec.detector:22s} {rec.aer:10.5f} {rec.ser:10.5f} "
                      f"{rec.ce_mse:10.6f} {rec.runtime_ms:11.2f}")
     return "\n".join(lines)

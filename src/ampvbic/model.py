@@ -40,12 +40,6 @@ class ExtendedAlphabet:
     def __post_init__(self):
         self.symbols.setflags(write=False)
 
-    def __reduce__(self):
-        # Rebuild through the constructor, so a copy sent to another process
-        # is read-only too and rebuilds its symbol basis read-only; the
-        # default state copy would arrive with writeable arrays.
-        return type(self), (self.symbols,)
-
     @property
     def K(self) -> int:
         """Alphabet size, the null symbol included."""
@@ -232,8 +226,8 @@ def generate_frame(config: ScenarioConfig, rng: np.random.Generator,
     """Draw one random frame.
 
     Activity is Bernoulli(p_a) per user unless n_active pins the exact
-    number of active users (used by sweeps whose axis is the active-user
-    count).  Channel gains are CN(0,1); data symbols are uniform over the
+    number of active users (as run_trials(n_active=k) does, for empty
+    frames among others).  Channel gains are CN(0,1); data symbols are uniform over the
     active constellation of config.modulation; slot 1 carries the
     reference symbol.
     """

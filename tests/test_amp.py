@@ -112,6 +112,10 @@ class TestDecouple:
             amp_decouple(a, np.zeros((4, 2), dtype=complex), post, state, 1.0)
         with pytest.raises(DimensionMismatch):
             amp_decouple(a, np.zeros((2, 5), dtype=complex), post, state, 1.0)
+        for a_in, y in ((a[0], np.zeros((2, 2), dtype=complex)),
+                        (a, np.zeros(2, dtype=complex))):
+            with pytest.raises(DimensionMismatch, match="2-d"):
+                amp_decouple(a_in, y, post, state, 1.0)
         with pytest.raises(ConfigError, match="noise_var must be > 0"):
             amp_decouple(a, np.zeros((2, 2), dtype=complex), post, state, 0.0)
         # A state built for another frame shape is refused, not reused:

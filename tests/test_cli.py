@@ -92,6 +92,16 @@ class TestConfigParsing:
         assert cli.main(["run", "--config", str(path)]) == 2
         assert "'seed' repeats line" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["M", "N", "J", "p_a", "snr_db"])
+    def test_missing_required_key_exits_2(self, tmp_path, capsys, key):
+        path = tmp_path / "cfg.txt"
+        path.write_text("\n".join(line for line in BASE_CONFIG.splitlines()
+                                  if not line.startswith(f"{key} =")))
+        rc = cli.main(["run", "--config", str(path)])
+        assert rc == 2
+        assert f"config error: config is missing required keys: ['{key}']" \
+            in capsys.readouterr().err
+
     def test_missing_equals(self, tmp_path):
         path = tmp_path / "cfg.txt"
         path.write_text("M 4\n")
@@ -250,6 +260,16 @@ class TestRunCommand:
         monkeypatch.setattr(cli, "run_trials", boom)
         rc = cli.main(["run", "--config", str(config_file)])
         assert rc == 3
+
+    def test_other_trial_failure_propagates(self, config_file, monkeypatch):
+        # Only a breakdown is exit 3; any other failing trial leaves main
+        # with its traceback, which the interpreter turns into exit 1.
+        def boom(*args, **kwargs):
+            raise TrialFailure("trial 0 failed") from ValueError("bad value")
+        monkeypatch.setattr(cli, "run_trials", boom)
+        with pytest.raises(TrialFailure) as info:
+            cli.main(["run", "--config", str(config_file)])
+        assert isinstance(info.value.__cause__, ValueError)
 
     def test_breakdown_in_pool_worker_exits_3(self, config_file, monkeypatch):
         # Workers are forked, so they run the patched loop.

@@ -69,6 +69,11 @@ class TestRunDetector:
             run_detector(fr.A[:, :-1], fr.Y, cfg)
         with pytest.raises(DimensionMismatch):
             run_detector(fr.A, fr.Y[:, :-1], cfg)
+        for a, y in ((fr.A[0], fr.Y), (fr.A, fr.Y[:, 0])):
+            with pytest.raises(DimensionMismatch, match="2-d"):
+                run_detector(a, y, cfg)
+            with pytest.raises(DimensionMismatch, match="2-d"):
+                run_detector_internals(a, y, cfg, 1)
 
     def test_degenerate_prior_rejected(self):
         cfg, alph, fr = make_frame()

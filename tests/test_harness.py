@@ -14,7 +14,8 @@ from ampvbic.errors import ConfigError, DimensionMismatch, \
     NumericalBreakdown, TrialFailure
 from ampvbic.detector import run_detector
 from ampvbic.harness import (MetricsRecord, aggregate, genie_detect,
-                             run_trials, sweep, trial_rng, write_csv)
+                             run_trials, summarize, sweep, trial_rng,
+                             write_csv)
 from ampvbic.metrics import compute_aer, compute_ce_mse, compute_ser
 from ampvbic.model import ScenarioConfig, ScenarioInstance, build_alphabet, \
     generate_frame
@@ -78,6 +79,10 @@ class TestCeMse:
     def test_swapped(self):
         assert compute_ce_mse(np.array([1 + 0j, 0 + 0j]),
                               np.array([0 + 0j, 1 + 0j])) == pytest.approx(1.0)
+
+    def test_length_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            compute_ce_mse(np.zeros(3, dtype=complex), np.zeros(4, dtype=complex))
 
 
 def truth_frame(activity, mu, d):
@@ -259,6 +264,13 @@ class TestRunTrials:
         finally:
             harness._set_blas_threads(before)
 
+    def test_blas_thread_helper_without_scipy_openblas(self, monkeypatch):
+        # Where numpy links no scipy-openblas build, the helper sets nothing.
+        def no_library(path):
+            raise OSError(f"cannot load {path}")
+        monkeypatch.setattr(harness.ctypes, "CDLL", no_library)
+        assert harness._set_blas_threads(1) is None
+
     def test_bad_inputs(self):
         cfg = tiny_config()
         with pytest.raises(ConfigError):
@@ -369,6 +381,22 @@ class TestRunTrials:
 
 
 class TestAggregate:
+
+    def test_summarize_prints_the_aggregate_means(self):
+        base = dict(M=4, N=4, J=2, p_a=0.1, snr_db=0.0, n_it=1)
+        recs = [MetricsRecord(detector="amp_vbic", trial=0, aer=0.2, ser=0.4,
+                              ce_mse=0.01, runtime_ms=2.0, **base),
+                MetricsRecord(detector="genie", trial=0, aer=0.0, ser=0.1,
+                              ce_mse=0.0, runtime_ms=1.0, **base),
+                MetricsRecord(detector="amp_vbic", trial=1, aer=0.4, ser=0.2,
+                              ce_mse=0.03, runtime_ms=4.0, **base),
+                MetricsRecord(detector="genie", trial=1, aer=0.0, ser=0.3,
+                              ce_mse=0.0, runtime_ms=3.0, **base)]
+        assert [line.split() for line in summarize(recs).splitlines()] == [
+            ["detector", "aer", "ser", "ce_mse", "runtime_ms"],
+            ["amp_vbic", "0.30000", "0.30000", "0.020000", "3.00"],
+            ["genie", "0.00000", "0.20000", "0.000000", "2.00"]]
+        assert summarize(aggregate(recs)) == summarize(recs)
 
     def test_mean_and_stderr(self):
         base = dict(detector="amp_vbic", M=4, N=4, J=2, p_a=0.1,
@@ -559,9 +587,10 @@ class TestNitSweep:
             sweep(tiny_config(), "n_it", [5, 0], 2)
 
     def test_runtime_is_loop_to_the_value_plus_one_decision(self, monkeypatch):
-        # On a fake clock every loop iteration takes 1 s and every decision
-        # 1 ms: the row at value v reads v s of loop plus one decision, as a
-        # fresh v-iteration run would, and no decision at a smaller value.
+        # On a fake clock every loop iteration takes 1 s, every _finalize
+        # 1 ms and the genie's decision no time: the row at value v reads
+        # v s of loop plus that detector's one decision, as a fresh
+        # v-iteration run would, and no decision at a smaller value.
         clock = [0.0]
         real_loop, real_finalize = harness.run_detector_internals, \
             harness._finalize
@@ -580,7 +609,7 @@ class TestNitSweep:
         monkeypatch.setattr(harness, "_finalize", finalize)
         rows = sweep(tiny_config(), "n_it", [20, 5], 2, self.DETECTORS)
         assert [(r.n_it, r.detector, r.runtime_ms) for r in rows] == [
-            (n_it, d, pytest.approx(0.0 if d == "genie" else n_it * 1e3 + 1.0))
+            (n_it, d, pytest.approx(n_it * 1e3 + (0.0 if d == "genie" else 1.0)))
             for n_it in (20, 5) for d in self.DETECTORS]
 
 

@@ -1,4 +1,3 @@
-import pickle
 import warnings
 
 import numpy as np
@@ -66,20 +65,6 @@ class TestAlphabet:
         assert qpsk != build_alphabet("qam16")
         assert hash(qpsk) == hash(build_alphabet("qpsk"))
         assert len({qpsk, build_alphabet("qpsk"), build_alphabet("qam16")}) == 2
-
-    @pytest.mark.parametrize("cached", [False, True])
-    @pytest.mark.parametrize("mod", ["qpsk", "qam16"])
-    def test_pickle_round_trip_stays_read_only(self, mod, cached):
-        # An alphabet sent to another process must stay read-only.
-        alph = build_alphabet(mod)
-        if cached:
-            alph.symbol_basis
-        copy = pickle.loads(pickle.dumps(alph))
-        assert np.array_equal(copy.symbols, alph.symbols)
-        assert (copy.K, copy.E_sym) == (alph.K, alph.E_sym)
-        assert np.array_equal(copy.symbol_basis, alph.symbol_basis)
-        assert not copy.symbols.flags.writeable
-        assert not copy.symbol_basis.flags.writeable
 
 
 class TestNoiseVariance:
