@@ -9,8 +9,7 @@ offset likelihood ratio into per-user activity and per-symbol data
 decisions.
 """
 
-from .decide import DetectionResult
-from .detector import IterationTrace, run_detector
+from .detector import DetectionResult, IterationTrace, run_detector
 from .errors import AmpVbicError, ConfigError, DimensionMismatch, \
     NumericalBreakdown, TrialFailure
 from .harness import MetricsRecord, run_trials, sweep, write_csv

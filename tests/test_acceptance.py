@@ -13,8 +13,7 @@ import numpy as np
 import pytest
 
 from ampvbic.amp import Posterior, amp_decouple, amp_init
-from ampvbic.decide import correct_phase, detect
-from ampvbic.detector import run_detector
+from ampvbic.detector import correct_phase, detect, run_detector
 from ampvbic.harness import _set_blas_threads, aggregate, run_trials, sweep
 from ampvbic.model import (ExtendedAlphabet, ScenarioConfig, build_alphabet,
                            generate_frame)

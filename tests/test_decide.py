@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ampvbic.amp import Posterior
-from ampvbic.decide import correct_phase, detect
+from ampvbic.detector import correct_phase, detect
 from ampvbic.errors import ConfigError, DimensionMismatch, NumericalBreakdown
 from ampvbic.model import ExtendedAlphabet, build_alphabet
 from oracles import k_major
