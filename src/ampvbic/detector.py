@@ -155,6 +155,11 @@ def _finalize(internals: DetectorInternals, config: ScenarioConfig,
     rows in place.  The decision sees the exact posterior variance of x
     (channel uncertainty included), not the factored variance that the
     decoupling feedback uses.
+
+    A detected row whose slot 1 is not the reference symbol was clustered
+    on a rotated constellation, the rotation absorbed into its channel.
+    Its channel estimate is rotated back with its symbols, by d1 / d_ref,
+    so that channel times slot-1 symbol stays what the clustering decided.
     """
     state = internals.vbic_state
     alphabet = build_alphabet(config.modulation)
@@ -163,6 +168,7 @@ def _finalize(internals: DetectorInternals, config: ScenarioConfig,
     result = detect(state.resp, decision_posterior, state.mu, alphabet,
                     config.p_a, include_offset)
     active = result.activity_hat.astype(bool)
+    result.channel_hat[active] *= result.D_hat[active, 0] / alphabet.reference_symbol
     result.D_hat[active] = correct_phase(result.D_hat[active], alphabet)
     return result
 

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import hashlib
 
@@ -157,6 +158,35 @@ class TestRunDetector:
         assert internals.pseudo.R.shape == (cfg.M, cfg.J)
         assert internals.vbic_state.resp.shape == (alph.K, cfg.M, cfg.J)
         assert np.array_equal(internals.vbic_state.mu, result.channel_hat)
+
+    @pytest.mark.parametrize("seed, overrides", [
+        (43, {}), (44, dict(modulation="qpsk", p_a=0.5, snr_db=20.0))],
+        ids=["qam16", "qpsk"])
+    def test_channel_estimate_rotates_with_the_symbols(self, monkeypatch,
+                                                       seed, overrides):
+        # Each frame has a detected row that the clustering decided on a
+        # rotated constellation, the rotation absorbed into its channel.
+        # Phase correction rotates that channel back with the symbols, so
+        # channel times slot-1 symbol is what the clustering decided.
+        raw = []
+        detect = detector.detect
+
+        def keep_raw(*args):
+            result = detect(*args)
+            raw.append(copy.deepcopy(result))
+            return result
+
+        monkeypatch.setattr(detector, "detect", keep_raw)
+        cfg, alph, fr = make_frame(seed=seed, **overrides)
+        result, _ = run_detector(fr.A, fr.Y, cfg)
+        before, = raw
+        detected = before.activity_hat.astype(bool)
+        assert np.any(before.D_hat[detected, 0] != alph.reference_symbol)
+        assert np.all(result.D_hat[detected, 0] == alph.reference_symbol)
+        np.testing.assert_allclose(
+            (result.channel_hat * result.D_hat[:, 0])[detected],
+            (before.channel_hat * before.D_hat[:, 0])[detected],
+            rtol=1e-12, atol=0.0)
 
 
 # ROADMAP item 3: at the reference cell an all-inactive frame yields 13-22

@@ -687,30 +687,32 @@ class TestCsv:
 # amp_vbic aer, ser, ce_mse and genie ser per trial of the reference cell
 # (seed 2026, trials 0..19).  Recorded when the decoupling pass went from
 # per-row prediction variances to their mean over the rows, a declared
-# model change; changes that only reorder floating-point work must leave
-# the decisions unmoved and ce_mse within its last digits.
+# model change; ce_mse re-recorded when the channel estimate of a row
+# decided on a rotated constellation began to be rotated with its symbols.
+# Changes that only reorder floating-point work must leave the decisions
+# unmoved and ce_mse within its last digits.
 REFERENCE_CELL = ScenarioConfig(M=200, N=100, J=10, p_a=0.1, snr_db=5.0,
                                 modulation="qam16", n_it=20, seed=2026)
 PINNED = [  # (trial, aer, ser, ce_mse, genie ser)
     (0, 0.01, 0.025, 0.00359493108661618, 0.0022222222222222222),
-    (1, 0.0, 0.01611111111111111, 0.0032985956957202415, 0.002777777777777778),
-    (2, 0.01, 0.03777777777777778, 0.0074110520200999395, 0.014444444444444444),
-    (3, 0.0, 0.01, 0.010359773389809557, 0.0),
+    (1, 0.0, 0.01611111111111111, 0.0029647022821048907, 0.002777777777777778),
+    (2, 0.01, 0.03777777777777778, 0.0052366195941552654, 0.014444444444444444),
+    (3, 0.0, 0.01, 0.002548535665534821, 0.0),
     (4, 0.005, 0.010555555555555556, 0.0012427904340364796, 0.005),
-    (5, 0.01, 0.02666666666666667, 0.004444702600219994, 0.0038888888888888888),
-    (6, 0.0, 0.015, 0.0033973643924193235, 0.0005555555555555556),
-    (7, 0.0, 0.012777777777777779, 0.005077109564944204, 0.0016666666666666668),
-    (8, 0.01, 0.025555555555555557, 0.007133152483228284, 0.0033333333333333335),
-    (9, 0.01, 0.03833333333333333, 0.0072902922354000765, 0.007222222222222222),
-    (10, 0.015, 0.03666666666666667, 0.007969894844005117, 0.0033333333333333335),
-    (11, 0.01, 0.021111111111111112, 0.003467300027412723, 0.0022222222222222222),
-    (12, 0.01, 0.023333333333333334, 0.01230469901998092, 0.0016666666666666668),
-    (13, 0.005, 0.025555555555555557, 0.005052859410804602, 0.005555555555555556),
-    (14, 0.015, 0.059444444444444446, 0.01945086548504249, 0.009444444444444445),
-    (15, 0.01, 0.017222222222222222, 0.004990038142985779, 0.005555555555555556),
-    (16, 0.0, 0.017777777777777778, 0.0024160808433409797, 0.0005555555555555556),
-    (17, 0.015, 0.04888888888888889, 0.027095168522289416, 0.0038888888888888888),
-    (18, 0.01, 0.023333333333333334, 0.005873364082395776, 0.0038888888888888888),
+    (5, 0.01, 0.02666666666666667, 0.00395355870097163, 0.0038888888888888888),
+    (6, 0.0, 0.015, 0.003058773365850119, 0.0005555555555555556),
+    (7, 0.0, 0.012777777777777779, 0.0035948956723796076, 0.0016666666666666668),
+    (8, 0.01, 0.025555555555555557, 0.004622482721428928, 0.0033333333333333335),
+    (9, 0.01, 0.03833333333333333, 0.006185505380458502, 0.007222222222222222),
+    (10, 0.015, 0.03666666666666667, 0.005875062349147001, 0.0033333333333333335),
+    (11, 0.01, 0.021111111111111112, 0.0028418770003699866, 0.0022222222222222222),
+    (12, 0.01, 0.023333333333333334, 0.006160529511279758, 0.0016666666666666668),
+    (13, 0.005, 0.025555555555555557, 0.004373859212760921, 0.005555555555555556),
+    (14, 0.015, 0.059444444444444446, 0.013323372878093973, 0.009444444444444445),
+    (15, 0.01, 0.017222222222222222, 0.003616867240898963, 0.005555555555555556),
+    (16, 0.0, 0.017777777777777778, 0.0022629155655859825, 0.0005555555555555556),
+    (17, 0.015, 0.04888888888888889, 0.01351368025957834, 0.0038888888888888888),
+    (18, 0.01, 0.023333333333333334, 0.0051183980032604515, 0.0038888888888888888),
     (19, 0.02, 0.028888888888888888, 0.004099418175446067, 0.011666666666666667),
 ]
 
@@ -720,33 +722,34 @@ PINNED = [  # (trial, aer, ser, ce_mse, genie ser)
 QPSK_CELL = dataclasses.replace(REFERENCE_CELL, modulation="qpsk")
 QPSK_PINNED = [  # (trial, aer, ser, ce_mse, genie ser)
     (0, 0.01, 0.01, 0.0007342496224664375, 0.0),
-    (1, 0.0, 0.0, 0.001023451682339838, 0.0),
-    (2, 0.015, 0.015, 0.0060500972374620135, 0.0011111111111111111),
-    (3, 0.0, 0.0, 0.01155080132558876, 0.0),
+    (1, 0.0, 0.0, 0.00048267538522184906, 0.0),
+    (2, 0.015, 0.015, 0.0009537998520835855, 0.0011111111111111111),
+    (3, 0.0, 0.0, 0.0005464873004105329, 0.0),
     (4, 0.005, 0.005, 0.0003144644502249567, 0.0011111111111111111),
-    (5, 0.005, 0.005, 0.0021955305907031906, 0.0),
+    (5, 0.005, 0.005, 0.0007564301152605551, 0.0),
     (6, 0.0, 0.0, 0.0006081947208166155, 0.0),
-    (7, 0.0, 0.0, 0.0018557506560344579, 0.0),
-    (8, 0.005, 0.005, 0.003298365025751733, 0.0),
-    (9, 0.01, 0.01, 0.012951746206239083, 0.0011111111111111111),
+    (7, 0.0, 0.0, 0.0003796462093453682, 0.0),
+    (8, 0.005, 0.005, 0.0007507593172762717, 0.0),
+    (9, 0.01, 0.01, 0.001167178035683314, 0.0011111111111111111),
 ]
 
 # Aggregated rows of an n_it sweep of the reference cell at seed 7 (values
 # 5, 20, 50; 4 trials; all three detectors), recorded before the loop
-# took its iteration count as an int, which left them unmoved.
+# took its iteration count as an int, which left them unmoved; ce_mse
+# re-recorded with the reference-cell values above.
 NIT_SWEEP_PINNED = [  # (n_it, detector, aer, ser, ce_mse)
     (5, "amp_vbic", 0.036250000000000004, 0.09333333333333334,
      0.022697828500537965),
     (5, "amp_vbic_no_offset", 0.7637499999999999, 0.8383333333333334,
-     0.022697828500537965),
+     0.021735780114532893),
     (5, "genie", 0.0, 0.04555555555555556, 0.0),
-    (20, "amp_vbic", 0.015, 0.04055555555555555, 0.013214217306978684),
-    (20, "amp_vbic_no_offset", 0.76625, 0.80125, 0.013214217306978684),
+    (20, "amp_vbic", 0.015, 0.04055555555555555, 0.00951863378305869),
+    (20, "amp_vbic_no_offset", 0.76625, 0.80125, 0.009027943535067404),
     (20, "genie", 0.0, 0.01138888888888889, 0.0),
     (50, "amp_vbic", 0.015000000000000001, 0.03611111111111111,
-     0.010939539111064978),
+     0.006733358410107379),
     (50, "amp_vbic_no_offset", 0.7737499999999999, 0.8019444444444445,
-     0.010939539111064978),
+     0.006394810071299179),
     (50, "genie", 0.0, 0.009583333333333334, 0.0),
 ]
 
