@@ -20,6 +20,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical breakdown.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -27,7 +28,8 @@ from .errors import ConfigError, NumericalBreakdown, TrialFailure
 from .harness import run_trials, summarize, sweep, write_csv
 from .model import ScenarioConfig
 
-SCENARIO_KEYS = {"M", "N", "J", "p_a", "snr_db", "modulation", "n_it", "seed"}
+# ScenarioConfig's fields; _build_scenario requires those without a default.
+SCENARIO_KEYS = {f.name for f in dataclasses.fields(ScenarioConfig)}
 EXPERIMENT_KEYS = {"trials", "detectors", "axis", "values"}
 LIST_KEYS = {"detectors", "values"}
 
@@ -77,7 +79,8 @@ def parse_config_file(path: str) -> dict:
 
 
 def _build_scenario(values: dict, seed_override: int | None) -> ScenarioConfig:
-    missing = {"M", "N", "J", "p_a", "snr_db"} - values.keys()
+    missing = {f.name for f in dataclasses.fields(ScenarioConfig)
+               if f.default is dataclasses.MISSING} - values.keys()
     if missing:
         raise ConfigError(f"config is missing required keys: {sorted(missing)}")
     kwargs = {k: values[k] for k in SCENARIO_KEYS & values.keys()}

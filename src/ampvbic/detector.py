@@ -10,10 +10,12 @@ is drawn, and nothing in it depends on the iteration count, so a run of n
 iterations is a prefix of every longer run on the same frame.  The bare
 loop, run_detector_internals, takes the count as an int and continues an
 earlier call's loop (start=): the harness steps it once per iteration
-count of a trial, and run_detector once per iteration for its trace.
+count of a trial, and run_detector once per iteration for its trace,
+which needs no ground truth (the harness's n_it sweep scores each count).
 
 Every decision reads the loop's state: amp_vbic and its offset-free
-ablation through _finalize, the genie through genie_detect.  Activity is
+ablation through _finalize, the genie through genie_detect (the
+harness's DETECTORS table names them).  Activity is
 decided per user from three additive log-likelihood terms: the
 clustering evidence summed over the user's J observations, an offset
 term that compares the posterior mean against the active/inactive prior
@@ -30,7 +32,6 @@ import numpy as np
 
 from . import amp, vbic
 from .errors import ConfigError, DimensionMismatch, NumericalBreakdown
-from .metrics import compute_aer, compute_ce_mse, compute_ser
 from .model import ExtendedAlphabet, ScenarioConfig, ScenarioInstance, \
     build_alphabet, noise_variance_from_snr
 
@@ -59,13 +60,10 @@ class DetectionResult:
 
 @dataclass
 class IterationTrace:
-    """Per-iteration diagnostics: mean absolute change of the posterior
-    mean and (when ground truth is supplied) intermediate error rates."""
+    """Per-iteration diagnostics that need no ground truth: the mean
+    absolute change of the posterior mean."""
 
     delta_x: list[float] = field(default_factory=list)
-    aer: list[float] | None = None
-    ser: list[float] | None = None
-    ce_mse: list[float] | None = None
 
     @property
     def n_iterations(self) -> int:
@@ -199,24 +197,19 @@ def genie_detect(r_final: np.ndarray, frame: ScenarioInstance,
 
 
 def run_detector(a_mat: np.ndarray, y: np.ndarray, config: ScenarioConfig,
-                 ground_truth: ScenarioInstance | None = None, *,
-                 conv_tol: float | None = None,
+                 *, conv_tol: float | None = None,
                  ) -> tuple[DetectionResult, IterationTrace]:
     """Run the full detector on one frame, stepping the loop one iteration
-    at a time and recording the trace between steps.
+    at a time and recording the trace between steps, then decide once.
 
-    ground_truth only feeds the trace's error rates, each from a decision
-    at that iteration (the last is returned); it never influences the
-    decisions.  conv_tol, None or a number > 0, stops once the mean
-    posterior-mean change falls below it (None keeps all n_it records).
+    conv_tol, None or a number > 0, stops once the mean posterior-mean
+    change falls below it (None keeps all n_it records).
     """
     if conv_tol is not None and (isinstance(conv_tol, bool) or not (
             isinstance(conv_tol, numbers.Real) and conv_tol > 0)):
         raise ConfigError(f"conv_tol must be None or a number > 0, got {conv_tol!r}")
     trace = IterationTrace()
-    if ground_truth is not None:
-        trace.aer, trace.ser, trace.ce_mse = [], [], []
-    internals = result = None
+    internals = None
     prev_xhat = 0.0     # the loop starts from amp_init's zero prior mean
     for n_it in range(1, config.n_it + 1):
         internals = run_detector_internals(a_mat, y, config, n_it,
@@ -224,16 +217,9 @@ def run_detector(a_mat: np.ndarray, y: np.ndarray, config: ScenarioConfig,
         delta = float(np.mean(np.abs(internals.posterior.Xhat - prev_xhat)))
         trace.delta_x.append(delta)
         prev_xhat = internals.posterior.Xhat
-        if ground_truth is not None:
-            result = _finalize(internals, config, include_offset=True)
-            trace.aer.append(compute_aer(ground_truth.activity, result.activity_hat))
-            trace.ser.append(compute_ser(ground_truth.D, result.D_hat))
-            trace.ce_mse.append(compute_ce_mse(ground_truth.mu, result.channel_hat))
         if conv_tol is not None and delta < conv_tol:
             break
-    if result is None:
-        result = _finalize(internals, config, include_offset=True)
-    return result, trace
+    return _finalize(internals, config, include_offset=True), trace
 
 
 def run_detector_internals(a_mat: np.ndarray, y: np.ndarray,

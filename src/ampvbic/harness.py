@@ -1,4 +1,4 @@
-"""Monte Carlo experiment runner: trials, sweeps, CSV output.
+"""Monte Carlo experiment runner: the detector table, trials, sweeps, CSV.
 
 Each trial draws an independent frame from a substream derived from
 (master seed, trial index), so trials are reproducible, order-independent
@@ -27,7 +27,18 @@ from .errors import ConfigError, TrialFailure
 from .metrics import compute_aer, compute_ce_mse, compute_ser
 from .model import ScenarioConfig, build_alphabet, generate_frame
 
-DETECTOR_NAMES = ("amp_vbic", "amp_vbic_no_offset", "genie")
+# Each detector's decision (internals, frame, config) -> DetectionResult;
+# only the genie reads the frame.  Entries call _finalize and genie_detect
+# by this module's names, so a patch or trace of those sees every call.
+DETECTORS = {
+    "amp_vbic": lambda internals, frame, config:
+        _finalize(internals, config, include_offset=True),
+    "amp_vbic_no_offset": lambda internals, frame, config:
+        _finalize(internals, config, include_offset=False),
+    "genie": lambda internals, frame, config:
+        genie_detect(internals.pseudo.R, frame,
+                     build_alphabet(config.modulation)),
+}
 SWEEP_AXES = ("snr_db", "N", "p_a", "n_it")
 
 
@@ -78,11 +89,9 @@ def _run_one_trial(cell: tuple, trial: int,
 
     # One iteration loop serves every detector and every count: it runs
     # once up to the largest count and every detector decides at each
-    # count before it continues.  amp_vbic and the offset ablation differ
-    # only in the decision, and the genie reuses that iteration's pseudo
-    # observations.  Every runtime is the loop time up to the count plus
-    # that detector's own decision, as in a fresh run of that many
-    # iterations.
+    # count before it continues, by its DETECTORS entry.  Every runtime
+    # is the loop time up to the count plus that detector's own decision,
+    # as in a fresh run of that many iterations.
     internals = None
     loop_ms = 0.0
     by_n_it = {}
@@ -95,11 +104,7 @@ def _run_one_trial(cell: tuple, trial: int,
         records = []
         for name in detectors:
             t1 = time.perf_counter()
-            if name == "genie":
-                result = genie_detect(internals.pseudo.R, frame,
-                                      build_alphabet(config.modulation))
-            else:
-                result = _finalize(internals, config, include_offset=name == "amp_vbic")
+            result = DETECTORS[name](internals, frame, config)
             runtime = loop_ms + (time.perf_counter() - t1) * 1e3
             records.append(MetricsRecord(
                 detector=name, trial=trial, M=config.M, N=config.N, J=config.J,
@@ -143,13 +148,14 @@ def _check_request(configs: list[ScenarioConfig], n_trials: int,
     if not isinstance(detectors, Sequence) or isinstance(detectors, str):
         raise ConfigError(f"detectors must be a sequence of names, "
                           f"got {detectors!r}")
+    # A tuple, so that an unhashable name is unknown, not a TypeError.
+    names = tuple(DETECTORS)
     if not detectors:
-        raise ConfigError(f"detectors must name at least one of "
-                          f"{DETECTOR_NAMES}")
+        raise ConfigError(f"detectors must name at least one of {names}")
     for name in detectors:
-        if name not in DETECTOR_NAMES:
+        if name not in names:
             raise ConfigError(f"unknown detector {name!r}; "
-                              f"choose from {DETECTOR_NAMES}")
+                              f"choose from {names}")
     if len(set(detectors)) < len(detectors):
         raise ConfigError(f"detectors must not repeat a name, got {detectors!r}")
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -184,13 +190,17 @@ def _set_blas_threads(n: int) -> int | None:
     return previous
 
 
-def _named_failure(trial: int, fn, *args):
+def _named_failure(task: tuple, fn, *args):
     """fn(*args), with any failure re-raised as a TrialFailure naming the
-    trial and chaining the original error."""
+    (cell, trial) task's trial and M, N, p_a and snr_db, and chaining the
+    original error."""
+    (config, _, _), trial = task
     try:
         return fn(*args)
     except Exception as exc:
-        raise TrialFailure(f"trial {trial} failed: {exc}") from exc
+        raise TrialFailure(
+            f"trial {trial} (M={config.M}, N={config.N}, p_a={config.p_a}, "
+            f"snr_db={config.snr_db}) failed: {exc}") from exc
 
 
 def _trial_results(cells: list[tuple], trials: range,
@@ -212,17 +222,17 @@ def _trial_results(cells: list[tuple], trials: range,
     # submit, so workers beyond the task count would only cost memory.
     n_workers = min(n_workers, len(tasks))
     if n_workers == 1:
-        results = [_named_failure(t, _run_one_trial, cell, t, detectors)
-                   for cell, t in tasks]
+        results = [_named_failure(task, _run_one_trial, *task, detectors)
+                   for task in tasks]
     else:
         with concurrent.futures.ProcessPoolExecutor(
                 max_workers=n_workers, initializer=_set_blas_threads,
                 initargs=(1,)) as pool:
-            futures = [pool.submit(_run_one_trial, cell, t, detectors)
-                       for cell, t in tasks]
+            futures = [pool.submit(_run_one_trial, *task, detectors)
+                       for task in tasks]
             try:
-                results = [_named_failure(t, future.result)
-                           for (_, t), future in zip(tasks, futures)]
+                results = [_named_failure(task, future.result)
+                           for task, future in zip(tasks, futures)]
             except BaseException:
                 pool.shutdown(cancel_futures=True)
                 raise
@@ -240,7 +250,7 @@ def run_trials(config: ScenarioConfig, n_trials: int,
     Returns one record per (trial, detector), ordered by trial.  A request
     the detector cannot run (see _check_request) raises ConfigError before
     any trial starts; a failing trial raises TrialFailure with the trial
-    index in the message and the original error chained.
+    index and the cell in the message and the original error chained.
     """
     _check_request([config], n_trials, detectors, n_workers, trial_start,
                    n_active)

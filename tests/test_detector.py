@@ -9,6 +9,7 @@ from ampvbic import detector
 from ampvbic.detector import run_detector, run_detector_internals
 from ampvbic.errors import ConfigError, DimensionMismatch
 from ampvbic.harness import trial_rng
+from ampvbic.metrics import compute_aer, compute_ce_mse, compute_ser
 from ampvbic.model import ScenarioConfig, build_alphabet, generate_frame
 
 
@@ -31,7 +32,8 @@ class TestRunDetector:
         cfg2 = dataclasses.replace(cfg, n_it=7)
         _, trace = run_detector(fr.A, fr.Y, cfg2)
         assert trace.n_iterations == 7
-        assert trace.aer is None
+        # The trace holds truth-free signals only.
+        assert [f.name for f in dataclasses.fields(trace)] == ["delta_x"]
 
     def test_noise_variance_overflow_is_config_error(self):
         cfg, alph, fr = make_frame()
@@ -80,16 +82,6 @@ class TestRunDetector:
         cfg, alph, fr = make_frame()
         with pytest.raises(ConfigError, match="0 < p_a < 1"):
             run_detector(fr.A, fr.Y, dataclasses.replace(cfg, p_a=0.0))
-
-    def test_ground_truth_populates_metrics(self):
-        cfg, alph, fr = make_frame(n_it=4)
-        _, trace = run_detector(fr.A, fr.Y, cfg, ground_truth=fr)
-        assert len(trace.aer) == len(trace.ser) == len(trace.ce_mse) == 4
-        assert all(0.0 <= v <= 1.0 for v in trace.aer)
-        # error metrics at the last iteration match the returned result
-        result, _ = run_detector(fr.A, fr.Y, cfg)
-        from ampvbic.metrics import compute_aer
-        assert trace.aer[-1] == compute_aer(fr.activity, result.activity_hat)
 
     def test_early_stop_tolerance(self):
         cfg, alph, fr = make_frame(n_it=40)
@@ -261,7 +253,9 @@ def digest(a):
 class TestPinnedRunDetector:
     """run_detector's outputs on make_frame(), recorded before it stepped
     the bare loop one iteration at a time for its trace; they must not
-    move.  The arrays are pinned by the SHA-256 of their bytes."""
+    move.  The arrays are pinned by the SHA-256 of their bytes.  AER, SER
+    and CE_MSE score the decision after each iteration of the bare loop,
+    continued one iteration at a time as an n_it sweep runs it."""
 
     ACTIVE = [2, 17]
     # Alphabet indices of the D_hat rows of the active users; every other
@@ -284,11 +278,9 @@ class TestPinnedRunDetector:
     # With conv_tol=1e-3 the n_it=40 frame stops after iteration 8.
     CONV_DELTA_X = DELTA_X + [0.0011617895183507869, 0.000989590026920301]
 
-    @pytest.mark.parametrize("with_truth", [False, True])
-    def test_outputs_match_recorded_values(self, with_truth):
+    def test_outputs_match_recorded_values(self):
         cfg, alph, fr = make_frame()
-        result, trace = run_detector(fr.A, fr.Y, cfg,
-                                     ground_truth=fr if with_truth else None)
+        result, trace = run_detector(fr.A, fr.Y, cfg)
         assert np.flatnonzero(result.activity_hat).tolist() == self.ACTIVE
         assert result.activity_hat.dtype == np.int8
         want_d = np.zeros((cfg.M, cfg.J), dtype=complex)
@@ -297,11 +289,19 @@ class TestPinnedRunDetector:
         assert digest(result.channel_hat) == self.CHANNEL_SHA
         assert digest(result.llr_dec) == self.LLR_SHA
         assert trace.delta_x == self.DELTA_X
-        if with_truth:
-            assert (trace.aer, trace.ser, trace.ce_mse) == \
-                (self.AER, self.SER, self.CE_MSE)
-        else:
-            assert (trace.aer, trace.ser, trace.ce_mse) == (None, None, None)
+
+    def test_decision_at_each_prefix_matches_recorded_values(self):
+        cfg, alph, fr = make_frame()
+        internals = None
+        aer, ser, ce_mse = [], [], []
+        for n_it in range(1, cfg.n_it + 1):
+            internals = run_detector_internals(fr.A, fr.Y, cfg, n_it,
+                                               start=internals)
+            result = detector._finalize(internals, cfg, include_offset=True)
+            aer.append(compute_aer(fr.activity, result.activity_hat))
+            ser.append(compute_ser(fr.D, result.D_hat))
+            ce_mse.append(compute_ce_mse(fr.mu, result.channel_hat))
+        assert (aer, ser, ce_mse) == (self.AER, self.SER, self.CE_MSE)
 
     def test_early_stop_iteration(self):
         cfg, alph, fr = make_frame(n_it=40)

@@ -587,30 +587,51 @@ class TestNitSweep:
             sweep(tiny_config(), "n_it", [5, 0], 2)
 
     def test_runtime_is_loop_to_the_value_plus_one_decision(self, monkeypatch):
-        # On a fake clock every loop iteration takes 1 s, every _finalize
-        # 1 ms and the genie's decision no time: the row at value v reads
-        # v s of loop plus that detector's one decision, as a fresh
-        # v-iteration run would, and no decision at a smaller value.
+        # On a fake clock every loop iteration takes 1 s and every
+        # decision, _finalize or the genie's, 1 ms: the row at value v
+        # reads v s of loop plus that detector's one decision, as a fresh
+        # v-iteration run would, and no decision at a smaller value.  The
+        # detector table must call both through the harness's names.
         clock = [0.0]
-        real_loop, real_finalize = harness.run_detector_internals, \
-            harness._finalize
+        real_loop = harness.run_detector_internals
 
         def loop(a, y, config, n_it, *, start=None):
             clock[0] += n_it - (start.n_iterations if start else 0)
             return real_loop(a, y, config, n_it, start=start)
 
-        def finalize(*args, **kwargs):
-            clock[0] += 1e-3
-            return real_finalize(*args, **kwargs)
+        def one_ms(decide):
+            def timed(*args, **kwargs):
+                clock[0] += 1e-3
+                return decide(*args, **kwargs)
+            return timed
 
         monkeypatch.setattr(harness, "time",
                             SimpleNamespace(perf_counter=lambda: clock[0]))
         monkeypatch.setattr(harness, "run_detector_internals", loop)
-        monkeypatch.setattr(harness, "_finalize", finalize)
+        monkeypatch.setattr(harness, "_finalize", one_ms(harness._finalize))
+        monkeypatch.setattr(harness, "genie_detect",
+                            one_ms(harness.genie_detect))
         rows = sweep(tiny_config(), "n_it", [20, 5], 2, self.DETECTORS)
         assert [(r.n_it, r.detector, r.runtime_ms) for r in rows] == [
-            (n_it, d, pytest.approx(n_it * 1e3 + (0.0 if d == "genie" else 1.0)))
+            (n_it, d, pytest.approx(n_it * 1e3 + 1.0))
             for n_it in (20, 5) for d in self.DETECTORS]
+
+
+class TestDetectorTable:
+
+    @pytest.mark.parametrize("name", [name for name in harness.DETECTORS
+                                      if name != "genie"])
+    def test_only_the_genie_reads_the_frame(self, name):
+        cfg = tiny_config()
+        frame = generate_frame(cfg, trial_rng(cfg.seed, 0))
+        internals = harness.run_detector_internals(frame.A, frame.Y, cfg,
+                                                   cfg.n_it)
+        decide = harness.DETECTORS[name]
+        with_frame, without = decide(internals, frame, cfg), \
+            decide(internals, None, cfg)
+        for field in dataclasses.fields(with_frame):
+            assert np.array_equal(getattr(with_frame, field.name),
+                                  getattr(without, field.name)), field.name
 
 
 class TestPoolFailures:
@@ -639,6 +660,24 @@ class TestPoolFailures:
             sweep(tiny_config(), "snr_db", values, 1, n_workers=2)
         assert isinstance(info.value.__cause__, NumericalBreakdown)
         assert len(list(tmp_path.iterdir())) < 9
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_failure_names_its_cell(self, monkeypatch, n_workers):
+        # Of a 5-value snr_db sweep only the 7.5 dB cell breaks; the
+        # message names that value beside the trial.
+        real_loop = harness.run_detector_internals
+
+        def break_at_7_5_db(a, y, config, n_it, *, start=None):
+            if config.snr_db == 7.5:
+                raise NumericalBreakdown("synthetic breakdown")
+            return real_loop(a, y, config, n_it, start=start)
+
+        monkeypatch.setattr(harness, "run_detector_internals", break_at_7_5_db)
+        with pytest.raises(TrialFailure, match=r"^trial 0 \(M=24, N=16, "
+                           r"p_a=0\.15, snr_db=7\.5\) failed") as info:
+            sweep(tiny_config(), "snr_db", [0.0, 5.0, 7.5, 10.0, 15.0], 1,
+                  n_workers=n_workers)
+        assert isinstance(info.value.__cause__, NumericalBreakdown)
 
     def test_nit_sweep_chains_the_cause(self, monkeypatch):
         monkeypatch.setattr(harness, "run_detector_internals", breakdown)
