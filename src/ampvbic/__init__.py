@@ -12,8 +12,8 @@ decisions.
 from .detector import DetectionResult, IterationTrace, run_detector
 from .errors import AmpVbicError, ConfigError, DimensionMismatch, \
     NumericalBreakdown, TrialFailure
-from .harness import MetricsRecord, run_trials, sweep, write_csv
-from .metrics import compute_aer, compute_ce_mse, compute_ser
+from .harness import MetricsRecord, compute_aer, compute_ce_mse, compute_ser, \
+    run_trials, sweep, write_csv
 from .model import ScenarioConfig, build_alphabet, generate_frame
 
 __version__ = "0.1.0"

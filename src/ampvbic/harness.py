@@ -1,11 +1,16 @@
-"""Monte Carlo experiment runner: the detector table, trials, sweeps, CSV.
+"""Monte Carlo experiment runner: the detector table, trials, sweeps,
+scores, records and CSV.
 
 Each trial draws an independent frame from a substream derived from
 (master seed, trial index), so trials are reproducible, order-independent
 and embarrassingly parallel.  The same substream serves every detector
 and every swept axis value, which pairs the comparisons (common random
 numbers).  A request (run_trials, or a sweep along any axis) is checked
-once and runs its (cell, trial) tasks through one executor.
+once and runs its (cell, trial) tasks through one executor.  Its pool's
+records equal a serial run's bit for bit when this process runs one BLAS
+thread, as each worker does: on some OpenBLAS cores a product split over
+threads rounds differently (at the reference cell, CE-MSE in its last
+bits, and no decision).
 """
 
 from __future__ import annotations
@@ -23,8 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detector import _finalize, genie_detect, run_detector_internals
-from .errors import ConfigError, TrialFailure
-from .metrics import compute_aer, compute_ce_mse, compute_ser
+from .errors import ConfigError, DimensionMismatch, TrialFailure
 from .model import ScenarioConfig, build_alphabet, generate_frame
 
 # Each detector's decision (internals, frame, config) -> DetectionResult;
@@ -40,6 +44,7 @@ DETECTORS = {
                      build_alphabet(config.modulation)),
 }
 SWEEP_AXES = ("snr_db", "N", "p_a", "n_it")
+SYMBOL_MATCH_TOL = 1e-9
 
 
 @dataclass
@@ -74,6 +79,42 @@ CSV_STDERR_FIELDS = [f.name for f in dataclasses.fields(MetricsRecord)
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
     """Independent substream for one trial index."""
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(trial,)))
+
+
+def compute_aer(truth: np.ndarray, detected: np.ndarray) -> float:
+    """Fraction of users whose activity decision is wrong."""
+    truth = np.asarray(truth)
+    detected = np.asarray(detected)
+    if truth.shape != detected.shape:
+        raise DimensionMismatch(
+            f"activity vectors differ in length: {truth.shape} vs {detected.shape}")
+    return float(np.mean(truth.astype(bool) != detected.astype(bool)))
+
+
+def compute_ser(d_true: np.ndarray, d_hat: np.ndarray) -> float:
+    """Fraction of wrong symbol decisions in the data slots 2..J.
+
+    The known reference-symbol slot (column 0) is not scored.  Complex
+    equality is tested to 1e-9 absolute.
+    """
+    d_true = np.asarray(d_true)
+    d_hat = np.asarray(d_hat)
+    if d_true.shape != d_hat.shape:
+        raise DimensionMismatch(
+            f"symbol matrices differ in shape: {d_true.shape} vs {d_hat.shape}")
+    errors = np.abs(d_true[:, 1:] - d_hat[:, 1:]) > SYMBOL_MATCH_TOL
+    return float(np.mean(errors))
+
+
+def compute_ce_mse(mu_true: np.ndarray, mu_hat: np.ndarray) -> float:
+    """Mean squared complex channel-estimate error over all users
+    (inactive-user truth is zero)."""
+    mu_true = np.asarray(mu_true)
+    mu_hat = np.asarray(mu_hat)
+    if mu_true.shape != mu_hat.shape:
+        raise DimensionMismatch(
+            f"channel vectors differ in length: {mu_true.shape} vs {mu_hat.shape}")
+    return float(np.mean(np.abs(mu_true - mu_hat) ** 2))
 
 
 def _run_one_trial(cell: tuple, trial: int,

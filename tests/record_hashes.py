@@ -10,20 +10,31 @@ a score or the record layout moves:
   nit_sweep   the same cell at seed 7, an n_it sweep over 5, 20 and 50,
               4 trials, all three detectors.
 
-Both are computed serially and with 2 worker processes.  Run it from the
-repository root (a few seconds per line):
+Both are computed three ways: serially with this process's BLAS thread
+count, serially with one BLAS thread, and with 2 worker processes, which
+the harness pins to one BLAS thread each.  Every line names the OpenBLAS
+core (kernel) that numpy runs on and the BLAS thread count.  Float
+results move in their last bits with the core, and on some cores
+(Haswell, Sandybridge, Nehalem) with the thread count too, so a serial
+run equals the pool only with one BLAS thread.  Run it from the
+repository root (a few seconds per line), with OPENBLAS_CORETYPE=<core>
+to choose a core:
 
   PYTHONPATH=src python tests/record_hashes.py
 
-pytest does not collect this file; it is not named test_*.py.
+pytest does not collect this file; it is not named test_*.py.  The
+tests import its reference request and its OpenBLAS helpers.
 """
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import hashlib
 
-from ampvbic.harness import run_trials, sweep
+import numpy as np
+
+from ampvbic.harness import _set_blas_threads, run_trials, sweep
 from ampvbic.model import ScenarioConfig
 
 REFERENCE_CELL = ScenarioConfig(M=200, N=100, J=10, p_a=0.1, snr_db=5.0,
@@ -31,18 +42,57 @@ REFERENCE_CELL = ScenarioConfig(M=200, N=100, J=10, p_a=0.1, snr_db=5.0,
 DETECTORS = ("amp_vbic", "amp_vbic_no_offset", "genie")
 
 
+def _openblas_call(name: str, restype):
+    """The result of scipy-openblas's function name, in the library that
+    numpy links (the one harness._set_blas_threads reaches); None where
+    numpy links no scipy-openblas build."""
+    try:
+        fn = getattr(ctypes.CDLL(np._core._multiarray_umath.__file__), name)
+    except (AttributeError, OSError):
+        return None
+    fn.argtypes, fn.restype = [], restype
+    return fn()
+
+
+def openblas_core() -> str | None:
+    """The OpenBLAS core (kernel) that numpy's matrix products run on."""
+    name = _openblas_call("scipy_openblas_get_corename64_", ctypes.c_char_p)
+    return None if name is None else name.decode()
+
+
+def blas_threads() -> int | None:
+    """This process's OpenBLAS thread count."""
+    return _openblas_call("scipy_openblas_get_num_threads64_", ctypes.c_int)
+
+
+def without_runtimes(records) -> list:
+    return [dataclasses.replace(r, runtime_ms=0.0) for r in records]
+
+
 def record_hash(records) -> str:
-    zeroed = [dataclasses.replace(r, runtime_ms=0.0) for r in records]
-    return hashlib.sha256(repr(zeroed).encode()).hexdigest()[:16]
+    return hashlib.sha256(repr(without_runtimes(records)).encode()) \
+        .hexdigest()[:16]
+
+
+def hashes(n_workers: int) -> str:
+    trials = run_trials(REFERENCE_CELL, 20, DETECTORS, n_workers=n_workers)
+    rows = sweep(dataclasses.replace(REFERENCE_CELL, seed=7), "n_it",
+                 (5, 20, 50), 4, DETECTORS, n_workers=n_workers)
+    return f"run_trials {record_hash(trials)}  nit_sweep {record_hash(rows)}"
 
 
 def main() -> None:
-    for n_workers in (1, 2):
-        trials = run_trials(REFERENCE_CELL, 20, DETECTORS, n_workers=n_workers)
-        rows = sweep(dataclasses.replace(REFERENCE_CELL, seed=7), "n_it",
-                     (5, 20, 50), 4, DETECTORS, n_workers=n_workers)
-        print(f"n_workers={n_workers}  run_trials {record_hash(trials)}  "
-              f"nit_sweep {record_hash(rows)}")
+    core = openblas_core()
+
+    def show(n_workers, threads):
+        print(f"n_workers={n_workers}  core={core}  blas_threads={threads}  "
+              f"{hashes(n_workers)}")
+
+    show(1, blas_threads())
+    _set_blas_threads(1)
+    show(1, blas_threads())
+    # The harness pins each pool worker to one BLAS thread.
+    show(2, "1 per worker")
 
 
 if __name__ == "__main__":

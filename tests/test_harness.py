@@ -13,12 +13,13 @@ from ampvbic.amp import amp_decouple, amp_init
 from ampvbic.errors import ConfigError, DimensionMismatch, \
     NumericalBreakdown, TrialFailure
 from ampvbic.detector import run_detector
-from ampvbic.harness import (MetricsRecord, aggregate, genie_detect,
+from ampvbic.harness import (MetricsRecord, aggregate, compute_aer,
+                             compute_ce_mse, compute_ser, genie_detect,
                              run_trials, summarize, sweep, trial_rng,
                              write_csv)
-from ampvbic.metrics import compute_aer, compute_ce_mse, compute_ser
 from ampvbic.model import ScenarioConfig, ScenarioInstance, build_alphabet, \
     generate_frame
+from record_hashes import REFERENCE_CELL, without_runtimes
 
 
 class TestAer:
@@ -238,6 +239,22 @@ class TestRunTrials:
         par = run_trials(cfg, 4, ("amp_vbic",), n_workers=2)
         for a, b in zip(seq, par):
             assert (a.trial, a.aer, a.ser, a.ce_mse) == (b.trial, b.aer, b.ser, b.ce_mse)
+
+    def test_serial_with_one_blas_thread_matches_pool(self):
+        # On some OpenBLAS cores (Haswell, Sandybridge, Nehalem) a product
+        # split over several BLAS threads rounds differently at the ref
+        # cell, so a serial run equals the pool, whose workers run one
+        # BLAS thread each, only at one thread.
+        before = harness._set_blas_threads(1)
+        if before is None:
+            pytest.skip("numpy links no scipy-openblas build")
+        try:
+            serial = run_trials(REFERENCE_CELL, 4, tuple(harness.DETECTORS))
+        finally:
+            harness._set_blas_threads(before)
+        pooled = run_trials(REFERENCE_CELL, 4, tuple(harness.DETECTORS),
+                            n_workers=2)
+        assert without_runtimes(serial) == without_runtimes(pooled)
 
     def test_pool_workers_run_one_blas_thread(self, monkeypatch):
         # Each record's aer is the BLAS thread count its worker saw.  This

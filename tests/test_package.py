@@ -1,4 +1,9 @@
+import importlib
+
+import pytest
+
 import ampvbic
+import ampvbic.harness
 
 # Entry points, configuration and result types, and errors; everything else
 # is reached through its module.
@@ -17,3 +22,12 @@ def test_public_names_are_pinned_and_resolve():
     namespace = {}
     exec("from ampvbic import *", namespace)
     assert PUBLIC <= namespace.keys()
+
+
+def test_scores_live_in_the_harness():
+    # The scores sit beside the trial that calls them, and ampvbic's
+    # names are the harness's objects; there is no ampvbic.metrics.
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("ampvbic.metrics")
+    for name in ("compute_aer", "compute_ser", "compute_ce_mse"):
+        assert getattr(ampvbic, name) is getattr(ampvbic.harness, name)
