@@ -9,8 +9,9 @@ symbol.  The loop is deterministic: no randomness enters after the frame
 is drawn, and nothing in it depends on the iteration count, so a run of n
 iterations is a prefix of every longer run on the same frame.  The bare
 loop, run_detector_internals, takes the count as an int and continues an
-earlier call's loop (start=): the harness steps it once per iteration
-count of a trial, and run_detector once per iteration for its trace,
+earlier call's loop (start=, advanced in place and returned): the harness
+steps it once per iteration count of a trial, and run_detector, which
+always runs config.n_it iterations, once per iteration for its trace,
 which needs no ground truth (the harness's n_it sweep scores each count).
 
 Every decision reads the loop's state: amp_vbic and its offset-free
@@ -61,20 +62,17 @@ class DetectionResult:
 @dataclass
 class IterationTrace:
     """Per-iteration diagnostics that need no ground truth: the mean
-    absolute change of the posterior mean."""
+    absolute change of the posterior mean, one entry per iteration."""
 
     delta_x: list[float] = field(default_factory=list)
-
-    @property
-    def n_iterations(self) -> int:
-        return len(self.delta_x)
 
 
 @dataclass
 class DetectorInternals:
     """The loop's state after n_iterations iterations: every decision
     (_finalize, with or without the offsets) and the genie baseline read
-    it, and run_detector_internals(..., n_it, start=it) continues it."""
+    it, and run_detector_internals(..., n_it, start=it) advances it in
+    place and returns it."""
 
     vbic_state: vbic.VbicState
     posterior: amp.Posterior
@@ -197,17 +195,10 @@ def genie_detect(r_final: np.ndarray, frame: ScenarioInstance,
 
 
 def run_detector(a_mat: np.ndarray, y: np.ndarray, config: ScenarioConfig,
-                 *, conv_tol: float | None = None,
                  ) -> tuple[DetectionResult, IterationTrace]:
-    """Run the full detector on one frame, stepping the loop one iteration
-    at a time and recording the trace between steps, then decide once.
-
-    conv_tol, None or a number > 0, stops once the mean posterior-mean
-    change falls below it (None keeps all n_it records).
-    """
-    if conv_tol is not None and (isinstance(conv_tol, bool) or not (
-            isinstance(conv_tol, numbers.Real) and conv_tol > 0)):
-        raise ConfigError(f"conv_tol must be None or a number > 0, got {conv_tol!r}")
+    """Run the full detector on one frame for config.n_it iterations,
+    stepping the loop one iteration at a time and recording the trace
+    between steps, then decide once."""
     trace = IterationTrace()
     internals = None
     prev_xhat = 0.0     # the loop starts from amp_init's zero prior mean
@@ -217,8 +208,6 @@ def run_detector(a_mat: np.ndarray, y: np.ndarray, config: ScenarioConfig,
         delta = float(np.mean(np.abs(internals.posterior.Xhat - prev_xhat)))
         trace.delta_x.append(delta)
         prev_xhat = internals.posterior.Xhat
-        if conv_tol is not None and delta < conv_tol:
-            break
     return _finalize(internals, config, include_offset=True), trace
 
 
@@ -230,8 +219,8 @@ def run_detector_internals(a_mat: np.ndarray, y: np.ndarray,
     total (an int > 0; config.n_it is not read), with no decision.
 
     start, the internals of an earlier call on the same frame and config,
-    continues that loop to n_it > start.n_iterations, as a fresh run would.
-    start's VB state is advanced in place, so decide from start first.
+    is advanced in place to n_it > start.n_iterations, as a fresh run
+    would be, and returned.
     """
     done = 0 if start is None else start.n_iterations
     if isinstance(n_it, bool) or not isinstance(n_it, numbers.Integral) or n_it <= done:
@@ -247,17 +236,21 @@ def run_detector_internals(a_mat: np.ndarray, y: np.ndarray,
 
     alphabet = build_alphabet(config.modulation)
     noise_var = noise_variance_from_snr(config.snr_db, alphabet.E_sym)
-    if start is None:
+    internals = start
+    if internals is None:
+        # No pseudo observations before the first iteration; this state
+        # is returned only after at least one.
         amp_state, posterior = amp.amp_init(a_mat, j, alphabet.E_sym)
-        state = vbic.vbic_init(alphabet.K, m, j)
-    else:
-        amp_state, posterior, state = start.amp_state, start.posterior, start.vbic_state
+        internals = DetectorInternals(vbic.vbic_init(alphabet.K, m, j),
+                                      posterior, None, amp_state, 0)
 
     for it in range(done, n_it):
-        pseudo, amp_state = amp.amp_decouple(a_mat, y, posterior, amp_state,
-                                             noise_var)
+        internals.pseudo, internals.amp_state = amp.amp_decouple(
+            a_mat, y, internals.posterior, internals.amp_state, noise_var)
         if it == 0:
-            vbic.warm_start_channel(state, pseudo.R, alphabet)
-        posterior = vbic.vbic_step(state, pseudo.R, alphabet)
-
-    return DetectorInternals(state, posterior, pseudo, amp_state, n_it)
+            vbic.warm_start_channel(internals.vbic_state, internals.pseudo.R,
+                                    alphabet)
+        internals.posterior = vbic.vbic_step(internals.vbic_state,
+                                             internals.pseudo.R, alphabet)
+    internals.n_iterations = n_it
+    return internals

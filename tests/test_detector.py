@@ -11,7 +11,7 @@ from ampvbic.errors import ConfigError, DimensionMismatch
 from ampvbic.harness import compute_aer, compute_ce_mse, compute_ser, \
     trial_rng
 from ampvbic.model import ScenarioConfig, build_alphabet, generate_frame
-from record_hashes import openblas_core
+from record_hashes import REFERENCE_CELL, openblas_core
 
 
 def make_frame(seed=41, **overrides):
@@ -29,10 +29,10 @@ class TestRunDetector:
     def test_trace_has_one_record_per_iteration(self):
         cfg, alph, fr = make_frame(n_it=1)
         _, trace = run_detector(fr.A, fr.Y, cfg)
-        assert trace.n_iterations == 1
+        assert len(trace.delta_x) == 1
         cfg2 = dataclasses.replace(cfg, n_it=7)
         _, trace = run_detector(fr.A, fr.Y, cfg2)
-        assert trace.n_iterations == 7
+        assert len(trace.delta_x) == 7
         # The trace holds truth-free signals only.
         assert [f.name for f in dataclasses.fields(trace)] == ["delta_x"]
 
@@ -83,31 +83,6 @@ class TestRunDetector:
         cfg, alph, fr = make_frame()
         with pytest.raises(ConfigError, match="0 < p_a < 1"):
             run_detector(fr.A, fr.Y, dataclasses.replace(cfg, p_a=0.0))
-
-    def test_early_stop_tolerance(self):
-        cfg, alph, fr = make_frame(n_it=40)
-        _, trace = run_detector(fr.A, fr.Y, cfg, conv_tol=1e-3)
-        assert trace.n_iterations < 40
-
-    @pytest.mark.parametrize("conv_tol", [float("nan"), "1e-3", 0.0, -1e-3,
-                                          True, -float("inf")])
-    def test_bad_conv_tol_fails_before_the_first_iteration(self, monkeypatch,
-                                                           conv_tol):
-        # nan would never stop the loop, and a str would fail only in the
-        # first comparison, after iteration 1.
-        def no_loop(*args, **kwargs):
-            raise AssertionError("an iteration ran")
-        monkeypatch.setattr(detector, "run_detector_internals", no_loop)
-        cfg, alph, fr = make_frame()
-        with pytest.raises(ConfigError, match="conv_tol must be None or a "
-                                              "number > 0"):
-            run_detector(fr.A, fr.Y, cfg, conv_tol=conv_tol)
-
-    @pytest.mark.parametrize("conv_tol", [np.float64(1e-3), 1, float("inf")])
-    def test_any_positive_real_conv_tol_runs(self, conv_tol):
-        cfg, alph, fr = make_frame()
-        _, trace = run_detector(fr.A, fr.Y, cfg, conv_tol=conv_tol)
-        assert 1 <= trace.n_iterations <= cfg.n_it
 
     def test_channel_hat_is_final_snapshot(self):
         cfg, alph, fr = make_frame()
@@ -222,6 +197,23 @@ def test_resumed_loop_matches_fresh_run():
         run_detector_internals(fr.A, fr.Y, cfg, 19, start=resumed)
 
 
+def test_continued_loop_is_the_object_passed_in():
+    # A continued loop is one object: start itself is advanced, so
+    # deciding from it after the continuation is deciding from a fresh
+    # 20-iteration run, not from a mix of its 5- and 20-iteration states.
+    cfg = REFERENCE_CELL
+    fr = generate_frame(cfg, trial_rng(cfg.seed, 0))
+    start = run_detector_internals(fr.A, fr.Y, cfg, 5)
+    assert run_detector_internals(fr.A, fr.Y, cfg, 20, start=start) is start
+    assert start.n_iterations == 20
+    fresh = run_detector_internals(fr.A, fr.Y, cfg, 20)
+    continued = detector._finalize(start, cfg, include_offset=True)
+    want = detector._finalize(fresh, cfg, include_offset=True)
+    assert np.array_equal(continued.activity_hat, want.activity_hat)
+    assert np.array_equal(continued.D_hat, want.D_hat)
+    assert np.array_equal(continued.channel_hat, want.channel_hat)
+
+
 @pytest.mark.parametrize("n_it, start_at", [(0, None), (-1, None),
                                             (True, None), (5.0, None),
                                             (np.float64(5.0), None), ("5", None),
@@ -274,8 +266,7 @@ class TestPinnedRunDetector:
     SER = [0.06666666666666667, 0.05, 0.05, 0.025, 0.025,
            0.016666666666666666]
     # Per core: the digests of channel_hat and llr_dec, delta_x and CE_MSE
-    # at n_it=6, and delta_x with conv_tol=1e-3 on the n_it=40 frame,
-    # which stops after iteration 8.
+    # at n_it=6.
     RECORDED = {
         "SkylakeX": {
             "CHANNEL_SHA": "f6f4b5ee5d52a818486d6d11042d0a33"
@@ -290,11 +281,6 @@ class TestPinnedRunDetector:
                 0.007087163770688274, 0.004849605886146495,
                 0.0029008940353675476, 0.0022351829798366177,
                 0.0019625634027111856, 0.001822647626259371],
-            "CONV_DELTA_X": [
-                0.0028452117601548924, 0.007025020399393351,
-                0.010449588063609837, 0.00518527855019272,
-                0.0023513725092286983, 0.0014883031180816413,
-                0.0011617895183507869, 0.000989590026920301],
         },
         "Haswell": {
             "CHANNEL_SHA": "0c916e95af9657ccdc8f69d3c8808e49"
@@ -309,11 +295,6 @@ class TestPinnedRunDetector:
                 0.007087163770688274, 0.0048496058861464955,
                 0.0029008940353675485, 0.002235182979836618,
                 0.001962563402711186, 0.001822647626259372],
-            "CONV_DELTA_X": [
-                0.002845211760154891, 0.007025020399393347,
-                0.010449588063609837, 0.005185278550192722,
-                0.002351372509228697, 0.0014883031180816391,
-                0.0011617895183507912, 0.0009895900269203035],
         },
         "Sandybridge": {
             "CHANNEL_SHA": "01217c8ba8974378f5d24fb62aa304c0"
@@ -328,11 +309,6 @@ class TestPinnedRunDetector:
                 0.007087163770688274, 0.004849605886146495,
                 0.0029008940353675476, 0.002235182979836618,
                 0.0019625634027111856, 0.0018226476262593713],
-            "CONV_DELTA_X": [
-                0.002845211760154893, 0.0070250203993933525,
-                0.010449588063609839, 0.005185278550192718,
-                0.002351372509228698, 0.001488303118081642,
-                0.0011617895183507873, 0.000989590026920304],
         },
         "Nehalem": {
             "CHANNEL_SHA": "70b1f6e3baecf53d14c1659644cd34f2"
@@ -347,11 +323,6 @@ class TestPinnedRunDetector:
                 0.007087163770688274, 0.004849605886146495,
                 0.002900894035367548, 0.0022351829798366173,
                 0.0019625634027111848, 0.00182264762625937],
-            "CONV_DELTA_X": [
-                0.002845211760154891, 0.007025020399393349,
-                0.010449588063609839, 0.00518527855019272,
-                0.0023513725092286987, 0.0014883031180816435,
-                0.0011617895183507866, 0.0009895900269203026],
         },
         "Katmai": {
             "CHANNEL_SHA": "f710c007a1481406831b0334757691da"
@@ -366,11 +337,6 @@ class TestPinnedRunDetector:
                 0.007087163770688274, 0.004849605886146495,
                 0.0029008940353675476, 0.0022351829798366186,
                 0.001962563402711186, 0.0018226476262593713],
-            "CONV_DELTA_X": [
-                0.0028452117601548924, 0.007025020399393351,
-                0.010449588063609839, 0.005185278550192718,
-                0.0023513725092286974, 0.0014883031180816426,
-                0.0011617895183507873, 0.0009895900269203033],
         },
     }
 
@@ -407,8 +373,3 @@ class TestPinnedRunDetector:
             ce_mse.append(compute_ce_mse(fr.mu, result.channel_hat))
         assert (aer, ser) == (self.AER, self.SER)
         self.assert_recorded(CE_MSE=ce_mse)
-
-    def test_early_stop_iteration(self):
-        cfg, alph, fr = make_frame(n_it=40)
-        _, trace = run_detector(fr.A, fr.Y, cfg, conv_tol=1e-3)
-        self.assert_recorded(CONV_DELTA_X=trace.delta_x)
