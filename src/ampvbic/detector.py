@@ -44,19 +44,19 @@ RESP_FLOOR = 1e-300
 
 @dataclass
 class DetectionResult:
-    """Final decisions of one detector run.
+    """Final decisions of one detector run.  Every decision (each entry of
+    harness.DETECTORS) fills all four fields and no others.
 
     Rows of D_hat for users decided inactive are all-zero; rows of active
     users contain constellation symbols only.  activity_hat[m] == 1 exactly
-    when llr_dec[m] > 0.
+    when llr_dec[m] > 0: amp_vbic's three-term LLR, its ablation's
+    clustering evidence, or the genie's +1/-1.
     """
 
     activity_hat: np.ndarray   # (M,) 0/1
     D_hat: np.ndarray          # (M, J) decided symbols
     channel_hat: np.ndarray    # (M,) channel estimates at the final iteration
-    llr_dec: np.ndarray        # (M,) combined decision LLR
-    llr_vbi: np.ndarray        # (M,) clustering-evidence LLR
-    llr_offset: np.ndarray     # (M,) summed offset LLR
+    llr_dec: np.ndarray        # (M,) decision statistic behind activity_hat
 
 
 @dataclass
@@ -109,12 +109,12 @@ def detect(resp: np.ndarray, posterior: amp.Posterior, channel_hat: np.ndarray,
 
     num = np.maximum(resp[1:].max(axis=0), RESP_FLOOR)
     den = np.maximum(resp[0], RESP_FLOOR)
-    llr_vbi = np.log(num / den).sum(axis=1)
-    llr_off = _offset_llr_matrix(posterior, alphabet.E_sym).sum(axis=1)
+    evidence = np.log(num / den).sum(axis=1)
     if include_offset:
-        llr_dec = llr_vbi + llr_off + np.log(p_a / (1.0 - p_a))
+        offset = _offset_llr_matrix(posterior, alphabet.E_sym).sum(axis=1)
+        llr_dec = evidence + offset + np.log(p_a / (1.0 - p_a))
     else:
-        llr_dec = llr_vbi.copy()
+        llr_dec = evidence
 
     active = llr_dec > 0.0
     best_k = resp[1:].argmax(axis=0) + 1
@@ -124,8 +124,6 @@ def detect(resp: np.ndarray, posterior: amp.Posterior, channel_hat: np.ndarray,
         D_hat=d_hat,
         channel_hat=np.asarray(channel_hat).copy(),
         llr_dec=llr_dec,
-        llr_vbi=llr_vbi,
-        llr_offset=llr_off,
     )
 
 
@@ -174,12 +172,14 @@ def genie_detect(r_final: np.ndarray, frame: ScenarioInstance,
     """Nearest-symbol detection with the frame's support and channels on
     the detector's own final pseudo observations r_final.
 
-    Active rows are alphabet.nearest(r, mu) at each user's true channel
-    mu, inactive rows zero.  r_final is the decoupling output of the
-    detector's last iteration, so the genie inherits its residual
-    interference.  It is therefore not a bound on what known support
-    allows: a least-squares fit on the true support scores SER 0.0000 at
-    40 dB where the genie scores 0.0124.
+    It fills the four fields from the frame: activity_hat is the true
+    activity, active rows of D_hat are alphabet.nearest(r, mu) at each
+    user's true channel mu (inactive rows zero), channel_hat is the true
+    channel, and llr_dec is +1 for active users, -1 for inactive ones.
+    r_final is the decoupling output of the detector's last iteration, so
+    the genie inherits its residual interference.  It is therefore not a
+    bound on what known support allows: a least-squares fit on the true
+    support scores SER 0.0000 at 40 dB where the genie scores 0.0124.
     """
     active = frame.activity.astype(bool)
     d_hat = np.zeros(r_final.shape, dtype=complex)
@@ -189,8 +189,6 @@ def genie_detect(r_final: np.ndarray, frame: ScenarioInstance,
         D_hat=d_hat,
         channel_hat=frame.mu.copy(),
         llr_dec=np.where(active, 1.0, -1.0),
-        llr_vbi=np.zeros(active.size),
-        llr_offset=np.zeros(active.size),
     )
 
 

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from ampvbic.amp import Posterior, amp_decouple, amp_init
-from ampvbic.detector import correct_phase, detect, run_detector
+from ampvbic.detector import _offset_llr_matrix, correct_phase, detect, \
+    run_detector
 from ampvbic.harness import _set_blas_threads, aggregate, run_trials, sweep
 from ampvbic.model import (ExtendedAlphabet, ScenarioConfig, build_alphabet,
                            generate_frame)
@@ -58,14 +59,19 @@ def unit_alphabet() -> ExtendedAlphabet:
     return ExtendedAlphabet(symbols=np.array([0.0 + 0.0j, 1.0 + 0.0j]))
 
 
-def detect_one_user(resp, xhat, p_a):
-    """detect() on one user whose J = len(xhat) observations have unit
-    posterior variance, over the {0, 1} alphabet (E_sym = 1); resp has one
-    row per observation."""
+def unit_posterior(xhat):
+    """One user whose J = len(xhat) observations have unit posterior
+    variance."""
     xhat = np.array([xhat], dtype=complex)
-    posterior = Posterior(Xhat=xhat, That=np.ones(xhat.shape))
-    return detect(k_major(resp, 1), posterior,
-                  np.zeros(1, dtype=complex), unit_alphabet(), p_a)
+    return Posterior(Xhat=xhat, That=np.ones(xhat.shape))
+
+
+def detect_one_user(resp, xhat, p_a, include_offset=True):
+    """detect() on unit_posterior(xhat) over the {0, 1} alphabet
+    (E_sym = 1); resp has one row per observation."""
+    return detect(k_major(resp, 1), unit_posterior(xhat),
+                  np.zeros(1, dtype=complex), unit_alphabet(), p_a,
+                  include_offset)
 
 
 def test_criterion_1_unit_equation_suite():
@@ -141,14 +147,13 @@ def test_criterion_1_unit_equation_suite():
     assert post.That[0, 0] == pytest.approx(0.25, rel=REL)
 
     # activity evidence: ln(0.1/0.9) summed per user block
-    assert detect_one_user([[0.9, 0.1]], [0.0], 0.1).llr_vbi[0] == pytest.approx(
-        math.log(1.0 / 9.0), rel=REL)
+    res = detect_one_user([[0.9, 0.1]], [0.0], 0.1, include_offset=False)
+    assert res.llr_dec[0] == pytest.approx(math.log(1.0 / 9.0), rel=REL)
 
     # offset LLR: ln(1/2) and ln(1/2) + 1 - 1/2
-    assert detect_one_user([[0.5, 0.5]], [0.0], 0.1).llr_offset[0] == \
-        pytest.approx(math.log(0.5), rel=REL)
-    assert detect_one_user([[0.5, 0.5]], [1.0], 0.1).llr_offset[0] == \
-        pytest.approx(math.log(0.5) + 0.5, rel=REL)
+    for xhat, want in ((0.0, math.log(0.5)), (1.0, math.log(0.5) + 0.5)):
+        offset = _offset_llr_matrix(unit_posterior([xhat]), alph2.E_sym)
+        assert offset.sum(axis=1)[0] == pytest.approx(want, rel=REL)
 
     # decision LLR: prior log-odds at p_a = 0.1 (balanced evidence, and
     # |x|^2 = 2 ln 2 makes the offset ln(1/2) + ln 2 = 0); additivity

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ampvbic.amp import Posterior
-from ampvbic.detector import correct_phase, detect
+from ampvbic.detector import _offset_llr_matrix, correct_phase, detect
 from ampvbic.errors import ConfigError, DimensionMismatch, NumericalBreakdown
 from ampvbic.model import ExtendedAlphabet, build_alphabet
 from oracles import k_major
@@ -17,57 +17,73 @@ LN_HALF = -0.6931471805599453        # ln(1/2)
 ZERO_OFFSET_X = math.sqrt(2.0 * math.log(2.0))
 
 
-def detect_users(resp, xhat, p_a=0.1, e_sym=1.0):
+def unit_posterior(xhat):
+    """Posterior means the rows of xhat, one row per user, at unit variance."""
+    xhat = np.array(xhat, dtype=complex)
+    return Posterior(Xhat=xhat, That=np.ones(xhat.shape))
+
+
+def detect_users(resp, xhat, p_a=0.1, e_sym=1.0, include_offset=True):
     """detect() over the alphabet {0, sqrt(e_sym)}, whose prior energy is
     e_sym, for the users whose posterior means are the rows of xhat (unit
-    variance); resp has one row per observation."""
-    xhat = np.array(xhat, dtype=complex)
+    variance); resp has one row per observation.  include_offset=False
+    gives the clustering evidence alone as llr_dec."""
+    posterior = unit_posterior(xhat)
+    m = posterior.Xhat.shape[0]
     alph = ExtendedAlphabet(symbols=np.array([0.0, math.sqrt(e_sym)],
                                              dtype=complex))
-    posterior = Posterior(Xhat=xhat, That=np.ones(xhat.shape))
-    return detect(k_major(resp, xhat.shape[0]), posterior,
-                  np.zeros(xhat.shape[0], dtype=complex), alph, p_a)
+    return detect(k_major(resp, m), posterior, np.zeros(m, dtype=complex),
+                  alph, p_a, include_offset)
+
+
+def evidence_llr(resp, xhat):
+    """The clustering-evidence term of each user's decision LLR."""
+    return detect_users(resp, xhat, include_offset=False).llr_dec
+
+
+def offset_llr(xhat, e_sym=1.0):
+    """The summed offset term of each user's decision LLR, as detect()
+    forms it."""
+    return _offset_llr_matrix(unit_posterior(xhat), e_sym).sum(axis=1)
 
 
 class TestVbiActivityLlr:
 
     def test_balanced_is_zero(self):
         resp = np.tile([0.5, 0.5], (10, 1))
-        res = detect_users(resp, np.zeros((1, 10)))
-        assert res.llr_vbi[0] == pytest.approx(0.0, abs=1e-12)
+        llr = evidence_llr(resp, np.zeros((1, 10)))
+        assert llr[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_example(self):
-        res = detect_users([[0.9, 0.1]], [[0.0]])
-        assert res.llr_vbi[0] == pytest.approx(LN_ONE_NINTH, rel=1e-9)
+        llr = evidence_llr([[0.9, 0.1]], [[0.0]])
+        assert llr[0] == pytest.approx(LN_ONE_NINTH, rel=1e-9)
 
     def test_floor_keeps_llr_finite(self):
-        res = detect_users([[0.0, 1.0], [0.0, 1.0]], np.zeros((1, 2)))
-        assert np.isfinite(res.llr_vbi[0])
-        assert res.llr_vbi[0] > 100.0
+        llr = evidence_llr([[0.0, 1.0], [0.0, 1.0]], np.zeros((1, 2)))
+        assert np.isfinite(llr[0])
+        assert llr[0] > 100.0
 
     def test_sums_over_user_block(self):
         resp = np.array([[0.9, 0.1], [0.9, 0.1], [0.1, 0.9], [0.1, 0.9]])
-        res = detect_users(resp, np.zeros((2, 2)))
-        assert res.llr_vbi[0] == pytest.approx(2 * LN_ONE_NINTH, rel=1e-9)
-        assert res.llr_vbi[1] == pytest.approx(-2 * LN_ONE_NINTH, rel=1e-9)
+        llr = evidence_llr(resp, np.zeros((2, 2)))
+        assert llr[0] == pytest.approx(2 * LN_ONE_NINTH, rel=1e-9)
+        assert llr[1] == pytest.approx(-2 * LN_ONE_NINTH, rel=1e-9)
 
 
 class TestOffsetLlr:
 
     def test_zero_mean(self):
-        res = detect_users([[0.5, 0.5]], [[0.0]])
-        assert res.llr_offset[0] == pytest.approx(LN_HALF, rel=1e-9)
+        assert offset_llr([[0.0]])[0] == pytest.approx(LN_HALF, rel=1e-9)
 
     def test_unit_mean(self):
         # ln(1/2) + 1 - 1/2
-        res = detect_users([[0.5, 0.5]], [[1.0]])
-        assert res.llr_offset[0] == pytest.approx(LN_HALF + 0.5, rel=1e-9)
+        assert offset_llr([[1.0]])[0] == pytest.approx(LN_HALF + 0.5, rel=1e-9)
 
     def test_degenerate_prior_energy(self):
         # As the active prior variance shrinks to the inactive one, the
         # hypotheses coincide and the ratio vanishes.
-        res = detect_users([[0.5, 0.5]], [[1.0 + 2.0j]], e_sym=1e-12)
-        assert res.llr_offset[0] == pytest.approx(0.0, abs=1e-9)
+        llr = offset_llr([[1.0 + 2.0j]], e_sym=1e-12)
+        assert llr[0] == pytest.approx(0.0, abs=1e-9)
 
 
 class TestDecisionLlr:
@@ -86,11 +102,14 @@ class TestDecisionLlr:
         res = detect_users([[0.1, 0.9], [0.5, 0.5]], [[0.0, 1.0]], p_a=0.5)
         assert res.llr_dec[0] == pytest.approx(
             -LN_ONE_NINTH + 2 * LN_HALF + 0.5, rel=1e-9)
-        resp, posterior, channel = _uniformish_setup(build_alphabet("qpsk"))
-        res = detect(resp, posterior, channel, build_alphabet("qpsk"), 0.3)
+        alph = build_alphabet("qpsk")
+        resp, posterior, channel = _uniformish_setup(alph)
+        res = detect(resp, posterior, channel, alph, 0.3)
+        evidence = detect(resp, posterior, channel, alph, 0.3,
+                          include_offset=False).llr_dec
+        offset = _offset_llr_matrix(posterior, alph.E_sym).sum(axis=1)
         np.testing.assert_allclose(
-            res.llr_dec, res.llr_vbi + res.llr_offset + math.log(0.3 / 0.7),
-            rtol=1e-9)
+            res.llr_dec, evidence + offset + math.log(0.3 / 0.7), rtol=1e-9)
 
     @pytest.mark.parametrize("p_a", [0.0, 1.0, -0.2, 1.3])
     def test_prior_bounds(self, p_a):
@@ -187,8 +206,11 @@ class TestDetect:
     def test_ablation_uses_clustering_evidence_only(self):
         resp, posterior, channel = _uniformish_setup(self.alph, seed=35)
         res = detect(resp, posterior, channel, self.alph, 0.1, include_offset=False)
-        assert np.allclose(res.llr_dec, res.llr_vbi)
-        assert np.array_equal(res.activity_hat, (res.llr_vbi > 0).astype(np.int8))
+        full = detect(resp, posterior, channel, self.alph, 0.1)
+        offset = _offset_llr_matrix(posterior, self.alph.E_sym).sum(axis=1)
+        assert np.allclose(res.llr_dec,
+                           full.llr_dec - offset - math.log(0.1 / 0.9))
+        assert np.array_equal(res.activity_hat, (res.llr_dec > 0).astype(np.int8))
 
 
 class TestCorrectPhase:

@@ -8,8 +8,8 @@ import pytest
 from ampvbic import detector
 from ampvbic.detector import run_detector, run_detector_internals
 from ampvbic.errors import ConfigError, DimensionMismatch
-from ampvbic.harness import compute_aer, compute_ce_mse, compute_ser, \
-    trial_rng
+from ampvbic.harness import DETECTORS, compute_aer, compute_ce_mse, \
+    compute_ser, trial_rng
 from ampvbic.model import ScenarioConfig, build_alphabet, generate_frame
 from record_hashes import REFERENCE_CELL, openblas_core
 
@@ -22,6 +22,17 @@ def make_frame(seed=41, **overrides):
     alph = build_alphabet(cfg.modulation)
     frame = generate_frame(cfg, np.random.default_rng(seed))
     return cfg, alph, frame
+
+
+def assert_same_decision(got, want):
+    """Bit for bit the same activity, symbols and channel estimates."""
+    assert np.array_equal(got.activity_hat, want.activity_hat)
+    assert np.array_equal(got.D_hat, want.D_hat)
+    assert np.array_equal(got.channel_hat, want.channel_hat)
+
+
+def final_decision(internals, cfg):
+    return detector._finalize(internals, cfg, include_offset=True)
 
 
 class TestRunDetector:
@@ -88,7 +99,7 @@ class TestRunDetector:
         cfg, alph, fr = make_frame()
         result, _ = run_detector(fr.A, fr.Y, cfg)
         internals = run_detector_internals(fr.A, fr.Y, cfg, cfg.n_it)
-        assert np.array_equal(result.channel_hat, internals.vbic_state.mu)
+        assert_same_decision(result, final_decision(internals, cfg))
 
     def test_result_invariants_end_to_end(self):
         cfg, alph, fr = make_frame(seed=43)
@@ -125,7 +136,7 @@ class TestRunDetector:
         assert internals.n_iterations == cfg.n_it
         assert internals.pseudo.R.shape == (cfg.M, cfg.J)
         assert internals.vbic_state.resp.shape == (alph.K, cfg.M, cfg.J)
-        assert np.array_equal(internals.vbic_state.mu, result.channel_hat)
+        assert_same_decision(result, final_decision(internals, cfg))
 
     @pytest.mark.parametrize("seed, overrides", [
         (43, {}), (44, dict(modulation="qpsk", p_a=0.5, snr_db=20.0))],
@@ -207,11 +218,7 @@ def test_continued_loop_is_the_object_passed_in():
     assert run_detector_internals(fr.A, fr.Y, cfg, 20, start=start) is start
     assert start.n_iterations == 20
     fresh = run_detector_internals(fr.A, fr.Y, cfg, 20)
-    continued = detector._finalize(start, cfg, include_offset=True)
-    want = detector._finalize(fresh, cfg, include_offset=True)
-    assert np.array_equal(continued.activity_hat, want.activity_hat)
-    assert np.array_equal(continued.D_hat, want.D_hat)
-    assert np.array_equal(continued.channel_hat, want.channel_hat)
+    assert_same_decision(final_decision(start, cfg), final_decision(fresh, cfg))
 
 
 @pytest.mark.parametrize("n_it, start_at", [(0, None), (-1, None),
@@ -236,7 +243,37 @@ def test_loop_takes_numpy_integer_counts():
                                        start=prefix)
     result, _ = run_detector(fr.A, fr.Y, cfg)
     assert internals.n_iterations == cfg.n_it
-    assert np.array_equal(internals.vbic_state.mu, result.channel_hat)
+    assert_same_decision(result, final_decision(internals, cfg))
+
+
+class TestDetectorTable:
+    """The contract every entry of harness.DETECTORS keeps, on one
+    reference-cell frame: a decision fills exactly DetectionResult's four
+    fields, consistently with each other."""
+
+    @pytest.fixture(scope="class")
+    def state(self):
+        cfg = REFERENCE_CELL
+        frame = generate_frame(cfg, trial_rng(cfg.seed, 0))
+        internals = run_detector_internals(frame.A, frame.Y, cfg, cfg.n_it)
+        return cfg, frame, internals
+
+    @pytest.mark.parametrize("name", list(DETECTORS))
+    def test_decision_fills_the_four_fields(self, state, name):
+        cfg, frame, internals = state
+        result = DETECTORS[name](internals, frame, cfg)
+        assert [f.name for f in dataclasses.fields(result)] == [
+            "activity_hat", "D_hat", "channel_hat", "llr_dec"]
+        assert result.activity_hat.dtype == np.int8
+        assert result.activity_hat.shape == (cfg.M,)
+        assert np.array_equal(result.activity_hat, result.llr_dec > 0)
+        active = result.activity_hat.astype(bool)
+        assert result.D_hat.shape == (cfg.M, cfg.J)
+        assert not result.D_hat[~active].any()
+        assert np.all(np.isin(result.D_hat[active],
+                              build_alphabet(cfg.modulation).active_symbols))
+        assert result.channel_hat.shape == (cfg.M,)
+        assert np.all(np.isfinite(result.channel_hat))
 
 
 def digest(a):
