@@ -10,9 +10,10 @@ is drawn, and nothing in it depends on the iteration count, so a run of n
 iterations is a prefix of every longer run on the same frame.  The bare
 loop, run_detector_internals, takes the count as an int and continues an
 earlier call's loop (start=, advanced in place and returned): the harness
-steps it once per iteration count of a trial, and run_detector, which
-always runs config.n_it iterations, once per iteration for its trace,
-which needs no ground truth (the harness's n_it sweep scores each count).
+steps it once per iteration count of a trial, and run_detector runs it
+once, to config.n_it.  The loop keeps its own trace, which needs no
+ground truth (the harness's n_it sweep scores each count): a continued
+loop extends it, and its length is the loop's iteration count.
 
 Every decision reads the loop's state: amp_vbic and its offset-free
 ablation through _finalize, the genie through genie_detect (the
@@ -69,16 +70,16 @@ class IterationTrace:
 
 @dataclass
 class DetectorInternals:
-    """The loop's state after n_iterations iterations: every decision
+    """The loop's state after len(trace.delta_x) iterations: every decision
     (_finalize, with or without the offsets) and the genie baseline read
     it, and run_detector_internals(..., n_it, start=it) advances it in
-    place and returns it."""
+    place, its trace included, and returns it."""
 
     vbic_state: vbic.VbicState
     posterior: amp.Posterior
     pseudo: amp.PseudoObservations
     amp_state: amp.AmpState
-    n_iterations: int
+    trace: IterationTrace
 
 
 def _offset_llr_matrix(posterior: amp.Posterior, e_sym: float) -> np.ndarray:
@@ -194,19 +195,10 @@ def genie_detect(r_final: np.ndarray, frame: ScenarioInstance,
 
 def run_detector(a_mat: np.ndarray, y: np.ndarray, config: ScenarioConfig,
                  ) -> tuple[DetectionResult, IterationTrace]:
-    """Run the full detector on one frame for config.n_it iterations,
-    stepping the loop one iteration at a time and recording the trace
-    between steps, then decide once."""
-    trace = IterationTrace()
-    internals = None
-    prev_xhat = 0.0     # the loop starts from amp_init's zero prior mean
-    for n_it in range(1, config.n_it + 1):
-        internals = run_detector_internals(a_mat, y, config, n_it,
-                                           start=internals)
-        delta = float(np.mean(np.abs(internals.posterior.Xhat - prev_xhat)))
-        trace.delta_x.append(delta)
-        prev_xhat = internals.posterior.Xhat
-    return _finalize(internals, config, include_offset=True), trace
+    """Run the loop on one frame for config.n_it iterations, then decide
+    once; the trace is the loop's own."""
+    internals = run_detector_internals(a_mat, y, config, config.n_it)
+    return _finalize(internals, config, include_offset=True), internals.trace
 
 
 def run_detector_internals(a_mat: np.ndarray, y: np.ndarray,
@@ -214,13 +206,15 @@ def run_detector_internals(a_mat: np.ndarray, y: np.ndarray,
                            start: DetectorInternals | None = None,
                            ) -> DetectorInternals:
     """The detector's bare loop: the internals after n_it iterations in
-    total (an int > 0; config.n_it is not read), with no decision.
+    total (an int > 0; config.n_it is not read), with no decision.  Each
+    iteration appends the mean absolute change of the posterior mean to
+    the state's trace, so the trace's length is the iteration count.
 
     start, the internals of an earlier call on the same frame and config,
-    is advanced in place to n_it > start.n_iterations, as a fresh run
-    would be, and returned.
+    is advanced in place to n_it > len(start.trace.delta_x), as a fresh
+    run would be, and returned.
     """
-    done = 0 if start is None else start.n_iterations
+    done = 0 if start is None else len(start.trace.delta_x)
     if isinstance(n_it, bool) or not isinstance(n_it, numbers.Integral) or n_it <= done:
         raise ConfigError(f"n_it must be an integer > {done}, got {n_it!r}")
     if a_mat.ndim != 2 or y.ndim != 2:
@@ -240,9 +234,11 @@ def run_detector_internals(a_mat: np.ndarray, y: np.ndarray,
         # is returned only after at least one.
         amp_state, posterior = amp.amp_init(a_mat, j, alphabet.E_sym)
         internals = DetectorInternals(vbic.vbic_init(alphabet.K, m, j),
-                                      posterior, None, amp_state, 0)
+                                      posterior, None, amp_state,
+                                      IterationTrace())
 
     for it in range(done, n_it):
+        prev_xhat = internals.posterior.Xhat
         internals.pseudo, internals.amp_state = amp.amp_decouple(
             a_mat, y, internals.posterior, internals.amp_state, noise_var)
         if it == 0:
@@ -250,5 +246,7 @@ def run_detector_internals(a_mat: np.ndarray, y: np.ndarray,
                                     alphabet)
         internals.posterior = vbic.vbic_step(internals.vbic_state,
                                              internals.pseudo.R, alphabet)
-    internals.n_iterations = n_it
+        # np.mean's value, bit for bit, without its per-call overhead.
+        change = np.abs(internals.posterior.Xhat - prev_xhat)
+        internals.trace.delta_x.append(float(change.sum() / change.size))
     return internals

@@ -133,7 +133,7 @@ class TestRunDetector:
         cfg, alph, fr = make_frame()
         internals = run_detector_internals(fr.A, fr.Y, cfg, cfg.n_it)
         result, _ = run_detector(fr.A, fr.Y, cfg)
-        assert internals.n_iterations == cfg.n_it
+        assert len(internals.trace.delta_x) == cfg.n_it
         assert internals.pseudo.R.shape == (cfg.M, cfg.J)
         assert internals.vbic_state.resp.shape == (alph.K, cfg.M, cfg.J)
         assert_same_decision(result, final_decision(internals, cfg))
@@ -197,9 +197,9 @@ def test_resumed_loop_matches_fresh_run():
     cfg, alph, fr = make_frame(M=50, N=40, J=10, p_a=0.1, n_it=3, seed=7)
     fresh = run_detector_internals(fr.A, fr.Y, cfg, 20)
     prefix = run_detector_internals(fr.A, fr.Y, cfg, 5)
-    assert prefix.n_iterations == 5
+    assert len(prefix.trace.delta_x) == 5
     resumed = run_detector_internals(fr.A, fr.Y, cfg, 20, start=prefix)
-    assert resumed.n_iterations == fresh.n_iterations == 20
+    assert len(resumed.trace.delta_x) == len(fresh.trace.delta_x) == 20
     assert np.array_equal(resumed.vbic_state.resp, fresh.vbic_state.resp)
     assert np.array_equal(resumed.vbic_state.mu, fresh.vbic_state.mu)
     assert np.array_equal(resumed.posterior.Xhat, fresh.posterior.Xhat)
@@ -216,7 +216,7 @@ def test_continued_loop_is_the_object_passed_in():
     fr = generate_frame(cfg, trial_rng(cfg.seed, 0))
     start = run_detector_internals(fr.A, fr.Y, cfg, 5)
     assert run_detector_internals(fr.A, fr.Y, cfg, 20, start=start) is start
-    assert start.n_iterations == 20
+    assert len(start.trace.delta_x) == 20
     fresh = run_detector_internals(fr.A, fr.Y, cfg, 20)
     assert_same_decision(final_decision(start, cfg), final_decision(fresh, cfg))
 
@@ -236,13 +236,31 @@ def test_loop_rejects_a_count_it_cannot_run(n_it, start_at):
         run_detector_internals(fr.A, fr.Y, cfg, n_it, start=start)
 
 
+@pytest.mark.parametrize("cell", ["reference_cell", "make_frame"])
+def test_continued_loop_records_the_trace_of_a_fresh_run(cell):
+    # The loop keeps its own trace: continuing a 5-iteration run to 20
+    # extends it, float for float, to the trace of a fresh 20-iteration
+    # run, which is run_detector's trace at n_it=20.
+    if cell == "reference_cell":
+        cfg = REFERENCE_CELL
+        fr = generate_frame(cfg, trial_rng(cfg.seed, 0))
+    else:
+        cfg, _, fr = make_frame()
+    continued = run_detector_internals(fr.A, fr.Y, cfg, 5)
+    run_detector_internals(fr.A, fr.Y, cfg, 20, start=continued)
+    fresh = run_detector_internals(fr.A, fr.Y, cfg, 20)
+    _, trace = run_detector(fr.A, fr.Y, dataclasses.replace(cfg, n_it=20))
+    assert len(continued.trace.delta_x) == 20
+    assert continued.trace.delta_x == fresh.trace.delta_x == trace.delta_x
+
+
 def test_loop_takes_numpy_integer_counts():
     cfg, alph, fr = make_frame()
     prefix = run_detector_internals(fr.A, fr.Y, cfg, np.int64(2))
     internals = run_detector_internals(fr.A, fr.Y, cfg, np.int64(cfg.n_it),
                                        start=prefix)
     result, _ = run_detector(fr.A, fr.Y, cfg)
-    assert internals.n_iterations == cfg.n_it
+    assert len(internals.trace.delta_x) == cfg.n_it
     assert_same_decision(result, final_decision(internals, cfg))
 
 
@@ -281,11 +299,12 @@ def digest(a):
 
 
 class TestPinnedRunDetector:
-    """run_detector's outputs on make_frame(), recorded before it stepped
-    the bare loop one iteration at a time for its trace; they must not
-    move.  The arrays are pinned by the SHA-256 of their bytes.  AER, SER
-    and CE_MSE score the decision after each iteration of the bare loop,
-    continued one iteration at a time as an n_it sweep runs it.
+    """run_detector's outputs on make_frame(), recorded when it still
+    stepped the bare loop one iteration at a time for its trace, which
+    the loop now keeps itself; they must not move.  The arrays are pinned
+    by the SHA-256 of their bytes.  AER, SER and CE_MSE score the decision
+    after each iteration of the bare loop, continued one iteration at a
+    time as an n_it sweep runs it.
 
     The decisions (ACTIVE, D_ROWS, AER, SER) are one table for every
     OpenBLAS core.  The floats move in their last bits with the core, so

@@ -613,7 +613,7 @@ class TestNitSweep:
         real_loop = harness.run_detector_internals
 
         def loop(a, y, config, n_it, *, start=None):
-            clock[0] += n_it - (start.n_iterations if start else 0)
+            clock[0] += n_it - (len(start.trace.delta_x) if start else 0)
             return real_loop(a, y, config, n_it, start=start)
 
         def one_ms(decide):
@@ -632,6 +632,21 @@ class TestNitSweep:
         assert [(r.n_it, r.detector, r.runtime_ms) for r in rows] == [
             (n_it, d, pytest.approx(n_it * 1e3 + 1.0))
             for n_it in (20, 5) for d in self.DETECTORS]
+
+    def test_loop_state_holds_the_trace_to_the_largest_value(self,
+                                                             monkeypatch):
+        # The trial's one loop keeps its trace as it is continued: after a
+        # sweep over 5 and 20 the state holds one entry per iteration.
+        states = []
+        real_loop = harness.run_detector_internals
+
+        def loop(*args, **kwargs):
+            states.append(real_loop(*args, **kwargs))
+            return states[-1]
+
+        monkeypatch.setattr(harness, "run_detector_internals", loop)
+        sweep(tiny_config(), "n_it", [5, 20], 1)
+        assert len(states[-1].trace.delta_x) == 20
 
 
 class TestDetectorTable:
@@ -747,8 +762,6 @@ class TestCsv:
 # decided on a rotated constellation began to be rotated with its symbols.
 # Changes that only reorder floating-point work must leave the decisions
 # unmoved and ce_mse within its last digits.
-REFERENCE_CELL = ScenarioConfig(M=200, N=100, J=10, p_a=0.1, snr_db=5.0,
-                                modulation="qam16", n_it=20, seed=2026)
 PINNED = [  # (trial, aer, ser, ce_mse, genie ser)
     (0, 0.01, 0.025, 0.00359493108661618, 0.0022222222222222222),
     (1, 0.0, 0.01611111111111111, 0.0029647022821048907, 0.002777777777777778),
