@@ -118,8 +118,8 @@ def amp_decouple(a_mat: np.ndarray, y: np.ndarray, posterior: Posterior,
     NumericalBreakdown when R comes out non-finite, which it does whenever
     Tau does (an infinite Tau times a zero row sum gives NaN).
     """
-    if noise_var <= 0:
-        raise ConfigError(f"noise_var must be > 0, got {noise_var}")
+    if not 0.0 < noise_var < np.inf:
+        raise ConfigError(f"noise_var must be > 0 and finite, got {noise_var}")
     if a_mat.ndim != 2 or y.ndim != 2:
         raise DimensionMismatch("A and Y must be 2-d arrays")
     n, m = a_mat.shape

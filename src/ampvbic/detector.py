@@ -27,7 +27,6 @@ the activation prior log-odds ln(p_a / (1 - p_a)).
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,7 +34,7 @@ import numpy as np
 from . import amp, vbic
 from .errors import ConfigError, DimensionMismatch, NumericalBreakdown
 from .model import ExtendedAlphabet, ScenarioConfig, ScenarioInstance, \
-    build_alphabet, noise_variance_from_snr
+    _is_int, build_alphabet, noise_variance_from_snr
 
 # Responsibilities can underflow to exact zero after log-domain softmax;
 # both sides of the activity likelihood ratio are floored so the
@@ -215,7 +214,7 @@ def run_detector_internals(a_mat: np.ndarray, y: np.ndarray,
     run would be, and returned.
     """
     done = 0 if start is None else len(start.trace.delta_x)
-    if isinstance(n_it, bool) or not isinstance(n_it, numbers.Integral) or n_it <= done:
+    if not _is_int(n_it) or n_it <= done:
         raise ConfigError(f"n_it must be an integer > {done}, got {n_it!r}")
     if a_mat.ndim != 2 or y.ndim != 2:
         raise DimensionMismatch("A and Y must be 2-d arrays")

@@ -19,7 +19,6 @@ import concurrent.futures
 import csv
 import ctypes
 import dataclasses
-import numbers
 import os
 import time
 from collections.abc import Iterable, Sequence
@@ -29,7 +28,8 @@ import numpy as np
 
 from .detector import _finalize, genie_detect, run_detector_internals
 from .errors import ConfigError, DimensionMismatch, TrialFailure
-from .model import ScenarioConfig, build_alphabet, generate_frame
+from .model import ScenarioConfig, _check_n_active, _is_int, build_alphabet, \
+    generate_frame
 
 # Each detector's decision (internals, frame, config) -> DetectionResult;
 # only the genie reads the frame.  Entries call _finalize and genie_detect
@@ -81,13 +81,18 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(trial,)))
 
 
+def _score_inputs(noun: str, truth, estimate) -> tuple[np.ndarray, np.ndarray]:
+    """truth and estimate as arrays, which must have one shape."""
+    truth, estimate = np.asarray(truth), np.asarray(estimate)
+    if truth.shape != estimate.shape:
+        raise DimensionMismatch(
+            f"{noun} differ in shape: {truth.shape} vs {estimate.shape}")
+    return truth, estimate
+
+
 def compute_aer(truth: np.ndarray, detected: np.ndarray) -> float:
     """Fraction of users whose activity decision is wrong."""
-    truth = np.asarray(truth)
-    detected = np.asarray(detected)
-    if truth.shape != detected.shape:
-        raise DimensionMismatch(
-            f"activity vectors differ in length: {truth.shape} vs {detected.shape}")
+    truth, detected = _score_inputs("activity vectors", truth, detected)
     return float(np.mean(truth.astype(bool) != detected.astype(bool)))
 
 
@@ -97,11 +102,7 @@ def compute_ser(d_true: np.ndarray, d_hat: np.ndarray) -> float:
     The known reference-symbol slot (column 0) is not scored.  Complex
     equality is tested to 1e-9 absolute.
     """
-    d_true = np.asarray(d_true)
-    d_hat = np.asarray(d_hat)
-    if d_true.shape != d_hat.shape:
-        raise DimensionMismatch(
-            f"symbol matrices differ in shape: {d_true.shape} vs {d_hat.shape}")
+    d_true, d_hat = _score_inputs("symbol matrices", d_true, d_hat)
     errors = np.abs(d_true[:, 1:] - d_hat[:, 1:]) > SYMBOL_MATCH_TOL
     return float(np.mean(errors))
 
@@ -109,11 +110,7 @@ def compute_ser(d_true: np.ndarray, d_hat: np.ndarray) -> float:
 def compute_ce_mse(mu_true: np.ndarray, mu_hat: np.ndarray) -> float:
     """Mean squared complex channel-estimate error over all users
     (inactive-user truth is zero)."""
-    mu_true = np.asarray(mu_true)
-    mu_hat = np.asarray(mu_hat)
-    if mu_true.shape != mu_hat.shape:
-        raise DimensionMismatch(
-            f"channel vectors differ in length: {mu_true.shape} vs {mu_hat.shape}")
+    mu_true, mu_hat = _score_inputs("channel vectors", mu_true, mu_hat)
     return float(np.mean(np.abs(mu_true - mu_hat) ** 2))
 
 
@@ -158,10 +155,6 @@ def _run_one_trial(cell: tuple, trial: int,
     return [by_n_it[n_it] for n_it in n_its]
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 def _check_request(configs: list[ScenarioConfig], n_trials: int,
                    detectors: tuple[str, ...], n_workers: int,
                    trial_start: int = 0, n_active: int | None = None) -> None:
@@ -181,8 +174,6 @@ def _check_request(configs: list[ScenarioConfig], n_trials: int,
             raise ConfigError(f"{name} must be an integer, got {value!r}")
         if value < low:
             raise ConfigError(f"{name} must be >= {low}, got {value}")
-    if n_active is not None and not _is_int(n_active):
-        raise ConfigError(f"n_active must be an integer, got {n_active!r}")
     # Every trial iterates detectors afresh, so a one-shot iterable would
     # run nothing after its first pass; a set orders the records by string
     # hash, which varies between interpreters.
@@ -209,9 +200,8 @@ def _check_request(configs: list[ScenarioConfig], n_trials: int,
                               f"matrix needs, with the (K, M, J) = "
                               f"({k}, {config.M}, {config.J}) VB "
                               f"state, more than the {memory} bytes of memory")
-        if n_active is not None and not 0 <= n_active <= config.M:
-            raise ConfigError(f"n_active must lie in [0, M={config.M}], "
-                              f"got {n_active}")
+        if n_active is not None:
+            _check_n_active(n_active, config.M)
 
 
 def _set_blas_threads(n: int) -> int | None:

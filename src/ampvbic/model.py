@@ -20,6 +20,11 @@ import numpy as np
 from .errors import ConfigError
 
 
+def _is_int(value) -> bool:
+    """An int argument: an integral number that is not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 class Modulation(str, enum.Enum):
     QPSK = "qpsk"
     QAM16 = "qam16"
@@ -102,8 +107,8 @@ def _build_alphabet(modulation: Modulation) -> ExtendedAlphabet:
 def noise_variance_from_snr(snr_db: float, e_sym: float) -> float:
     """Noise variance sigma_n^2 = E_sym * 10**(-snr_db/10); ConfigError
     where it overflows a float (snr_db below about -3083 at unit E_sym)."""
-    if e_sym <= 0:
-        raise ConfigError(f"E_sym must be positive, got {e_sym}")
+    if not 0.0 < e_sym < math.inf:
+        raise ConfigError(f"E_sym must be positive and finite, got {e_sym}")
     try:
         # float() first: a numpy snr_db would overflow with a warning
         # instead of the OverflowError caught here.
@@ -152,8 +157,7 @@ class ScenarioConfig:
                 raise ConfigError(f"{name} must be a number, got {value!r}")
         for name in ("M", "N", "J", "n_it", "seed"):
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Integral)
-                    or float(value).is_integer()):
+            if not (_is_int(value) or float(value).is_integer()):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))
         if self.M < 1 or self.N < 1:
@@ -210,30 +214,32 @@ def draw_spreading_matrix(n: int, m: int, rng: np.random.Generator) -> np.ndarra
     return a_mat
 
 
-def _draw_activity(config: ScenarioConfig, rng: np.random.Generator,
-                   n_active: int | None) -> np.ndarray:
-    if n_active is None:
-        return (rng.random(config.M) < config.p_a).astype(np.int8)
-    if not 0 <= n_active <= config.M:
-        raise ConfigError(f"n_active must lie in [0, M], got {n_active}")
-    activity = np.zeros(config.M, dtype=np.int8)
-    activity[rng.choice(config.M, size=n_active, replace=False)] = 1
-    return activity
+def _check_n_active(n_active, m: int) -> None:
+    """A pinned active-user count must be an int in [0, m]."""
+    if not _is_int(n_active):
+        raise ConfigError(f"n_active must be an integer, got {n_active!r}")
+    if not 0 <= n_active <= m:
+        raise ConfigError(f"n_active must lie in [0, M={m}], got {n_active}")
 
 
 def generate_frame(config: ScenarioConfig, rng: np.random.Generator,
                    n_active: int | None = None) -> ScenarioInstance:
     """Draw one random frame.
 
-    Activity is Bernoulli(p_a) per user unless n_active pins the exact
-    number of active users (as run_trials(n_active=k) does, for empty
-    frames among others).  Channel gains are CN(0,1); data symbols are uniform over the
-    active constellation of config.modulation; slot 1 carries the
-    reference symbol.
+    Activity is Bernoulli(p_a) per user unless n_active, an int in [0, M]
+    (ConfigError otherwise), pins the number of active users, as
+    run_trials(n_active=k) does for empty frames among others.  Channel
+    gains are CN(0,1); data symbols are uniform over the active
+    constellation of config.modulation; slot 1 carries the reference symbol.
     """
     m, n, j = config.M, config.N, config.J
     alphabet = build_alphabet(config.modulation)
-    activity = _draw_activity(config, rng, n_active)
+    if n_active is None:
+        activity = (rng.random(m) < config.p_a).astype(np.int8)
+    else:
+        _check_n_active(n_active, m)
+        activity = np.zeros(m, dtype=np.int8)
+        activity[rng.choice(m, size=n_active, replace=False)] = 1
     mu_all = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) / np.sqrt(2.0)
     mu = mu_all * activity
 

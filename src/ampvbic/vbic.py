@@ -127,6 +127,7 @@ def warm_start_channel(state: VbicState, r: np.ndarray,
     pseudo observation gives the one-shot estimate mu_m = r[m, 0] / d_ref
     that breaks the symmetry deterministically.
     """
+    _check_observations(state, r)
     state.mu = r[:, 0] / alphabet.reference_symbol
 
 
@@ -178,6 +179,7 @@ def update_responsibilities(state: VbicState, r: np.ndarray,
     per-observation constants (see the module docstring) and computed in
     the log domain with max-subtraction so large quadratic terms cannot
     overflow."""
+    _check_observations(state, r)
     e_tau = state.a / state.b
     z = np.conj(r) * state.mu[:, None]
     coef = np.empty((3,) + r.shape)

@@ -127,6 +127,16 @@ class TestDecouple:
                 amp_decouple(a, np.zeros((2, 2), dtype=complex), post, other,
                              1.0)
 
+    @pytest.mark.parametrize("noise_var", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_noise_var_is_config_error(self, noise_var):
+        # NaN fails every comparison and inf passes "> 0"; both are
+        # rejected up front, not left to end as a NumericalBreakdown.
+        a = np.ones((2, 3), dtype=complex)
+        state, post = amp_init(a, 2, 1.0)
+        with pytest.raises(ConfigError, match="noise_var must be > 0"):
+            amp_decouple(a, np.zeros((2, 2), dtype=complex), post, state,
+                         noise_var)
+
     @pytest.mark.parametrize("where", ["nan_in_y", "inf_in_posterior_mean",
                                        "zero_column_of_a"])
     def test_non_finite_pass_is_typed_breakdown(self, where):

@@ -86,6 +86,15 @@ class TestCeMse:
             compute_ce_mse(np.zeros(3, dtype=complex), np.zeros(4, dtype=complex))
 
 
+@pytest.mark.parametrize("score, noun", [
+    (compute_aer, "activity vectors"), (compute_ser, "symbol matrices"),
+    (compute_ce_mse, "channel vectors")], ids=["aer", "ser", "ce_mse"])
+def test_score_shape_mismatch_names_its_inputs(score, noun):
+    # One shape rule for every score; lists are converted like arrays.
+    with pytest.raises(DimensionMismatch, match=f"{noun} differ in shape"):
+        score(np.zeros((2, 3)), [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
+
+
 def truth_frame(activity, mu, d):
     """A frame holding the truth genie_detect reads (support, channels)
     around symbols d; A and Y are one-row placeholders."""

@@ -84,6 +84,12 @@ class TestNoiseVariance:
         with pytest.raises(ConfigError):
             noise_variance_from_snr(0.0, 0.0)
 
+    @pytest.mark.parametrize("e_sym", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_esym_is_blamed_on_esym(self, e_sym):
+        # Not on snr_db, whose noise variance it would make non-finite.
+        with pytest.raises(ConfigError, match="E_sym must be positive"):
+            noise_variance_from_snr(5.0, e_sym)
+
     @pytest.mark.parametrize("snr_db", [-4000.0, -3081.0])
     def test_overflow_is_config_error(self, snr_db):
         # -3081 dB overflows only in the product with E_sym = 2.
@@ -269,3 +275,17 @@ class TestGenerateFrame:
         assert fr.activity.sum() == 7
         with pytest.raises(ConfigError):
             generate_frame(cfg, np.random.default_rng(10), n_active=31)
+
+    @pytest.mark.parametrize("n_active", [2.5, True, np.float64(3.0)],
+                             ids=["float", "bool", "float64"])
+    def test_non_integer_active_count_is_config_error(self, n_active):
+        # run_trials's rule, an int that is not a bool; numpy's rng.choice
+        # would otherwise raise a bare TypeError for 2.5 and True.
+        cfg = ScenarioConfig(M=30, N=10, J=3, p_a=0.1, snr_db=5.0)
+        with pytest.raises(ConfigError, match="n_active must be an integer"):
+            generate_frame(cfg, np.random.default_rng(10), n_active=n_active)
+
+    def test_active_count_range_names_m(self):
+        cfg = ScenarioConfig(M=30, N=10, J=3, p_a=0.1, snr_db=5.0)
+        with pytest.raises(ConfigError, match=r"n_active must lie in \[0, M=30\]"):
+            generate_frame(cfg, np.random.default_rng(10), n_active=-1)

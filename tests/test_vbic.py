@@ -323,6 +323,14 @@ class TestSquaredError:
 
 class TestResponsibilities:
 
+    def test_transposed_observations_rejected(self):
+        # A (J, M) r on an (M, J) state with M != J: a typed error, not
+        # numpy's broadcast ValueError.
+        state = vbic_init(2, 2, 3)
+        with pytest.raises(DimensionMismatch):
+            update_responsibilities(state, np.zeros((3, 2), dtype=complex),
+                                    unit_alphabet())
+
     def test_symmetric_clusters(self):
         state = vbic_init(2, 1, 2)
         state.a, state.b = 1.0, 1.0
@@ -535,6 +543,14 @@ class TestMoments:
 
 
 class TestStep:
+
+    def test_warm_start_transposed_observations_rejected(self):
+        # A (J, M) r would otherwise set a length-J channel mean silently.
+        state = vbic_init(2, 2, 3)
+        with pytest.raises(DimensionMismatch):
+            warm_start_channel(state, np.ones((3, 2), dtype=complex),
+                               unit_alphabet())
+        assert state.mu.shape == (2,)
 
     def test_shapes(self):
         alph = build_alphabet("qam16")
