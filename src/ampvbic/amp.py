@@ -48,6 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatch, NumericalBreakdown
+from .model import _is_int
 
 # Incoming posterior variances are floored here so Tp + noise_var can never
 # underflow the division that forms Ts.
@@ -91,12 +92,12 @@ def amp_init(a_mat: np.ndarray, j: int,
              e_sym: float) -> tuple[AmpState, Posterior]:
     """State for one frame with mixing matrix A (N x M) and J slots: the
     column energies of A, a zero residual, and the flat prior posterior
-    (mean 0, variance E_sym)."""
+    (mean 0, variance E_sym).  J must be an int (not a bool) >= 1."""
     if a_mat.ndim != 2:
         raise DimensionMismatch("A must be a 2-d array")
     n, m = a_mat.shape
-    if m < 1 or n < 1 or j < 1:
-        raise DimensionMismatch(f"dimensions must be positive, got M={m}, N={n}, J={j}")
+    if m < 1 or n < 1 or not _is_int(j) or j < 1:
+        raise DimensionMismatch(f"dimensions must be positive integers, got M={m}, N={n}, J={j!r}")
     state = AmpState(col2=(np.abs(a_mat) ** 2).sum(axis=0),
                      S_mat=np.zeros((n, j), dtype=complex))
     posterior = Posterior(

@@ -216,14 +216,10 @@ def run_detector_internals(a_mat: np.ndarray, y: np.ndarray,
     done = 0 if start is None else len(start.trace.delta_x)
     if not _is_int(n_it) or n_it <= done:
         raise ConfigError(f"n_it must be an integer > {done}, got {n_it!r}")
-    if a_mat.ndim != 2 or y.ndim != 2:
-        raise DimensionMismatch("A and Y must be 2-d arrays")
-    n, m = a_mat.shape
-    j = y.shape[1]
-    if (n, m) != (config.N, config.M) or y.shape != (config.N, config.J):
+    if a_mat.shape != (config.N, config.M) or y.shape != (config.N, config.J):
         raise DimensionMismatch(
-            f"A {a_mat.shape} / Y {y.shape} inconsistent with config "
-            f"(M={config.M}, N={config.N}, J={config.J})")
+            f"A {a_mat.shape} / Y {y.shape} are not the 2-d (N, M) / (N, J) "
+            f"arrays of config (M={config.M}, N={config.N}, J={config.J})")
 
     alphabet = build_alphabet(config.modulation)
     noise_var = noise_variance_from_snr(config.snr_db, alphabet.E_sym)
@@ -231,10 +227,10 @@ def run_detector_internals(a_mat: np.ndarray, y: np.ndarray,
     if internals is None:
         # No pseudo observations before the first iteration; this state
         # is returned only after at least one.
-        amp_state, posterior = amp.amp_init(a_mat, j, alphabet.E_sym)
-        internals = DetectorInternals(vbic.vbic_init(alphabet.K, m, j),
-                                      posterior, None, amp_state,
-                                      IterationTrace())
+        amp_state, posterior = amp.amp_init(a_mat, config.J, alphabet.E_sym)
+        internals = DetectorInternals(
+            vbic.vbic_init(alphabet.K, config.M, config.J), posterior, None,
+            amp_state, IterationTrace())
 
     for it in range(done, n_it):
         prev_xhat = internals.posterior.Xhat

@@ -97,12 +97,16 @@ def compute_aer(truth: np.ndarray, detected: np.ndarray) -> float:
 
 
 def compute_ser(d_true: np.ndarray, d_hat: np.ndarray) -> float:
-    """Fraction of wrong symbol decisions in the data slots 2..J.
+    """Fraction of wrong symbol decisions in the data slots 2..J of two
+    (M, J) symbol matrices.
 
     The known reference-symbol slot (column 0) is not scored.  Complex
     equality is tested to 1e-9 absolute.
     """
     d_true, d_hat = _score_inputs("symbol matrices", d_true, d_hat)
+    if d_true.ndim != 2:
+        raise DimensionMismatch(f"symbol matrices must be 2-d (M, J), got "
+                                f"shape {d_true.shape}")
     errors = np.abs(d_true[:, 1:] - d_hat[:, 1:]) > SYMBOL_MATCH_TOL
     return float(np.mean(errors))
 
@@ -155,16 +159,16 @@ def _run_one_trial(cell: tuple, trial: int,
     return [by_n_it[n_it] for n_it in n_its]
 
 
-def _check_request(configs: list[ScenarioConfig], n_trials: int,
+def _check_request(cells: list[tuple], n_trials: int,
                    detectors: tuple[str, ...], n_workers: int,
-                   trial_start: int = 0, n_active: int | None = None) -> None:
+                   trial_start: int) -> None:
     """Reject, before any trial runs, a request the detector cannot run.
 
-    Each ScenarioConfig is a scenario the detector can run; what is left
+    Each cell's config is a scenario the detector can run; what is left
     to check is the request around it.  n_trials, n_workers and
-    trial_start must be ints (not bools) and n_active None or one, each
-    in range; detectors must be a sequence (not a str) of distinct known
-    names, at least one; and no config's N x M spreading matrix and
+    trial_start must be ints (not bools) and each n_active None or one,
+    each in range; detectors must be a sequence (not a str) of distinct
+    known names, at least one; and no config's N x M spreading matrix and
     (K, M, J) VB state may together exceed the machine's physical memory.
     """
     for name, value, low in (("n_trials", n_trials, 1),
@@ -191,7 +195,7 @@ def _check_request(configs: list[ScenarioConfig], n_trials: int,
     if len(set(detectors)) < len(detectors):
         raise ConfigError(f"detectors must not repeat a name, got {detectors!r}")
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    for config in configs:
+    for config, n_active, _ in cells:
         k = build_alphabet(config.modulation).K
         # A (complex128) with one float64 N x M temporary beside it, and the
         # VB step's four float64 (K, M, J) arrays (alpha, resp twice, digamma).
@@ -204,20 +208,23 @@ def _check_request(configs: list[ScenarioConfig], n_trials: int,
             _check_n_active(n_active, config.M)
 
 
-def _set_blas_threads(n: int) -> int | None:
-    """Set the thread count of the OpenBLAS that numpy links (the
-    scipy-openblas build its wheels bundle) and return the previous count;
-    None, and nothing set, where numpy links no such library."""
+def _openblas(name: str, restype, *args):
+    """scipy_openblas_<name>64_(*args), args C ints, in the OpenBLAS that
+    numpy's wheels bundle; None, and nothing called, where there is none."""
     try:
-        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
-        set_threads = lib.scipy_openblas_set_num_threads64_
-        get_threads = lib.scipy_openblas_get_num_threads64_
+        fn = getattr(ctypes.CDLL(np._core._multiarray_umath.__file__),
+                     f"scipy_openblas_{name}64_")
     except (AttributeError, OSError):
         return None
-    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-    previous = get_threads()
-    set_threads(n)
+    fn.argtypes, fn.restype = [ctypes.c_int] * len(args), restype
+    return fn(*args)
+
+
+def _set_blas_threads(n: int) -> int | None:
+    """Set the thread count of the OpenBLAS that numpy links and return
+    the previous count; None, and nothing set, where there is none."""
+    previous = _openblas("get_num_threads", ctypes.c_int)
+    _openblas("set_num_threads", None, n)
     return previous
 
 
@@ -234,12 +241,12 @@ def _named_failure(task: tuple, fn, *args):
             f"snr_db={config.snr_db}) failed: {exc}") from exc
 
 
-def _trial_results(cells: list[tuple], trials: range,
-                   detectors: tuple[str, ...],
-                   n_workers: int) -> list[list[MetricsRecord]]:
-    """_run_one_trial of every (cell, trial) task, serially or in one
-    process pool of at most one worker per task: one record list per cell
-    and iteration count, in the order of cells and n_its, in trial order.
+def _trial_results(cells: list[tuple], n_trials: int,
+                   detectors: tuple[str, ...], n_workers: int,
+                   trial_start: int = 0) -> list[list[MetricsRecord]]:
+    """_check_request, then _run_one_trial of every (cell, trial) task,
+    serially or in one process pool of at most one worker per task: one
+    record list per cell and count of n_its, in that order, in trial order.
 
     Each worker runs one BLAS thread, so that n_workers workers use about
     n_workers cores; this process keeps its own count.  A failing task
@@ -248,6 +255,8 @@ def _trial_results(cells: list[tuple], trials: range,
     cause replaced by the worker's traceback text, so the worker raises
     the bare error.
     """
+    _check_request(cells, n_trials, detectors, n_workers, trial_start)
+    trials = range(trial_start, trial_start + n_trials)
     tasks = [(cell, t) for cell in cells for t in trials]
     # The default fork start method forks every worker at the first
     # submit, so workers beyond the task count would only cost memory.
@@ -283,11 +292,8 @@ def run_trials(config: ScenarioConfig, n_trials: int,
     any trial starts; a failing trial raises TrialFailure with the trial
     index and the cell in the message and the original error chained.
     """
-    _check_request([config], n_trials, detectors, n_workers, trial_start,
-                   n_active)
     records, = _trial_results([(config, n_active, (config.n_it,))],
-                              range(trial_start, trial_start + n_trials),
-                              detectors, n_workers)
+                              n_trials, detectors, n_workers, trial_start)
     return records
 
 
@@ -349,13 +355,12 @@ def sweep(base_config: ScenarioConfig, axis: str, values, n_trials: int,
     configs = [dataclasses.replace(base_config, **{axis: v}) for v in values]
     if not configs:
         raise ConfigError("sweep needs at least one axis value")
-    _check_request(configs, n_trials, detectors, n_workers)
     if axis == "n_it":
         cells = [(base_config, None, tuple(c.n_it for c in configs))]
     else:
         cells = [(config, None, (config.n_it,)) for config in configs]
-    return [row for records in _trial_results(cells, range(n_trials),
-                                              detectors, n_workers)
+    return [row for records in _trial_results(cells, n_trials, detectors,
+                                              n_workers)
             for row in aggregate(records)]
 
 

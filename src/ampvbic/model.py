@@ -201,17 +201,19 @@ class ScenarioInstance:
             arr.setflags(write=False)
 
 
-def draw_spreading_matrix(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
-    """i.i.d. circularly-symmetric complex Gaussian entries, unit variance.
+def complex_normal(shape, std: float, rng: np.random.Generator) -> np.ndarray:
+    """i.i.d. circularly-symmetric complex Gaussian entries whose real and
+    imaginary parts each have standard deviation std.
 
     The real and then the imaginary draw are scaled straight into the
     parts of one complex array, so no complex temporary is formed; the
-    values are bit-identical to (z_re + 1j*z_im) / sqrt(2).
+    values are bit-identical to (z_re + 1j*z_im) * std.  Pass a scale, not
+    a variance: 1 / sqrt(2) and sqrt(0.5) differ in the last bit.
     """
-    a_mat = np.empty((n, m), dtype=complex)
-    np.multiply(rng.standard_normal((n, m)), 1.0 / np.sqrt(2.0), out=a_mat.real)
-    np.multiply(rng.standard_normal((n, m)), 1.0 / np.sqrt(2.0), out=a_mat.imag)
-    return a_mat
+    z = np.empty(shape, dtype=complex)
+    np.multiply(rng.standard_normal(shape), std, out=z.real)
+    np.multiply(rng.standard_normal(shape), std, out=z.imag)
+    return z
 
 
 def _check_n_active(n_active, m: int) -> None:
@@ -240,8 +242,7 @@ def generate_frame(config: ScenarioConfig, rng: np.random.Generator,
         _check_n_active(n_active, m)
         activity = np.zeros(m, dtype=np.int8)
         activity[rng.choice(m, size=n_active, replace=False)] = 1
-    mu_all = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) / np.sqrt(2.0)
-    mu = mu_all * activity
+    mu = complex_normal(m, 1.0 / np.sqrt(2.0), rng) * activity
 
     # Symbols are drawn for every user, then inactive rows are zeroed, so the
     # RNG stream consumed does not depend on the activity draw.
@@ -250,11 +251,9 @@ def generate_frame(config: ScenarioConfig, rng: np.random.Generator,
         [np.full((m, 1), alphabet.reference_symbol, dtype=complex), data], axis=1)
     d_mat[activity == 0, :] = 0.0
 
-    a_mat = draw_spreading_matrix(n, m, rng)
+    a_mat = complex_normal((n, m), 1.0 / np.sqrt(2.0), rng)
     x_mat = mu[:, None] * d_mat
     noise_var = noise_variance_from_snr(config.snr_db, alphabet.E_sym)
-    w = (rng.standard_normal((n, j)) + 1j * rng.standard_normal((n, j))) \
-        * np.sqrt(noise_var / 2.0)
-    y = a_mat @ x_mat + w
+    y = a_mat @ x_mat + complex_normal((n, j), np.sqrt(noise_var / 2.0), rng)
     return ScenarioInstance(A=a_mat, activity=activity, mu=mu, D=d_mat,
                             X=x_mat, Y=y, noise_var=noise_var)

@@ -54,7 +54,7 @@ from scipy.special import digamma
 
 from .errors import DimensionMismatch, NumericalBreakdown
 from .amp import Posterior, VARIANCE_FLOOR
-from .model import ExtendedAlphabet
+from .model import ExtendedAlphabet, _is_int
 
 ALPHA_0 = 0.1
 A_0 = 1e-4
@@ -86,9 +86,10 @@ class VbicState:
 
 def vbic_init(k: int, m: int, j: int) -> VbicState:
     """Fresh state for K symbols, M users and J slots: alpha=0.1, a=1e-4,
-    b=1, uniform responsibilities, unit-precision zero-mean channel prior."""
-    if k < 2 or m < 1 or j < 1:
-        raise DimensionMismatch(f"bad dimensions K={k}, M={m}, J={j}")
+    b=1, uniform responsibilities, unit-precision zero-mean channel prior.
+    K, M and J must be ints (not bools), K >= 2 and M, J >= 1."""
+    if not all(map(_is_int, (k, m, j))) or k < 2 or m < 1 or j < 1:
+        raise DimensionMismatch(f"bad dimensions K={k!r}, M={m!r}, J={j!r}")
     return VbicState(
         alpha=np.full((k, m, j), ALPHA_0),
         lam=np.full(m, LAMBDA_0),

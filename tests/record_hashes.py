@@ -32,9 +32,7 @@ import ctypes
 import dataclasses
 import hashlib
 
-import numpy as np
-
-from ampvbic.harness import _set_blas_threads, run_trials, sweep
+from ampvbic.harness import _openblas, _set_blas_threads, run_trials, sweep
 from ampvbic.model import ScenarioConfig
 
 REFERENCE_CELL = ScenarioConfig(M=200, N=100, J=10, p_a=0.1, snr_db=5.0,
@@ -42,27 +40,15 @@ REFERENCE_CELL = ScenarioConfig(M=200, N=100, J=10, p_a=0.1, snr_db=5.0,
 DETECTORS = ("amp_vbic", "amp_vbic_no_offset", "genie")
 
 
-def _openblas_call(name: str, restype):
-    """The result of scipy-openblas's function name, in the library that
-    numpy links (the one harness._set_blas_threads reaches); None where
-    numpy links no scipy-openblas build."""
-    try:
-        fn = getattr(ctypes.CDLL(np._core._multiarray_umath.__file__), name)
-    except (AttributeError, OSError):
-        return None
-    fn.argtypes, fn.restype = [], restype
-    return fn()
-
-
 def openblas_core() -> str | None:
     """The OpenBLAS core (kernel) that numpy's matrix products run on."""
-    name = _openblas_call("scipy_openblas_get_corename64_", ctypes.c_char_p)
+    name = _openblas("get_corename", ctypes.c_char_p)
     return None if name is None else name.decode()
 
 
 def blas_threads() -> int | None:
     """This process's OpenBLAS thread count."""
-    return _openblas_call("scipy_openblas_get_num_threads64_", ctypes.c_int)
+    return _openblas("get_num_threads", ctypes.c_int)
 
 
 def without_runtimes(records) -> list:

@@ -37,6 +37,16 @@ class TestInit:
         with pytest.raises(DimensionMismatch):
             amp_init(np.ones(2, dtype=complex), 1, 1.0)
 
+    @pytest.mark.parametrize("j", [2.5, True, 2.0], ids=["float", "bool",
+                                                         "integral-float"])
+    def test_non_int_slot_count(self, j):
+        with pytest.raises(DimensionMismatch, match="positive integers"):
+            amp_init(np.ones((2, 2), dtype=complex), j, 1.0)
+
+    def test_numpy_int_slot_count(self):
+        _, post = amp_init(np.ones((2, 3), dtype=complex), np.int64(4), 1.0)
+        assert post.Xhat.shape == (3, 4)
+
 
 class TestDecouple:
 

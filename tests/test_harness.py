@@ -95,6 +95,14 @@ def test_score_shape_mismatch_names_its_inputs(score, noun):
         score(np.zeros((2, 3)), [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
 
 
+@pytest.mark.parametrize("shape", [(4,), (2, 3, 4)], ids=["1-d", "3-d"])
+def test_ser_needs_symbol_matrices(shape):
+    # A 1-d pair has no slot axis, and a 3-d pair would be scored on the
+    # wrong one.
+    with pytest.raises(DimensionMismatch, match="symbol matrices must be 2-d"):
+        compute_ser(np.zeros(shape), np.zeros(shape))
+
+
 def truth_frame(activity, mu, d):
     """A frame holding the truth genie_detect reads (support, channels)
     around symbols d; A and Y are one-row placeholders."""

@@ -5,7 +5,7 @@ import pytest
 
 from ampvbic.errors import ConfigError
 from ampvbic.model import (Modulation, ScenarioConfig, build_alphabet,
-                           draw_spreading_matrix, generate_frame,
+                           complex_normal, generate_frame,
                            noise_variance_from_snr)
 
 QPSK_POINTS = {(1 + 1j), (1 - 1j), (-1 + 1j), (-1 - 1j)}
@@ -110,12 +110,13 @@ class TestNoiseVariance:
 class TestSpreadingMatrix:
 
     def test_shape(self):
-        a = draw_spreading_matrix(2, 3, np.random.default_rng(0))
+        a = complex_normal((2, 3), 1.0 / np.sqrt(2.0), np.random.default_rng(0))
         assert a.shape == (2, 3)
         assert a.dtype == complex
 
     def test_unit_variance_monte_carlo(self):
-        a = draw_spreading_matrix(1000, 1000, np.random.default_rng(7))
+        a = complex_normal((1000, 1000), 1.0 / np.sqrt(2.0),
+                           np.random.default_rng(7))
         assert np.mean(np.abs(a) ** 2) == pytest.approx(1.0, abs=0.01)
         # circular symmetry: real and imaginary parts carry half the energy
         assert np.mean(a.real ** 2) == pytest.approx(0.5, abs=0.01)
@@ -130,13 +131,13 @@ class TestSpreadingMatrix:
             old = (rng_old.standard_normal(shape)
                    + 1j * rng_old.standard_normal(shape)) / np.sqrt(2.0)
             rng_new = np.random.default_rng(seed)
-            new = draw_spreading_matrix(*shape, rng_new)
+            new = complex_normal(shape, 1.0 / np.sqrt(2.0), rng_new)
             assert np.array_equal(new.view(np.uint64), old.view(np.uint64))
             assert rng_new.random() == rng_old.random()
 
     def test_seed_determinism(self):
-        a1 = draw_spreading_matrix(20, 30, np.random.default_rng(42))
-        a2 = draw_spreading_matrix(20, 30, np.random.default_rng(42))
+        a1 = complex_normal((20, 30), 1.0 / np.sqrt(2.0), np.random.default_rng(42))
+        a2 = complex_normal((20, 30), 1.0 / np.sqrt(2.0), np.random.default_rng(42))
         assert np.array_equal(a1, a2)
 
 
@@ -284,6 +285,36 @@ class TestGenerateFrame:
         cfg = ScenarioConfig(M=30, N=10, J=3, p_a=0.1, snr_db=5.0)
         with pytest.raises(ConfigError, match="n_active must be an integer"):
             generate_frame(cfg, np.random.default_rng(10), n_active=n_active)
+
+    @pytest.mark.parametrize("n_active", [None, 3], ids=["bernoulli", "n_active"])
+    @pytest.mark.parametrize("cfg", [
+        ScenarioConfig(M=200, N=100, J=10, p_a=0.1, snr_db=5.0),
+        ScenarioConfig(M=12, N=6, J=3, p_a=0.3, snr_db=10.0, modulation="qpsk")],
+        ids=["reference", "small-qpsk"])
+    def test_draws_bit_identical_to_complex_expressions(self, cfg, n_active):
+        # A, mu and W come from one complex-Gaussian draw; they must equal
+        # the complex expressions written out below bit for bit.
+        for seed in range(5):
+            fr = generate_frame(cfg, np.random.default_rng(seed), n_active)
+            rng = np.random.default_rng(seed)
+            m, n, j = cfg.M, cfg.N, cfg.J
+            if n_active is None:
+                activity = (rng.random(m) < cfg.p_a).astype(np.int8)
+            else:
+                activity = np.zeros(m, dtype=np.int8)
+                activity[rng.choice(m, size=n_active, replace=False)] = 1
+            mu = (rng.standard_normal(m)
+                  + 1j * rng.standard_normal(m)) / np.sqrt(2.0) * activity
+            alph = build_alphabet(cfg.modulation)
+            rng.integers(0, alph.K - 1, size=(m, j - 1))
+            a = (rng.standard_normal((n, m))
+                 + 1j * rng.standard_normal((n, m))) / np.sqrt(2.0)
+            w = (rng.standard_normal((n, j)) + 1j * rng.standard_normal((n, j))) \
+                * np.sqrt(fr.noise_var / 2.0)
+            y = a @ (mu[:, None] * fr.D) + w
+            assert np.array_equal(fr.activity, activity)
+            for got, want in ((fr.A, a), (fr.mu, mu), (fr.Y, y)):
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_active_count_range_names_m(self):
         cfg = ScenarioConfig(M=30, N=10, J=3, p_a=0.1, snr_db=5.0)

@@ -89,6 +89,17 @@ class TestInit:
         with pytest.raises(DimensionMismatch):
             vbic_init(2, 2, 0)  # no slots
 
+    @pytest.mark.parametrize("dims", [(5, 2, 2.5), (5.0, 2, 2), (5, True, 2),
+                                      (5, 2, np.float64(3.0))],
+                             ids=["float-j", "float-k", "bool-m", "float64-j"])
+    def test_non_int_dims(self, dims):
+        with pytest.raises(DimensionMismatch, match="bad dimensions"):
+            vbic_init(*dims)
+
+    def test_numpy_int_dims(self):
+        state = vbic_init(np.int64(3), np.int32(2), np.uint8(4))
+        assert state.resp.shape == (3, 2, 4)
+
 
 class TestDirichlet:
 
