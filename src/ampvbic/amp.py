@@ -12,13 +12,10 @@ six per-column update lines are evaluated matrix-wise:
     Tau = 1 / (col2 (x) ts)            (outer product, M x J)
     R   = Xhat + Tau * (A^H @ S)
 
-The pass returns R and ts; Tau = 1 / (col2 (x) ts) is formed from them
-exactly (np.outer(col2, ts) multiplies the same factors), so it is not
-stored.
-
-col2[m] = sum_n |A[n, m]|^2 is the energy of column m of A, a per-frame
-constant that amp_init computes once.  S persists across outer
-iterations; everything else is recomputed.
+The pass returns R with its noise variances Tau, and advances the state
+to the new S in place.  col2[m] = sum_n |A[n, m]|^2 is the energy of
+column m of A, a per-frame constant that amp_init computes once.  S
+persists across outer iterations; everything else is recomputed.
 
 The pass makes one approximation.  The exact variance of row n's
 prediction is Tp[n, j] = sum_m |A[n, m]|^2 That[m, j], an N x J matrix
@@ -57,7 +54,8 @@ VARIANCE_FLOOR = 1e-12
 
 @dataclass
 class AmpState:
-    """What one decoupling pass hands to the next within a frame.
+    """What one decoupling pass hands to the next within a frame; each
+    pass advances it in place.
 
     col2 (M,) holds the column energies sum_n |A[n, m]|^2, fixed for the
     frame.  S_mat (N x J) is the scaled residual, the only quantity that
@@ -78,14 +76,13 @@ class Posterior:
 
 @dataclass
 class PseudoObservations:
-    """Decoupled scalar observations R[m, j] = x[m, j] + noise, one per user
-    m and slot j (M x J), and the slot precisions ts (J,).  The effective
-    noise variance of R[m, j] is Tau[m, j] = 1 / (col2[m] * ts[j]), that is
-    Tau = 1 / np.outer(col2, ts) with col2 from the AmpState.  The
-    clustering step reads R in this layout."""
+    """What one decoupling pass returns: the scalar observations
+    R[m, j] = x[m, j] + CN(0, Tau[m, j]), one per user m and slot j, and
+    their noise variances Tau, both M x J.  The clustering step reads R
+    in this layout."""
 
     R: np.ndarray
-    ts: np.ndarray
+    Tau: np.ndarray
 
 
 def amp_init(a_mat: np.ndarray, j: int,
@@ -108,16 +105,15 @@ def amp_init(a_mat: np.ndarray, j: int,
 
 
 def amp_decouple(a_mat: np.ndarray, y: np.ndarray, posterior: Posterior,
-                 state: AmpState,
-                 noise_var: float) -> tuple[PseudoObservations, AmpState]:
-    """One decoupling pass over all J columns.
+                 state: AmpState, noise_var: float) -> PseudoObservations:
+    """One decoupling pass over all J columns: returns R and Tau, and
+    advances state to this pass's residual in place (a pass that raises
+    leaves it as it was).
 
     state must come from amp_init(a_mat, ...) or an earlier pass on the
     same frame: the column energies are read from it, not recomputed.
-    Returns the pseudo observations and the refreshed state; the caller
-    carries the state into the next outer iteration.  Raises
-    NumericalBreakdown when R comes out non-finite, which it does whenever
-    Tau does (an infinite Tau times a zero row sum gives NaN).
+    Raises NumericalBreakdown when R comes out non-finite, which it does
+    whenever Tau does (an infinite Tau times a zero row sum gives NaN).
     """
     if not 0.0 < noise_var < np.inf:
         raise ConfigError(f"noise_var must be > 0 and finite, got {noise_var}")
@@ -153,6 +149,5 @@ def amp_decouple(a_mat: np.ndarray, y: np.ndarray, posterior: Posterior,
     if not np.isfinite(r).all():
         raise NumericalBreakdown(
             "decoupling produced non-finite pseudo observations or variances")
-
-    new_state = AmpState(col2=col2, S_mat=s)
-    return PseudoObservations(R=r, ts=ts), new_state
+    state.S_mat = s
+    return PseudoObservations(R=r, Tau=tau)

@@ -118,6 +118,9 @@ def main(argv: list[str] | None = None) -> int:
         config = _build_scenario(values, args.seed)
         detectors = tuple(values.get("detectors", ["amp_vbic"]))
         n_trials = values.get("trials", 10)
+        # trials = 20.0 runs 20 trials, as n_it = 20.0 runs 20 iterations.
+        if isinstance(n_trials, float) and n_trials.is_integer():
+            n_trials = int(n_trials)
         if args.command == "run":
             records = run_trials(config, n_trials, detectors,
                                  n_workers=args.threads)

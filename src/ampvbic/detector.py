@@ -72,7 +72,9 @@ class DetectorInternals:
     """The loop's state after len(trace.delta_x) iterations: every decision
     (_finalize, with or without the offsets) and the genie baseline read
     it, and run_detector_internals(..., n_it, start=it) advances it in
-    place, its trace included, and returns it."""
+    place, its trace included, and returns it.  pseudo is the last
+    decoupling pass's output, R with its noise variances Tau, and each
+    pass advances amp_state in place."""
 
     vbic_state: vbic.VbicState
     posterior: amp.Posterior
@@ -234,7 +236,7 @@ def run_detector_internals(a_mat: np.ndarray, y: np.ndarray,
 
     for it in range(done, n_it):
         prev_xhat = internals.posterior.Xhat
-        internals.pseudo, internals.amp_state = amp.amp_decouple(
+        internals.pseudo = amp.amp_decouple(
             a_mat, y, internals.posterior, internals.amp_state, noise_var)
         if it == 0:
             vbic.warm_start_channel(internals.vbic_state, internals.pseudo.R,

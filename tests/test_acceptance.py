@@ -189,7 +189,7 @@ def test_criterion_2_amp_identity_sanity():
     post = Posterior(Xhat=x.copy(), That=post.That)
     worst = np.inf
     for _ in range(10):
-        pseudo, state = amp_decouple(a, x.copy(), post, state, 1e-12)
+        pseudo = amp_decouple(a, x.copy(), post, state, 1e-12)
         worst = min(worst, np.max(np.abs(pseudo.R - x)))
         if worst < 1e-6:
             break

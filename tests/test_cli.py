@@ -83,6 +83,22 @@ class TestConfigParsing:
         assert rows[0] == rows[1]
         assert rows[0][1].startswith("amp_vbic,0,12,")
 
+    def test_integral_float_trials(self, tmp_path, capsys):
+        # trials = 3.0 runs 3 trials, as n_it = 4.0 runs 4 iterations.
+        outs = []
+        for trials in ("3", "3.0"):
+            path = tmp_path / f"cfg{trials}.txt"
+            path.write_text(BASE_CONFIG.replace("trials = 3",
+                                                f"trials = {trials}"))
+            outs.append(tmp_path / f"out{trials}.csv")
+            assert cli.main(["run", "--config", str(path),
+                             "--out", str(outs[-1])]) == 0
+            assert capsys.readouterr().out.startswith("3 trials,")
+        rows = [[line.rsplit(",", 1)[0] for line in out.read_text().splitlines()]
+                for out in outs]
+        assert rows[0] == rows[1]
+        assert len(rows[0]) == 1 + 3 * 2
+
     def test_repeated_key(self, tmp_path, capsys):
         path = tmp_path / "cfg.txt"
         path.write_text("M = 200\nN = 100\nM = 12\n")

@@ -135,6 +135,7 @@ class TestRunDetector:
         result, _ = run_detector(fr.A, fr.Y, cfg)
         assert len(internals.trace.delta_x) == cfg.n_it
         assert internals.pseudo.R.shape == (cfg.M, cfg.J)
+        assert internals.pseudo.Tau.shape == (cfg.M, cfg.J)
         assert internals.vbic_state.resp.shape == (alph.K, cfg.M, cfg.J)
         assert_same_decision(result, final_decision(internals, cfg))
 
@@ -204,18 +205,22 @@ def test_resumed_loop_matches_fresh_run():
     assert np.array_equal(resumed.vbic_state.mu, fresh.vbic_state.mu)
     assert np.array_equal(resumed.posterior.Xhat, fresh.posterior.Xhat)
     assert np.array_equal(resumed.pseudo.R, fresh.pseudo.R)
+    assert np.array_equal(resumed.pseudo.Tau, fresh.pseudo.Tau)
     with pytest.raises(ConfigError, match="n_it must be an integer > 20"):
         run_detector_internals(fr.A, fr.Y, cfg, 19, start=resumed)
 
 
 def test_continued_loop_is_the_object_passed_in():
-    # A continued loop is one object: start itself is advanced, so
+    # A continued loop is one object: start itself is advanced, down to
+    # the AmpState that each decoupling pass refreshes in place, so
     # deciding from it after the continuation is deciding from a fresh
     # 20-iteration run, not from a mix of its 5- and 20-iteration states.
     cfg = REFERENCE_CELL
     fr = generate_frame(cfg, trial_rng(cfg.seed, 0))
     start = run_detector_internals(fr.A, fr.Y, cfg, 5)
+    amp_state = start.amp_state
     assert run_detector_internals(fr.A, fr.Y, cfg, 20, start=start) is start
+    assert start.amp_state is amp_state
     assert len(start.trace.delta_x) == 20
     fresh = run_detector_internals(fr.A, fr.Y, cfg, 20)
     assert_same_decision(final_decision(start, cfg), final_decision(fresh, cfg))
