@@ -13,8 +13,8 @@ six per-column update lines are evaluated matrix-wise:
     R   = Xhat + Tau * (A^H @ S)
 
 The pass returns R with its noise variances Tau, and advances the state
-to the new S in place.  col2[m] = sum_n |A[n, m]|^2 is the energy of
-column m of A, a per-frame constant that amp_init computes once.  S
+to the new S in place.  The column energies col2[m] = sum_n |A[n, m]|^2
+and noise_var are per-frame constants that amp_init stores once.  S
 persists across outer iterations; everything else is recomputed.
 
 The pass makes one approximation.  The exact variance of row n's
@@ -57,12 +57,13 @@ class AmpState:
     """What one decoupling pass hands to the next within a frame; each
     pass advances it in place.
 
-    col2 (M,) holds the column energies sum_n |A[n, m]|^2, fixed for the
-    frame.  S_mat (N x J) is the scaled residual, the only quantity that
-    carries information between outer iterations.  Neither is N x M.
+    col2 (M,), the column energies sum_n |A[n, m]|^2, and noise_var are
+    fixed for the frame.  S_mat (N x J) is the scaled residual, the only
+    quantity carried between outer iterations.  No array is N x M.
     """
 
     col2: np.ndarray
+    noise_var: float
     S_mat: np.ndarray
 
 
@@ -85,18 +86,21 @@ class PseudoObservations:
     Tau: np.ndarray
 
 
-def amp_init(a_mat: np.ndarray, j: int,
-             e_sym: float) -> tuple[AmpState, Posterior]:
-    """State for one frame with mixing matrix A (N x M) and J slots: the
-    column energies of A, a zero residual, and the flat prior posterior
-    (mean 0, variance E_sym).  J must be an int (not a bool) >= 1."""
+def amp_init(a_mat: np.ndarray, j: int, e_sym: float,
+             noise_var: float) -> tuple[AmpState, Posterior]:
+    """State for one frame with mixing matrix A (N x M), J slots and noise
+    variance noise_var: the column energies of A, noise_var, a zero
+    residual, and the flat prior posterior (mean 0, variance E_sym).  J
+    must be an int (not a bool) >= 1 and noise_var > 0 and finite."""
+    if not 0.0 < noise_var < np.inf:
+        raise ConfigError(f"noise_var must be > 0 and finite, got {noise_var}")
     if a_mat.ndim != 2:
         raise DimensionMismatch("A must be a 2-d array")
     n, m = a_mat.shape
     if m < 1 or n < 1 or not _is_int(j) or j < 1:
         raise DimensionMismatch(f"dimensions must be positive integers, got M={m}, N={n}, J={j!r}")
     state = AmpState(col2=(np.abs(a_mat) ** 2).sum(axis=0),
-                     S_mat=np.zeros((n, j), dtype=complex))
+                     noise_var=noise_var, S_mat=np.zeros((n, j), dtype=complex))
     posterior = Posterior(
         Xhat=np.zeros((m, j), dtype=complex),
         That=np.full((m, j), float(e_sym)),
@@ -105,18 +109,16 @@ def amp_init(a_mat: np.ndarray, j: int,
 
 
 def amp_decouple(a_mat: np.ndarray, y: np.ndarray, posterior: Posterior,
-                 state: AmpState, noise_var: float) -> PseudoObservations:
+                 state: AmpState) -> PseudoObservations:
     """One decoupling pass over all J columns: returns R and Tau, and
     advances state to this pass's residual in place (a pass that raises
     leaves it as it was).
 
     state must come from amp_init(a_mat, ...) or an earlier pass on the
-    same frame: the column energies are read from it, not recomputed.
+    same frame: it holds the frame's column energies and noise variance.
     Raises NumericalBreakdown when R comes out non-finite, which it does
     whenever Tau does (an infinite Tau times a zero row sum gives NaN).
     """
-    if not 0.0 < noise_var < np.inf:
-        raise ConfigError(f"noise_var must be > 0 and finite, got {noise_var}")
     if a_mat.ndim != 2 or y.ndim != 2:
         raise DimensionMismatch("A and Y must be 2-d arrays")
     n, m = a_mat.shape
@@ -137,7 +139,7 @@ def amp_decouple(a_mat: np.ndarray, y: np.ndarray, posterior: Posterior,
     # tp and ts are one value per slot (J,), broadcast over the N rows.
     tp = (col2 @ that) / n
     p = a_mat @ posterior.Xhat - tp * state.S_mat
-    ts = 1.0 / (tp + noise_var)
+    ts = 1.0 / (tp + state.noise_var)
     s = ts * (y - p)
     tau = 1.0 / (col2[:, None] * ts)
     # The row sum puts the small J-row factor on the left (see the module

@@ -13,16 +13,16 @@ earlier call's loop (start=, advanced in place and returned): the harness
 steps it once per iteration count of a trial, and run_detector runs it
 once, to config.n_it.  The loop keeps its own trace, which needs no
 ground truth (the harness's n_it sweep scores each count): a continued
-loop extends it, and its length is the loop's iteration count.
+loop extends it, and its length is the loop's iteration count.  Only a
+fresh loop reads the alphabet and noise variance; its states keep them.
 
 Every decision reads the loop's state: amp_vbic and its offset-free
 ablation through _finalize, the genie through genie_detect (the
-harness's DETECTORS table names them).  Activity is
-decided per user from three additive log-likelihood terms: the
-clustering evidence summed over the user's J observations, an offset
-term that compares the posterior mean against the active/inactive prior
-variances (guarding against false alarms on near-zero estimates), and
-the activation prior log-odds ln(p_a / (1 - p_a)).
+harness's DETECTORS table names them).  Activity is decided per user
+from three additive log-likelihood terms: the clustering evidence summed
+over the user's J observations, an offset term comparing the posterior
+mean with the active/inactive prior variances (against false alarms on
+near-zero estimates), and the prior log-odds ln(p_a / (1 - p_a)).
 """
 
 from __future__ import annotations
@@ -73,8 +73,9 @@ class DetectorInternals:
     (_finalize, with or without the offsets) and the genie baseline read
     it, and run_detector_internals(..., n_it, start=it) advances it in
     place, its trace included, and returns it.  pseudo is the last
-    decoupling pass's output, R with its noise variances Tau, and each
-    pass advances amp_state in place."""
+    decoupling pass's output, R with its noise variances Tau.  vbic_state
+    holds the frame's alphabet, amp_state its noise variance; each pass
+    advances amp_state in place."""
 
     vbic_state: vbic.VbicState
     posterior: amp.Posterior
@@ -158,9 +159,9 @@ def _finalize(internals: DetectorInternals, config: ScenarioConfig,
     so that channel times slot-1 symbol stays what the clustering decided.
     """
     state = internals.vbic_state
-    alphabet = build_alphabet(config.modulation)
+    alphabet = state.alphabet
     decision_posterior = amp.Posterior(
-        internals.posterior.Xhat, vbic.posterior_variance_full(state, alphabet))
+        internals.posterior.Xhat, vbic.posterior_variance_full(state))
     result = detect(state.resp, decision_posterior, state.mu, alphabet,
                     config.p_a, include_offset)
     active = result.activity_hat.astype(bool)
@@ -211,9 +212,9 @@ def run_detector_internals(a_mat: np.ndarray, y: np.ndarray,
     iteration appends the mean absolute change of the posterior mean to
     the state's trace, so the trace's length is the iteration count.
 
-    start, the internals of an earlier call on the same frame and config,
-    is advanced in place to n_it > len(start.trace.delta_x), as a fresh
-    run would be, and returned.
+    start, the internals of an earlier call on the same frame, is
+    advanced in place to n_it > len(start.trace.delta_x), as a fresh run
+    would be, and returned; of config it reads only the frame shapes.
     """
     done = 0 if start is None else len(start.trace.delta_x)
     if not _is_int(n_it) or n_it <= done:
@@ -223,26 +224,26 @@ def run_detector_internals(a_mat: np.ndarray, y: np.ndarray,
             f"A {a_mat.shape} / Y {y.shape} are not the 2-d (N, M) / (N, J) "
             f"arrays of config (M={config.M}, N={config.N}, J={config.J})")
 
-    alphabet = build_alphabet(config.modulation)
-    noise_var = noise_variance_from_snr(config.snr_db, alphabet.E_sym)
     internals = start
     if internals is None:
         # No pseudo observations before the first iteration; this state
         # is returned only after at least one.
-        amp_state, posterior = amp.amp_init(a_mat, config.J, alphabet.E_sym)
+        alphabet = build_alphabet(config.modulation)
+        noise_var = noise_variance_from_snr(config.snr_db, alphabet.E_sym)
+        amp_state, posterior = amp.amp_init(a_mat, config.J, alphabet.E_sym,
+                                            noise_var)
         internals = DetectorInternals(
-            vbic.vbic_init(alphabet.K, config.M, config.J), posterior, None,
+            vbic.vbic_init(alphabet, config.M, config.J), posterior, None,
             amp_state, IterationTrace())
 
     for it in range(done, n_it):
         prev_xhat = internals.posterior.Xhat
         internals.pseudo = amp.amp_decouple(
-            a_mat, y, internals.posterior, internals.amp_state, noise_var)
+            a_mat, y, internals.posterior, internals.amp_state)
         if it == 0:
-            vbic.warm_start_channel(internals.vbic_state, internals.pseudo.R,
-                                    alphabet)
+            vbic.warm_start_channel(internals.vbic_state, internals.pseudo.R)
         internals.posterior = vbic.vbic_step(internals.vbic_state,
-                                             internals.pseudo.R, alphabet)
+                                             internals.pseudo.R)
         # np.mean's value, bit for bit, without its per-call overhead.
         change = np.abs(internals.posterior.Xhat - prev_xhat)
         internals.trace.delta_x.append(float(change.sum() / change.size))

@@ -40,8 +40,7 @@ DETECTORS = {
     "amp_vbic_no_offset": lambda internals, frame, config:
         _finalize(internals, config, include_offset=False),
     "genie": lambda internals, frame, config:
-        genie_detect(internals.pseudo.R, frame,
-                     build_alphabet(config.modulation)),
+        genie_detect(internals.pseudo.R, frame, internals.vbic_state.alphabet),
 }
 SWEEP_AXES = ("snr_db", "N", "p_a", "n_it")
 SYMBOL_MATCH_TOL = 1e-9

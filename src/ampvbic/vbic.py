@@ -37,12 +37,12 @@ are the transposed product, (3 x K) @ (K x MJ).  The basis belongs to the
 alphabet (ExtendedAlphabet.symbol_basis): it is built once per alphabet,
 read-only, not once per update.
 
-Every update reads only the variational parameters and its arguments:
-the Gamma rate update takes the pre-refresh channel (lam_old, mu_old) as
-an argument, kept by the caller from before update_channel.  Each
-iteration ends with the posterior moments of x[m, j] = mu_m * d that are
-handed back to the decoupling module.  Updated parameters become the
-next iteration's priors, so counts accumulate across outer iterations.
+Every update reads only the state, which holds the alphabet, and its
+arguments: the Gamma rate update takes the pre-refresh channel (lam_old,
+mu_old), kept by the caller from before update_channel.  Each iteration
+ends with the posterior moments of x[m, j] = mu_m * d, handed back to
+the decoupling module.  Updated parameters become the next iteration's
+priors, so counts accumulate across outer iterations.
 """
 
 from __future__ import annotations
@@ -64,7 +64,8 @@ LAMBDA_0 = 1.0
 
 @dataclass
 class VbicState:
-    """All variational parameters, updated in place.
+    """All variational parameters, updated in place, and the alphabet of
+    K symbols they cluster over, fixed for the frame.
 
     alpha (per-observation Dirichlet) and resp (responsibilities) are
     C-contiguous K x M x J arrays: component k of observation (m, j) is
@@ -76,6 +77,7 @@ class VbicState:
     the pre-refresh channel that update_gamma takes without copying it.
     """
 
+    alphabet: ExtendedAlphabet
     alpha: np.ndarray
     lam: np.ndarray
     mu: np.ndarray
@@ -84,13 +86,15 @@ class VbicState:
     resp: np.ndarray
 
 
-def vbic_init(k: int, m: int, j: int) -> VbicState:
-    """Fresh state for K symbols, M users and J slots: alpha=0.1, a=1e-4,
-    b=1, uniform responsibilities, unit-precision zero-mean channel prior.
-    K, M and J must be ints (not bools), K >= 2 and M, J >= 1."""
-    if not all(map(_is_int, (k, m, j))) or k < 2 or m < 1 or j < 1:
+def vbic_init(alphabet: ExtendedAlphabet, m: int, j: int) -> VbicState:
+    """Fresh state over alphabet's K symbols for M users and J slots:
+    alpha=0.1, a=1e-4, b=1, uniform responsibilities, unit-precision
+    zero-mean channel prior.  K >= 2; M, J must be ints (not bools) >= 1."""
+    k = alphabet.K
+    if not all(map(_is_int, (m, j))) or k < 2 or m < 1 or j < 1:
         raise DimensionMismatch(f"bad dimensions K={k!r}, M={m!r}, J={j!r}")
     return VbicState(
+        alphabet=alphabet,
         alpha=np.full((k, m, j), ALPHA_0),
         lam=np.full(m, LAMBDA_0),
         mu=np.zeros(m, dtype=complex),
@@ -109,16 +113,15 @@ def _check_observations(state: VbicState, r: np.ndarray) -> None:
             f"got shape {r.shape}")
 
 
-def _symbol_moments(state: VbicState, alphabet: ExtendedAlphabet) -> np.ndarray:
+def _symbol_moments(state: VbicState) -> np.ndarray:
     """Re E[d], Im E[d] and E|d|^2 of every observation under resp,
     3 x M x J, from one real product."""
     k, m, j = state.resp.shape
-    moments = alphabet.symbol_basis @ state.resp.reshape(k, m * j)
+    moments = state.alphabet.symbol_basis @ state.resp.reshape(k, m * j)
     return moments.reshape(3, m, j)
 
 
-def warm_start_channel(state: VbicState, r: np.ndarray,
-                       alphabet: ExtendedAlphabet) -> None:
+def warm_start_channel(state: VbicState, r: np.ndarray) -> None:
     """Seed the channel prior means from the reference-symbol observations.
 
     With exactly uniform responsibilities and a zero-mean channel prior,
@@ -129,7 +132,7 @@ def warm_start_channel(state: VbicState, r: np.ndarray,
     that breaks the symmetry deterministically.
     """
     _check_observations(state, r)
-    state.mu = r[:, 0] / alphabet.reference_symbol
+    state.mu = r[:, 0] / state.alphabet.reference_symbol
 
 
 def update_dirichlet(state: VbicState) -> None:
@@ -137,8 +140,7 @@ def update_dirichlet(state: VbicState) -> None:
     state.alpha += state.resp
 
 
-def update_channel(state: VbicState, r: np.ndarray,
-                   alphabet: ExtendedAlphabet) -> None:
+def update_channel(state: VbicState, r: np.ndarray) -> None:
     """Refresh the per-user channel posterior (lam, mu).
 
     Only user m's J observations contribute to its parameters; the null
@@ -147,7 +149,7 @@ def update_channel(state: VbicState, r: np.ndarray,
     stay valid as the pre-refresh channel that update_gamma takes.
     """
     _check_observations(state, r)
-    mean_re, mean_im, e_abs_d2 = _symbol_moments(state, alphabet)
+    mean_re, mean_im, e_abs_d2 = _symbol_moments(state)
     # sum_k e_kmj conj(d_k) r_mj = conj(E[d_mj]) r_mj
     cross = ((mean_re - 1j * mean_im) * r).sum(axis=1)
     lam_new = state.lam + e_abs_d2.sum(axis=1)
@@ -164,18 +166,19 @@ def update_gamma(state: VbicState, r: np.ndarray, lam_prior: np.ndarray,
     held before it.
     """
     _check_observations(state, r)
-    b_new = (state.b
-             + np.sum(lam_prior * np.abs(mu_prior) ** 2)
-             + np.sum(state.resp.sum(axis=0) * np.abs(r) ** 2)
-             - np.sum(state.lam * np.abs(state.mu) ** 2))
+    # A diverging frame overflows these sums; the check below reports it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        b_new = (state.b
+                 + np.sum(lam_prior * np.abs(mu_prior) ** 2)
+                 + np.sum(state.resp.sum(axis=0) * np.abs(r) ** 2)
+                 - np.sum(state.lam * np.abs(state.mu) ** 2))
     if not np.isfinite(b_new) or b_new <= 0:
         raise NumericalBreakdown(f"Gamma rate went non-positive or non-finite: {b_new}")
     state.a = state.a + r.size
     state.b = float(b_new)
 
 
-def update_responsibilities(state: VbicState, r: np.ndarray,
-                            alphabet: ExtendedAlphabet) -> None:
+def update_responsibilities(state: VbicState, r: np.ndarray) -> None:
     """Softmax over the symbol axis of ln rho_kmj, formed up to
     per-observation constants (see the module docstring) and computed in
     the log domain with max-subtraction so large quadratic terms cannot
@@ -188,7 +191,7 @@ def update_responsibilities(state: VbicState, r: np.ndarray,
     coef[1] = -2.0 * e_tau * z.imag
     coef[2] = -(e_tau * np.abs(state.mu) ** 2 + 1.0 / state.lam)[:, None]
     # Re(z d) = Re(z) Re(d) - Im(z) Im(d), so one real product gives every term.
-    ln_rho = (alphabet.symbol_basis.T @ coef.reshape(3, r.size)).reshape(
+    ln_rho = (state.alphabet.symbol_basis.T @ coef.reshape(3, r.size)).reshape(
         state.resp.shape)
     ln_rho += digamma(state.alpha)
     ln_rho -= ln_rho.max(axis=0)
@@ -197,14 +200,14 @@ def update_responsibilities(state: VbicState, r: np.ndarray,
     state.resp = ln_rho
 
 
-def _target_moments(state: VbicState, alphabet: ExtendedAlphabet
+def _target_moments(state: VbicState
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """E[d], E|d|^2 and the symbol spread E|d|^2 - |E[d]|^2 of every
     observation under resp (M x J), and the inverse-precision mean
     E[1/(lam_m tau)] = b / (lam_m (a - 1)) per user, which requires a > 1."""
     if state.a <= 1.0:
         raise NumericalBreakdown(f"Gamma shape must exceed 1, got {state.a}")
-    mean_re, mean_im, e_abs_d2 = _symbol_moments(state, alphabet)
+    mean_re, mean_im, e_abs_d2 = _symbol_moments(state)
     spread = e_abs_d2 - (mean_re ** 2 + mean_im ** 2)
     # The spread is a variance of a discrete distribution, so only
     # floating-point cancellation can push it below zero; anything further
@@ -216,21 +219,19 @@ def _target_moments(state: VbicState, alphabet: ExtendedAlphabet
     return mean_re + 1j * mean_im, e_abs_d2, np.maximum(spread, 0.0), v
 
 
-def posterior_moments(state: VbicState,
-                      alphabet: ExtendedAlphabet) -> Posterior:
+def posterior_moments(state: VbicState) -> Posterior:
     """Posterior mean/variance of every target element x_{m,j} = mu_m * d.
 
     Mean: mu_m * sum_k e_kmj d_k.  Variance: E[1/(lam_m tau)] times the
     responsibility-weighted symbol spread; the inverse-precision mean
     b/(a-1) requires a > 1.
     """
-    mean_d, _, spread, v = _target_moments(state, alphabet)
+    mean_d, _, spread, v = _target_moments(state)
     return Posterior(Xhat=state.mu[:, None] * mean_d,
                      That=np.maximum(v[:, None] * spread, VARIANCE_FLOOR))
 
 
-def posterior_variance_full(state: VbicState,
-                            alphabet: ExtendedAlphabet) -> np.ndarray:
+def posterior_variance_full(state: VbicState) -> np.ndarray:
     """Exact posterior variance of x_{m,j} = mu_m * d under q, (M, J).
 
     Var[x] = E|mu|^2 E|d|^2 - |E mu|^2 |E d|^2
@@ -245,20 +246,19 @@ def posterior_variance_full(state: VbicState,
     inactive-user variance collapses as parameters accumulate and false
     alarms grow without bound.
     """
-    _, e_abs_d2, spread, v = _target_moments(state, alphabet)
+    _, e_abs_d2, spread, v = _target_moments(state)
     return np.maximum(v[:, None] * e_abs_d2
                       + (np.abs(state.mu) ** 2)[:, None] * spread,
                       VARIANCE_FLOOR)
 
 
-def vbic_step(state: VbicState, r: np.ndarray,
-              alphabet: ExtendedAlphabet) -> Posterior:
+def vbic_step(state: VbicState, r: np.ndarray) -> Posterior:
     """One full clustering iteration on the (M, J) pseudo observations r,
     in update order: Dirichlet counts, channel refresh, precision refresh,
     responsibilities, moments.  The state is advanced in place."""
     update_dirichlet(state)
     lam_prior, mu_prior = state.lam, state.mu
-    update_channel(state, r, alphabet)
+    update_channel(state, r)
     update_gamma(state, r, lam_prior, mu_prior)
-    update_responsibilities(state, r, alphabet)
-    return posterior_moments(state, alphabet)
+    update_responsibilities(state, r)
+    return posterior_moments(state)

@@ -19,6 +19,9 @@ product.  The flat forms below number the observations s = j + m*J and
 use the (S, K) layout, one row per observation, and the complex products
 resp @ d and resp @ conj(d) as the equations are written; they are the
 reference for the symbol-major code.
+
+The fixtures the unit tests share, unit_alphabet, unit_posterior and
+EULER_GAMMA, are defined here once.
 """
 
 import numpy as np
@@ -27,6 +30,19 @@ from scipy.special import digamma
 from ampvbic.amp import VARIANCE_FLOOR, Posterior
 from ampvbic.model import ExtendedAlphabet
 from ampvbic.vbic import VbicState
+
+EULER_GAMMA = 0.5772156649015328606
+
+
+def unit_alphabet() -> ExtendedAlphabet:
+    """Two-symbol alphabet {0, 1}: the smallest case for hand evaluations."""
+    return ExtendedAlphabet(symbols=np.array([0.0 + 0.0j, 1.0 + 0.0j]))
+
+
+def unit_posterior(xhat) -> Posterior:
+    """Posterior means the rows of xhat, one row per user, at unit variance."""
+    xhat = np.array(xhat, dtype=complex)
+    return Posterior(Xhat=xhat, That=np.ones(xhat.shape))
 
 
 def plain_amp_pass(a: np.ndarray, y: np.ndarray, posterior: Posterior,
@@ -73,11 +89,11 @@ def expected_log_tau(state: VbicState) -> float:
     return float(digamma(state.a) - np.log(state.b))
 
 
-def expected_sq_err(state: VbicState, s: int, k: int, r_s: complex,
-                    alphabet: ExtendedAlphabet) -> float:
-    """E[tau |r_s - mu_m d_k|^2] under the current channel/precision posterior."""
+def expected_sq_err(state: VbicState, s: int, k: int, r_s: complex) -> float:
+    """E[tau |r_s - mu_m d_k|^2] under the current channel/precision
+    posterior, d_k from the state's alphabet."""
     m = s // state.resp.shape[2]
-    d_k = alphabet.symbols[k]
+    d_k = state.alphabet.symbols[k]
     quad = (np.abs(r_s) ** 2
             + np.abs(d_k) ** 2 * np.abs(state.mu[m]) ** 2
             - 2.0 * np.real(np.conj(r_s) * state.mu[m] * d_k))

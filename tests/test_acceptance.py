@@ -16,19 +16,18 @@ from ampvbic.amp import Posterior, amp_decouple, amp_init
 from ampvbic.detector import _offset_llr_matrix, correct_phase, detect, \
     run_detector
 from ampvbic.harness import _set_blas_threads, aggregate, run_trials, sweep
-from ampvbic.model import (ExtendedAlphabet, ScenarioConfig, build_alphabet,
-                           generate_frame)
+from ampvbic.model import ScenarioConfig, build_alphabet, generate_frame
 from ampvbic.vbic import (posterior_moments, update_channel, update_dirichlet,
                           update_gamma, update_responsibilities, vbic_init)
-from oracles import (expected_log_pi, expected_log_tau, expected_sq_err,
-                     flat_rows, k_major)
+from oracles import (EULER_GAMMA, expected_log_pi, expected_log_tau,
+                     expected_sq_err, flat_rows, k_major, unit_alphabet,
+                     unit_posterior)
 
 SEED = 2026
 REL = 1e-9
 # Criteria 4-7 run their trials in a pool of this many workers; pooled
 # records equal serial ones, so the printed details do not depend on it.
 WORKERS = 2
-EULER_GAMMA = 0.5772156649015328606
 
 
 def report(criterion: int, passed: bool, detail: str) -> None:
@@ -55,21 +54,11 @@ def se_diff(a, b) -> float:
     return math.sqrt(a ** 2 + b ** 2)
 
 
-def unit_alphabet() -> ExtendedAlphabet:
-    return ExtendedAlphabet(symbols=np.array([0.0 + 0.0j, 1.0 + 0.0j]))
-
-
-def unit_posterior(xhat):
-    """One user whose J = len(xhat) observations have unit posterior
-    variance."""
-    xhat = np.array([xhat], dtype=complex)
-    return Posterior(Xhat=xhat, That=np.ones(xhat.shape))
-
-
 def detect_one_user(resp, xhat, p_a, include_offset=True):
-    """detect() on unit_posterior(xhat) over the {0, 1} alphabet
-    (E_sym = 1); resp has one row per observation."""
-    return detect(k_major(resp, 1), unit_posterior(xhat),
+    """detect() for one user whose J = len(xhat) posterior means are xhat
+    (unit variance) over the {0, 1} alphabet (E_sym = 1); resp has one
+    row per observation."""
+    return detect(k_major(resp, 1), unit_posterior([xhat]),
                   np.zeros(1, dtype=complex), unit_alphabet(), p_a,
                   include_offset)
 
@@ -80,33 +69,33 @@ def test_criterion_1_unit_equation_suite():
     alph2 = unit_alphabet()
 
     # Dirichlet count update: 0.1 + 0.9 = 1.0
-    st = vbic_init(2, 1, 2)
+    st = vbic_init(alph2, 1, 2)
     st.resp = k_major([[0.1, 0.9], [0.0, 0.0]], 1)
     update_dirichlet(st)
     assert st.alpha[1, 0, 0] == pytest.approx(1.0, rel=REL)
 
     # channel refresh: lam_bar = 2, mu_bar = 0.25
-    st = vbic_init(2, 1, 1)
+    st = vbic_init(alph2, 1, 1)
     st.resp = k_major([[0.0, 1.0]], 1)
-    update_channel(st, np.array([[0.5 + 0.0j]]), alph2)
+    update_channel(st, np.array([[0.5 + 0.0j]]))
     assert st.lam[0] == pytest.approx(2.0, rel=REL)
     assert st.mu[0] == pytest.approx(0.25, rel=REL)
 
     # precision refresh: shape a + MJ; rate grows by |r|^2 under null mass.
     # The pre-refresh channel is the vbic_init prior, lam = 1 and mu = 0.
-    st = vbic_init(2, 10, 200)
-    update_channel(st, np.zeros((10, 200), dtype=complex), alph2)
+    st = vbic_init(alph2, 10, 200)
+    update_channel(st, np.zeros((10, 200), dtype=complex))
     update_gamma(st, np.zeros((10, 200), dtype=complex), np.ones(10),
                  np.zeros(10))
     assert st.a == pytest.approx(2000.0001, rel=1e-12)
-    st = vbic_init(2, 1, 1)
+    st = vbic_init(alph2, 1, 1)
     st.resp = k_major([[1.0, 0.0]], 1)
-    update_channel(st, np.array([[1.0 + 0.0j]]), alph2)
+    update_channel(st, np.array([[1.0 + 0.0j]]))
     update_gamma(st, np.array([[1.0 + 0.0j]]), np.ones(1), np.zeros(1))
     assert st.b == pytest.approx(2.0, rel=REL)
 
     # Dirichlet expectations via the digamma recurrence
-    st = vbic_init(2, 1, 2)
+    st = vbic_init(alph2, 1, 2)
     st.alpha = k_major([[1.0, 1.0], [2.0, 1.0]], 1)
     assert expected_log_pi(st, 0) == pytest.approx([-1.0, -1.0], rel=REL)
     assert expected_log_pi(st, 1)[0] == pytest.approx(-0.5, rel=REL)
@@ -120,29 +109,29 @@ def test_criterion_1_unit_equation_suite():
     assert expected_log_tau(st) == pytest.approx(-EULER_GAMMA - 1.0, rel=REL)
 
     # expected squared error: null symbol, exact fit, and unit hand case
-    st = vbic_init(2, 1, 2)
+    st = vbic_init(alph2, 1, 2)
     st.a, st.b = 2.0, 4.0
-    assert expected_sq_err(st, 0, 0, 1.5 - 0.5j, alph2) == pytest.approx(
+    assert expected_sq_err(st, 0, 0, 1.5 - 0.5j) == pytest.approx(
         0.5 * abs(1.5 - 0.5j) ** 2, rel=REL)
     st.a = st.b = 1.0
     st.mu = np.array([1.0 + 0.0j])
-    assert expected_sq_err(st, 0, 1, 1.0 + 0.0j, alph2) == pytest.approx(1.0, rel=REL)
+    assert expected_sq_err(st, 0, 1, 1.0 + 0.0j) == pytest.approx(1.0, rel=REL)
 
     # responsibility softmax: ln rho = [0, ln 3] -> [0.25, 0.75]
-    st = vbic_init(2, 1, 1)
+    st = vbic_init(alph2, 1, 1)
     st.a = st.b = 1.0
     st.lam = np.array([1e18])
     st.mu = np.array([1.0 + 0.0j])
-    update_responsibilities(st, np.array([[(1.0 + math.log(3.0)) / 2.0 + 0.0j]]),
-                            alph2)
+    r = np.array([[(1.0 + math.log(3.0)) / 2.0 + 0.0j]])
+    update_responsibilities(st, r)
     assert flat_rows(st.resp)[0] == pytest.approx([0.25, 0.75], rel=REL)
 
     # posterior moments: xhat = 0.5, that = 0.25
-    st = vbic_init(2, 1, 1)
+    st = vbic_init(alph2, 1, 1)
     st.a = 2.0
     st.mu = np.array([1.0 + 0.0j])
     st.resp = k_major([[0.5, 0.5]], 1)
-    post = posterior_moments(st, alph2)
+    post = posterior_moments(st)
     assert post.Xhat[0, 0] == pytest.approx(0.5, rel=REL)
     assert post.That[0, 0] == pytest.approx(0.25, rel=REL)
 
@@ -152,7 +141,7 @@ def test_criterion_1_unit_equation_suite():
 
     # offset LLR: ln(1/2) and ln(1/2) + 1 - 1/2
     for xhat, want in ((0.0, math.log(0.5)), (1.0, math.log(0.5) + 0.5)):
-        offset = _offset_llr_matrix(unit_posterior([xhat]), alph2.E_sym)
+        offset = _offset_llr_matrix(unit_posterior([[xhat]]), alph2.E_sym)
         assert offset.sum(axis=1)[0] == pytest.approx(want, rel=REL)
 
     # decision LLR: prior log-odds at p_a = 0.1 (balanced evidence, and
@@ -185,11 +174,11 @@ def test_criterion_2_amp_identity_sanity():
     gains = rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1))
     x = alph.active_symbols[rng.integers(0, alph.K - 1, (n, j))] * gains
     a = np.eye(n, dtype=complex)
-    state, post = amp_init(a, j, alph.E_sym)
+    state, post = amp_init(a, j, alph.E_sym, 1e-12)
     post = Posterior(Xhat=x.copy(), That=post.That)
     worst = np.inf
     for _ in range(10):
-        pseudo = amp_decouple(a, x.copy(), post, state, 1e-12)
+        pseudo = amp_decouple(a, x.copy(), post, state)
         worst = min(worst, np.max(np.abs(pseudo.R - x)))
         if worst < 1e-6:
             break
@@ -211,7 +200,7 @@ def test_criterion_3_normalization_and_variance_properties():
         alph = alphabets[i & 1]
         m = 1 + (i % 2)
         j = 1 + (i % 3)
-        st = vbic_init(alph.K, m, j)
+        st = vbic_init(alph, m, j)
         st.mu = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         st.lam = rng.uniform(0.2, 50.0, m)
         st.a = rng.uniform(1.01, 1e5)
@@ -219,10 +208,10 @@ def test_criterion_3_normalization_and_variance_properties():
         st.alpha = k_major(rng.uniform(0.05, 30.0, (m * j, alph.K)), m)
         r = rng.uniform(0.01, 20.0) * (rng.standard_normal((m, j))
                                        + 1j * rng.standard_normal((m, j)))
-        update_responsibilities(st, r, alph)
+        update_responsibilities(st, r)
         worst_row_sum_err = max(worst_row_sum_err,
                                 float(np.abs(st.resp.sum(axis=0) - 1.0).max()))
-        post = posterior_moments(st, alph)
+        post = posterior_moments(st)
         min_variance = min(min_variance, float(post.That.min()))
     elapsed = time.perf_counter() - t0
     ok = worst_row_sum_err < 1e-9 and min_variance >= 0.0 and elapsed < 30.0

@@ -7,7 +7,7 @@ from ampvbic.amp import Posterior
 from ampvbic.detector import _offset_llr_matrix, correct_phase, detect
 from ampvbic.errors import ConfigError, DimensionMismatch, NumericalBreakdown
 from ampvbic.model import ExtendedAlphabet, build_alphabet
-from oracles import k_major
+from oracles import k_major, unit_posterior
 
 LN_ONE_NINTH = -2.1972245773362196   # ln(1/9)
 LN_HALF = -0.6931471805599453        # ln(1/2)
@@ -15,12 +15,6 @@ LN_HALF = -0.6931471805599453        # ln(1/2)
 # At unit posterior and prior variance, |x|^2 = 2 ln 2 makes the offset
 # ln(1/2) + 2 ln 2 (1 - 1/2) = 0, so the decision LLR shows the other terms.
 ZERO_OFFSET_X = math.sqrt(2.0 * math.log(2.0))
-
-
-def unit_posterior(xhat):
-    """Posterior means the rows of xhat, one row per user, at unit variance."""
-    xhat = np.array(xhat, dtype=complex)
-    return Posterior(Xhat=xhat, That=np.ones(xhat.shape))
 
 
 def detect_users(resp, xhat, p_a=0.1, e_sym=1.0, include_offset=True):

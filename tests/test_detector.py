@@ -210,6 +210,24 @@ def test_resumed_loop_matches_fresh_run():
         run_detector_internals(fr.A, fr.Y, cfg, 19, start=resumed)
 
 
+def test_continued_loop_reads_the_frame_constants_from_its_state():
+    # The alphabet and the noise variance belong to the states a fresh
+    # loop builds: continuing it under a config of another SNR and
+    # modulation reads only the frame shapes from that config.
+    cfg, alph, fr = make_frame(M=50, N=40, J=10, p_a=0.1, seed=7)
+    other = dataclasses.replace(cfg, snr_db=30.0, modulation="qpsk")
+    start = run_detector_internals(fr.A, fr.Y, cfg, 5)
+    assert start.vbic_state.alphabet is alph
+    assert start.amp_state.noise_var == fr.noise_var
+    continued = run_detector_internals(fr.A, fr.Y, other, 10, start=start)
+    fresh = run_detector_internals(fr.A, fr.Y, cfg, 10)
+    assert continued.trace.delta_x == fresh.trace.delta_x
+    assert np.array_equal(continued.vbic_state.resp, fresh.vbic_state.resp)
+    assert np.array_equal(continued.pseudo.R, fresh.pseudo.R)
+    assert_same_decision(final_decision(continued, cfg),
+                         final_decision(fresh, cfg))
+
+
 def test_continued_loop_is_the_object_passed_in():
     # A continued loop is one object: start itself is advanced, down to
     # the AmpState that each decoupling pass refreshes in place, so

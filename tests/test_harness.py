@@ -9,7 +9,7 @@ import pytest
 from scipy import stats
 
 from ampvbic import harness
-from ampvbic.amp import amp_decouple, amp_init
+from ampvbic.amp import amp_init
 from ampvbic.errors import ConfigError, DimensionMismatch, \
     NumericalBreakdown, TrialFailure
 from ampvbic.detector import run_detector
@@ -390,17 +390,14 @@ class TestRunTrials:
     def test_zero_noise_variance_is_config_error_on_both_paths(
             self, monkeypatch):
         # One condition, one type: before any trial in the harness, and
-        # in a direct decoupling pass.
+        # in a direct decoupling state.
         def no_frames(*args, **kwargs):
             raise AssertionError("a trial ran")
         monkeypatch.setattr(harness, "generate_frame", no_frames)
         with pytest.raises(ConfigError, match="noise variance 0"):
             run_trials(tiny_config(snr_db=4000.0), 1)
-        a_mat = np.ones((2, 3), dtype=complex)
-        state, posterior = amp_init(a_mat, 2, 1.0)
         with pytest.raises(ConfigError, match="noise_var must be > 0"):
-            amp_decouple(a_mat, np.zeros((2, 2), dtype=complex), posterior,
-                         state, 0.0)
+            amp_init(np.ones((2, 3), dtype=complex), 2, 1.0, 0.0)
 
     def test_numpy_integer_request_arguments_run(self):
         records = run_trials(tiny_config(), np.int64(2), trial_start=np.int64(3),
@@ -726,6 +723,19 @@ class TestPoolFailures:
                            r"p_a=0\.15, snr_db=7\.5\) failed") as info:
             sweep(tiny_config(), "snr_db", [0.0, 5.0, 7.5, 10.0, 15.0], 1,
                   n_workers=n_workers)
+        assert isinstance(info.value.__cause__, NumericalBreakdown)
+
+    def test_diverging_frame_fails_as_a_breakdown_alone(self):
+        # 300 users on one chip: the clustering diverges until the Gamma
+        # rate's sums overflow.  The rate check is the only report, a
+        # NumericalBreakdown; a numpy RuntimeWarning raised as an error
+        # before it would become the failure's cause instead.
+        cfg = ScenarioConfig(M=300, N=1, J=3, p_a=0.1, snr_db=10.0,
+                             modulation="qam16", n_it=30, seed=5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrialFailure, match="Gamma rate") as info:
+                run_trials(cfg, 1, ("amp_vbic",))
         assert isinstance(info.value.__cause__, NumericalBreakdown)
 
     def test_nit_sweep_chains_the_cause(self, monkeypatch):
