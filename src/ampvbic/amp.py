@@ -13,8 +13,8 @@ six per-column update lines are evaluated matrix-wise:
     R   = Xhat + Tau * (A^H @ S)
 
 The pass returns R with its noise variances Tau, and advances the state
-to the new S in place.  The column energies col2[m] = sum_n |A[n, m]|^2
-and noise_var are per-frame constants that amp_init stores once.  S
+to the new S in place.  amp_init stores the frame's constants once: its
+shape, the column energies col2[m] = sum_n |A[n, m]|^2 and noise_var.  S
 persists across outer iterations; everything else is recomputed.
 
 The pass makes one approximation.  The exact variance of row n's
@@ -57,9 +57,9 @@ class AmpState:
     """What one decoupling pass hands to the next within a frame; each
     pass advances it in place.
 
-    col2 (M,), the column energies sum_n |A[n, m]|^2, and noise_var are
-    fixed for the frame.  S_mat (N x J) is the scaled residual, the only
-    quantity carried between outer iterations.  No array is N x M.
+    col2 (M,), the column energies, and noise_var are fixed for the frame;
+    S_mat (N x J), the scaled residual, is the one array a pass changes.
+    Their sizes are the frame's (N, M, J); no array is N x M.
     """
 
     col2: np.ndarray
@@ -115,23 +115,18 @@ def amp_decouple(a_mat: np.ndarray, y: np.ndarray, posterior: Posterior,
     leaves it as it was).
 
     state must come from amp_init(a_mat, ...) or an earlier pass on the
-    same frame: it holds the frame's column energies and noise variance.
+    same frame: A, Y and the posterior must fit the shape that it holds.
     Raises NumericalBreakdown when R comes out non-finite, which it does
     whenever Tau does (an infinite Tau times a zero row sum gives NaN).
     """
-    if a_mat.ndim != 2 or y.ndim != 2:
-        raise DimensionMismatch("A and Y must be 2-d arrays")
-    n, m = a_mat.shape
-    if y.shape[0] != n:
-        raise DimensionMismatch(f"Y has {y.shape[0]} rows, expected N={n}")
-    j = y.shape[1]
+    (n, j), m = state.S_mat.shape, state.col2.size
+    if a_mat.shape != (n, m) or y.shape != (n, j):
+        raise DimensionMismatch(
+            f"A {a_mat.shape} / Y {y.shape} are not the 2-d (N, M) / (N, J) "
+            f"= {(n, m)} / {(n, j)} arrays of the AMP state")
     if posterior.Xhat.shape != (m, j) or posterior.That.shape != (m, j):
         raise DimensionMismatch(
             f"posterior shape {posterior.Xhat.shape} does not match (M, J)=({m}, {j})")
-    if state.col2.shape != (m,) or state.S_mat.shape != (n, j):
-        raise DimensionMismatch(
-            f"AMP state was built for a different frame shape than A {a_mat.shape}, "
-            f"Y {y.shape}")
 
     col2 = state.col2
     that = np.maximum(posterior.That, VARIANCE_FLOOR)

@@ -52,9 +52,9 @@ def parse_config_file(path: str) -> dict:
     values: dict = {}
     seen_at: dict[str, int] = {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()

@@ -13,8 +13,8 @@ earlier call's loop (start=, advanced in place and returned): the harness
 steps it once per iteration count of a trial, and run_detector runs it
 once, to config.n_it.  The loop keeps its own trace, which needs no
 ground truth (the harness's n_it sweep scores each count): a continued
-loop extends it, and its length is the loop's iteration count.  Only a
-fresh loop reads the alphabet and noise variance; its states keep them.
+loop extends it, its length the loop's iteration count.  Only a fresh
+loop reads the alphabet, noise variance and p_a; its state keeps them.
 
 Every decision reads the loop's state: amp_vbic and its offset-free
 ablation through _finalize, the genie through genie_detect (the
@@ -72,16 +72,17 @@ class DetectorInternals:
     """The loop's state after len(trace.delta_x) iterations: every decision
     (_finalize, with or without the offsets) and the genie baseline read
     it, and run_detector_internals(..., n_it, start=it) advances it in
-    place, its trace included, and returns it.  pseudo is the last
-    decoupling pass's output, R with its noise variances Tau.  vbic_state
-    holds the frame's alphabet, amp_state its noise variance; each pass
-    advances amp_state in place."""
+    place, its trace included, and returns it.  pseudo is the last pass's
+    R with its noise variances Tau.  It keeps the frame's constants: the
+    alphabet in vbic_state, the noise variance in amp_state (which each
+    pass advances in place) and p_a, which _finalize decides with."""
 
     vbic_state: vbic.VbicState
     posterior: amp.Posterior
     pseudo: amp.PseudoObservations
     amp_state: amp.AmpState
     trace: IterationTrace
+    p_a: float
 
 
 def _offset_llr_matrix(posterior: amp.Posterior, e_sym: float) -> np.ndarray:
@@ -146,12 +147,12 @@ def correct_phase(d_hat: np.ndarray, alphabet: ExtendedAlphabet) -> np.ndarray:
         d_hat * (alphabet.reference_symbol / rs_detected)[:, None], 1.0)
 
 
-def _finalize(internals: DetectorInternals, config: ScenarioConfig,
+def _finalize(internals: DetectorInternals,
               include_offset: bool) -> DetectionResult:
-    """Decide from the loop's state, then phase-correct the detected-active
-    rows in place.  The decision sees the exact posterior variance of x
-    (channel uncertainty included), not the factored variance that the
-    decoupling feedback uses.
+    """Decide from the loop's state alone, with its alphabet and p_a, then
+    phase-correct the detected-active rows in place.  The decision sees
+    the exact posterior variance of x (channel uncertainty included), not
+    the factored variance that the decoupling feedback uses.
 
     A detected row whose slot 1 is not the reference symbol was clustered
     on a rotated constellation, the rotation absorbed into its channel.
@@ -163,7 +164,7 @@ def _finalize(internals: DetectorInternals, config: ScenarioConfig,
     decision_posterior = amp.Posterior(
         internals.posterior.Xhat, vbic.posterior_variance_full(state))
     result = detect(state.resp, decision_posterior, state.mu, alphabet,
-                    config.p_a, include_offset)
+                    internals.p_a, include_offset)
     active = result.activity_hat.astype(bool)
     result.channel_hat[active] *= result.D_hat[active, 0] / alphabet.reference_symbol
     result.D_hat[active] = correct_phase(result.D_hat[active], alphabet)
@@ -200,7 +201,7 @@ def run_detector(a_mat: np.ndarray, y: np.ndarray, config: ScenarioConfig,
     """Run the loop on one frame for config.n_it iterations, then decide
     once; the trace is the loop's own."""
     internals = run_detector_internals(a_mat, y, config, config.n_it)
-    return _finalize(internals, config, include_offset=True), internals.trace
+    return _finalize(internals, include_offset=True), internals.trace
 
 
 def run_detector_internals(a_mat: np.ndarray, y: np.ndarray,
@@ -234,7 +235,7 @@ def run_detector_internals(a_mat: np.ndarray, y: np.ndarray,
                                             noise_var)
         internals = DetectorInternals(
             vbic.vbic_init(alphabet, config.M, config.J), posterior, None,
-            amp_state, IterationTrace())
+            amp_state, IterationTrace(), config.p_a)
 
     for it in range(done, n_it):
         prev_xhat = internals.posterior.Xhat

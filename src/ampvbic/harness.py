@@ -31,15 +31,15 @@ from .errors import ConfigError, DimensionMismatch, TrialFailure
 from .model import ScenarioConfig, _check_n_active, _is_int, build_alphabet, \
     generate_frame
 
-# Each detector's decision (internals, frame, config) -> DetectionResult;
-# only the genie reads the frame.  Entries call _finalize and genie_detect
-# by this module's names, so a patch or trace of those sees every call.
+# Each detector's decision (internals, frame) -> DetectionResult reads the
+# loop's state; only the genie reads the frame.  Entries call _finalize and
+# genie_detect by this module's names, so a patch or trace sees every call.
 DETECTORS = {
-    "amp_vbic": lambda internals, frame, config:
-        _finalize(internals, config, include_offset=True),
-    "amp_vbic_no_offset": lambda internals, frame, config:
-        _finalize(internals, config, include_offset=False),
-    "genie": lambda internals, frame, config:
+    "amp_vbic": lambda internals, frame:
+        _finalize(internals, include_offset=True),
+    "amp_vbic_no_offset": lambda internals, frame:
+        _finalize(internals, include_offset=False),
+    "genie": lambda internals, frame:
         genie_detect(internals.pseudo.R, frame, internals.vbic_state.alphabet),
 }
 SWEEP_AXES = ("snr_db", "N", "p_a", "n_it")
@@ -145,7 +145,7 @@ def _run_one_trial(cell: tuple, trial: int,
         records = []
         for name in detectors:
             t1 = time.perf_counter()
-            result = DETECTORS[name](internals, frame, config)
+            result = DETECTORS[name](internals, frame)
             runtime = loop_ms + (time.perf_counter() - t1) * 1e3
             records.append(MetricsRecord(
                 detector=name, trial=trial, M=config.M, N=config.N, J=config.J,

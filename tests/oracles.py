@@ -20,14 +20,15 @@ use the (S, K) layout, one row per observation, and the complex products
 resp @ d and resp @ conj(d) as the equations are written; they are the
 reference for the symbol-major code.
 
-The fixtures the unit tests share, unit_alphabet, unit_posterior and
-EULER_GAMMA, are defined here once.
+The fixtures the unit tests share, unit_alphabet, unit_posterior,
+detect_users and EULER_GAMMA, are defined here once.
 """
 
 import numpy as np
 from scipy.special import digamma
 
 from ampvbic.amp import VARIANCE_FLOOR, Posterior
+from ampvbic.detector import DetectionResult, detect
 from ampvbic.model import ExtendedAlphabet
 from ampvbic.vbic import VbicState
 
@@ -43,6 +44,20 @@ def unit_posterior(xhat) -> Posterior:
     """Posterior means the rows of xhat, one row per user, at unit variance."""
     xhat = np.array(xhat, dtype=complex)
     return Posterior(Xhat=xhat, That=np.ones(xhat.shape))
+
+
+def detect_users(resp, xhat, p_a=0.1, e_sym=1.0,
+                 include_offset=True) -> DetectionResult:
+    """detect() over the alphabet {0, sqrt(e_sym)}, whose prior energy is
+    e_sym, for the users whose posterior means are the rows of xhat (unit
+    variance); resp has one row per observation.  include_offset=False
+    gives the clustering evidence alone as llr_dec."""
+    posterior = unit_posterior(xhat)
+    m = posterior.Xhat.shape[0]
+    alph = ExtendedAlphabet(symbols=np.array([0.0, np.sqrt(e_sym)],
+                                             dtype=complex))
+    return detect(k_major(resp, m), posterior, np.zeros(m, dtype=complex),
+                  alph, p_a, include_offset)
 
 
 def plain_amp_pass(a: np.ndarray, y: np.ndarray, posterior: Posterior,

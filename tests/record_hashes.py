@@ -16,9 +16,11 @@ the harness pins to one BLAS thread each.  Every line names the OpenBLAS
 core (kernel) that numpy runs on and the BLAS thread count.  Float
 results move in their last bits with the core, and on some cores
 (Haswell, Sandybridge, Nehalem) with the thread count too, so a serial
-run equals the pool only with one BLAS thread.  Run it from the
-repository root (a few seconds per line), with OPENBLAS_CORETYPE=<core>
-to choose a core:
+run equals the pool only with one BLAS thread.  The script exits 1 when
+the serial one-thread hashes differ from the pool's, which the harness
+promises are equal; the first line is printed and not compared.  Run it
+from the repository root (a few seconds per line), with
+OPENBLAS_CORETYPE=<core> to choose a core:
 
   PYTHONPATH=src python tests/record_hashes.py
 
@@ -31,6 +33,7 @@ from __future__ import annotations
 import ctypes
 import dataclasses
 import hashlib
+import sys
 
 from ampvbic.harness import _openblas, _set_blas_threads, run_trials, sweep
 from ampvbic.model import ScenarioConfig
@@ -67,19 +70,25 @@ def hashes(n_workers: int) -> str:
     return f"run_trials {record_hash(trials)}  nit_sweep {record_hash(rows)}"
 
 
-def main() -> None:
+def main() -> int:
     core = openblas_core()
 
     def show(n_workers, threads):
+        line = hashes(n_workers)
         print(f"n_workers={n_workers}  core={core}  blas_threads={threads}  "
-              f"{hashes(n_workers)}")
+              f"{line}")
+        return line
 
     show(1, blas_threads())
     _set_blas_threads(1)
-    show(1, blas_threads())
+    serial = show(1, blas_threads())
     # The harness pins each pool worker to one BLAS thread.
-    show(2, "1 per worker")
+    if show(2, "1 per worker") != serial:
+        print("record hashes differ: the pool does not equal the serial run "
+              "at one BLAS thread", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

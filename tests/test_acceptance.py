@@ -13,15 +13,14 @@ import numpy as np
 import pytest
 
 from ampvbic.amp import Posterior, amp_decouple, amp_init
-from ampvbic.detector import _offset_llr_matrix, correct_phase, detect, \
-    run_detector
+from ampvbic.detector import _offset_llr_matrix, correct_phase, run_detector
 from ampvbic.harness import _set_blas_threads, aggregate, run_trials, sweep
 from ampvbic.model import ScenarioConfig, build_alphabet, generate_frame
 from ampvbic.vbic import (posterior_moments, update_channel, update_dirichlet,
                           update_gamma, update_responsibilities, vbic_init)
-from oracles import (EULER_GAMMA, expected_log_pi, expected_log_tau,
-                     expected_sq_err, flat_rows, k_major, unit_alphabet,
-                     unit_posterior)
+from oracles import (EULER_GAMMA, detect_users, expected_log_pi,
+                     expected_log_tau, expected_sq_err, flat_rows, k_major,
+                     unit_alphabet, unit_posterior)
 
 SEED = 2026
 REL = 1e-9
@@ -52,15 +51,6 @@ def sweep_cells(base: ScenarioConfig, axis: str, values,
 
 def se_diff(a, b) -> float:
     return math.sqrt(a ** 2 + b ** 2)
-
-
-def detect_one_user(resp, xhat, p_a, include_offset=True):
-    """detect() for one user whose J = len(xhat) posterior means are xhat
-    (unit variance) over the {0, 1} alphabet (E_sym = 1); resp has one
-    row per observation."""
-    return detect(k_major(resp, 1), unit_posterior([xhat]),
-                  np.zeros(1, dtype=complex), unit_alphabet(), p_a,
-                  include_offset)
 
 
 def test_criterion_1_unit_equation_suite():
@@ -136,7 +126,7 @@ def test_criterion_1_unit_equation_suite():
     assert post.That[0, 0] == pytest.approx(0.25, rel=REL)
 
     # activity evidence: ln(0.1/0.9) summed per user block
-    res = detect_one_user([[0.9, 0.1]], [0.0], 0.1, include_offset=False)
+    res = detect_users([[0.9, 0.1]], [[0.0]], 0.1, include_offset=False)
     assert res.llr_dec[0] == pytest.approx(math.log(1.0 / 9.0), rel=REL)
 
     # offset LLR: ln(1/2) and ln(1/2) + 1 - 1/2
@@ -146,9 +136,9 @@ def test_criterion_1_unit_equation_suite():
 
     # decision LLR: prior log-odds at p_a = 0.1 (balanced evidence, and
     # |x|^2 = 2 ln 2 makes the offset ln(1/2) + ln 2 = 0); additivity
-    res = detect_one_user([[0.5, 0.5]], [math.sqrt(2.0 * math.log(2.0))], 0.1)
+    res = detect_users([[0.5, 0.5]], [[math.sqrt(2.0 * math.log(2.0))]], 0.1)
     assert res.llr_dec[0] == pytest.approx(math.log(1.0 / 9.0), rel=REL)
-    res = detect_one_user([[0.1, 0.9], [0.5, 0.5]], [0.0, 1.0], 0.5)
+    res = detect_users([[0.1, 0.9], [0.5, 0.5]], [[0.0, 1.0]], 0.5)
     assert res.llr_dec[0] == pytest.approx(
         math.log(9.0) + 2.0 * math.log(0.5) + 0.5, rel=REL)
 

@@ -135,10 +135,10 @@ class TestDecouple:
             with pytest.raises(DimensionMismatch, match="2-d"):
                 amp_decouple(a_in, y, post, state)
         # A state built for another frame shape is refused, not reused:
-        # another N (the residual's rows) or another M (the column
-        # energies) alone is enough.
-        for shape in ((3, 3), (2, 4)):
-            other, _ = amp_init(np.zeros(shape, dtype=complex), 2, 1.0, 1.0)
+        # another N (the residual's rows), M (the column energies) or J
+        # (the residual's columns) alone is enough.
+        for shape, j in (((3, 3), 2), ((2, 4), 2), ((2, 3), 3)):
+            other, _ = amp_init(np.zeros(shape, dtype=complex), j, 1.0, 1.0)
             with pytest.raises(DimensionMismatch):
                 amp_decouple(a, np.zeros((2, 2), dtype=complex), post, other)
 

@@ -161,6 +161,19 @@ class TestRunCommand:
         rc = cli.main(["run", "--config", str(tmp_path / "nope.txt")])
         assert rc == 2
 
+    def test_non_utf8_config_exits_2_before_any_trial(self, tmp_path, capsys,
+                                                      monkeypatch):
+        def no_frames(*args, **kwargs):
+            raise AssertionError("a trial ran")
+        monkeypatch.setattr(harness, "generate_frame", no_frames)
+        path = tmp_path / "cfg.txt"
+        path.write_bytes(b"M = 20\nN = 12\nJ = 4\np_a = 0.2\nsnr_db = 10\n"
+                         b"# caf\xe9\n")
+        rc = cli.main(["run", "--config", str(path)])
+        assert rc == 2
+        assert f"config error: cannot read config file {path}" \
+            in capsys.readouterr().err
+
     def test_bad_key_exits_2(self, tmp_path):
         path = tmp_path / "cfg.txt"
         path.write_text("M=4\nN=4\nJ=2\np_a=2.0\nsnr_db=0\n")

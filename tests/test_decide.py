@@ -6,8 +6,8 @@ import pytest
 from ampvbic.amp import Posterior
 from ampvbic.detector import _offset_llr_matrix, correct_phase, detect
 from ampvbic.errors import ConfigError, DimensionMismatch, NumericalBreakdown
-from ampvbic.model import ExtendedAlphabet, build_alphabet
-from oracles import k_major, unit_posterior
+from ampvbic.model import build_alphabet
+from oracles import detect_users, k_major, unit_posterior
 
 LN_ONE_NINTH = -2.1972245773362196   # ln(1/9)
 LN_HALF = -0.6931471805599453        # ln(1/2)
@@ -15,19 +15,6 @@ LN_HALF = -0.6931471805599453        # ln(1/2)
 # At unit posterior and prior variance, |x|^2 = 2 ln 2 makes the offset
 # ln(1/2) + 2 ln 2 (1 - 1/2) = 0, so the decision LLR shows the other terms.
 ZERO_OFFSET_X = math.sqrt(2.0 * math.log(2.0))
-
-
-def detect_users(resp, xhat, p_a=0.1, e_sym=1.0, include_offset=True):
-    """detect() over the alphabet {0, sqrt(e_sym)}, whose prior energy is
-    e_sym, for the users whose posterior means are the rows of xhat (unit
-    variance); resp has one row per observation.  include_offset=False
-    gives the clustering evidence alone as llr_dec."""
-    posterior = unit_posterior(xhat)
-    m = posterior.Xhat.shape[0]
-    alph = ExtendedAlphabet(symbols=np.array([0.0, math.sqrt(e_sym)],
-                                             dtype=complex))
-    return detect(k_major(resp, m), posterior, np.zeros(m, dtype=complex),
-                  alph, p_a, include_offset)
 
 
 def evidence_llr(resp, xhat):

@@ -31,8 +31,8 @@ def assert_same_decision(got, want):
     assert np.array_equal(got.channel_hat, want.channel_hat)
 
 
-def final_decision(internals, cfg):
-    return detector._finalize(internals, cfg, include_offset=True)
+def final_decision(internals):
+    return detector._finalize(internals, include_offset=True)
 
 
 class TestRunDetector:
@@ -99,7 +99,7 @@ class TestRunDetector:
         cfg, alph, fr = make_frame()
         result, _ = run_detector(fr.A, fr.Y, cfg)
         internals = run_detector_internals(fr.A, fr.Y, cfg, cfg.n_it)
-        assert_same_decision(result, final_decision(internals, cfg))
+        assert_same_decision(result, final_decision(internals))
 
     def test_result_invariants_end_to_end(self):
         cfg, alph, fr = make_frame(seed=43)
@@ -137,7 +137,7 @@ class TestRunDetector:
         assert internals.pseudo.R.shape == (cfg.M, cfg.J)
         assert internals.pseudo.Tau.shape == (cfg.M, cfg.J)
         assert internals.vbic_state.resp.shape == (alph.K, cfg.M, cfg.J)
-        assert_same_decision(result, final_decision(internals, cfg))
+        assert_same_decision(result, final_decision(internals))
 
     @pytest.mark.parametrize("seed, overrides", [
         (43, {}), (44, dict(modulation="qpsk", p_a=0.5, snr_db=20.0))],
@@ -211,21 +211,24 @@ def test_resumed_loop_matches_fresh_run():
 
 
 def test_continued_loop_reads_the_frame_constants_from_its_state():
-    # The alphabet and the noise variance belong to the states a fresh
-    # loop builds: continuing it under a config of another SNR and
-    # modulation reads only the frame shapes from that config.
+    # The alphabet, the noise variance and p_a belong to the state a fresh
+    # loop builds: continuing it under a config of another SNR, modulation
+    # and p_a reads only the frame shapes from that config, and decides,
+    # llr_dec included, as a fresh loop of the config that started it.
     cfg, alph, fr = make_frame(M=50, N=40, J=10, p_a=0.1, seed=7)
-    other = dataclasses.replace(cfg, snr_db=30.0, modulation="qpsk")
+    other = dataclasses.replace(cfg, snr_db=30.0, modulation="qpsk", p_a=0.3)
     start = run_detector_internals(fr.A, fr.Y, cfg, 5)
     assert start.vbic_state.alphabet is alph
     assert start.amp_state.noise_var == fr.noise_var
+    assert start.p_a == cfg.p_a
     continued = run_detector_internals(fr.A, fr.Y, other, 10, start=start)
     fresh = run_detector_internals(fr.A, fr.Y, cfg, 10)
     assert continued.trace.delta_x == fresh.trace.delta_x
     assert np.array_equal(continued.vbic_state.resp, fresh.vbic_state.resp)
     assert np.array_equal(continued.pseudo.R, fresh.pseudo.R)
-    assert_same_decision(final_decision(continued, cfg),
-                         final_decision(fresh, cfg))
+    got, want = final_decision(continued), final_decision(fresh)
+    assert np.array_equal(got.llr_dec, want.llr_dec)
+    assert_same_decision(got, want)
 
 
 def test_continued_loop_is_the_object_passed_in():
@@ -241,7 +244,7 @@ def test_continued_loop_is_the_object_passed_in():
     assert start.amp_state is amp_state
     assert len(start.trace.delta_x) == 20
     fresh = run_detector_internals(fr.A, fr.Y, cfg, 20)
-    assert_same_decision(final_decision(start, cfg), final_decision(fresh, cfg))
+    assert_same_decision(final_decision(start), final_decision(fresh))
 
 
 @pytest.mark.parametrize("n_it, start_at", [(0, None), (-1, None),
@@ -284,7 +287,7 @@ def test_loop_takes_numpy_integer_counts():
                                        start=prefix)
     result, _ = run_detector(fr.A, fr.Y, cfg)
     assert len(internals.trace.delta_x) == cfg.n_it
-    assert_same_decision(result, final_decision(internals, cfg))
+    assert_same_decision(result, final_decision(internals))
 
 
 class TestDetectorTable:
@@ -302,7 +305,7 @@ class TestDetectorTable:
     @pytest.mark.parametrize("name", list(DETECTORS))
     def test_decision_fills_the_four_fields(self, state, name):
         cfg, frame, internals = state
-        result = DETECTORS[name](internals, frame, cfg)
+        result = DETECTORS[name](internals, frame)
         assert [f.name for f in dataclasses.fields(result)] == [
             "activity_hat", "D_hat", "channel_hat", "llr_dec"]
         assert result.activity_hat.dtype == np.int8
@@ -446,7 +449,7 @@ class TestPinnedRunDetector:
         for n_it in range(1, cfg.n_it + 1):
             internals = run_detector_internals(fr.A, fr.Y, cfg, n_it,
                                                start=internals)
-            result = detector._finalize(internals, cfg, include_offset=True)
+            result = detector._finalize(internals, include_offset=True)
             aer.append(compute_aer(fr.activity, result.activity_hat))
             ser.append(compute_ser(fr.D, result.D_hat))
             ce_mse.append(compute_ce_mse(fr.mu, result.channel_hat))

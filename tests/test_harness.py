@@ -673,8 +673,7 @@ class TestDetectorTable:
         internals = harness.run_detector_internals(frame.A, frame.Y, cfg,
                                                    cfg.n_it)
         decide = harness.DETECTORS[name]
-        with_frame, without = decide(internals, frame, cfg), \
-            decide(internals, None, cfg)
+        with_frame, without = decide(internals, frame), decide(internals, None)
         for field in dataclasses.fields(with_frame):
             assert np.array_equal(getattr(with_frame, field.name),
                                   getattr(without, field.name)), field.name
