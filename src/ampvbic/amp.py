@@ -13,9 +13,10 @@ six per-column update lines are evaluated matrix-wise:
     R   = Xhat + Tau * (A^H @ S)
 
 The pass returns R with its noise variances Tau, and advances the state
-to the new S in place.  amp_init stores the frame's constants once: its
-shape, the column energies col2[m] = sum_n |A[n, m]|^2 and noise_var.  S
-persists across outer iterations; everything else is recomputed.
+to the new S in place.  amp_init stores the frame once: A and Y (by
+reference), the column energies col2[m] = sum_n |A[n, m]|^2 and
+noise_var.  S persists across outer iterations; everything else is
+recomputed.
 
 The pass makes one approximation.  The exact variance of row n's
 prediction is Tp[n, j] = sum_m |A[n, m]|^2 That[m, j], an N x J matrix
@@ -45,7 +46,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatch, NumericalBreakdown
-from .model import _is_int
 
 # Incoming posterior variances are floored here so Tp + noise_var can never
 # underflow the division that forms Ts.
@@ -54,14 +54,16 @@ VARIANCE_FLOOR = 1e-12
 
 @dataclass
 class AmpState:
-    """What one decoupling pass hands to the next within a frame; each
-    pass advances it in place.
+    """One frame's decoupling state; each pass advances it in place.
 
-    col2 (M,), the column energies, and noise_var are fixed for the frame;
-    S_mat (N x J), the scaled residual, is the one array a pass changes.
-    Their sizes are the frame's (N, M, J); no array is N x M.
+    a_mat (N x M) and y (N x J) are the caller's arrays, held by
+    reference and never copied.  col2 (M,), the column energies, and
+    noise_var are fixed for the frame; S_mat (N x J), the scaled residual,
+    is the one array a pass changes.  The state allocates no N x M array.
     """
 
+    a_mat: np.ndarray
+    y: np.ndarray
     col2: np.ndarray
     noise_var: float
     S_mat: np.ndarray
@@ -86,20 +88,21 @@ class PseudoObservations:
     Tau: np.ndarray
 
 
-def amp_init(a_mat: np.ndarray, j: int, e_sym: float,
+def amp_init(a_mat: np.ndarray, y: np.ndarray, e_sym: float,
              noise_var: float) -> tuple[AmpState, Posterior]:
-    """State for one frame with mixing matrix A (N x M), J slots and noise
-    variance noise_var: the column energies of A, noise_var, a zero
-    residual, and the flat prior posterior (mean 0, variance E_sym).  J
-    must be an int (not a bool) >= 1 and noise_var > 0 and finite."""
+    """State for one frame, mixing matrix A (N x M), received Y (N x J)
+    and noise variance noise_var: A and Y themselves, the column energies
+    of A, noise_var, a zero residual, and the flat prior posterior (mean
+    0, variance E_sym).  A and Y must be non-empty 2-d arrays with the
+    same row count, and noise_var > 0 and finite."""
     if not 0.0 < noise_var < np.inf:
         raise ConfigError(f"noise_var must be > 0 and finite, got {noise_var}")
-    if a_mat.ndim != 2:
-        raise DimensionMismatch("A must be a 2-d array")
-    n, m = a_mat.shape
-    if m < 1 or n < 1 or not _is_int(j) or j < 1:
-        raise DimensionMismatch(f"dimensions must be positive integers, got M={m}, N={n}, J={j!r}")
-    state = AmpState(col2=(np.abs(a_mat) ** 2).sum(axis=0),
+    if a_mat.ndim != 2 or y.ndim != 2 or y.shape[0] != a_mat.shape[0] \
+            or 0 in a_mat.shape + y.shape:
+        raise DimensionMismatch(f"A {a_mat.shape} / Y {y.shape} are not "
+                                f"non-empty 2-d (N, M) / (N, J) arrays")
+    (n, m), j = a_mat.shape, y.shape[1]
+    state = AmpState(a_mat=a_mat, y=y, col2=(np.abs(a_mat) ** 2).sum(axis=0),
                      noise_var=noise_var, S_mat=np.zeros((n, j), dtype=complex))
     posterior = Posterior(
         Xhat=np.zeros((m, j), dtype=complex),
@@ -108,22 +111,17 @@ def amp_init(a_mat: np.ndarray, j: int, e_sym: float,
     return state, posterior
 
 
-def amp_decouple(a_mat: np.ndarray, y: np.ndarray, posterior: Posterior,
-                 state: AmpState) -> PseudoObservations:
-    """One decoupling pass over all J columns: returns R and Tau, and
-    advances state to this pass's residual in place (a pass that raises
-    leaves it as it was).
+def amp_decouple(posterior: Posterior, state: AmpState) -> PseudoObservations:
+    """One decoupling pass over all J columns of the state's frame:
+    returns R and Tau, and advances state to this pass's residual in
+    place (a pass that raises leaves it as it was).
 
-    state must come from amp_init(a_mat, ...) or an earlier pass on the
-    same frame: A, Y and the posterior must fit the shape that it holds.
-    Raises NumericalBreakdown when R comes out non-finite, which it does
+    The posterior must be (M, J), the frame's shape.  Raises
+    NumericalBreakdown when R comes out non-finite, which it does
     whenever Tau does (an infinite Tau times a zero row sum gives NaN).
     """
-    (n, j), m = state.S_mat.shape, state.col2.size
-    if a_mat.shape != (n, m) or y.shape != (n, j):
-        raise DimensionMismatch(
-            f"A {a_mat.shape} / Y {y.shape} are not the 2-d (N, M) / (N, J) "
-            f"= {(n, m)} / {(n, j)} arrays of the AMP state")
+    a_mat, y = state.a_mat, state.y
+    (n, m), j = a_mat.shape, y.shape[1]
     if posterior.Xhat.shape != (m, j) or posterior.That.shape != (m, j):
         raise DimensionMismatch(
             f"posterior shape {posterior.Xhat.shape} does not match (M, J)=({m}, {j})")

@@ -7,14 +7,15 @@ responsibilities and moments are fused into activity/symbol decisions and
 the rows of detected-active users are phase-corrected via the reference
 symbol.  The loop is deterministic: no randomness enters after the frame
 is drawn, and nothing in it depends on the iteration count, so a run of n
-iterations is a prefix of every longer run on the same frame.  The bare
-loop, run_detector_internals, takes the count as an int and continues an
-earlier call's loop (start=, advanced in place and returned): the harness
-steps it once per iteration count of a trial, and run_detector runs it
-once, to config.n_it.  The loop keeps its own trace, which needs no
-ground truth (the harness's n_it sweep scores each count): a continued
-loop extends it, its length the loop's iteration count.  Only a fresh
-loop reads the alphabet, noise variance and p_a; its state keeps them.
+iterations is a prefix of every longer run on the same frame.
+detector_init builds the loop's state for one frame and config, with no
+iteration run; the bare loop, run_detector_internals, advances that state
+in place to a given count: the harness steps it once per iteration count
+of a trial, and run_detector runs it once, to config.n_it.  The state
+holds the frame and its constants (the alphabet, noise variance and p_a),
+so a continued loop takes only the count.  It keeps its own trace, which
+needs no ground truth (the harness's n_it sweep scores each count): its
+length is the loop's iteration count.
 
 Every decision reads the loop's state: amp_vbic and its offset-free
 ablation through _finalize, the genie through genie_detect (the
@@ -69,13 +70,15 @@ class IterationTrace:
 
 @dataclass
 class DetectorInternals:
-    """The loop's state after len(trace.delta_x) iterations: every decision
-    (_finalize, with or without the offsets) and the genie baseline read
-    it, and run_detector_internals(..., n_it, start=it) advances it in
-    place, its trace included, and returns it.  pseudo is the last pass's
-    R with its noise variances Tau.  It keeps the frame's constants: the
-    alphabet in vbic_state, the noise variance in amp_state (which each
-    pass advances in place) and p_a, which _finalize decides with."""
+    """The loop's state after len(trace.delta_x) iterations on one frame:
+    detector_init builds it, run_detector_internals advances it in place,
+    its trace included, and every decision (_finalize, with or without the
+    offsets) and the genie baseline read it.  pseudo is the last pass's R
+    with its noise variances Tau; it is None before the first iteration,
+    and a decision needs at least one.  The state keeps the frame and its
+    constants: A, Y and the noise variance in amp_state (which each pass
+    advances in place), the alphabet in vbic_state, and p_a, which
+    _finalize decides with."""
 
     vbic_state: vbic.VbicState
     posterior: amp.Posterior
@@ -200,47 +203,41 @@ def run_detector(a_mat: np.ndarray, y: np.ndarray, config: ScenarioConfig,
                  ) -> tuple[DetectionResult, IterationTrace]:
     """Run the loop on one frame for config.n_it iterations, then decide
     once; the trace is the loop's own."""
-    internals = run_detector_internals(a_mat, y, config, config.n_it)
+    internals = detector_init(a_mat, y, config)
+    run_detector_internals(internals, config.n_it)
     return _finalize(internals, include_offset=True), internals.trace
 
 
-def run_detector_internals(a_mat: np.ndarray, y: np.ndarray,
-                           config: ScenarioConfig, n_it: int, *,
-                           start: DetectorInternals | None = None,
-                           ) -> DetectorInternals:
-    """The detector's bare loop: the internals after n_it iterations in
-    total (an int > 0; config.n_it is not read), with no decision.  Each
-    iteration appends the mean absolute change of the posterior mean to
-    the state's trace, so the trace's length is the iteration count.
-
-    start, the internals of an earlier call on the same frame, is
-    advanced in place to n_it > len(start.trace.delta_x), as a fresh run
-    would be, and returned; of config it reads only the frame shapes.
-    """
-    done = 0 if start is None else len(start.trace.delta_x)
-    if not _is_int(n_it) or n_it <= done:
-        raise ConfigError(f"n_it must be an integer > {done}, got {n_it!r}")
+def detector_init(a_mat: np.ndarray, y: np.ndarray,
+                  config: ScenarioConfig) -> DetectorInternals:
+    """The loop's state on frame (A, Y) before its first iteration, with
+    the alphabet, noise variance and p_a of config (config.n_it is not
+    read).  A and Y must be the 2-d (N, M) and (N, J) arrays of config."""
     if a_mat.shape != (config.N, config.M) or y.shape != (config.N, config.J):
         raise DimensionMismatch(
             f"A {a_mat.shape} / Y {y.shape} are not the 2-d (N, M) / (N, J) "
             f"arrays of config (M={config.M}, N={config.N}, J={config.J})")
+    alphabet = build_alphabet(config.modulation)
+    noise_var = noise_variance_from_snr(config.snr_db, alphabet.E_sym)
+    amp_state, posterior = amp.amp_init(a_mat, y, alphabet.E_sym, noise_var)
+    return DetectorInternals(
+        vbic.vbic_init(alphabet, config.M, config.J), posterior, None,
+        amp_state, IterationTrace(), config.p_a)
 
-    internals = start
-    if internals is None:
-        # No pseudo observations before the first iteration; this state
-        # is returned only after at least one.
-        alphabet = build_alphabet(config.modulation)
-        noise_var = noise_variance_from_snr(config.snr_db, alphabet.E_sym)
-        amp_state, posterior = amp.amp_init(a_mat, config.J, alphabet.E_sym,
-                                            noise_var)
-        internals = DetectorInternals(
-            vbic.vbic_init(alphabet, config.M, config.J), posterior, None,
-            amp_state, IterationTrace(), config.p_a)
 
+def run_detector_internals(internals: DetectorInternals, n_it: int) -> None:
+    """The detector's bare loop: advance internals in place to n_it
+    iterations in total, an int > len(internals.trace.delta_x), with no
+    decision.  Each iteration appends the mean absolute change of the
+    posterior mean to the trace, so the trace's length is the iteration
+    count, and a continued loop ends in the state of a fresh run."""
+    done = len(internals.trace.delta_x)
+    if not _is_int(n_it) or n_it <= done:
+        raise ConfigError(f"n_it must be an integer > {done}, got {n_it!r}")
     for it in range(done, n_it):
         prev_xhat = internals.posterior.Xhat
-        internals.pseudo = amp.amp_decouple(
-            a_mat, y, internals.posterior, internals.amp_state)
+        internals.pseudo = amp.amp_decouple(internals.posterior,
+                                            internals.amp_state)
         if it == 0:
             vbic.warm_start_channel(internals.vbic_state, internals.pseudo.R)
         internals.posterior = vbic.vbic_step(internals.vbic_state,
@@ -248,4 +245,3 @@ def run_detector_internals(a_mat: np.ndarray, y: np.ndarray,
         # np.mean's value, bit for bit, without its per-call overhead.
         change = np.abs(internals.posterior.Xhat - prev_xhat)
         internals.trace.delta_x.append(float(change.sum() / change.size))
-    return internals

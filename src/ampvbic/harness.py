@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detector import _finalize, genie_detect, run_detector_internals
+from .detector import _finalize, detector_init, genie_detect, \
+    run_detector_internals
 from .errors import ConfigError, DimensionMismatch, TrialFailure
 from .model import ScenarioConfig, _check_n_active, _is_int, build_alphabet, \
     generate_frame
@@ -131,15 +132,15 @@ def _run_one_trial(cell: tuple, trial: int,
     # One iteration loop serves every detector and every count: it runs
     # once up to the largest count and every detector decides at each
     # count before it continues, by its DETECTORS entry.  Every runtime
-    # is the loop time up to the count plus that detector's own decision,
-    # as in a fresh run of that many iterations.
-    internals = None
-    loop_ms = 0.0
+    # is the loop time up to the count, set-up included, plus that
+    # detector's own decision, as in a fresh run of that many iterations.
+    t0 = time.perf_counter()
+    internals = detector_init(frame.A, frame.Y, config)
+    loop_ms = (time.perf_counter() - t0) * 1e3
     by_n_it = {}
     for n_it in sorted(set(n_its)):
         t0 = time.perf_counter()
-        internals = run_detector_internals(frame.A, frame.Y, config, n_it,
-                                           start=internals)
+        run_detector_internals(internals, n_it)
         loop_ms += (time.perf_counter() - t0) * 1e3
 
         records = []

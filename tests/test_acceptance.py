@@ -164,11 +164,11 @@ def test_criterion_2_amp_identity_sanity():
     gains = rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1))
     x = alph.active_symbols[rng.integers(0, alph.K - 1, (n, j))] * gains
     a = np.eye(n, dtype=complex)
-    state, post = amp_init(a, j, alph.E_sym, 1e-12)
+    state, post = amp_init(a, x.copy(), alph.E_sym, 1e-12)
     post = Posterior(Xhat=x.copy(), That=post.That)
     worst = np.inf
     for _ in range(10):
-        pseudo = amp_decouple(a, x.copy(), post, state)
+        pseudo = amp_decouple(post, state)
         worst = min(worst, np.max(np.abs(pseudo.R - x)))
         if worst < 1e-6:
             break

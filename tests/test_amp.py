@@ -17,7 +17,7 @@ class TestInit:
 
     def test_flat_prior(self):
         a = np.array([[1.0, 2.0j], [-3.0, 1.0 - 1.0j]])
-        state, post = amp_init(a, 1, 1.0, 1.0)
+        state, post = amp_init(a, np.zeros((2, 1), dtype=complex), 1.0, 1.0)
         assert np.array_equal(post.That, [[1.0], [1.0]])
         assert not post.Xhat.any()
         assert not state.S_mat.any()
@@ -26,38 +26,32 @@ class TestInit:
         assert np.allclose(state.col2, [10.0, 6.0], rtol=1e-12)
 
     def test_zero_energy(self):
-        _, post = amp_init(np.ones((2, 3), dtype=complex), 4, 0.0, 1.0)
+        _, post = amp_init(np.ones((2, 3), dtype=complex),
+                           np.zeros((2, 4), dtype=complex), 0.0, 1.0)
         assert not post.That.any()
 
     def test_bad_dims(self):
-        with pytest.raises(DimensionMismatch):
-            amp_init(np.zeros((2, 0), dtype=complex), 1, 1.0, 1.0)
-        with pytest.raises(DimensionMismatch):
-            amp_init(np.ones((2, 2), dtype=complex), 0, 1.0, 1.0)
-        with pytest.raises(DimensionMismatch):
-            amp_init(np.ones(2, dtype=complex), 1, 1.0, 1.0)
-
-    @pytest.mark.parametrize("j", [2.5, True, 2.0], ids=["float", "bool",
-                                                         "integral-float"])
-    def test_non_int_slot_count(self, j):
-        with pytest.raises(DimensionMismatch, match="positive integers"):
-            amp_init(np.ones((2, 2), dtype=complex), j, 1.0, 1.0)
-
-    def test_numpy_int_slot_count(self):
-        _, post = amp_init(np.ones((2, 3), dtype=complex), np.int64(4), 1.0,
-                           1.0)
-        assert post.Xhat.shape == (3, 4)
+        # No users, no chips, a 1-d A; a 1-d Y, Y rows other than A's, no
+        # slots.
+        for a_shape, y_shape in (((2, 0), (2, 1)), ((0, 2), (0, 1)),
+                                 ((2,), (2, 1)), ((2, 2), (2,)),
+                                 ((2, 2), (3, 1)), ((2, 2), (2, 0))):
+            with pytest.raises(DimensionMismatch, match="non-empty 2-d"):
+                amp_init(np.ones(a_shape, dtype=complex),
+                         np.ones(y_shape, dtype=complex), 1.0, 1.0)
 
     def test_zero_noise_var_is_config_error(self):
         with pytest.raises(ConfigError, match="noise_var must be > 0"):
-            amp_init(np.ones((2, 3), dtype=complex), 2, 1.0, 0.0)
+            amp_init(np.ones((2, 3), dtype=complex),
+                     np.ones((2, 2), dtype=complex), 1.0, 0.0)
 
     @pytest.mark.parametrize("noise_var", [np.nan, np.inf], ids=["nan", "inf"])
     def test_non_finite_noise_var_is_config_error(self, noise_var):
         # NaN fails every comparison and inf passes "> 0"; both are
         # rejected up front, not left to end as a NumericalBreakdown.
         with pytest.raises(ConfigError, match="noise_var must be > 0"):
-            amp_init(np.ones((2, 3), dtype=complex), 2, 1.0, noise_var)
+            amp_init(np.ones((2, 3), dtype=complex),
+                     np.ones((2, 2), dtype=complex), 1.0, noise_var)
 
 
 class TestDecouple:
@@ -68,8 +62,8 @@ class TestDecouple:
         # tp=1, p=0, ts=0.5, s=1, tau=2, r=2.
         a = np.array([[1.0 + 0.0j]])
         y = np.array([[2.0 + 0.0j]])
-        state, post = amp_init(a, 1, 1.0, 1.0)
-        pseudo = amp_decouple(a, y, post, state)
+        state, post = amp_init(a, y, 1.0, 1.0)
+        pseudo = amp_decouple(post, state)
         assert state.S_mat[0, 0] == pytest.approx(1.0, rel=1e-9)
         assert pseudo.Tau[0, 0] == pytest.approx(2.0, rel=1e-9)
         assert pseudo.R[0, 0] == pytest.approx(2.0, rel=1e-9)
@@ -79,8 +73,8 @@ class TestDecouple:
         # ts = 1/(tp + 1) and each user's tau = 1/ts = 3.
         a = np.array([[1.0, 1.0]], dtype=complex)
         y = np.zeros((1, 1), dtype=complex)
-        state, post = amp_init(a, 1, 1.0, 1.0)
-        pseudo = amp_decouple(a, y, post, state)
+        state, post = amp_init(a, y, 1.0, 1.0)
+        pseudo = amp_decouple(post, state)
         assert pseudo.Tau == pytest.approx(np.full((2, 1), 3.0), rel=1e-9)
 
     def test_noiseless_identity_fixed_point(self):
@@ -94,10 +88,10 @@ class TestDecouple:
         x = (alph.active_symbols[rng.integers(0, 4, (n, j))]
              * (rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1))))
         a = np.eye(n, dtype=complex)
-        state, post = amp_init(a, j, alph.E_sym, 1e-12)
+        state, post = amp_init(a, x.copy(), alph.E_sym, 1e-12)
         post = Posterior(Xhat=x.copy(), That=post.That)
         for _ in range(10):
-            pseudo = amp_decouple(a, x.copy(), post, state)
+            pseudo = amp_decouple(post, state)
             assert np.max(np.abs(pseudo.R - x)) < 1e-6
 
     def test_positive_tau(self):
@@ -106,8 +100,8 @@ class TestDecouple:
         a[rng.random((6, 9)) < 0.3] = 0.0  # sparse but no all-zero column
         assert np.all(np.abs(a).sum(axis=0) > 0)
         y = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
-        state, post = amp_init(a, 3, 1.0, 0.5)
-        pseudo = amp_decouple(a, y, post, state)
+        state, post = amp_init(a, y, 1.0, 0.5)
+        pseudo = amp_decouple(post, state)
         assert np.all(pseudo.Tau > 0)
         assert np.all(np.isfinite(pseudo.Tau))
 
@@ -117,30 +111,22 @@ class TestDecouple:
         y = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
         out = []
         for _ in range(2):
-            state, post = amp_init(a, 2, 1.0, 0.3)
-            amp_decouple(a, y, post, state)
-            out.append(amp_decouple(a, y, post, state))
+            state, post = amp_init(a, y, 1.0, 0.3)
+            amp_decouple(post, state)
+            out.append(amp_decouple(post, state))
         assert np.array_equal(out[0].R, out[1].R)
         assert np.array_equal(out[0].Tau, out[1].Tau)
 
     def test_shape_errors(self):
+        # A and Y are the state's, checked once by amp_init; a pass checks
+        # the posterior against the frame's (M, J).
         a = np.zeros((2, 3), dtype=complex)
-        state, post = amp_init(a, 2, 1.0, 1.0)
-        with pytest.raises(DimensionMismatch):
-            amp_decouple(a, np.zeros((4, 2), dtype=complex), post, state)
-        with pytest.raises(DimensionMismatch):
-            amp_decouple(a, np.zeros((2, 5), dtype=complex), post, state)
-        for a_in, y in ((a[0], np.zeros((2, 2), dtype=complex)),
-                        (a, np.zeros(2, dtype=complex))):
-            with pytest.raises(DimensionMismatch, match="2-d"):
-                amp_decouple(a_in, y, post, state)
-        # A state built for another frame shape is refused, not reused:
-        # another N (the residual's rows), M (the column energies) or J
-        # (the residual's columns) alone is enough.
-        for shape, j in (((3, 3), 2), ((2, 4), 2), ((2, 3), 3)):
-            other, _ = amp_init(np.zeros(shape, dtype=complex), j, 1.0, 1.0)
-            with pytest.raises(DimensionMismatch):
-                amp_decouple(a, np.zeros((2, 2), dtype=complex), post, other)
+        state, post = amp_init(a, np.zeros((2, 2), dtype=complex), 1.0, 1.0)
+        for shape in ((3, 3), (2, 2), (3,)):
+            for bad in (Posterior(np.zeros(shape, dtype=complex), post.That),
+                        Posterior(post.Xhat, np.ones(shape))):
+                with pytest.raises(DimensionMismatch, match="posterior shape"):
+                    amp_decouple(bad, state)
 
     @pytest.mark.parametrize("where", ["nan_in_y", "inf_in_posterior_mean",
                                        "zero_column_of_a"])
@@ -154,8 +140,8 @@ class TestDecouple:
         a = (rng.standard_normal((n, m))
              + 1j * rng.standard_normal((n, m))) / np.sqrt(2 * n)
         y = rng.standard_normal((n, j)) + 1j * rng.standard_normal((n, j))
-        state, post = amp_init(a, j, 1.0, 0.5)
-        amp_decouple(a, y, post, state)
+        state, post = amp_init(a, y, 1.0, 0.5)
+        amp_decouple(post, state)
         if where == "nan_in_y":
             y[1, 2] = np.nan
         elif where == "inf_in_posterior_mean":
@@ -166,7 +152,7 @@ class TestDecouple:
         s_prev = state.S_mat
         with np.errstate(invalid="ignore", divide="ignore"), \
                 pytest.raises(NumericalBreakdown):
-            amp_decouple(a, y, post, state)
+            amp_decouple(post, state)
         assert state.S_mat is s_prev
 
     def test_matches_plain_update(self):
@@ -196,10 +182,10 @@ class TestDecouple:
         m, n, j, noise_var = 30, 12, 4, 0.4
         a = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
         y = rng.standard_normal((n, j)) + 1j * rng.standard_normal((n, j))
-        state, _ = amp_init(a, j, 1.0, noise_var)
+        state, _ = amp_init(a, y, 1.0, noise_var)
         post = Posterior(Xhat=np.zeros((m, j), dtype=complex),
                          That=rng.uniform(0.1, 1.0, (m, j)))
-        pseudo = amp_decouple(a, y, post, state)
+        pseudo = amp_decouple(post, state)
         assert np.array_equal(state.col2, (np.abs(a) ** 2).sum(axis=0))
         # The slot precisions, written out: one per slot, a local of the pass.
         ts = 1.0 / ((state.col2 @ post.That) / n + noise_var)
@@ -215,28 +201,32 @@ class TestDecouple:
         m, n, j, noise_var = 30, 12, 4, 0.4
         a = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
         y = rng.standard_normal((n, j)) + 1j * rng.standard_normal((n, j))
-        state, post = amp_init(a, j, 1.0, noise_var)
+        state, post = amp_init(a, y, 1.0, noise_var)
         col2, s_prev = state.col2, state.S_mat
         _, _, s_ref = plain_amp_pass(a, y, post, s_prev, noise_var,
                                      row_averaged=True)
-        amp_decouple(a, y, post, state)
+        amp_decouple(post, state)
         assert state.col2 is col2
         assert state.noise_var == noise_var
         assert not s_prev.any()
         np.testing.assert_allclose(state.S_mat, s_ref, rtol=1e-12)
 
     def test_state_holds_no_n_by_m_array(self):
+        # A and Y are the caller's arrays, held by reference; every array
+        # the state owns is M or N x J.
         rng = np.random.default_rng(22)
         m, n, j = 30, 12, 4
         a = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
         y = rng.standard_normal((n, j)) + 1j * rng.standard_normal((n, j))
-        state, post = amp_init(a, j, 1.0, 0.5)
+        state, post = amp_init(a, y, 1.0, 0.5)
         for passes in range(2):
+            assert state.a_mat is a and state.y is y, passes
             shapes = {f.name: np.shape(getattr(state, f.name))
-                      for f in dataclasses.fields(state)}
+                      for f in dataclasses.fields(state)
+                      if f.name not in ("a_mat", "y")}
             assert shapes == {"col2": (m,), "noise_var": (), "S_mat": (n, j)}, \
                 passes
-            amp_decouple(a, y, post, state)
+            amp_decouple(post, state)
 
 
 def _check_against_plain_update(m, n, j, seed, noise_var=0.3, passes=5,
@@ -246,10 +236,10 @@ def _check_against_plain_update(m, n, j, seed, noise_var=0.3, passes=5,
         a = (rng.standard_normal((n, m))
              + 1j * rng.standard_normal((n, m))) / np.sqrt(2 * n)
     y = rng.standard_normal((n, j)) + 1j * rng.standard_normal((n, j))
-    state, post = amp_init(a, j, 1.0, noise_var)
+    state, post = amp_init(a, y, 1.0, noise_var)
     s_ref = np.zeros((n, j), dtype=complex)
     for it in range(passes):
-        pseudo = amp_decouple(a, y, post, state)
+        pseudo = amp_decouple(post, state)
         r, tau, s_ref = plain_amp_pass(a, y, post, s_ref, noise_var,
                                        row_averaged=row_averaged)
 

@@ -174,6 +174,19 @@ class TestRunCommand:
         assert f"config error: cannot read config file {path}" \
             in capsys.readouterr().err
 
+    def test_utf8_bom_config_runs(self, config_file, tmp_path):
+        # Editors such as Notepad start a UTF-8 file with a byte-order
+        # mark; the file runs as the same config without it.
+        path = tmp_path / "bom.txt"
+        path.write_bytes(b"\xef\xbb\xbf" + config_file.read_bytes())
+        outs = [tmp_path / "plain.csv", tmp_path / "bom.csv"]
+        for cfg, out in zip((config_file, path), outs):
+            assert cli.main(["run", "--config", str(cfg),
+                             "--out", str(out)]) == 0
+        rows = [[line.rsplit(",", 1)[0] for line in out.read_text().splitlines()]
+                for out in outs]
+        assert rows[0] == rows[1]
+
     def test_bad_key_exits_2(self, tmp_path):
         path = tmp_path / "cfg.txt"
         path.write_text("M=4\nN=4\nJ=2\np_a=2.0\nsnr_db=0\n")

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from ampvbic import detector
-from ampvbic.detector import run_detector, run_detector_internals
+from ampvbic.detector import detector_init, run_detector, \
+    run_detector_internals
 from ampvbic.errors import ConfigError, DimensionMismatch
 from ampvbic.harness import DETECTORS, compute_aer, compute_ce_mse, \
     compute_ser, trial_rng
@@ -33,6 +34,13 @@ def assert_same_decision(got, want):
 
 def final_decision(internals):
     return detector._finalize(internals, include_offset=True)
+
+
+def run_loop(a, y, cfg, n_it):
+    """A fresh loop on frame (A, Y), run to n_it iterations."""
+    internals = detector_init(a, y, cfg)
+    run_detector_internals(internals, n_it)
+    return internals
 
 
 class TestRunDetector:
@@ -88,7 +96,7 @@ class TestRunDetector:
             with pytest.raises(DimensionMismatch, match="2-d"):
                 run_detector(a, y, cfg)
             with pytest.raises(DimensionMismatch, match="2-d"):
-                run_detector_internals(a, y, cfg, 1)
+                detector_init(a, y, cfg)
 
     def test_degenerate_prior_rejected(self):
         cfg, alph, fr = make_frame()
@@ -98,7 +106,7 @@ class TestRunDetector:
     def test_channel_hat_is_final_snapshot(self):
         cfg, alph, fr = make_frame()
         result, _ = run_detector(fr.A, fr.Y, cfg)
-        internals = run_detector_internals(fr.A, fr.Y, cfg, cfg.n_it)
+        internals = run_loop(fr.A, fr.Y, cfg, cfg.n_it)
         assert_same_decision(result, final_decision(internals))
 
     def test_result_invariants_end_to_end(self):
@@ -128,10 +136,10 @@ class TestRunDetector:
         assert np.all(np.isin(result.D_hat[detected], qpsk))
 
     def test_internals_expose_final_state(self):
-        # The loop returns its final state without deciding; run_detector
+        # The loop leaves its final state undecided; run_detector
         # decides from exactly that state.
         cfg, alph, fr = make_frame()
-        internals = run_detector_internals(fr.A, fr.Y, cfg, cfg.n_it)
+        internals = run_loop(fr.A, fr.Y, cfg, cfg.n_it)
         result, _ = run_detector(fr.A, fr.Y, cfg)
         assert len(internals.trace.delta_x) == cfg.n_it
         assert internals.pseudo.R.shape == (cfg.M, cfg.J)
@@ -196,10 +204,10 @@ def test_resumed_loop_matches_fresh_run():
     # gives exactly the state of a fresh 20-iteration run.  The count is
     # the argument; config.n_it is not read.
     cfg, alph, fr = make_frame(M=50, N=40, J=10, p_a=0.1, n_it=3, seed=7)
-    fresh = run_detector_internals(fr.A, fr.Y, cfg, 20)
-    prefix = run_detector_internals(fr.A, fr.Y, cfg, 5)
-    assert len(prefix.trace.delta_x) == 5
-    resumed = run_detector_internals(fr.A, fr.Y, cfg, 20, start=prefix)
+    fresh = run_loop(fr.A, fr.Y, cfg, 20)
+    resumed = run_loop(fr.A, fr.Y, cfg, 5)
+    assert len(resumed.trace.delta_x) == 5
+    run_detector_internals(resumed, 20)
     assert len(resumed.trace.delta_x) == len(fresh.trace.delta_x) == 20
     assert np.array_equal(resumed.vbic_state.resp, fresh.vbic_state.resp)
     assert np.array_equal(resumed.vbic_state.mu, fresh.vbic_state.mu)
@@ -207,28 +215,22 @@ def test_resumed_loop_matches_fresh_run():
     assert np.array_equal(resumed.pseudo.R, fresh.pseudo.R)
     assert np.array_equal(resumed.pseudo.Tau, fresh.pseudo.Tau)
     with pytest.raises(ConfigError, match="n_it must be an integer > 20"):
-        run_detector_internals(fr.A, fr.Y, cfg, 19, start=resumed)
+        run_detector_internals(resumed, 19)
 
 
-def test_continued_loop_reads_the_frame_constants_from_its_state():
-    # The alphabet, the noise variance and p_a belong to the state a fresh
-    # loop builds: continuing it under a config of another SNR, modulation
-    # and p_a reads only the frame shapes from that config, and decides,
-    # llr_dec included, as a fresh loop of the config that started it.
+def test_initial_state_holds_the_frame_and_its_constants():
+    # detector_init runs no iteration: it keeps the frame by reference
+    # with the alphabet, noise variance and p_a of its config, which every
+    # continuation reads, and has no pseudo observations to decide from.
     cfg, alph, fr = make_frame(M=50, N=40, J=10, p_a=0.1, seed=7)
-    other = dataclasses.replace(cfg, snr_db=30.0, modulation="qpsk", p_a=0.3)
-    start = run_detector_internals(fr.A, fr.Y, cfg, 5)
-    assert start.vbic_state.alphabet is alph
-    assert start.amp_state.noise_var == fr.noise_var
-    assert start.p_a == cfg.p_a
-    continued = run_detector_internals(fr.A, fr.Y, other, 10, start=start)
-    fresh = run_detector_internals(fr.A, fr.Y, cfg, 10)
-    assert continued.trace.delta_x == fresh.trace.delta_x
-    assert np.array_equal(continued.vbic_state.resp, fresh.vbic_state.resp)
-    assert np.array_equal(continued.pseudo.R, fresh.pseudo.R)
-    got, want = final_decision(continued), final_decision(fresh)
-    assert np.array_equal(got.llr_dec, want.llr_dec)
-    assert_same_decision(got, want)
+    internals = detector_init(fr.A, fr.Y, cfg)
+    assert internals.amp_state.a_mat is fr.A
+    assert internals.amp_state.y is fr.Y
+    assert internals.vbic_state.alphabet is alph
+    assert internals.amp_state.noise_var == fr.noise_var
+    assert internals.p_a == cfg.p_a
+    assert internals.pseudo is None
+    assert internals.trace.delta_x == []
 
 
 def test_continued_loop_is_the_object_passed_in():
@@ -238,12 +240,12 @@ def test_continued_loop_is_the_object_passed_in():
     # 20-iteration run, not from a mix of its 5- and 20-iteration states.
     cfg = REFERENCE_CELL
     fr = generate_frame(cfg, trial_rng(cfg.seed, 0))
-    start = run_detector_internals(fr.A, fr.Y, cfg, 5)
+    start = run_loop(fr.A, fr.Y, cfg, 5)
     amp_state = start.amp_state
-    assert run_detector_internals(fr.A, fr.Y, cfg, 20, start=start) is start
+    assert run_detector_internals(start, 20) is None
     assert start.amp_state is amp_state
     assert len(start.trace.delta_x) == 20
-    fresh = run_detector_internals(fr.A, fr.Y, cfg, 20)
+    fresh = run_loop(fr.A, fr.Y, cfg, 20)
     assert_same_decision(final_decision(start), final_decision(fresh))
 
 
@@ -255,11 +257,11 @@ def test_continued_loop_is_the_object_passed_in():
                               "equal_to_start", "below_start"])
 def test_loop_rejects_a_count_it_cannot_run(n_it, start_at):
     cfg, alph, fr = make_frame()
-    start = None if start_at is None else \
-        run_detector_internals(fr.A, fr.Y, cfg, start_at)
+    start = detector_init(fr.A, fr.Y, cfg) if start_at is None else \
+        run_loop(fr.A, fr.Y, cfg, start_at)
     with pytest.raises(ConfigError,
                        match=f"n_it must be an integer > {start_at or 0}"):
-        run_detector_internals(fr.A, fr.Y, cfg, n_it, start=start)
+        run_detector_internals(start, n_it)
 
 
 @pytest.mark.parametrize("cell", ["reference_cell", "make_frame"])
@@ -272,9 +274,9 @@ def test_continued_loop_records_the_trace_of_a_fresh_run(cell):
         fr = generate_frame(cfg, trial_rng(cfg.seed, 0))
     else:
         cfg, _, fr = make_frame()
-    continued = run_detector_internals(fr.A, fr.Y, cfg, 5)
-    run_detector_internals(fr.A, fr.Y, cfg, 20, start=continued)
-    fresh = run_detector_internals(fr.A, fr.Y, cfg, 20)
+    continued = run_loop(fr.A, fr.Y, cfg, 5)
+    run_detector_internals(continued, 20)
+    fresh = run_loop(fr.A, fr.Y, cfg, 20)
     _, trace = run_detector(fr.A, fr.Y, dataclasses.replace(cfg, n_it=20))
     assert len(continued.trace.delta_x) == 20
     assert continued.trace.delta_x == fresh.trace.delta_x == trace.delta_x
@@ -282,9 +284,8 @@ def test_continued_loop_records_the_trace_of_a_fresh_run(cell):
 
 def test_loop_takes_numpy_integer_counts():
     cfg, alph, fr = make_frame()
-    prefix = run_detector_internals(fr.A, fr.Y, cfg, np.int64(2))
-    internals = run_detector_internals(fr.A, fr.Y, cfg, np.int64(cfg.n_it),
-                                       start=prefix)
+    internals = run_loop(fr.A, fr.Y, cfg, np.int64(2))
+    run_detector_internals(internals, np.int64(cfg.n_it))
     result, _ = run_detector(fr.A, fr.Y, cfg)
     assert len(internals.trace.delta_x) == cfg.n_it
     assert_same_decision(result, final_decision(internals))
@@ -299,7 +300,7 @@ class TestDetectorTable:
     def state(self):
         cfg = REFERENCE_CELL
         frame = generate_frame(cfg, trial_rng(cfg.seed, 0))
-        internals = run_detector_internals(frame.A, frame.Y, cfg, cfg.n_it)
+        internals = run_loop(frame.A, frame.Y, cfg, cfg.n_it)
         return cfg, frame, internals
 
     @pytest.mark.parametrize("name", list(DETECTORS))
@@ -444,11 +445,10 @@ class TestPinnedRunDetector:
 
     def test_decision_at_each_prefix_matches_recorded_values(self):
         cfg, alph, fr = make_frame()
-        internals = None
+        internals = detector_init(fr.A, fr.Y, cfg)
         aer, ser, ce_mse = [], [], []
         for n_it in range(1, cfg.n_it + 1):
-            internals = run_detector_internals(fr.A, fr.Y, cfg, n_it,
-                                               start=internals)
+            run_detector_internals(internals, n_it)
             result = detector._finalize(internals, include_offset=True)
             aer.append(compute_aer(fr.activity, result.activity_hat))
             ser.append(compute_ser(fr.D, result.D_hat))

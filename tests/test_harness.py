@@ -397,7 +397,8 @@ class TestRunTrials:
         with pytest.raises(ConfigError, match="noise variance 0"):
             run_trials(tiny_config(snr_db=4000.0), 1)
         with pytest.raises(ConfigError, match="noise_var must be > 0"):
-            amp_init(np.ones((2, 3), dtype=complex), 2, 1.0, 0.0)
+            amp_init(np.ones((2, 3), dtype=complex),
+                     np.ones((2, 2), dtype=complex), 1.0, 0.0)
 
     def test_numpy_integer_request_arguments_run(self):
         records = run_trials(tiny_config(), np.int64(2), trial_start=np.int64(3),
@@ -618,17 +619,23 @@ class TestNitSweep:
             sweep(tiny_config(), "n_it", [5, 0], 2)
 
     def test_runtime_is_loop_to_the_value_plus_one_decision(self, monkeypatch):
-        # On a fake clock every loop iteration takes 1 s and every
-        # decision, _finalize or the genie's, 1 ms: the row at value v
-        # reads v s of loop plus that detector's one decision, as a fresh
-        # v-iteration run would, and no decision at a smaller value.  The
-        # detector table must call both through the harness's names.
+        # On a fake clock the loop's set-up takes 0.5 s, every loop
+        # iteration 1 s and every decision, _finalize or the genie's, 1 ms:
+        # the row at value v reads the set-up and v s of loop plus that
+        # detector's one decision, as a fresh v-iteration run would, and
+        # no decision at a smaller value.  The detector table must call
+        # both through the harness's names.
         clock = [0.0]
+        real_init = harness.detector_init
         real_loop = harness.run_detector_internals
 
-        def loop(a, y, config, n_it, *, start=None):
-            clock[0] += n_it - (len(start.trace.delta_x) if start else 0)
-            return real_loop(a, y, config, n_it, start=start)
+        def init(*args):
+            clock[0] += 0.5
+            return real_init(*args)
+
+        def loop(internals, n_it):
+            clock[0] += n_it - len(internals.trace.delta_x)
+            real_loop(internals, n_it)
 
         def one_ms(decide):
             def timed(*args, **kwargs):
@@ -638,13 +645,14 @@ class TestNitSweep:
 
         monkeypatch.setattr(harness, "time",
                             SimpleNamespace(perf_counter=lambda: clock[0]))
+        monkeypatch.setattr(harness, "detector_init", init)
         monkeypatch.setattr(harness, "run_detector_internals", loop)
         monkeypatch.setattr(harness, "_finalize", one_ms(harness._finalize))
         monkeypatch.setattr(harness, "genie_detect",
                             one_ms(harness.genie_detect))
         rows = sweep(tiny_config(), "n_it", [20, 5], 2, self.DETECTORS)
         assert [(r.n_it, r.detector, r.runtime_ms) for r in rows] == [
-            (n_it, d, pytest.approx(n_it * 1e3 + 1.0))
+            (n_it, d, pytest.approx(500.0 + n_it * 1e3 + 1.0))
             for n_it in (20, 5) for d in self.DETECTORS]
 
     def test_loop_state_holds_the_trace_to_the_largest_value(self,
@@ -654,9 +662,9 @@ class TestNitSweep:
         states = []
         real_loop = harness.run_detector_internals
 
-        def loop(*args, **kwargs):
-            states.append(real_loop(*args, **kwargs))
-            return states[-1]
+        def loop(internals, n_it):
+            states.append(internals)
+            real_loop(internals, n_it)
 
         monkeypatch.setattr(harness, "run_detector_internals", loop)
         sweep(tiny_config(), "n_it", [5, 20], 1)
@@ -670,8 +678,8 @@ class TestDetectorTable:
     def test_only_the_genie_reads_the_frame(self, name):
         cfg = tiny_config()
         frame = generate_frame(cfg, trial_rng(cfg.seed, 0))
-        internals = harness.run_detector_internals(frame.A, frame.Y, cfg,
-                                                   cfg.n_it)
+        internals = harness.detector_init(frame.A, frame.Y, cfg)
+        harness.run_detector_internals(internals, cfg.n_it)
         decide = harness.DETECTORS[name]
         with_frame, without = decide(internals, frame), decide(internals, None)
         for field in dataclasses.fields(with_frame):
@@ -693,13 +701,13 @@ class TestPoolFailures:
         # The first task fails at once; every other one marks that it
         # started and then takes 0.5 s, so without cancellation all nine
         # would start before the pool shuts down.
-        def slow_breakdown(a, y, config, n_it, *, start=None):
+        def slow_breakdown(a, y, config):
             if config.snr_db > 0:
                 (tmp_path / str(config.snr_db)).touch()
                 time.sleep(0.5)
             raise NumericalBreakdown("synthetic breakdown")
 
-        monkeypatch.setattr(harness, "run_detector_internals", slow_breakdown)
+        monkeypatch.setattr(harness, "detector_init", slow_breakdown)
         values = [float(v) for v in range(10)]
         with pytest.raises(TrialFailure) as info:
             sweep(tiny_config(), "snr_db", values, 1, n_workers=2)
@@ -710,14 +718,14 @@ class TestPoolFailures:
     def test_failure_names_its_cell(self, monkeypatch, n_workers):
         # Of a 5-value snr_db sweep only the 7.5 dB cell breaks; the
         # message names that value beside the trial.
-        real_loop = harness.run_detector_internals
+        real_init = harness.detector_init
 
-        def break_at_7_5_db(a, y, config, n_it, *, start=None):
+        def break_at_7_5_db(a, y, config):
             if config.snr_db == 7.5:
                 raise NumericalBreakdown("synthetic breakdown")
-            return real_loop(a, y, config, n_it, start=start)
+            return real_init(a, y, config)
 
-        monkeypatch.setattr(harness, "run_detector_internals", break_at_7_5_db)
+        monkeypatch.setattr(harness, "detector_init", break_at_7_5_db)
         with pytest.raises(TrialFailure, match=r"^trial 0 \(M=24, N=16, "
                            r"p_a=0\.15, snr_db=7\.5\) failed") as info:
             sweep(tiny_config(), "snr_db", [0.0, 5.0, 7.5, 10.0, 15.0], 1,

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 from scipy.special import digamma
 
 from ampvbic.errors import DimensionMismatch, NumericalBreakdown
-from ampvbic.model import ExtendedAlphabet, ScenarioConfig, build_alphabet, \
-    generate_frame
+from ampvbic.model import ExtendedAlphabet, build_alphabet
 from ampvbic.vbic import (posterior_moments, posterior_variance_full,
                           update_channel, update_dirichlet, update_gamma,
                           update_responsibilities, vbic_init, vbic_step,
