@@ -13,10 +13,10 @@ six per-column update lines are evaluated matrix-wise:
     R   = Xhat + Tau * (A^H @ S)
 
 The pass returns R with its noise variances Tau, and advances the state
-to the new S in place.  amp_init stores the frame once: A and Y (by
-reference), the column energies col2[m] = sum_n |A[n, m]|^2 and
-noise_var.  S persists across outer iterations; everything else is
-recomputed.
+to the new S in place.  amp_init stores the frame and noise_var, nothing
+else: A and Y (by reference), their column energies
+col2[m] = sum_n |A[n, m]|^2 and a zero S.  S persists across outer
+iterations; everything else is recomputed.
 
 The pass makes one approximation.  The exact variance of row n's
 prediction is Tp[n, j] = sum_m |A[n, m]|^2 That[m, j], an N x J matrix
@@ -47,8 +47,8 @@ import numpy as np
 
 from .errors import ConfigError, DimensionMismatch, NumericalBreakdown
 
-# Incoming posterior variances are floored here so Tp + noise_var can never
-# underflow the division that forms Ts.
+# Each pass floors its incoming posterior variances here, so Tp + noise_var
+# can never underflow the division that forms Ts.
 VARIANCE_FLOOR = 1e-12
 
 
@@ -59,7 +59,7 @@ class AmpState:
     a_mat (N x M) and y (N x J) are the caller's arrays, held by
     reference and never copied.  col2 (M,), the column energies, and
     noise_var are fixed for the frame; S_mat (N x J), the scaled residual,
-    is the one array a pass changes.  The state allocates no N x M array.
+    is the one array a pass changes.  It holds no N x M array and no posterior.
     """
 
     a_mat: np.ndarray
@@ -88,27 +88,21 @@ class PseudoObservations:
     Tau: np.ndarray
 
 
-def amp_init(a_mat: np.ndarray, y: np.ndarray, e_sym: float,
-             noise_var: float) -> tuple[AmpState, Posterior]:
+def amp_init(a_mat: np.ndarray, y: np.ndarray, noise_var: float) -> AmpState:
     """State for one frame, mixing matrix A (N x M), received Y (N x J)
     and noise variance noise_var: A and Y themselves, the column energies
-    of A, noise_var, a zero residual, and the flat prior posterior (mean
-    0, variance E_sym).  A and Y must be non-empty 2-d arrays with the
-    same row count, and noise_var > 0 and finite."""
+    of A, noise_var and a zero residual, but no posterior (the detector
+    chooses the first pass's).  A and Y must be non-empty 2-d arrays with
+    the same row count, and noise_var > 0 and finite."""
     if not 0.0 < noise_var < np.inf:
         raise ConfigError(f"noise_var must be > 0 and finite, got {noise_var}")
     if a_mat.ndim != 2 or y.ndim != 2 or y.shape[0] != a_mat.shape[0] \
             or 0 in a_mat.shape + y.shape:
         raise DimensionMismatch(f"A {a_mat.shape} / Y {y.shape} are not "
                                 f"non-empty 2-d (N, M) / (N, J) arrays")
-    (n, m), j = a_mat.shape, y.shape[1]
-    state = AmpState(a_mat=a_mat, y=y, col2=(np.abs(a_mat) ** 2).sum(axis=0),
-                     noise_var=noise_var, S_mat=np.zeros((n, j), dtype=complex))
-    posterior = Posterior(
-        Xhat=np.zeros((m, j), dtype=complex),
-        That=np.full((m, j), float(e_sym)),
-    )
-    return state, posterior
+    n, j = a_mat.shape[0], y.shape[1]
+    return AmpState(a_mat=a_mat, y=y, col2=(np.abs(a_mat) ** 2).sum(axis=0),
+                    noise_var=noise_var, S_mat=np.zeros((n, j), dtype=complex))
 
 
 def amp_decouple(posterior: Posterior, state: AmpState) -> PseudoObservations:
@@ -116,9 +110,10 @@ def amp_decouple(posterior: Posterior, state: AmpState) -> PseudoObservations:
     returns R and Tau, and advances state to this pass's residual in
     place (a pass that raises leaves it as it was).
 
-    The posterior must be (M, J), the frame's shape.  Raises
-    NumericalBreakdown when R comes out non-finite, which it does
-    whenever Tau does (an infinite Tau times a zero row sum gives NaN).
+    The posterior must be (M, J), the frame's shape; its variance is
+    floored at VARIANCE_FLOOR.  Raises NumericalBreakdown when R comes
+    out non-finite, which it does whenever Tau does (an infinite Tau
+    times a zero row sum gives NaN).
     """
     a_mat, y = state.a_mat, state.y
     (n, m), j = a_mat.shape, y.shape[1]

@@ -89,9 +89,11 @@ class DetectorInternals:
 
 
 def _offset_llr_matrix(posterior: amp.Posterior, e_sym: float) -> np.ndarray:
+    """Offset term of the activity LLR per observation, (M, J).  It is the
+    one division by the decision variance, so it floors that variance."""
+    that = np.maximum(posterior.That, amp.VARIANCE_FLOOR)
     mag2 = np.abs(posterior.Xhat) ** 2
-    return (np.log(posterior.That / (e_sym + posterior.That))
-            + mag2 / posterior.That - mag2 / (e_sym + posterior.That))
+    return np.log(that / (e_sym + that)) + mag2 / that - mag2 / (e_sym + that)
 
 
 def detect(resp: np.ndarray, posterior: amp.Posterior, channel_hat: np.ndarray,
@@ -212,17 +214,19 @@ def detector_init(a_mat: np.ndarray, y: np.ndarray,
                   config: ScenarioConfig) -> DetectorInternals:
     """The loop's state on frame (A, Y) before its first iteration, with
     the alphabet, noise variance and p_a of config (config.n_it is not
-    read).  A and Y must be the 2-d (N, M) and (N, J) arrays of config."""
+    read).  A and Y must be the 2-d (N, M) and (N, J) arrays of config.
+    The detector chooses the flat start: mean 0, variance E_sym."""
     if a_mat.shape != (config.N, config.M) or y.shape != (config.N, config.J):
         raise DimensionMismatch(
             f"A {a_mat.shape} / Y {y.shape} are not the 2-d (N, M) / (N, J) "
             f"arrays of config (M={config.M}, N={config.N}, J={config.J})")
     alphabet = build_alphabet(config.modulation)
     noise_var = noise_variance_from_snr(config.snr_db, alphabet.E_sym)
-    amp_state, posterior = amp.amp_init(a_mat, y, alphabet.E_sym, noise_var)
+    zeros = np.zeros((config.M, config.J), dtype=complex)
+    posterior = amp.Posterior(zeros, np.full(zeros.shape, alphabet.E_sym))
     return DetectorInternals(
         vbic.vbic_init(alphabet, config.M, config.J), posterior, None,
-        amp_state, IterationTrace(), config.p_a)
+        amp.amp_init(a_mat, y, noise_var), IterationTrace(), config.p_a)
 
 
 def run_detector_internals(internals: DetectorInternals, n_it: int) -> None:

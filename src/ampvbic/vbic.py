@@ -53,7 +53,7 @@ import numpy as np
 from scipy.special import digamma
 
 from .errors import DimensionMismatch, NumericalBreakdown
-from .amp import Posterior, VARIANCE_FLOOR
+from .amp import Posterior
 from .model import ExtendedAlphabet, _is_int
 
 ALPHA_0 = 0.1
@@ -224,11 +224,12 @@ def posterior_moments(state: VbicState) -> Posterior:
 
     Mean: mu_m * sum_k e_kmj d_k.  Variance: E[1/(lam_m tau)] times the
     responsibility-weighted symbol spread; the inverse-precision mean
-    b/(a-1) requires a > 1.
+    b/(a-1) requires a > 1.  The variance is not floored: one-hot
+    responsibilities give exactly zero, which amp_decouple floors.
     """
     mean_d, _, spread, v = _target_moments(state)
     return Posterior(Xhat=state.mu[:, None] * mean_d,
-                     That=np.maximum(v[:, None] * spread, VARIANCE_FLOOR))
+                     That=v[:, None] * spread)
 
 
 def posterior_variance_full(state: VbicState) -> np.ndarray:
@@ -244,12 +245,11 @@ def posterior_variance_full(state: VbicState) -> np.ndarray:
     mean symbol is nonzero.  Activity decisions compare |x|^2 against this
     variance, so they use the exact form: with the factored one, the
     inactive-user variance collapses as parameters accumulate and false
-    alarms grow without bound.
+    alarms grow without bound.  It is not floored: the decision floors
+    what it divides by (detector._offset_llr_matrix).
     """
     _, e_abs_d2, spread, v = _target_moments(state)
-    return np.maximum(v[:, None] * e_abs_d2
-                      + (np.abs(state.mu) ** 2)[:, None] * spread,
-                      VARIANCE_FLOOR)
+    return v[:, None] * e_abs_d2 + (np.abs(state.mu) ** 2)[:, None] * spread
 
 
 def vbic_step(state: VbicState, r: np.ndarray) -> Posterior:

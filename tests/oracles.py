@@ -21,7 +21,7 @@ resp @ d and resp @ conj(d) as the equations are written; they are the
 reference for the symbol-major code.
 
 The fixtures the unit tests share, unit_alphabet, unit_posterior,
-detect_users and EULER_GAMMA, are defined here once.
+flat_prior, detect_users and EULER_GAMMA, are defined here once.
 """
 
 import numpy as np
@@ -44,6 +44,13 @@ def unit_posterior(xhat) -> Posterior:
     """Posterior means the rows of xhat, one row per user, at unit variance."""
     xhat = np.array(xhat, dtype=complex)
     return Posterior(Xhat=xhat, That=np.ones(xhat.shape))
+
+
+def flat_prior(m: int, j: int, e_sym: float) -> Posterior:
+    """The detector's starting posterior on an M x J target: mean 0,
+    variance e_sym everywhere."""
+    return Posterior(Xhat=np.zeros((m, j), dtype=complex),
+                     That=np.full((m, j), float(e_sym)))
 
 
 def detect_users(resp, xhat, p_a=0.1, e_sym=1.0,

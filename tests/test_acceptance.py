@@ -19,8 +19,8 @@ from ampvbic.model import ScenarioConfig, build_alphabet, generate_frame
 from ampvbic.vbic import (posterior_moments, update_channel, update_dirichlet,
                           update_gamma, update_responsibilities, vbic_init)
 from oracles import (EULER_GAMMA, detect_users, expected_log_pi,
-                     expected_log_tau, expected_sq_err, flat_rows, k_major,
-                     unit_alphabet, unit_posterior)
+                     expected_log_tau, expected_sq_err, flat_prior, flat_rows,
+                     k_major, unit_alphabet, unit_posterior)
 
 SEED = 2026
 REL = 1e-9
@@ -164,8 +164,8 @@ def test_criterion_2_amp_identity_sanity():
     gains = rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1))
     x = alph.active_symbols[rng.integers(0, alph.K - 1, (n, j))] * gains
     a = np.eye(n, dtype=complex)
-    state, post = amp_init(a, x.copy(), alph.E_sym, 1e-12)
-    post = Posterior(Xhat=x.copy(), That=post.That)
+    state = amp_init(a, x.copy(), 1e-12)
+    post = Posterior(Xhat=x.copy(), That=flat_prior(n, j, alph.E_sym).That)
     worst = np.inf
     for _ in range(10):
         pseudo = amp_decouple(post, state)

@@ -3,32 +3,27 @@ import dataclasses
 import numpy as np
 import pytest
 
-from ampvbic.amp import Posterior, PseudoObservations, amp_decouple, \
-    amp_init
+from ampvbic.amp import VARIANCE_FLOOR, Posterior, PseudoObservations, \
+    amp_decouple, amp_init
 from ampvbic.errors import ConfigError, DimensionMismatch, \
     NumericalBreakdown
 from ampvbic.model import build_alphabet
 from ampvbic.vbic import vbic_init, warm_start_channel
 
-from oracles import plain_amp_pass
+from oracles import flat_prior, plain_amp_pass
 
 
 class TestInit:
 
     def test_flat_prior(self):
         a = np.array([[1.0, 2.0j], [-3.0, 1.0 - 1.0j]])
-        state, post = amp_init(a, np.zeros((2, 1), dtype=complex), 1.0, 1.0)
-        assert np.array_equal(post.That, [[1.0], [1.0]])
-        assert not post.Xhat.any()
+        # The starting posterior is the detector's (test_detector checks
+        # it); the state starts from a zero residual.
+        state = amp_init(a, np.zeros((2, 1), dtype=complex), 1.0)
         assert not state.S_mat.any()
         assert state.S_mat.shape == (2, 1)
         # Column energies: |1|^2 + |-3|^2 and |2j|^2 + |1-1j|^2.
         assert np.allclose(state.col2, [10.0, 6.0], rtol=1e-12)
-
-    def test_zero_energy(self):
-        _, post = amp_init(np.ones((2, 3), dtype=complex),
-                           np.zeros((2, 4), dtype=complex), 0.0, 1.0)
-        assert not post.That.any()
 
     def test_bad_dims(self):
         # No users, no chips, a 1-d A; a 1-d Y, Y rows other than A's, no
@@ -38,12 +33,12 @@ class TestInit:
                                  ((2, 2), (3, 1)), ((2, 2), (2, 0))):
             with pytest.raises(DimensionMismatch, match="non-empty 2-d"):
                 amp_init(np.ones(a_shape, dtype=complex),
-                         np.ones(y_shape, dtype=complex), 1.0, 1.0)
+                         np.ones(y_shape, dtype=complex), 1.0)
 
     def test_zero_noise_var_is_config_error(self):
         with pytest.raises(ConfigError, match="noise_var must be > 0"):
             amp_init(np.ones((2, 3), dtype=complex),
-                     np.ones((2, 2), dtype=complex), 1.0, 0.0)
+                     np.ones((2, 2), dtype=complex), 0.0)
 
     @pytest.mark.parametrize("noise_var", [np.nan, np.inf], ids=["nan", "inf"])
     def test_non_finite_noise_var_is_config_error(self, noise_var):
@@ -51,7 +46,7 @@ class TestInit:
         # rejected up front, not left to end as a NumericalBreakdown.
         with pytest.raises(ConfigError, match="noise_var must be > 0"):
             amp_init(np.ones((2, 3), dtype=complex),
-                     np.ones((2, 2), dtype=complex), 1.0, noise_var)
+                     np.ones((2, 2), dtype=complex), noise_var)
 
 
 class TestDecouple:
@@ -62,8 +57,8 @@ class TestDecouple:
         # tp=1, p=0, ts=0.5, s=1, tau=2, r=2.
         a = np.array([[1.0 + 0.0j]])
         y = np.array([[2.0 + 0.0j]])
-        state, post = amp_init(a, y, 1.0, 1.0)
-        pseudo = amp_decouple(post, state)
+        state = amp_init(a, y, 1.0)
+        pseudo = amp_decouple(flat_prior(1, 1, 1.0), state)
         assert state.S_mat[0, 0] == pytest.approx(1.0, rel=1e-9)
         assert pseudo.Tau[0, 0] == pytest.approx(2.0, rel=1e-9)
         assert pseudo.R[0, 0] == pytest.approx(2.0, rel=1e-9)
@@ -73,8 +68,8 @@ class TestDecouple:
         # ts = 1/(tp + 1) and each user's tau = 1/ts = 3.
         a = np.array([[1.0, 1.0]], dtype=complex)
         y = np.zeros((1, 1), dtype=complex)
-        state, post = amp_init(a, y, 1.0, 1.0)
-        pseudo = amp_decouple(post, state)
+        state = amp_init(a, y, 1.0)
+        pseudo = amp_decouple(flat_prior(2, 1, 1.0), state)
         assert pseudo.Tau == pytest.approx(np.full((2, 1), 3.0), rel=1e-9)
 
     def test_noiseless_identity_fixed_point(self):
@@ -88,8 +83,8 @@ class TestDecouple:
         x = (alph.active_symbols[rng.integers(0, 4, (n, j))]
              * (rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1))))
         a = np.eye(n, dtype=complex)
-        state, post = amp_init(a, x.copy(), alph.E_sym, 1e-12)
-        post = Posterior(Xhat=x.copy(), That=post.That)
+        state = amp_init(a, x.copy(), 1e-12)
+        post = Posterior(Xhat=x.copy(), That=flat_prior(n, j, alph.E_sym).That)
         for _ in range(10):
             pseudo = amp_decouple(post, state)
             assert np.max(np.abs(pseudo.R - x)) < 1e-6
@@ -100,8 +95,8 @@ class TestDecouple:
         a[rng.random((6, 9)) < 0.3] = 0.0  # sparse but no all-zero column
         assert np.all(np.abs(a).sum(axis=0) > 0)
         y = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
-        state, post = amp_init(a, y, 1.0, 0.5)
-        pseudo = amp_decouple(post, state)
+        state = amp_init(a, y, 0.5)
+        pseudo = amp_decouple(flat_prior(9, 3, 1.0), state)
         assert np.all(pseudo.Tau > 0)
         assert np.all(np.isfinite(pseudo.Tau))
 
@@ -111,7 +106,7 @@ class TestDecouple:
         y = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
         out = []
         for _ in range(2):
-            state, post = amp_init(a, y, 1.0, 0.3)
+            state, post = amp_init(a, y, 0.3), flat_prior(8, 2, 1.0)
             amp_decouple(post, state)
             out.append(amp_decouple(post, state))
         assert np.array_equal(out[0].R, out[1].R)
@@ -121,7 +116,8 @@ class TestDecouple:
         # A and Y are the state's, checked once by amp_init; a pass checks
         # the posterior against the frame's (M, J).
         a = np.zeros((2, 3), dtype=complex)
-        state, post = amp_init(a, np.zeros((2, 2), dtype=complex), 1.0, 1.0)
+        state = amp_init(a, np.zeros((2, 2), dtype=complex), 1.0)
+        post = flat_prior(3, 2, 1.0)
         for shape in ((3, 3), (2, 2), (3,)):
             for bad in (Posterior(np.zeros(shape, dtype=complex), post.That),
                         Posterior(post.Xhat, np.ones(shape))):
@@ -140,7 +136,7 @@ class TestDecouple:
         a = (rng.standard_normal((n, m))
              + 1j * rng.standard_normal((n, m))) / np.sqrt(2 * n)
         y = rng.standard_normal((n, j)) + 1j * rng.standard_normal((n, j))
-        state, post = amp_init(a, y, 1.0, 0.5)
+        state, post = amp_init(a, y, 0.5), flat_prior(m, j, 1.0)
         amp_decouple(post, state)
         if where == "nan_in_y":
             y[1, 2] = np.nan
@@ -182,7 +178,7 @@ class TestDecouple:
         m, n, j, noise_var = 30, 12, 4, 0.4
         a = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
         y = rng.standard_normal((n, j)) + 1j * rng.standard_normal((n, j))
-        state, _ = amp_init(a, y, 1.0, noise_var)
+        state = amp_init(a, y, noise_var)
         post = Posterior(Xhat=np.zeros((m, j), dtype=complex),
                          That=rng.uniform(0.1, 1.0, (m, j)))
         pseudo = amp_decouple(post, state)
@@ -201,7 +197,7 @@ class TestDecouple:
         m, n, j, noise_var = 30, 12, 4, 0.4
         a = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
         y = rng.standard_normal((n, j)) + 1j * rng.standard_normal((n, j))
-        state, post = amp_init(a, y, 1.0, noise_var)
+        state, post = amp_init(a, y, noise_var), flat_prior(m, j, 1.0)
         col2, s_prev = state.col2, state.S_mat
         _, _, s_ref = plain_amp_pass(a, y, post, s_prev, noise_var,
                                      row_averaged=True)
@@ -211,6 +207,31 @@ class TestDecouple:
         assert not s_prev.any()
         np.testing.assert_allclose(state.S_mat, s_ref, rtol=1e-12)
 
+    def test_zero_variance_is_floored_at_the_input(self):
+        # One-hot responsibilities give a factored variance of zero, or a
+        # rounding error above it, and the clustering step hands it over
+        # unfloored: the pass floors it on the way in, so it runs bit for
+        # bit as a twin state's pass on the floored variance.  Column 0 is
+        # all zero, so its prediction variance is the floor's alone.
+        rng = np.random.default_rng(24)
+        m, n, j = 30, 12, 4
+        a = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+        y = rng.standard_normal((n, j)) + 1j * rng.standard_normal((n, j))
+        that = rng.uniform(0.1, 1.0, (m, j))
+        that[rng.random((m, j)) < 0.5] = 0.0
+        that[:, 0] = 0.0
+        xhat = 0.3 * (rng.standard_normal((m, j))
+                      + 1j * rng.standard_normal((m, j)))
+        zero, twin = amp_init(a, y, 0.4), amp_init(a, y, 0.4)
+        for state in (zero, twin):
+            amp_decouple(flat_prior(m, j, 1.0), state)
+        got = amp_decouple(Posterior(xhat, that), zero)
+        want = amp_decouple(
+            Posterior(xhat, np.maximum(that, VARIANCE_FLOOR)), twin)
+        for name, x, w in (("R", got.R, want.R), ("Tau", got.Tau, want.Tau),
+                           ("S_mat", zero.S_mat, twin.S_mat)):
+            assert np.array_equal(x.view(np.uint64), w.view(np.uint64)), name
+
     def test_state_holds_no_n_by_m_array(self):
         # A and Y are the caller's arrays, held by reference; every array
         # the state owns is M or N x J.
@@ -218,7 +239,7 @@ class TestDecouple:
         m, n, j = 30, 12, 4
         a = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
         y = rng.standard_normal((n, j)) + 1j * rng.standard_normal((n, j))
-        state, post = amp_init(a, y, 1.0, 0.5)
+        state, post = amp_init(a, y, 0.5), flat_prior(m, j, 1.0)
         for passes in range(2):
             assert state.a_mat is a and state.y is y, passes
             shapes = {f.name: np.shape(getattr(state, f.name))
@@ -236,7 +257,7 @@ def _check_against_plain_update(m, n, j, seed, noise_var=0.3, passes=5,
         a = (rng.standard_normal((n, m))
              + 1j * rng.standard_normal((n, m))) / np.sqrt(2 * n)
     y = rng.standard_normal((n, j)) + 1j * rng.standard_normal((n, j))
-    state, post = amp_init(a, y, 1.0, noise_var)
+    state, post = amp_init(a, y, noise_var), flat_prior(m, j, 1.0)
     s_ref = np.zeros((n, j), dtype=complex)
     for it in range(passes):
         pseudo = amp_decouple(post, state)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ampvbic.amp import Posterior
+from ampvbic.amp import VARIANCE_FLOOR, Posterior
 from ampvbic.detector import _offset_llr_matrix, correct_phase, detect
 from ampvbic.errors import ConfigError, DimensionMismatch, NumericalBreakdown
 from ampvbic.model import build_alphabet
@@ -113,6 +113,21 @@ class TestDetect:
 
     def setup_method(self):
         self.alph = build_alphabet("qpsk")
+
+    def test_zero_decision_variance_is_floored(self):
+        # The exact decision variance is handed over unfloored, and a
+        # zero would take log(0) and 0/0 in the offset term: it is floored
+        # where it is divided by, so the LLR is finite and equals, bit for
+        # bit, the one at the floor.
+        resp, posterior, channel = _uniformish_setup(self.alph, m=3)
+        posterior.That[0] = 0.0
+        posterior.That[2, 1] = 0.0
+        floored = Posterior(posterior.Xhat,
+                            np.maximum(posterior.That, VARIANCE_FLOOR))
+        got = detect(resp, posterior, channel, self.alph, 0.1).llr_dec
+        want = detect(resp, floored, channel, self.alph, 0.1).llr_dec
+        assert np.all(np.isfinite(got))
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_result_invariants(self):
         resp, posterior, channel = _uniformish_setup(self.alph)

@@ -233,6 +233,19 @@ def test_initial_state_holds_the_frame_and_its_constants():
     assert internals.trace.delta_x == []
 
 
+@pytest.mark.parametrize("modulation", ["qpsk", "qam16"])
+def test_loop_starts_from_the_flat_prior(modulation):
+    # The starting posterior is the detector's choice, not the decoupling
+    # state's: an all-zero complex mean and the alphabet's symbol energy
+    # as the variance of every element.
+    cfg, alph, fr = make_frame(modulation=modulation)
+    posterior = detector_init(fr.A, fr.Y, cfg).posterior
+    assert posterior.Xhat.dtype == complex
+    assert posterior.Xhat.shape == (cfg.M, cfg.J)
+    assert not posterior.Xhat.any()
+    assert np.array_equal(posterior.That, np.full((cfg.M, cfg.J), alph.E_sym))
+
+
 def test_continued_loop_is_the_object_passed_in():
     # A continued loop is one object: start itself is advanced, down to
     # the AmpState that each decoupling pass refreshes in place, so

@@ -398,7 +398,7 @@ class TestRunTrials:
             run_trials(tiny_config(snr_db=4000.0), 1)
         with pytest.raises(ConfigError, match="noise_var must be > 0"):
             amp_init(np.ones((2, 3), dtype=complex),
-                     np.ones((2, 2), dtype=complex), 1.0, 0.0)
+                     np.ones((2, 2), dtype=complex), 0.0)
 
     def test_numpy_integer_request_arguments_run(self):
         records = run_trials(tiny_config(), np.int64(2), trial_start=np.int64(3),

@@ -427,7 +427,8 @@ class TestMoments:
         state.resp = k_major(rows, 1)
         post = posterior_moments(state)
         assert np.allclose(post.Xhat, state.mu[0] * alph.symbols[3])
-        assert np.allclose(post.That, 1e-12)  # zero spread floors out
+        # Zero spread, up to rounding: the variance is not floored.
+        np.testing.assert_allclose(post.That, 0.0, rtol=0, atol=1e-12)
 
     def test_symmetric_mean_cancels(self):
         alph = build_alphabet("qpsk")
@@ -476,7 +477,7 @@ class TestMoments:
         assert var[0, 0] == pytest.approx(0.75, rel=1e-9)
 
     def test_full_variance_keeps_channel_term_for_point_mass(self):
-        # One-hot responsibilities: factored variance floors at ~0 but the
+        # One-hot responsibilities: factored variance is ~0 but the
         # exact one retains the channel-estimate uncertainty v*|d|^2.
         state = vbic_init(unit_alphabet(), 1, 1)
         state.a, state.b = 3.0, 4.0
@@ -501,7 +502,7 @@ class TestMoments:
         spread = np.maximum(e_abs_d2 - np.abs(mean_d) ** 2, 0.0)
         v = (state.b / (state.lam * (state.a - 1.0)))[:, None]
         mu2 = (np.abs(state.mu) ** 2)[:, None]
-        want = np.maximum(v * e_abs_d2 + mu2 * spread, 1e-12)
+        want = v * e_abs_d2 + mu2 * spread
         assert np.all(np.abs(posterior_variance_full(state) - want)
                       <= 1e-12 * (v + mu2))
 
@@ -542,9 +543,9 @@ class TestMoments:
         spread = np.maximum(e_abs_d2 - (re_d ** 2 + im_d ** 2), 0.0)
         v = state.b / (state.lam[idx] * (state.a - 1.0))
         assert np.array_equal(post.Xhat.ravel(), state.mu[idx] * mean_d)
-        assert np.array_equal(post.That.ravel(), np.maximum(v * spread, 1e-12))
-        assert np.array_equal(full.ravel(), np.maximum(
-            v * e_abs_d2 + np.abs(state.mu[idx]) ** 2 * spread, 1e-12))
+        assert np.array_equal(post.That.ravel(), v * spread)
+        assert np.array_equal(full.ravel(),
+                              v * e_abs_d2 + np.abs(state.mu[idx]) ** 2 * spread)
 
 
 class TestStep:
