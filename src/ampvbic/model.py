@@ -181,23 +181,23 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class ScenarioInstance:
-    """One synthesized frame plus the ground truth behind it.
+    """One synthesized frame: the arrays generate_frame draws, A,
+    activity, mu, D and Y, each read-only.
 
     mu holds the Rayleigh gains of active users and exact zeros for
     inactive users (the convention under which channel-estimation MSE is
-    scored).  Y = A @ X + W with the drawn noise W of variance noise_var.
+    scored).  X = diag(mu) @ D comes from mu and D, and the noise
+    variance from the config (noise_variance_from_snr); neither is kept.
     """
 
     A: np.ndarray          # (N, M) complex spreading matrix
     activity: np.ndarray   # (M,) 0/1
     mu: np.ndarray         # (M,) complex channel gains, 0 for inactive
     D: np.ndarray          # (M, J) transmitted symbols
-    X: np.ndarray          # (M, J) = diag(mu) @ D
     Y: np.ndarray          # (N, J) received
-    noise_var: float
 
     def __post_init__(self):
-        for arr in (self.A, self.activity, self.mu, self.D, self.X, self.Y):
+        for arr in (self.A, self.activity, self.mu, self.D, self.Y):
             arr.setflags(write=False)
 
 
@@ -255,5 +255,4 @@ def generate_frame(config: ScenarioConfig, rng: np.random.Generator,
     x_mat = mu[:, None] * d_mat
     noise_var = noise_variance_from_snr(config.snr_db, alphabet.E_sym)
     y = a_mat @ x_mat + complex_normal((n, j), np.sqrt(noise_var / 2.0), rng)
-    return ScenarioInstance(A=a_mat, activity=activity, mu=mu, D=d_mat,
-                            X=x_mat, Y=y, noise_var=noise_var)
+    return ScenarioInstance(A=a_mat, activity=activity, mu=mu, D=d_mat, Y=y)

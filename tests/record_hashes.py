@@ -18,9 +18,11 @@ results move in their last bits with the core, and on some cores
 (Haswell, Sandybridge, Nehalem) with the thread count too, so a serial
 run equals the pool only with one BLAS thread.  The script exits 1 when
 the serial one-thread hashes differ from the pool's, which the harness
-promises are equal; the first line is printed and not compared.  Run it
-from the repository root (a few seconds per line), with
-OPENBLAS_CORETYPE=<core> to choose a core:
+promises are equal, and when they differ from this core's RECORDED
+entry or the core has none (it then prints what it measured); the first
+line is printed and not compared.  A declared model change re-records
+RECORDED.  Run it from the repository root (a few seconds per line),
+with OPENBLAS_CORETYPE=<core> to choose a core:
 
   PYTHONPATH=src python tests/record_hashes.py
 
@@ -41,6 +43,16 @@ from ampvbic.model import ScenarioConfig
 REFERENCE_CELL = ScenarioConfig(M=200, N=100, J=10, p_a=0.1, snr_db=5.0,
                                 modulation="qam16", n_it=20, seed=2026)
 DETECTORS = ("amp_vbic", "amp_vbic_no_offset", "genie")
+
+# The one-thread (run_trials, nit_sweep) hashes per OpenBLAS core, with
+# numpy 2.4.6 and scipy 1.17.1.
+RECORDED = {
+    "SkylakeX": ("5607319c87d45d83", "ae76d6d668bba877"),
+    "Haswell": ("a50f6b85fb857fe5", "21faa82eacc8ea08"),
+    "Sandybridge": ("bc571fb1163f3ed1", "69debb841f6736b0"),
+    "Nehalem": ("db7f1cc220f24d61", "e8f249b04fe94054"),
+    "Katmai": ("32eebda638acd928", "84695a4c97ed5174"),
+}
 
 
 def openblas_core() -> str | None:
@@ -63,21 +75,25 @@ def record_hash(records) -> str:
         .hexdigest()[:16]
 
 
-def hashes(n_workers: int) -> str:
+def hashes(n_workers: int) -> tuple[str, str]:
     trials = run_trials(REFERENCE_CELL, 20, DETECTORS, n_workers=n_workers)
     rows = sweep(dataclasses.replace(REFERENCE_CELL, seed=7), "n_it",
                  (5, 20, 50), 4, DETECTORS, n_workers=n_workers)
-    return f"run_trials {record_hash(trials)}  nit_sweep {record_hash(rows)}"
+    return record_hash(trials), record_hash(rows)
+
+
+def describe(pair) -> str:
+    return f"run_trials {pair[0]}  nit_sweep {pair[1]}"
 
 
 def main() -> int:
     core = openblas_core()
 
     def show(n_workers, threads):
-        line = hashes(n_workers)
+        pair = hashes(n_workers)
         print(f"n_workers={n_workers}  core={core}  blas_threads={threads}  "
-              f"{line}")
-        return line
+              f"{describe(pair)}")
+        return pair
 
     show(1, blas_threads())
     _set_blas_threads(1)
@@ -86,6 +102,15 @@ def main() -> int:
     if show(2, "1 per worker") != serial:
         print("record hashes differ: the pool does not equal the serial run "
               "at one BLAS thread", file=sys.stderr)
+        return 1
+    if core not in RECORDED:
+        print(f"no recorded hashes for core {core}; it measured "
+              f"{describe(serial)}", file=sys.stderr)
+        return 1
+    if serial != RECORDED[core]:
+        print(f"record hashes moved on core {core}: recorded "
+              f"{describe(RECORDED[core])}, measured {describe(serial)}",
+              file=sys.stderr)
         return 1
     return 0
 

@@ -11,7 +11,8 @@ from ampvbic.detector import detector_init, run_detector, \
 from ampvbic.errors import ConfigError, DimensionMismatch
 from ampvbic.harness import DETECTORS, compute_aer, compute_ce_mse, \
     compute_ser, trial_rng
-from ampvbic.model import ScenarioConfig, build_alphabet, generate_frame
+from ampvbic.model import ScenarioConfig, build_alphabet, generate_frame, \
+    noise_variance_from_snr
 from record_hashes import REFERENCE_CELL, openblas_core
 
 
@@ -227,7 +228,8 @@ def test_initial_state_holds_the_frame_and_its_constants():
     assert internals.amp_state.a_mat is fr.A
     assert internals.amp_state.y is fr.Y
     assert internals.vbic_state.alphabet is alph
-    assert internals.amp_state.noise_var == fr.noise_var
+    assert internals.amp_state.noise_var \
+        == noise_variance_from_snr(cfg.snr_db, alph.E_sym)
     assert internals.p_a == cfg.p_a
     assert internals.pseudo is None
     assert internals.trace.delta_x == []

@@ -109,8 +109,7 @@ def truth_frame(activity, mu, d):
     m, j = d.shape
     return ScenarioInstance(A=np.zeros((1, m), dtype=complex),
                             activity=np.asarray(activity), mu=mu, D=d,
-                            X=mu[:, None] * d,
-                            Y=np.zeros((1, j), dtype=complex), noise_var=0.0)
+                            Y=np.zeros((1, j), dtype=complex))
 
 
 class TestGenie:
@@ -126,7 +125,7 @@ class TestGenie:
         d = self.alph.active_symbols[rng.integers(0, 4, (m, j))]
         d = d * support[:, None]
         frame = truth_frame(support, mu, d)
-        res = genie_detect(frame.X, frame, self.alph)
+        res = genie_detect(frame.mu[:, None] * frame.D, frame, self.alph)
         assert np.array_equal(res.activity_hat, support)
         assert np.allclose(res.D_hat, d)
         assert np.array_equal(res.activity_hat, (res.llr_dec > 0).astype(np.int8))
@@ -152,8 +151,9 @@ class TestGenie:
         alph = build_alphabet(cfg.modulation)
         rng = trial_rng(cfg.seed, 0)
         frame = generate_frame(cfg, rng)
-        r = frame.X + 0.3 * (rng.standard_normal(frame.X.shape)
-                             + 1j * rng.standard_normal(frame.X.shape))
+        x = frame.mu[:, None] * frame.D
+        r = x + 0.3 * (rng.standard_normal(x.shape)
+                       + 1j * rng.standard_normal(x.shape))
         res = genie_detect(r, frame, alph)
         active = frame.activity.astype(bool)
         assert active.any() and not active.all()

@@ -1,11 +1,12 @@
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 
 from ampvbic.errors import ConfigError
-from ampvbic.model import (Modulation, ScenarioConfig, build_alphabet,
-                           complex_normal, generate_frame,
+from ampvbic.model import (Modulation, ScenarioConfig, ScenarioInstance,
+                           build_alphabet, complex_normal, generate_frame,
                            noise_variance_from_snr)
 
 QPSK_POINTS = {(1 + 1j), (1 - 1j), (-1 + 1j), (-1 - 1j)}
@@ -210,15 +211,16 @@ class TestGenerateFrame:
         fr = generate_frame(cfg, np.random.default_rng(1), n_active=0)
         assert not fr.activity.any()
         assert not fr.D.any()
-        assert not fr.X.any()
+        assert not (fr.mu[:, None] * fr.D).any()
         # Y is pure noise with the configured variance
-        assert np.mean(np.abs(fr.Y) ** 2) == pytest.approx(fr.noise_var, rel=0.5)
+        noise_var = noise_variance_from_snr(cfg.snr_db, self.alph.E_sym)
+        assert np.mean(np.abs(fr.Y) ** 2) == pytest.approx(noise_var, rel=0.5)
 
     def test_all_active_noiseless(self):
         cfg = ScenarioConfig(M=8, N=8, J=4, p_a=0.5, snr_db=300.0)
         fr = generate_frame(cfg, np.random.default_rng(2), n_active=cfg.M)
         assert fr.activity.all()
-        assert np.allclose(fr.Y, fr.A @ fr.X, atol=1e-12)
+        assert np.allclose(fr.Y, fr.A @ (fr.mu[:, None] * fr.D), atol=1e-12)
 
     def test_noise_variance_overflow_is_config_error(self):
         with pytest.raises(ConfigError, match="noise variance"):
@@ -240,7 +242,7 @@ class TestGenerateFrame:
         cfg = ScenarioConfig(M=50, N=20, J=6, p_a=0.3, snr_db=5.0)
         fr = generate_frame(cfg, np.random.default_rng(4))
         active = fr.activity.astype(bool)
-        assert not fr.X[~active].any()
+        assert not (fr.mu[:, None] * fr.D)[~active].any()
         assert not fr.D[~active].any()
         assert np.all(fr.D[active, 0] == self.alph.reference_symbol)
         data = fr.D[active][:, 1:].ravel()
@@ -250,9 +252,9 @@ class TestGenerateFrame:
     def test_model_equation(self):
         cfg = ScenarioConfig(M=30, N=15, J=5, p_a=0.5, snr_db=8.0)
         fr = generate_frame(cfg, np.random.default_rng(5))
-        w = fr.Y - fr.A @ fr.X
-        assert np.allclose(fr.X, fr.mu[:, None] * fr.D)
-        assert np.mean(np.abs(w) ** 2) == pytest.approx(fr.noise_var, rel=0.3)
+        w = fr.Y - fr.A @ (fr.mu[:, None] * fr.D)
+        noise_var = noise_variance_from_snr(cfg.snr_db, self.alph.E_sym)
+        assert np.mean(np.abs(w) ** 2) == pytest.approx(noise_var, rel=0.3)
 
     def test_channel_statistics(self):
         cfg = ScenarioConfig(M=400, N=1, J=2, p_a=0.5, snr_db=5.0)
@@ -267,8 +269,18 @@ class TestGenerateFrame:
         cfg = ScenarioConfig(M=25, N=12, J=4, p_a=0.2, snr_db=5.0)
         fr1 = generate_frame(cfg, np.random.default_rng(9))
         fr2 = generate_frame(cfg, np.random.default_rng(9))
-        for name in ("A", "activity", "mu", "D", "X", "Y"):
+        for name in ("A", "activity", "mu", "D", "Y"):
             assert np.array_equal(getattr(fr1, name), getattr(fr2, name))
+
+    def test_frame_holds_what_is_drawn(self):
+        # X = diag(mu) D and the noise variance follow from the frame and
+        # its config, so the frame keeps only the drawn arrays, read-only.
+        names = [f.name for f in dataclasses.fields(ScenarioInstance)]
+        assert names == ["A", "activity", "mu", "D", "Y"]
+        cfg = ScenarioConfig(M=25, N=12, J=4, p_a=0.2, snr_db=5.0)
+        fr = generate_frame(cfg, np.random.default_rng(9))
+        for name in names:
+            assert not getattr(fr, name).flags.writeable, name
 
     def test_fixed_active_count(self):
         cfg = ScenarioConfig(M=30, N=10, J=3, p_a=0.1, snr_db=5.0)
@@ -309,8 +321,9 @@ class TestGenerateFrame:
             rng.integers(0, alph.K - 1, size=(m, j - 1))
             a = (rng.standard_normal((n, m))
                  + 1j * rng.standard_normal((n, m))) / np.sqrt(2.0)
+            noise_var = noise_variance_from_snr(cfg.snr_db, alph.E_sym)
             w = (rng.standard_normal((n, j)) + 1j * rng.standard_normal((n, j))) \
-                * np.sqrt(fr.noise_var / 2.0)
+                * np.sqrt(noise_var / 2.0)
             y = a @ (mu[:, None] * fr.D) + w
             assert np.array_equal(fr.activity, activity)
             for got, want in ((fr.A, a), (fr.mu, mu), (fr.Y, y)):
