@@ -9,11 +9,10 @@ in slot 1 and uniform random constellation symbols in slots 2..J.
 
 from __future__ import annotations
 
-import enum
 import math
 import numbers
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
@@ -25,11 +24,6 @@ def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-class Modulation(str, enum.Enum):
-    QPSK = "qpsk"
-    QAM16 = "qam16"
-
-
 @dataclass(frozen=True, eq=False)
 class ExtendedAlphabet:
     """Modulation alphabet extended with the null symbol at index 0.
@@ -37,7 +31,8 @@ class ExtendedAlphabet:
     symbols[0] == 0 represents "inactive user"; symbols[1:] is the active
     constellation, sorted by (real, imag) so the alphabet order (and hence
     the reference symbol) is deterministic.  K and E_sym are derived from
-    symbols.  Alphabets compare and hash by identity.
+    symbols.  Alphabets compare and hash by identity; the module's
+    modulation table holds one per modulation name.
     """
 
     symbols: np.ndarray
@@ -82,26 +77,30 @@ class ExtendedAlphabet:
         return d[dist.argmin(axis=-1)]
 
 
-def build_alphabet(modulation: Modulation | str) -> ExtendedAlphabet:
-    """The extended (null + active) symbol alphabet of a modulation.
-
-    QPSK: the four unit-energy symbols (+-1 +-1j)/sqrt(2).
-    QAM16: the square grid {+-1, +-3} x {+-1, +-3} scaled by 1/sqrt(10),
-    which normalizes the constellation to unit average energy.  Equal
-    modulations ('qpsk', Modulation.QPSK) share one alphabet.
-    """
-    return _build_alphabet(Modulation(modulation))
+def _extended(points: np.ndarray) -> ExtendedAlphabet:
+    """The null symbol, then the constellation sorted by (real, imag)."""
+    order = np.lexsort((points.imag, points.real))
+    return ExtendedAlphabet(symbols=np.concatenate(([0.0 + 0.0j], points[order])))
 
 
-@cache
-def _build_alphabet(modulation: Modulation) -> ExtendedAlphabet:
-    if modulation is Modulation.QPSK:
-        pts = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2.0)
-    else:
-        levels = np.array([-3.0, -1.0, 1.0, 3.0])
-        pts = (levels[:, None] + 1j * levels[None, :]).ravel() / np.sqrt(10.0)
-    order = np.lexsort((pts.imag, pts.real))
-    return ExtendedAlphabet(symbols=np.concatenate(([0.0 + 0.0j], pts[order])))
+_ALPHABETS = {  # the modulation table: one extended alphabet per name
+    # The four unit-energy symbols (+-1 +-1j)/sqrt(2).
+    "qpsk": _extended(np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2.0)),
+    # The square grid {+-1, +-3} x {+-1, +-3} scaled by 1/sqrt(10), which
+    # normalizes the constellation to unit average energy.
+    "qam16": _extended(np.array([a + 1j * b for a in (-3, -1, 1, 3)
+                                 for b in (-3, -1, 1, 3)]) / np.sqrt(10.0)),
+}
+
+
+def build_alphabet(modulation: str) -> ExtendedAlphabet:
+    """The extended (null + active) symbol alphabet of a modulation: its
+    entry in the modulation table, so equal names share one alphabet.
+    Any value that is not one of the table's names raises ValueError."""
+    if not (isinstance(modulation, str) and modulation in _ALPHABETS):
+        raise ValueError(f"modulation must be one of {list(_ALPHABETS)}, "
+                         f"got {modulation!r}")
+    return _ALPHABETS[modulation]
 
 
 def noise_variance_from_snr(snr_db: float, e_sym: float) -> float:
@@ -128,7 +127,8 @@ class ScenarioConfig:
     scenario the detector can run: 0 < p_a < 1, so the activity prior
     log-odds stay finite, and snr_db gives a positive, finite noise
     variance (empty or all-active frames come from generate_frame's
-    n_active).  modulation must name a Modulation.  Every other field must
+    n_active).  modulation must name an entry of the modulation table
+    (build_alphabet), whose own str is stored.  Every other field must
     be a real number (not a bool), and M, N, J, n_it and seed integral
     ones, which are stored as int; seed must be >= 0, as numpy's seed
     sequences require.  Anything else raises ConfigError.
@@ -139,18 +139,17 @@ class ScenarioConfig:
     J: int
     p_a: float
     snr_db: float
-    modulation: Modulation = Modulation.QAM16
+    modulation: str = "qam16"
     n_it: int = 20
     seed: int = 0
 
     def __post_init__(self):
         try:
-            modulation = Modulation(self.modulation)
-        except (TypeError, ValueError):
-            raise ConfigError(
-                f"modulation must be one of {[m.value for m in Modulation]}, "
-                f"got {self.modulation!r}") from None
-        object.__setattr__(self, "modulation", modulation)
+            alphabet = build_alphabet(self.modulation)
+        except ValueError as err:
+            raise ConfigError(str(err)) from None
+        object.__setattr__(self, "modulation", next(
+            key for key in _ALPHABETS if key == self.modulation))
         for name in ("M", "N", "J", "p_a", "snr_db", "n_it", "seed"):
             value = getattr(self, name)
             if not isinstance(value, numbers.Real) or isinstance(value, bool):
@@ -169,8 +168,7 @@ class ScenarioConfig:
         # noise_variance_from_snr raises where the variance is not finite
         # (nan, -inf, about -3083 dB and below); inf and about +3236 dB and
         # above underflow to 0.
-        if noise_variance_from_snr(self.snr_db,
-                                   build_alphabet(modulation).E_sym) == 0.0:
+        if noise_variance_from_snr(self.snr_db, alphabet.E_sym) == 0.0:
             raise ConfigError(f"snr_db={self.snr_db} gives noise variance 0; "
                               f"detection needs a positive one")
         if self.n_it < 1:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ampvbic.errors import ConfigError
-from ampvbic.model import (Modulation, ScenarioConfig, ScenarioInstance,
+from ampvbic.model import (_ALPHABETS, ScenarioConfig, ScenarioInstance,
                            build_alphabet, complex_normal, generate_frame,
                            noise_variance_from_snr)
 
@@ -24,7 +24,7 @@ class TestAlphabet:
         assert got == QPSK_POINTS
 
     def test_qam16(self):
-        alph = build_alphabet(Modulation.QAM16)
+        alph = build_alphabet("qam16")
         assert alph.K == 17
         assert alph.E_sym == pytest.approx(1.0, rel=1e-12)
         assert alph.symbols[0] == 0
@@ -33,9 +33,10 @@ class TestAlphabet:
                for d in alph.active_symbols}
         assert got == grid
 
-    @pytest.mark.parametrize("mod", ["qpsk", "qam16"])
+    @pytest.mark.parametrize("mod", list(_ALPHABETS))
     def test_invariants(self, mod):
         alph = build_alphabet(mod)
+        assert build_alphabet(mod) is alph
         active = alph.active_symbols
         assert len(set(active.tolist())) == alph.K - 1
         assert alph.E_sym == pytest.approx(np.mean(np.abs(active) ** 2), rel=1e-12)
@@ -61,8 +62,8 @@ class TestAlphabet:
 
     def test_one_alphabet_per_modulation(self):
         qpsk = build_alphabet("qpsk")
-        assert build_alphabet(Modulation.QPSK) is qpsk
-        assert build_alphabet("qpsk") == build_alphabet(Modulation.QPSK)
+        assert build_alphabet("qpsk") is qpsk
+        assert build_alphabet("qpsk") == build_alphabet("qpsk")
         assert qpsk != build_alphabet("qam16")
         assert hash(qpsk) == hash(build_alphabet("qpsk"))
         assert len({qpsk, build_alphabet("qpsk"), build_alphabet("qam16")}) == 2
@@ -148,7 +149,14 @@ class TestScenarioConfig:
 
     def test_valid(self):
         cfg = ScenarioConfig(M=10, N=5, J=4, p_a=0.2, snr_db=5.0)
-        assert cfg.modulation is Modulation.QAM16
+        assert cfg.modulation == "qam16"
+
+    def test_modulation_is_stored_as_its_table_key(self):
+        default = ScenarioConfig(**self.VALID)
+        qpsk = ScenarioConfig(**self.VALID, modulation=np.str_("qpsk"))
+        assert (default.modulation, qpsk.modulation) == ("qam16", "qpsk")
+        assert type(default.modulation) is str and type(qpsk.modulation) is str
+        assert build_alphabet(qpsk.modulation) is build_alphabet("qpsk")
 
     @pytest.mark.parametrize("kwargs", [
         dict(M=0, N=5, J=4, p_a=0.2, snr_db=5.0),
@@ -183,7 +191,7 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError, match=f"{field} must be an integer"):
             ScenarioConfig(**kwargs)
 
-    @pytest.mark.parametrize("value", ["bpsk", 16, None])
+    @pytest.mark.parametrize("value", ["bpsk", 16, None, ["qpsk"]])
     def test_unknown_modulation(self, value):
         with pytest.raises(ConfigError,
                            match=r"modulation must be one of \['qpsk', 'qam16'\]"):
