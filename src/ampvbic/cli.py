@@ -1,18 +1,21 @@
 """Command-line entry point.
 
-One parser with two commands, which share every flag; each sweep row is
-the aggregated run of its axis value, with every user active with
-probability p_a on every axis, p_a included:
+One parser with two commands, which share every flag and differ only in
+the harness call.  Both print "{trials} trials, {modulation}, seed={seed}"
+and the summarize table, one row per detector and cell with the cell
+columns M, N, J, p_a, snr_db and n_it; a sweep cell is one axis value,
+with every user active with probability p_a on every axis:
 
-  ampvbic run   --config cfg.txt [--seed N] [--out results.csv] ...
-  ampvbic sweep --config cfg.txt [--seed N] [--out sweep.csv] ...
+  ampvbic run   --config cfg.txt [--out results.csv] [--threads N]
+  ampvbic sweep --config cfg.txt [--out sweep.csv] [--threads N]
 
-The config file is flat key = value text (INI/TOML style, '#' comments).
-Recognized keys, each at most once: the scenario fields (M, N, J, p_a,
-snr_db, modulation, n_it, seed) plus trials, detectors, axis, values.
-Lists are comma separated, with optional [brackets] and quotes.  Values
-are read as int, float or text; ScenarioConfig checks the scenario
-fields, the harness the request and main the --out path, before any trial.
+The config file, flat key = value text (INI/TOML style, '#' comments),
+alone fixes every result.  Recognized keys, each at most once: the
+scenario fields (M, N, J, p_a, snr_db, modulation, n_it, seed) plus
+trials, detectors, axis, values.  Lists are comma separated, with
+optional [brackets] and quotes.  Values are read as int, float or text;
+ScenarioConfig checks the scenario fields, the harness the request (axis
+and values included) and main the --out path, before any trial.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical breakdown.
 """
@@ -78,15 +81,12 @@ def parse_config_file(path: str) -> dict:
     return values
 
 
-def _build_scenario(values: dict, seed_override: int | None) -> ScenarioConfig:
+def _build_scenario(values: dict) -> ScenarioConfig:
     missing = {f.name for f in dataclasses.fields(ScenarioConfig)
                if f.default is dataclasses.MISSING} - values.keys()
     if missing:
         raise ConfigError(f"config is missing required keys: {sorted(missing)}")
-    kwargs = {k: values[k] for k in SCENARIO_KEYS & values.keys()}
-    if seed_override is not None:
-        kwargs["seed"] = seed_override
-    return ScenarioConfig(**kwargs)
+    return ScenarioConfig(**{k: values[k] for k in SCENARIO_KEYS & values.keys()})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -98,7 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="run: single configuration, per-trial metrics; "
                              "sweep: sweep one axis, aggregated metrics")
     parser.add_argument("--config", required=True, help="flat key=value config file")
-    parser.add_argument("--seed", type=int, default=None, help="master RNG seed")
     parser.add_argument("--out", default=None, help="CSV output path")
     parser.add_argument("--threads", type=int, default=1,
                         help="parallel trial worker processes, >= 1 (default 1); "
@@ -115,7 +114,7 @@ def main(argv: list[str] | None = None) -> int:
         out_dir = os.path.dirname(os.path.abspath(args.out or "."))
         if args.out and (os.path.isdir(args.out) or not os.access(out_dir, os.W_OK)):
             raise ConfigError(f"cannot write --out {args.out} in {out_dir}")
-        config = _build_scenario(values, args.seed)
+        config = _build_scenario(values)
         detectors = tuple(values.get("detectors", ["amp_vbic"]))
         n_trials = values.get("trials", 10)
         # trials = 20.0 runs 20 trials, as n_it = 20.0 runs 20 iterations.
@@ -124,20 +123,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "run":
             records = run_trials(config, n_trials, detectors,
                                  n_workers=args.threads)
-            print(f"{n_trials} trials, M={config.M} N={config.N} J={config.J} "
-                  f"p_a={config.p_a} snr_db={config.snr_db} n_it={config.n_it} "
-                  f"seed={config.seed}")
-            print(summarize(records))
         else:
-            if "axis" not in values or "values" not in values:
-                raise ConfigError("sweep needs 'axis' and 'values' keys in the config")
-            axis = values["axis"]
-            records = sweep(config, axis, values["values"], n_trials,
-                            detectors, n_workers=args.threads)
-            for rec in records:
-                print(f"{axis}={getattr(rec, axis)}  "
-                      f"{rec.detector:22s} aer={rec.aer:.5f} ser={rec.ser:.5f} "
-                      f"ce_mse={rec.ce_mse:.6f}")
+            records = sweep(config, values.get("axis"), values.get("values"),
+                            n_trials, detectors, n_workers=args.threads)
+        print(f"{n_trials} trials, {config.modulation}, seed={config.seed}")
+        print(summarize(records))
         if args.out:
             write_csv(records, args.out)
             print(f"wrote {len(records)} rows to {args.out}")

@@ -382,10 +382,14 @@ def write_csv(records: list[MetricsRecord], path) -> None:
 
 def summarize(records: list[MetricsRecord]) -> str:
     """Human-readable table of aggregate(records), one line per detector
-    and cell, for CLI output."""
-    lines = [f"{'detector':22s} {'aer':>10s} {'ser':>10s} "
+    and cell, for CLI output: the cell columns M, N, J, p_a, snr_db and
+    n_it, then the mean aer, ser, ce_mse and runtime_ms."""
+    lines = [f"{'detector':22s} {'M':>6s} {'N':>6s} {'J':>4s} {'p_a':>7s} "
+             f"{'snr_db':>7s} {'n_it':>5s} {'aer':>10s} {'ser':>10s} "
              f"{'ce_mse':>10s} {'runtime_ms':>11s}"]
     for rec in aggregate(records):
-        lines.append(f"{rec.detector:22s} {rec.aer:10.5f} {rec.ser:10.5f} "
+        lines.append(f"{rec.detector:22s} {rec.M:6d} {rec.N:6d} {rec.J:4d} "
+                     f"{rec.p_a:7g} {rec.snr_db:7g} {rec.n_it:5d} "
+                     f"{rec.aer:10.5f} {rec.ser:10.5f} "
                      f"{rec.ce_mse:10.6f} {rec.runtime_ms:11.2f}")
     return "\n".join(lines)

@@ -137,13 +137,11 @@ class TestRunCommand:
         assert len(lines) == 1 + 3 * 2
         assert "amp_vbic" in capsys.readouterr().out
 
-    def test_seed_override_changes_results(self, config_file, tmp_path):
-        out1 = tmp_path / "a.csv"
-        out2 = tmp_path / "b.csv"
-        cli.main(["run", "--config", str(config_file), "--out", str(out1)])
-        cli.main(["run", "--config", str(config_file), "--out", str(out2),
-                  "--seed", "12345"])
-        assert out1.read_text() != out2.read_text()
+    def test_seed_flag_is_rejected(self, config_file):
+        # The config file alone fixes a run; its seed key is the only seed.
+        with pytest.raises(SystemExit) as info:
+            cli.main(["run", "--config", str(config_file), "--seed", "1"])
+        assert info.value.code == 2
 
     def test_no_offset_detector_from_config(self, tmp_path):
         path = tmp_path / "cfg.txt"
@@ -278,11 +276,6 @@ class TestRunCommand:
             in capsys.readouterr().err
         assert not (tmp_path / "records.csv").exists()
 
-    def test_negative_seed_override_exits_2(self, config_file, capsys):
-        rc = cli.main(["run", "--config", str(config_file), "--seed=-3"])
-        assert rc == 2
-        assert "seed must be >= 0" in capsys.readouterr().err
-
     def test_threads_below_1_exits_2(self, config_file, capsys):
         rc = cli.main(["run", "--config", str(config_file), "--threads", "0"])
         assert rc == 2
@@ -340,9 +333,42 @@ class TestSweepCommand:
         assert lines[0].endswith("aer_stderr,ser_stderr,ce_mse_stderr")
         assert len(lines) == 1 + 2 * 2
 
-    def test_missing_axis_exits_2(self, config_file):
-        rc = cli.main(["sweep", "--config", str(config_file)])
+    @pytest.mark.parametrize("keys, message", [
+        ("values = 0, 8\n", "axis must be one of ('snr_db', 'N', 'p_a', "
+                            "'n_it'), got None"),
+        ("axis = snr_db\n", "values must be a sequence, got None")],
+        ids=["no-axis", "no-values"])
+    def test_missing_axis_exits_2(self, tmp_path, capsys, keys, message):
+        path = tmp_path / "cfg.txt"
+        path.write_text(BASE_CONFIG + keys)
+        rc = cli.main(["sweep", "--config", str(path)])
         assert rc == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+
+    def test_prints_one_row_per_value_and_detector(self, tmp_path, capsys):
+        path = tmp_path / "cfg.txt"
+        path.write_text(BASE_CONFIG + "axis = snr_db\nvalues = 0, 8\n")
+        assert cli.main(["sweep", "--config", str(path)]) == 0
+        header, columns, *rows = capsys.readouterr().out.splitlines()
+        assert header == "3 trials, qam16, seed=9"
+        snr_db = columns.split().index("snr_db")
+        assert [(row.split()[0], row.split()[snr_db]) for row in rows] == [
+            ("amp_vbic", "0"), ("genie", "0"), ("amp_vbic", "8"), ("genie", "8")]
+
+    def test_nit_sweep_rows_print_as_run_rows(self, tmp_path, capsys):
+        # BASE_CONFIG runs n_it = 4, one of the swept values.
+        path = tmp_path / "cfg.txt"
+        path.write_text(BASE_CONFIG + "axis = n_it\nvalues = 2, 4\n")
+        printed = []
+        for command in ("run", "sweep"):
+            assert cli.main([command, "--config", str(path)]) == 0
+            header, *table = capsys.readouterr().out.splitlines()
+            # Every column but runtime_ms, the last.
+            printed.append([header] + [line.split()[:-1] for line in table])
+        run, sweep = printed
+        n_it = run[1].index("n_it")
+        assert len(run) == 2 + 2 and len(sweep) == 2 + 4
+        assert run == sweep[:2] + [row for row in sweep[2:] if row[n_it] == "4"]
 
     @pytest.mark.parametrize("axis, values, message", [
         ("snr_db", "5, abc", "snr_db must be a number"),

@@ -425,9 +425,12 @@ class TestAggregate:
                 MetricsRecord(detector="genie", trial=1, aer=0.0, ser=0.3,
                               ce_mse=0.0, runtime_ms=3.0, **base)]
         assert [line.split() for line in summarize(recs).splitlines()] == [
-            ["detector", "aer", "ser", "ce_mse", "runtime_ms"],
-            ["amp_vbic", "0.30000", "0.30000", "0.020000", "3.00"],
-            ["genie", "0.00000", "0.20000", "0.000000", "2.00"]]
+            ["detector", "M", "N", "J", "p_a", "snr_db", "n_it",
+             "aer", "ser", "ce_mse", "runtime_ms"],
+            ["amp_vbic", "4", "4", "2", "0.1", "0", "1",
+             "0.30000", "0.30000", "0.020000", "3.00"],
+            ["genie", "4", "4", "2", "0.1", "0", "1",
+             "0.00000", "0.20000", "0.000000", "2.00"]]
         assert summarize(aggregate(recs)) == summarize(recs)
 
     def test_mean_and_stderr(self):
