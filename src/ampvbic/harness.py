@@ -344,9 +344,11 @@ def sweep(base_config: ScenarioConfig, axis: str, values, n_trials: int,
     iterations: the loop time up to the value plus the detector's one
     decision.
 
-    Every swept value is checked before the first trial runs (a value
-    that is not a number, or an N or n_it that is not an integer, is a
-    ConfigError), and all values share one process pool when n_workers > 1.
+    Every swept value is checked before the first trial runs: a value
+    that is not a number, an N or n_it that is not an integer, or a value
+    given twice is a ConfigError.  Two values repeat when they build equal
+    configs, so 5 and 5.0 on an integer axis, or 8 and 8.0 on snr_db, are
+    one value.  All values share one process pool when n_workers > 1.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
@@ -355,6 +357,9 @@ def sweep(base_config: ScenarioConfig, axis: str, values, n_trials: int,
     configs = [dataclasses.replace(base_config, **{axis: v}) for v in values]
     if not configs:
         raise ConfigError("sweep needs at least one axis value")
+    if len(set(configs)) < len(configs):
+        raise ConfigError(f"values must not repeat a value, got "
+                          f"{[getattr(c, axis) for c in configs]!r}")
     if axis == "n_it":
         cells = [(base_config, None, tuple(c.n_it for c in configs))]
     else:

@@ -21,18 +21,39 @@ resp @ d and resp @ conj(d) as the equations are written; they are the
 reference for the symbol-major code.
 
 The fixtures the unit tests share, unit_alphabet, unit_posterior,
-flat_prior, detect_users and EULER_GAMMA, are defined here once.
+flat_prior, detect_users and EULER_GAMMA, are defined here once, and so
+are those the pinned tests share: REFERENCE_CELL, the OpenBLAS core that
+their float records are keyed by (openblas_core) and without_runtimes.
 """
+
+import ctypes
+import dataclasses
 
 import numpy as np
 from scipy.special import digamma
 
 from ampvbic.amp import VARIANCE_FLOOR, Posterior
 from ampvbic.detector import DetectionResult, detect
-from ampvbic.model import ExtendedAlphabet
+from ampvbic.harness import _openblas
+from ampvbic.model import ExtendedAlphabet, ScenarioConfig
 from ampvbic.vbic import VbicState
 
 EULER_GAMMA = 0.5772156649015328606
+
+REFERENCE_CELL = ScenarioConfig(M=200, N=100, J=10, p_a=0.1, snr_db=5.0,
+                                modulation="qam16", n_it=20, seed=2026)
+
+
+def openblas_core() -> str | None:
+    """The OpenBLAS core (kernel) that numpy's matrix products run on;
+    None where numpy links no scipy-openblas build."""
+    name = _openblas("get_corename", ctypes.c_char_p)
+    return None if name is None else name.decode()
+
+
+def without_runtimes(records) -> list:
+    """The records with runtime_ms zeroed, the one field a rerun moves."""
+    return [dataclasses.replace(r, runtime_ms=0.0) for r in records]
 
 
 def unit_alphabet() -> ExtendedAlphabet:

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -27,6 +28,26 @@ detectors = amp_vbic, genie
 
 def breakdown(*args, **kwargs):
     raise NumericalBreakdown("synthetic breakdown")
+
+
+def readme_schema(aggregated=False):
+    """The CSV header that README documents: its one line that starts
+    detector,trial, and for an aggregated (sweep) file the backticked
+    *_stderr columns after it."""
+    text = (Path(__file__).resolve().parent.parent / "README.md") \
+        .read_text(encoding="utf-8")
+    schema = next(line for line in text.splitlines()
+                  if re.fullmatch(r"detector,trial,[A-Za-z_,]*", line))
+    if aggregated:
+        schema += "," + re.search(r"`([a-z_,]*_stderr)`", text).group(1)
+    return schema
+
+
+def without_runtime_column(path):
+    """The CSV's lines split into fields, without the runtime_ms column."""
+    header, *rows = [line.split(",") for line in path.read_text().splitlines()]
+    keep = [i for i, name in enumerate(header) if name != "runtime_ms"]
+    return [[fields[i] for i in keep] for fields in [header, *rows]]
 
 
 @pytest.fixture
@@ -128,14 +149,20 @@ class TestConfigParsing:
 class TestRunCommand:
 
     def test_writes_per_trial_csv(self, config_file, tmp_path, capsys):
-        out = tmp_path / "records.csv"
-        rc = cli.main(["run", "--config", str(config_file), "--out", str(out)])
-        assert rc == 0
-        lines = out.read_text().splitlines()
-        assert lines[0] == ("detector,trial,M,N,J,p_a,snr_db,n_it,"
-                            "aer,ser,ce_mse,runtime_ms")
-        assert len(lines) == 1 + 3 * 2
-        assert "amp_vbic" in capsys.readouterr().out
+        # Both entries of the modulation table write README's schema.
+        qpsk = tmp_path / "qpsk.txt"
+        qpsk.write_text(BASE_CONFIG.replace("modulation = qam16",
+                                            "modulation = qpsk"))
+        for path, modulation in ((config_file, "qam16"), (qpsk, "qpsk")):
+            out = tmp_path / f"{modulation}.csv"
+            rc = cli.main(["run", "--config", str(path), "--out", str(out)])
+            assert rc == 0
+            lines = out.read_text().splitlines()
+            assert lines[0] == readme_schema() == (
+                "detector,trial,M,N,J,p_a,snr_db,n_it,aer,ser,ce_mse,runtime_ms")
+            assert len(lines) == 1 + 3 * 2
+            assert capsys.readouterr().out.startswith(
+                f"3 trials, {modulation}, seed=9\n")
 
     def test_seed_flag_is_rejected(self, config_file):
         # The config file alone fixes a run; its seed key is the only seed.
@@ -306,6 +333,28 @@ class TestRunCommand:
             cli.main(["run", "--config", str(config_file)])
         assert isinstance(info.value.__cause__, ValueError)
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_threads_2_csv_equals_serial_at_one_blas_thread(self, tmp_path,
+                                                            command):
+        # Pool workers run one BLAS thread each, so a pooled command writes
+        # the CSV of a serial one at one thread in every column but
+        # runtime_ms.
+        path = tmp_path / "cfg.txt"
+        path.write_text(BASE_CONFIG + "axis = n_it\nvalues = 2, 4\n")
+        serial, pooled = tmp_path / "serial.csv", tmp_path / "pooled.csv"
+        before = harness._set_blas_threads(1)
+        if before is None:
+            pytest.skip("numpy links no scipy-openblas build")
+        try:
+            assert cli.main([command, "--config", str(path),
+                             "--out", str(serial)]) == 0
+        finally:
+            harness._set_blas_threads(before)
+        assert cli.main([command, "--config", str(path), "--threads", "2",
+                         "--out", str(pooled)]) == 0
+        assert without_runtime_column(pooled) == \
+            without_runtime_column(serial)
+
     def test_breakdown_in_pool_worker_exits_3(self, config_file, monkeypatch):
         # Workers are forked, so they run the patched loop.
         monkeypatch.setattr(harness, "run_detector_internals", breakdown)
@@ -330,7 +379,9 @@ class TestSweepCommand:
         rc = cli.main(["sweep", "--config", str(path), "--out", str(out)])
         assert rc == 0
         lines = out.read_text().splitlines()
-        assert lines[0].endswith("aer_stderr,ser_stderr,ce_mse_stderr")
+        assert lines[0] == readme_schema(aggregated=True) == (
+            "detector,trial,M,N,J,p_a,snr_db,n_it,aer,ser,ce_mse,runtime_ms,"
+            "aer_stderr,ser_stderr,ce_mse_stderr")
         assert len(lines) == 1 + 2 * 2
 
     @pytest.mark.parametrize("keys, message", [
@@ -373,8 +424,10 @@ class TestSweepCommand:
     @pytest.mark.parametrize("axis, values, message", [
         ("snr_db", "5, abc", "snr_db must be a number"),
         ("N", "12.7, 15", "N must be an integer"),
-        ("n_it", "5, 20.5", "n_it must be an integer")],
-        ids=["non-numeric-snr_db", "non-integral-N", "non-integral-n_it"])
+        ("n_it", "5, 20.5", "n_it must be an integer"),
+        ("n_it", "2, 2", "values must not repeat a value, got [2, 2]")],
+        ids=["non-numeric-snr_db", "non-integral-N", "non-integral-n_it",
+             "repeated-n_it"])
     def test_bad_value_type_exits_2(self, tmp_path, capsys, axis, values,
                                     message):
         path = tmp_path / "cfg.txt"

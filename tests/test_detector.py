@@ -13,7 +13,7 @@ from ampvbic.harness import DETECTORS, compute_aer, compute_ce_mse, \
     compute_ser, trial_rng
 from ampvbic.model import ScenarioConfig, build_alphabet, generate_frame, \
     noise_variance_from_snr
-from record_hashes import REFERENCE_CELL, openblas_core
+from oracles import REFERENCE_CELL, openblas_core
 
 
 def make_frame(seed=41, **overrides):

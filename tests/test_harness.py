@@ -1,5 +1,6 @@
 import concurrent.futures
 import dataclasses
+import hashlib
 import time
 import warnings
 from types import SimpleNamespace
@@ -19,7 +20,7 @@ from ampvbic.harness import (MetricsRecord, aggregate, compute_aer,
                              write_csv)
 from ampvbic.model import ScenarioConfig, ScenarioInstance, build_alphabet, \
     generate_frame
-from record_hashes import REFERENCE_CELL, without_runtimes
+from oracles import REFERENCE_CELL, openblas_core, without_runtimes
 
 
 class TestAer:
@@ -525,6 +526,20 @@ class TestSweep:
         with pytest.raises(ConfigError, match=message):
             sweep(tiny_config(), axis, values, 2)
 
+    # A value given twice would write its rows twice, and on every axis
+    # but n_it run its trials again; values repeat when their configs are
+    # equal, so 8 and 8.0 are one snr_db and 12 and 12.0 one N.
+    @pytest.mark.parametrize("axis, values", [
+        ("snr_db", [8, 0.0, 8.0]), ("N", [12, 20, 12.0]), ("p_a", [0.2, 0.2]),
+        ("n_it", [5, 5])], ids=["snr_db", "N", "p_a", "n_it"])
+    def test_repeated_value_fails_before_any_trial(self, monkeypatch, axis,
+                                                   values):
+        def no_frames(*args, **kwargs):
+            raise AssertionError("a trial ran")
+        monkeypatch.setattr(harness, "generate_frame", no_frames)
+        with pytest.raises(ConfigError, match="values must not repeat a value"):
+            sweep(tiny_config(), axis, values, 2)
+
     @pytest.mark.parametrize("axis", ["N", "n_it"])
     def test_integral_float_values_run_as_ints(self, axis):
         rows = sweep(tiny_config(), axis, [12.0, np.int64(6)], 1)
@@ -609,12 +624,11 @@ class TestNitSweep:
         assert without_runtime(rows) == without_runtime(
             per_value_rows(cfg, [5, 20, 50], 3, self.DETECTORS))
 
-    @pytest.mark.parametrize("values", [[20, 5], [5, 5]])
-    def test_unsorted_and_duplicate_values(self, values):
+    def test_unsorted_values(self):
         cfg = tiny_config()
-        rows = sweep(cfg, "n_it", values, 2, self.DETECTORS)
+        rows = sweep(cfg, "n_it", [20, 5], 2, self.DETECTORS)
         assert without_runtime(rows) == without_runtime(
-            per_value_rows(cfg, values, 2, self.DETECTORS))
+            per_value_rows(cfg, [20, 5], 2, self.DETECTORS))
 
     def test_invalid_value_rejected_before_any_trial(self, monkeypatch):
         monkeypatch.setattr(harness, "generate_frame", breakdown)
@@ -907,3 +921,53 @@ class TestPinnedDecisions:
             assert rec.aer == compute_aer(frame.activity, result.activity_hat)
             assert rec.ser == compute_ser(frame.D, result.D_hat)
             assert rec.ce_mse == compute_ce_mse(frame.mu, result.channel_hat)
+
+
+class TestRecordHashes:
+    """Every record of two requests, pinned bit for bit by one hash each:
+    run_trials on the reference cell (trials 0..19) and the n_it sweep of
+    TestPinnedDecisions (seed 7, values 5, 20 and 50, 4 trials), each with
+    all three detectors.  A hash is the first 16 hex digits of the SHA-256
+    of repr() of the records with runtime_ms zeroed, so it moves exactly
+    when a decision, a score or the record layout moves.
+
+    Float results move in their last bits with the OpenBLAS core, and on
+    some cores (Haswell, Sandybridge, Nehalem) with the BLAS thread count
+    too, so the serial run is made at one BLAS thread, which the pool's
+    workers also run, and must equal the pool.  RECORDED holds the
+    (run_trials, nit_sweep) hashes per core, with numpy 2.4.6 and scipy
+    1.17.1; a core with no entry fails and shows what it measured, and a
+    declared model change re-records the table.  README's "Install and
+    test" says how to record a core."""
+
+    RECORDED = {
+        "SkylakeX": ("5607319c87d45d83", "ae76d6d668bba877"),
+        "Haswell": ("a50f6b85fb857fe5", "21faa82eacc8ea08"),
+        "Sandybridge": ("bc571fb1163f3ed1", "69debb841f6736b0"),
+        "Nehalem": ("db7f1cc220f24d61", "e8f249b04fe94054"),
+        "Katmai": ("32eebda638acd928", "84695a4c97ed5174"),
+    }
+
+    @staticmethod
+    def hashes(n_workers):
+        detectors = TestNitSweep.DETECTORS
+        trials = run_trials(REFERENCE_CELL, 20, detectors, n_workers=n_workers)
+        rows = sweep(dataclasses.replace(REFERENCE_CELL, seed=7), "n_it",
+                     (5, 20, 50), 4, detectors, n_workers=n_workers)
+        return tuple(hashlib.sha256(repr(without_runtimes(records)).encode())
+                     .hexdigest()[:16] for records in (trials, rows))
+
+    def test_serial_run_equals_pool_and_recorded_hashes(self):
+        before = harness._set_blas_threads(1)
+        if before is None:
+            pytest.skip("numpy links no scipy-openblas build")
+        try:
+            serial = self.hashes(n_workers=1)
+        finally:
+            harness._set_blas_threads(before)
+        assert self.hashes(n_workers=2) == serial
+        core = openblas_core()
+        assert core in self.RECORDED, \
+            f"no record hashes recorded for OpenBLAS core {core!r}; " \
+            f"it measured {serial!r}"
+        assert serial == self.RECORDED[core]
